@@ -82,10 +82,9 @@ pub use cobra_graph::Backend;
 pub use cobra_mc::{HitTarget, Objective};
 pub use point::{SweepPoint, CODE_VERSION};
 pub use runner::{
-    default_cap, plan_sweep, run_graph_jobs, run_point, run_point_cancellable, run_point_on,
-    run_point_on_cancellable, run_sweep, run_sweep_watched, run_sweep_with_progress, CapPolicy,
-    Plan, PlanCacheStats, PlannedPoint, PlannedTopology, PointEvent, PointStatus, RunOutcome,
-    SweepProgress, WatchOutcome,
+    default_cap, plan_sweep, run_graph_jobs, run_point, run_point_cancellable, run_sweep,
+    run_sweep_watched, run_sweep_with_progress, CapPolicy, Plan, PlanCacheStats, PlannedPoint,
+    PointEvent, PointStatus, RunOutcome, SweepProgress, WatchOutcome,
 };
 pub use store::{PointRecord, PointTiming, SharedStore, Store};
 pub use sweep::{expand_pattern, validate_name, SweepSpec};

@@ -22,15 +22,15 @@ use crate::store::{PointRecord, PointTiming, Store};
 use crate::sweep::SweepSpec;
 use crate::CampaignError;
 use cobra_graph::{
-    with_topology, Backend, BuiltTopology, Graph, GraphCache, GraphShape, GraphSpec, MappedCsr,
-    Topology,
+    with_topology, Backend, BuiltTopology, Graph, GraphCache, GraphShape, GraphSpec, Topology,
 };
 use cobra_mc::queue::{drain_with, JobQueue};
 use cobra_mc::{
-    key_seed, run_jobs, run_sharded_trial, run_trial, trial_seed, CancelToken, Completion,
-    Objective, StoppingAccumulator,
+    key_seed, resolve_threads, run_jobs, CancelToken, Engine, Objective, StoppingAccumulator,
+    TrialState,
 };
-use cobra_process::{ProcessSpec, ProcessState, ShardedState, StepCtx};
+use cobra_process::{ProcessSpec, StepCtx};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -49,67 +49,14 @@ pub fn default_cap(shape: GraphShape, _process: &ProcessSpec) -> usize {
     32 * shape.n.max(2) * shape.m.max(1) + 10_000
 }
 
-/// The graph behind one planned point: a cache-shared CSR graph, or an
-/// implicit topology (a few bytes of parameters, never cached — see
-/// [`GraphCache`]).
-#[derive(Debug, Clone)]
-pub enum PlannedTopology {
-    /// CSR adjacency, shared across points through the plan's
-    /// [`GraphCache`].
-    Csr(Arc<Graph>),
-    /// Implicit O(1)-memory backend (guaranteed non-CSR variant).
-    Implicit(BuiltTopology),
-    /// An mmap-backed `.csrbin` cache of a `file:` spec — O(1) resident
-    /// memory, pages shared across every point (and worker) that maps
-    /// the same file.
-    Mapped(MappedCsr),
-}
-
-/// Dispatches a generic expression over the backend inside a
-/// [`PlannedTopology`] reference.
-macro_rules! on_planned {
-    ($topo:expr, |$g:ident| $body:expr) => {
-        match $topo {
-            PlannedTopology::Csr(shared) => {
-                let $g: &Graph = shared;
-                $body
-            }
-            PlannedTopology::Implicit(built) => with_topology!(built, |$g| $body),
-            PlannedTopology::Mapped(mapped) => {
-                let $g: &MappedCsr = mapped;
-                $body
-            }
-        }
-    };
-}
-
-impl PlannedTopology {
-    /// Number of vertices.
-    pub fn n(&self) -> usize {
-        on_planned!(self, |g| g.n())
-    }
-
-    /// Number of undirected edges.
-    pub fn m(&self) -> usize {
-        on_planned!(self, |g| g.m())
-    }
-
-    /// The `(n, m, max_degree)` triple for cap policies.
-    pub fn shape(&self) -> GraphShape {
-        on_planned!(self, |g| g.shape())
-    }
-
-    /// True for the O(1)-memory backends.
-    pub fn is_implicit(&self) -> bool {
-        matches!(self, PlannedTopology::Implicit(_))
-    }
-}
-
-/// One fully-resolved point plus its shared graph backend.
+/// One fully-resolved point plus its graph: a cache-shared CSR graph
+/// ([`BuiltTopology::Csr`], one `Arc` for every point on the graph), an
+/// mmap-backed `.csrbin` of a `file:` spec, or an implicit topology (a
+/// few bytes of parameters, never cached — see [`GraphCache`]).
 #[derive(Debug, Clone)]
 pub struct PlannedPoint {
     pub point: SweepPoint,
-    pub topology: PlannedTopology,
+    pub topology: BuiltTopology<'static>,
 }
 
 /// The resolved expansion of a sweep against a store.
@@ -222,13 +169,12 @@ pub fn plan_sweep(
     // duplicate it in memory — the opposite of what the cap is for).
     // The memo holds the Arcs the points hold anyway, so it adds no
     // resident bytes.
-    let mut planned_csr: std::collections::HashMap<String, Arc<Graph>> =
-        std::collections::HashMap::new();
+    let mut planned_csr: HashMap<String, Arc<Graph>> = HashMap::new();
     let mut points = Vec::with_capacity(grid.len());
     let mut cached = Vec::new();
     let mut missing = Vec::new();
     let mut duplicates = Vec::new();
-    let mut scheduled_keys = std::collections::HashSet::new();
+    let mut scheduled_keys = HashSet::new();
     for (index, (objective, gspec, pspec)) in grid.into_iter().enumerate() {
         // Implicit backends bypass the CSR cache entirely — they are a
         // few bytes of parameters, rebuilt per point.
@@ -237,28 +183,32 @@ pub fn plan_sweep(
             Backend::Implicit => true,
             Backend::Auto => gspec.has_implicit(),
         };
+        let seed = graph_build_seed(spec.seed, &gspec);
+        // `backend=csr` forces materialization.
+        let mapped = match spec.backend {
+            Backend::Auto if !use_implicit => cache.get_or_map(&gspec),
+            _ => None,
+        };
         let topology = if use_implicit {
-            let built = gspec
-                .build_topology(graph_build_seed(spec.seed, &gspec), spec.backend)
-                .map_err(CampaignError::Graph)?;
-            debug_assert!(built.is_implicit(), "backend selection chose implicit");
-            PlannedTopology::Implicit(built)
-        } else if let Some(mapped) = warm_mapped(&mut cache, &gspec, spec.backend) {
+            gspec
+                .build_topology(seed, spec.backend)
+                .map_err(CampaignError::Graph)?
+        } else if let Some(mapped) = mapped {
             // A `file:` spec with a warm `.csrbin` cache under the auto
             // backend: serve the mmap, O(1) resident per point.
-            PlannedTopology::Mapped(mapped)
+            BuiltTopology::Mapped(mapped)
         } else {
             let shared = match planned_csr.get(&gspec.key_string()) {
                 Some(arc) => Arc::clone(arc),
                 None => {
                     let arc = cache
-                        .get_or_build(&gspec, graph_build_seed(spec.seed, &gspec))
+                        .get_or_build(&gspec, seed)
                         .map_err(CampaignError::Graph)?;
                     planned_csr.insert(gspec.key_string(), Arc::clone(&arc));
                     arc
                 }
             };
-            PlannedTopology::Csr(shared)
+            BuiltTopology::Csr(shared)
         };
         check_point(spec, &objective, &gspec, &topology)?;
         if spec.shards > 1 && pspec.shard_kernel().is_none() {
@@ -290,7 +240,11 @@ pub fn plan_sweep(
         }
         points.push(PlannedPoint { point, topology });
     }
-    let distinct_graphs = planned_csr.len() + non_csr_count_distinct(&points);
+    let distinct_graphs = points
+        .iter()
+        .map(|p| p.point.graph.key_string())
+        .collect::<HashSet<_>>()
+        .len();
     let cache_stats = PlanCacheStats::capture(&cache);
     Ok(Plan {
         points,
@@ -300,29 +254,6 @@ pub fn plan_sweep(
         distinct_graphs,
         cache_stats,
     })
-}
-
-/// Distinct non-CSR graphs in a plan (CSR distinctness is the plan
-/// memo's entry count): implicit points counted by distinct graph
-/// spec, mmapped `file:` points by distinct content key.
-fn non_csr_count_distinct(points: &[PlannedPoint]) -> usize {
-    let mut seen = std::collections::HashSet::new();
-    points
-        .iter()
-        .filter(|p| !matches!(p.topology, PlannedTopology::Csr(_)))
-        .filter(|p| seen.insert(p.point.graph.key_string()))
-        .count()
-}
-
-/// The mmap-backed cache entry for a `file:` spec, when one is warm and
-/// the backend allows it — `auto` only: `backend=csr` forces
-/// materialization, and `file:` reaches the `use_implicit` rejection
-/// path under `backend=implicit` before this is consulted.
-fn warm_mapped(cache: &mut GraphCache, gspec: &GraphSpec, backend: Backend) -> Option<MappedCsr> {
-    match backend {
-        Backend::Auto => cache.get_or_map(gspec),
-        Backend::Csr | Backend::Implicit => None,
-    }
 }
 
 /// The build seed for a graph spec under a campaign master seed —
@@ -338,7 +269,7 @@ fn check_point(
     spec: &SweepSpec,
     objective: &Objective,
     gspec: &GraphSpec,
-    topology: &PlannedTopology,
+    topology: &BuiltTopology,
 ) -> Result<(), CampaignError> {
     let n = topology.n();
     if spec.start as usize >= n {
@@ -348,28 +279,14 @@ fn check_point(
         )));
     }
     // Full-reach objectives (cover, hit:far) cannot terminate on a
-    // disconnected loaded graph — same check and message as
-    // `SimSpec::check`, at plan time so a sweep fails before any point
-    // runs. Scoped to `file:` specs, like the sim path.
-    if objective.requires_full_reach() {
-        if let GraphSpec::File { giant: false, .. } = gspec {
-            let cc = on_planned!(topology, |g| cobra_graph::props::component_summary(g));
-            if cc.components > 1 {
-                return Err(CampaignError::Invalid(format!(
-                    "objective \"{objective}\" cannot terminate: the loaded graph has {} \
-                     connected components (largest spans {:.1}% of {} vertices); append \
-                     ?component=giant to the file: spec to restrict to the giant component",
-                    cc.components,
-                    100.0 * cc.giant_fraction(),
-                    cc.n
-                )));
-            }
-        }
-    }
+    // disconnected loaded graph — the `SimSpec::check` rule, at plan
+    // time so a sweep fails before any point runs.
+    with_topology!(topology, |g| objective.check_reachable(gspec, g))
+        .map_err(CampaignError::Invalid)?;
     // Objective-level termination checks (hit target in range, hit:far
     // reachable, infection threshold in (0, 1]) — errors name the
     // offending token and the graph it fails on.
-    on_planned!(topology, |g| objective.validate(g, &[spec.start]))
+    with_topology!(topology, |g| objective.validate(g, &[spec.start]))
         .map_err(|e| CampaignError::Invalid(format!("{e} (graph {gspec})")))
 }
 
@@ -477,15 +394,15 @@ where
 /// into Welford/P² state the moment it finishes, so a point's memory is
 /// O(1) in its trial count (no sample vector ever exists).
 ///
-/// The process is built once and reset per trial; trial `i` sees
-/// exactly `trial_seed(point.seed, i)`, the same derivation the engine
-/// uses, so this matches `Engine::run_spec` under
+/// The trials ride [`Engine::run_sequential`]: trial `i` sees exactly
+/// `trial_seed(point.seed, i)`, so this matches `Engine::run_spec` under
 /// `master_seed = point.seed` bit-for-bit — and the record's summary
-/// matches `SimSpec::measure` on the equivalent spec. Points with
-/// `shards > 1` run on the sharded engine instead, whose per-shard
-/// streams derive from the same trial seeds.
-pub fn run_point(point: &SweepPoint, topology: &PlannedTopology, ctx: &mut StepCtx) -> PointRecord {
-    on_planned!(topology, |g| run_point_on(point, g, ctx))
+/// matches `SimSpec::measure` on the equivalent spec. Sharded points
+/// step their shards on the calling worker thread (the campaign already
+/// parallelizes across jobs, and trajectories are thread-invariant).
+pub fn run_point(point: &SweepPoint, topology: &BuiltTopology, ctx: &mut StepCtx) -> PointRecord {
+    run_point_cancellable(point, topology, ctx, &CancelToken::new())
+        .expect("a fresh token never cancels")
 }
 
 /// [`run_point`] under a cancellation token: the token is polled at
@@ -495,114 +412,44 @@ pub fn run_point(point: &SweepPoint, topology: &PlannedTopology, ctx: &mut StepC
 /// persisted and the point stays missing for the next run.
 pub fn run_point_cancellable(
     point: &SweepPoint,
-    topology: &PlannedTopology,
+    topology: &BuiltTopology,
     ctx: &mut StepCtx,
     token: &CancelToken,
 ) -> Option<PointRecord> {
-    on_planned!(topology, |g| run_point_on_cancellable(point, g, ctx, token))
-}
-
-/// [`run_point`] monomorphized over a concrete backend.
-pub fn run_point_on<T: Topology + Sync>(
-    point: &SweepPoint,
-    graph: &T,
-    ctx: &mut StepCtx,
-) -> PointRecord {
-    run_point_on_cancellable(point, graph, ctx, &CancelToken::new())
-        .expect("a fresh token never cancels")
-}
-
-/// [`run_point_cancellable`] monomorphized over a concrete backend —
-/// the single trial-loop implementation every path shares, so the
-/// cancellable and plain paths cannot drift apart bit-wise.
-pub fn run_point_on_cancellable<T: Topology + Sync>(
-    point: &SweepPoint,
-    graph: &T,
-    ctx: &mut StepCtx,
-    token: &CancelToken,
-) -> Option<PointRecord> {
-    if point.shards > 1 {
-        return run_point_sharded(point, graph, token);
-    }
-    let start = [point.start];
-    let stop = point
-        .objective
-        .stop_when(graph, &start)
-        .expect("plan_sweep validated every point objective");
-    let mut process = point.process.build(graph, &start);
-    let mut acc = StoppingAccumulator::new();
-    let started = Instant::now();
-    let mut trial_secs = Vec::with_capacity(point.trials);
-    for trial in 0..point.trials {
-        if token.is_cancelled() {
-            return None;
-        }
-        let t0 = Instant::now();
-        ctx.reseed(trial_seed(point.seed, trial as u64));
-        process.reset(graph, &start);
-        acc.push(&run_trial(&mut process, ctx, stop, point.cap, Completion));
-        trial_secs.push(t0.elapsed().as_secs_f64());
-    }
-    let (total_transmissions, total_reached) = (acc.total_transmissions(), acc.total_reached());
-    Some(PointRecord::from_estimate(
-        point,
-        (graph.n(), graph.m()),
-        &acc.finish(point.cap),
-        total_transmissions,
-        total_reached,
-        point_timing(started, trial_secs),
-    ))
-}
-
-/// The sharded sibling of [`run_point_on`]: one reusable
-/// [`ShardedState`] across the point's trials, each trial seeded
-/// `trial_seed(point.seed, i)` exactly like the unsharded path (the
-/// per-shard streams then derive from that trial seed). Shards run on
-/// the calling worker thread — the campaign already parallelizes at
-/// the job level, and the trajectory is thread-count-invariant anyway.
-fn run_point_sharded<T: Topology + Sync>(
-    point: &SweepPoint,
-    graph: &T,
-    token: &CancelToken,
-) -> Option<PointRecord> {
-    let start = [point.start];
-    let stop = point
-        .objective
-        .stop_when(graph, &start)
-        .expect("plan_sweep validated every point objective");
-    let kernel = point
-        .process
-        .shard_kernel()
-        .expect("plan_sweep validated every sharded point's process");
-    let mut state = ShardedState::new(graph, kernel, point.shards);
-    let mut acc = StoppingAccumulator::new();
-    let started = Instant::now();
-    let mut trial_secs = Vec::with_capacity(point.trials);
-    for trial in 0..point.trials {
-        if token.is_cancelled() {
-            return None;
-        }
-        let t0 = Instant::now();
-        let outcome = run_sharded_trial(
+    with_topology!(topology, |graph| {
+        let start = [point.start];
+        let stop = point
+            .objective
+            .stop_when(graph, &start)
+            .expect("plan_sweep validated every point objective");
+        let mut state = TrialState::new(graph, &point.process, &start, point.shards, 1, ctx);
+        let mut acc = StoppingAccumulator::new();
+        let started = Instant::now();
+        let mut trial_secs = Vec::with_capacity(point.trials);
+        let mut lap = started;
+        let finished = Engine::new(point.trials, point.seed, point.cap).run_sequential(
             &mut state,
-            trial_seed(point.seed, trial as u64),
-            point.start,
             stop,
-            point.cap,
-            1,
+            Some(token),
+            None,
+            |outcome| {
+                acc.push(outcome);
+                let now = Instant::now();
+                trial_secs.push(now.duration_since(lap).as_secs_f64());
+                lap = now;
+            },
         );
-        acc.push(&outcome);
-        trial_secs.push(t0.elapsed().as_secs_f64());
-    }
-    let (total_transmissions, total_reached) = (acc.total_transmissions(), acc.total_reached());
-    Some(PointRecord::from_estimate(
-        point,
-        (graph.n(), graph.m()),
-        &acc.finish(point.cap),
-        total_transmissions,
-        total_reached,
-        point_timing(started, trial_secs),
-    ))
+        if !finished {
+            return None;
+        }
+        let timing = point_timing(started, trial_secs);
+        Some(PointRecord::from_fold(
+            point,
+            (graph.n(), graph.m()),
+            acc,
+            timing,
+        ))
+    })
 }
 
 /// Folds a point's wall clock and per-trial seconds into the record's
@@ -678,7 +525,14 @@ pub struct PointEvent {
 }
 
 impl PointEvent {
-    fn from_planned(index: usize, planned: &PlannedPoint, status: PointStatus) -> PointEvent {
+    /// The event for one planned point; terminal statuses that carry a
+    /// finished record pass it as `record`.
+    pub fn from_planned(
+        index: usize,
+        planned: &PlannedPoint,
+        status: PointStatus,
+        record: Option<PointRecord>,
+    ) -> PointEvent {
         PointEvent {
             index,
             status,
@@ -686,13 +540,8 @@ impl PointEvent {
             objective: planned.point.objective.to_string(),
             graph: planned.point.graph.to_string(),
             process: planned.point.process.to_string(),
-            record: None,
+            record,
         }
-    }
-
-    fn with_record(mut self, record: PointRecord) -> PointEvent {
-        self.record = Some(record);
-        self
     }
 
     /// The NDJSON encoding: the identity fields always, plus the
@@ -792,19 +641,15 @@ pub fn run_sweep_watched(
             .get(&planned.point.digest_hex(), &planned.point.full_key())
             .expect("plan partitioned this point as cached")
             .clone();
-        on_event(
-            &PointEvent::from_planned(index, planned, PointStatus::Cached).with_record(record),
-        );
+        on_event(&PointEvent::from_planned(
+            index,
+            planned,
+            PointStatus::Cached,
+            Some(record),
+        ));
     }
 
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(plan.missing.len().max(1));
+    let threads = resolve_threads(threads).min(plan.missing.len().max(1));
     let queue: JobQueue<usize> = JobQueue::new();
     let lane = queue.lane();
     for &index in &plan.missing {
@@ -837,6 +682,7 @@ pub fn run_sweep_watched(
                 index,
                 planned,
                 PointStatus::Started,
+                None,
             ));
             // A cancelled point (None) gets its terminal event from the
             // post-drain sweep below — one source for claimed and
@@ -847,10 +693,12 @@ pub fn run_sweep_watched(
                 if let Err(e) = store.append(&record) {
                     io_error.lock().expect("io error slot").get_or_insert(e);
                 }
-                on_event(
-                    &PointEvent::from_planned(index, planned, PointStatus::Computed)
-                        .with_record(record.clone()),
-                );
+                on_event(&PointEvent::from_planned(
+                    index,
+                    planned,
+                    PointStatus::Computed,
+                    Some(record.clone()),
+                ));
                 fresh.lock().expect("fresh records slot").push(record);
             }
         });
@@ -879,10 +727,12 @@ pub fn run_sweep_watched(
                 // record; emit their terminal event now that it exists.
                 if plan.duplicates.contains(&index) {
                     duplicates_served += 1;
-                    on_event(
-                        &PointEvent::from_planned(index, planned, PointStatus::Deduped)
-                            .with_record(record.clone()),
-                    );
+                    on_event(&PointEvent::from_planned(
+                        index,
+                        planned,
+                        PointStatus::Deduped,
+                        Some(record.clone()),
+                    ));
                 }
             }
             None => {
@@ -895,6 +745,7 @@ pub fn run_sweep_watched(
                     index,
                     planned,
                     PointStatus::Cancelled,
+                    None,
                 ));
             }
         }
@@ -939,7 +790,7 @@ mod tests {
         let plan = plan_sweep(&csr, &store, &default_cap).unwrap();
         assert_eq!(plan.distinct_graphs, 4);
         match (&plan.points[0].topology, &plan.points[1].topology) {
-            (PlannedTopology::Csr(a), PlannedTopology::Csr(b)) => {
+            (BuiltTopology::Csr(a), BuiltTopology::Csr(b)) => {
                 assert!(Arc::ptr_eq(a, b), "cache must share the CSR graph");
             }
             other => panic!("backend=csr built {other:?}"),
@@ -1058,18 +909,18 @@ mod tests {
 
     #[test]
     fn run_point_matches_the_engine_bit_for_bit() {
-        use cobra_mc::Engine;
+        use cobra_mc::{Completion, Engine};
         let spec = small_spec();
         let plan = plan_sweep(&spec, &Store::in_memory(), &default_cap).unwrap();
         for planned in &plan.points {
             let p = &planned.point;
             let mut ctx = StepCtx::new();
             let record = run_point(p, &planned.topology, &mut ctx);
-            let (est, tx, reached) = on_planned!(&planned.topology, |g| {
+            let (est, tx, reached) = with_topology!(&planned.topology, |g| {
                 let stop = p.objective.stop_when(g, &[p.start]).unwrap();
                 let outcomes = Engine::new(p.trials, p.seed, p.cap)
                     .with_threads(1)
-                    .run_spec_outcomes(g, &p.process, &[p.start], stop);
+                    .run_spec(g, &p.process, &[p.start], stop, |_| Completion);
                 let mut acc = StoppingAccumulator::new();
                 for o in &outcomes {
                     acc.push(o);
@@ -1235,7 +1086,7 @@ mod tests {
         // build writes the cache for next time).
         let cold = plan_sweep(&spec, &Store::in_memory(), &default_cap).unwrap();
         assert!(
-            matches!(cold.points[0].topology, PlannedTopology::Csr(_)),
+            matches!(cold.points[0].topology, BuiltTopology::Csr(_)),
             "cold file plans must parse to CSR"
         );
         // Warm: the same spec now plans as the mmap, shared by both
@@ -1243,7 +1094,7 @@ mod tests {
         let warm = plan_sweep(&spec, &Store::in_memory(), &default_cap).unwrap();
         for planned in &warm.points {
             assert!(
-                matches!(planned.topology, PlannedTopology::Mapped(_)),
+                matches!(planned.topology, BuiltTopology::Mapped(_)),
                 "warm file plans must serve the mmap"
             );
         }
@@ -1263,7 +1114,7 @@ mod tests {
             &default_cap,
         )
         .unwrap();
-        assert!(matches!(forced.points[0].topology, PlannedTopology::Csr(_)));
+        assert!(matches!(forced.points[0].topology, BuiltTopology::Csr(_)));
     }
 
     #[test]

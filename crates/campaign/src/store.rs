@@ -25,7 +25,7 @@
 //!
 //! [`SweepPoint::digest_hex`]: crate::point::SweepPoint::digest_hex
 
-use cobra_mc::StoppingEstimate;
+use cobra_mc::{StoppingAccumulator, StoppingEstimate};
 use cobra_util::json::{obj, Json};
 use cobra_util::FileLock;
 use std::collections::HashMap;
@@ -146,16 +146,16 @@ impl PartialEq for PointRecord {
 }
 
 impl PointRecord {
-    /// Builds a record from a resolved point's identity and its
-    /// streamed estimate.
-    pub fn from_estimate(
+    /// Builds a record from a resolved point's identity and the fold of
+    /// its trials.
+    pub fn from_fold(
         point: &crate::point::SweepPoint,
         (n, m): (usize, usize),
-        est: &StoppingEstimate,
-        total_transmissions: u64,
-        total_reached: u64,
+        acc: StoppingAccumulator,
         timing: PointTiming,
     ) -> PointRecord {
+        let (total_transmissions, total_reached) = (acc.total_transmissions(), acc.total_reached());
+        let est = acc.finish(point.cap);
         PointRecord {
             key: point.digest_hex(),
             spec: point.full_key(),

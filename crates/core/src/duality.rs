@@ -30,7 +30,7 @@
 use crate::report::{fmt_f, Table};
 use crate::sim::Estimate;
 use cobra_graph::{Topology, VertexId};
-use cobra_mc::{Engine, Observer, StopWhen, TrialOutcome};
+use cobra_mc::{Completion, Engine, Observer, StopWhen, TrialOutcome};
 use cobra_process::{BipsMode, Branching, Laziness, ProcessSpec, ProcessView};
 use cobra_util::BitSet;
 
@@ -193,7 +193,7 @@ pub fn duality_check<T: Topology + Sync>(
         laziness: Laziness::None,
     };
     let cobra_engine = Engine::new(cfg.trials, cfg.master_seed, max_t).with_threads(cfg.threads);
-    let outcomes = cobra_engine.run_spec_outcomes(g, &cobra_spec, c, StopWhen::Reached(v));
+    let outcomes = cobra_engine.run_spec(g, &cobra_spec, c, StopWhen::Reached(v), |_| Completion);
     let cobra = Estimate::from_outcomes(&outcomes, max_t);
 
     // BIPS side: run to the fixed horizon, snapshotting disjointness.

@@ -63,6 +63,6 @@ pub use duality::{duality_check, DualityConfig, DualityReport};
 pub use infection::{infection_trajectory, InfectionConfig};
 pub use report::Table;
 pub use sim::{
-    Estimate, GraphSource, HitTarget, MaterializedTopology, Measurement, Objective, ResolvedRun,
-    SimError, SimSpec, StoppingEstimate, TrajectoryEstimate,
+    Estimate, GraphSource, HitTarget, Measurement, Objective, ResolvedRun, SimError, SimSpec,
+    StoppingEstimate, TrajectoryEstimate,
 };

@@ -34,7 +34,10 @@
 //! (`objective={cover,hit:far,infection:0.5}`), a config file, or code.
 //! Execution always goes through [`cobra_mc::Engine`]: one trial loop,
 //! one seeding scheme, one cap policy, identical results for any thread
-//! count.
+//! count: traced and sharded runs take its sequential loop
+//! ([`Engine::run_sequential`]) on the same trial seeds. Each call
+//! materialises the graph once as a [`BuiltTopology`]; a borrowed graph
+//! stays borrowed.
 //!
 //! # How an objective executes
 //!
@@ -69,36 +72,17 @@ use cobra_graph::{
     VertexId,
 };
 use cobra_mc::{
-    run_sharded_trial_probed, run_sharded_trials, run_trial_probed, trial_seed, Completion, Engine,
-    Observer, StopWhen, Trajectory, TrialOutcome,
+    resolve_threads, Completion, Engine, Observer, StopWhen, Trajectory, TrialOutcome, TrialState,
 };
-use cobra_obs::{Phase, PhaseTimers, RoundSink, SinkProbe, PHASES};
-use cobra_process::{
-    per_shard_state_bytes, Branching, ProcessSpec, ProcessSpecError, ShardedState, StepCtx,
-};
+use cobra_obs::{PhaseTimers, RoundSink};
+use cobra_process::{per_shard_state_bytes, Branching, ProcessSpec, ProcessSpecError, StepCtx};
 use cobra_stats::streaming::StreamingSummary;
 use cobra_stats::Summary;
 use std::fmt;
-use std::ops::Deref;
 
 pub use cobra_mc::objective::{
     HitTarget, Objective, StoppingAccumulator, StoppingEstimate, OBJECTIVE_USAGES,
 };
-
-/// Dispatches a generic expression over the backend inside a
-/// [`MaterializedTopology`] — each arm monomorphizes, so the trial loop
-/// compiles to direct code per backend.
-macro_rules! on_topology {
-    ($topo:expr, |$g:ident| $body:expr) => {
-        match $topo {
-            MaterializedTopology::Borrowed(borrowed) => {
-                let $g = *borrowed;
-                $body
-            }
-            MaterializedTopology::Built(built) => with_topology!(built, |$g| $body),
-        }
-    };
-}
 
 /// Where the graph of a simulation comes from.
 #[derive(Debug, Clone)]
@@ -151,72 +135,6 @@ impl From<GraphSpecError> for SimError {
 impl From<ProcessSpecError> for SimError {
     fn from(e: ProcessSpecError) -> SimError {
         SimError::Process(e)
-    }
-}
-
-/// A borrowed or freshly built CSR graph; derefs to [`Graph`]. The
-/// legacy CSR-only materialization — callers that need the
-/// backend-resolved representation use [`SimSpec::topology`] instead.
-pub enum MaterializedGraph<'g> {
-    Borrowed(&'g Graph),
-    Owned(Graph),
-}
-
-impl Deref for MaterializedGraph<'_> {
-    type Target = Graph;
-    fn deref(&self) -> &Graph {
-        match self {
-            MaterializedGraph::Borrowed(g) => g,
-            MaterializedGraph::Owned(g) => g,
-        }
-    }
-}
-
-/// The backend-resolved graph of a [`SimSpec`]: a borrowed CSR graph,
-/// or a [`BuiltTopology`] materialized from the spec under the
-/// configured [`Backend`]. This is what every run path steps on.
-pub enum MaterializedTopology<'g> {
-    /// A caller-provided CSR graph (backend selection does not apply).
-    Borrowed(&'g Graph),
-    /// A spec-built backend: CSR or implicit.
-    Built(BuiltTopology),
-}
-
-impl MaterializedTopology<'_> {
-    /// Number of vertices.
-    pub fn n(&self) -> usize {
-        on_topology!(self, |g| g.n())
-    }
-
-    /// Number of undirected edges.
-    pub fn m(&self) -> usize {
-        on_topology!(self, |g| g.m())
-    }
-
-    /// The `(n, m, max_degree)` triple for cap policies.
-    pub fn shape(&self) -> GraphShape {
-        on_topology!(self, |g| g.shape())
-    }
-
-    /// Approximate resident bytes of the representation.
-    pub fn memory_bytes(&self) -> usize {
-        on_topology!(self, |g| g.memory_bytes())
-    }
-
-    /// `"csr"`, `"mmap"`, or `"implicit"`.
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            MaterializedTopology::Borrowed(_) => "csr",
-            MaterializedTopology::Built(b) => b.backend_name(),
-        }
-    }
-
-    /// The CSR graph, when that is the backend in use.
-    pub fn as_csr(&self) -> Option<&Graph> {
-        match self {
-            MaterializedTopology::Borrowed(g) => Some(g),
-            MaterializedTopology::Built(b) => b.as_csr(),
-        }
     }
 }
 
@@ -346,33 +264,18 @@ impl<'g> SimSpec<'g> {
         self
     }
 
-    /// Materialises the graph as CSR (no-op for borrowed graphs),
-    /// ignoring the backend override — the legacy path for callers
-    /// that need slice-based adjacency. Random families are seeded from
-    /// the master seed, so a spec denotes one concrete graph. Prefer
-    /// [`SimSpec::topology`], which honours the backend and never
-    /// materialises edges for implicit families.
-    pub fn graph(&self) -> Result<MaterializedGraph<'g>, SimError> {
-        match &self.graph {
-            GraphSource::Borrowed(g) => Ok(MaterializedGraph::Borrowed(g)),
-            GraphSource::Spec(spec) => Ok(MaterializedGraph::Owned(
-                spec.build(graph_seed(self.master_seed))?,
-            )),
-        }
-    }
-
     /// Materialises the backend-resolved topology every run path steps
     /// on: the borrowed CSR graph as-is, or the spec built under
     /// [`SimSpec::backend`] (implicit by default for the structured
     /// families — `hypercube:24` costs bytes, not gigabytes). Random
-    /// families are seeded from the master seed exactly as
-    /// [`SimSpec::graph`].
-    pub fn topology(&self) -> Result<MaterializedTopology<'g>, SimError> {
+    /// families are seeded from the master seed, so a spec denotes one
+    /// concrete graph.
+    pub fn topology(&self) -> Result<BuiltTopology<'g>, SimError> {
         match &self.graph {
-            GraphSource::Borrowed(g) => Ok(MaterializedTopology::Borrowed(g)),
-            GraphSource::Spec(spec) => Ok(MaterializedTopology::Built(
-                spec.build_topology(graph_seed(self.master_seed), self.backend)?,
-            )),
+            GraphSource::Borrowed(g) => Ok(BuiltTopology::Borrowed(g)),
+            GraphSource::Spec(spec) => {
+                Ok(spec.build_topology(graph_seed(self.master_seed), self.backend)?)
+            }
         }
     }
 
@@ -395,39 +298,14 @@ impl<'g> SimSpec<'g> {
                 )));
             }
         }
-        self.check_components(g)?;
+        if let GraphSource::Spec(spec) = &self.graph {
+            self.objective
+                .check_reachable(spec, g)
+                .map_err(SimError::Invalid)?;
+        }
         self.objective
             .validate(g, &self.start)
             .map_err(SimError::Invalid)
-    }
-
-    /// Rejects full-reach objectives (`cover`, `hit:far`) on a loaded
-    /// graph that is disconnected, naming the component structure and
-    /// the `?component=giant` fix. Scoped to `file:` specs: the
-    /// synthetic families are connected by construction (or
-    /// deliberately disconnected in tests), and the check costs an
-    /// O(n + m) scan real-world inputs are worth but huge implicit
-    /// graphs are not.
-    fn check_components<T: Topology>(&self, g: &T) -> Result<(), SimError> {
-        if !self.objective.requires_full_reach() {
-            return Ok(());
-        }
-        let GraphSource::Spec(GraphSpec::File { giant: false, .. }) = &self.graph else {
-            return Ok(());
-        };
-        let cc = cobra_graph::props::component_summary(g);
-        if cc.components > 1 {
-            return Err(SimError::Invalid(format!(
-                "objective \"{}\" cannot terminate: the loaded graph has {} connected \
-                 components (largest spans {:.1}% of {} vertices); append \
-                 ?component=giant to the file: spec to restrict to the giant component",
-                self.objective,
-                cc.components,
-                100.0 * cc.giant_fraction(),
-                cc.n
-            )));
-        }
-        Ok(())
     }
 
     /// Validates the shard configuration (graph-independent): positive
@@ -456,54 +334,55 @@ impl<'g> SimSpec<'g> {
                 self.start.len()
             )));
         }
-        match self.objective {
-            Objective::Cover | Objective::Hit(_) | Objective::Infection { .. } => Ok(()),
-            Objective::Duality { .. } | Objective::Trajectory => Err(SimError::Invalid(format!(
+        if !self.objective.is_sweepable() {
+            return Err(SimError::Invalid(format!(
                 "objective \"{}\" cannot run sharded — only the stopping \
                  objectives (cover, hit:*, infection:*) do; use shards=1",
                 self.objective
-            ))),
+            )));
         }
+        Ok(())
     }
 
-    /// Worker threads for the sharded engine's phases (the `threads`
-    /// knob with `0 = auto` resolved to the core count; never changes
-    /// results).
-    fn shard_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-    }
-
-    /// Runs the spec's trials through the sharded engine (`shards > 1`
-    /// only; `check` has already vetted the process and objective).
-    /// Trials run sequentially — the shards themselves are the
-    /// parallelism — under the same per-trial seed derivation as the
-    /// unsharded runner.
-    fn run_sharded_outcomes<T: Topology + Sync>(
+    /// Runs the spec's stopping trials on an already-checked graph,
+    /// folding each outcome in trial order: over the engine's threads,
+    /// or through its sequential loop when sharded (the shards are the
+    /// parallelism) or traced (one `&mut` sink). Returns the cap and, with
+    /// `time_phases`, the aggregated phase timers.
+    fn run_stopping<T: Topology + Sync>(
         &self,
         g: &T,
-        stop: StopWhen,
-        cap: usize,
-    ) -> Vec<TrialOutcome> {
-        let kernel = self
-            .process
-            .shard_kernel()
-            .expect("check_sharding vetted the process");
-        let mut state = ShardedState::new(g, kernel, self.shards);
-        run_sharded_trials(
-            &mut state,
-            self.trials,
-            self.master_seed,
-            self.start[0],
-            stop,
-            cap,
-            self.shard_threads(),
-        )
+        sink: Option<&mut dyn RoundSink>,
+        time_phases: bool,
+        fold: impl FnMut(&TrialOutcome),
+    ) -> Result<(usize, Option<Box<PhaseTimers>>), SimError> {
+        let stop = self
+            .objective
+            .stop_when(g, &self.start)
+            .map_err(SimError::Invalid)?;
+        let engine = self.engine(g);
+        if self.shards == 1 && sink.is_none() {
+            engine
+                .run_spec(g, &self.process, &self.start, stop, |_| Completion)
+                .iter()
+                .for_each(fold);
+            return Ok((engine.cap, None));
+        }
+        let mut ctx = StepCtx::new();
+        let threads = resolve_threads(self.threads);
+        let mut state = TrialState::new(
+            g,
+            &self.process,
+            &self.start,
+            self.shards,
+            threads,
+            &mut ctx,
+        );
+        if sink.is_some() {
+            state.instrument(time_phases);
+        }
+        engine.run_sequential(&mut state, stop, None, sink, fold);
+        Ok((engine.cap, state.timers().cloned().map(Box::new)))
     }
 
     /// The engine this spec resolves to, given its materialised graph
@@ -526,7 +405,7 @@ impl<'g> SimSpec<'g> {
     /// bootstrap CIs) genuinely need the per-trial samples.
     pub fn try_run(&self) -> Result<Estimate, SimError> {
         let topo = self.topology()?;
-        on_topology!(&topo, |g| self.try_run_on(g))
+        with_topology!(&topo, |g| self.try_run_on(g))
     }
 
     fn try_run_on<T: Topology + Sync>(&self, g: &T) -> Result<Estimate, SimError> {
@@ -537,17 +416,9 @@ impl<'g> SimSpec<'g> {
                 self.objective
             )));
         }
-        let engine = self.engine(g);
-        let stop = self
-            .objective
-            .stop_when(g, &self.start)
-            .map_err(SimError::Invalid)?;
-        let outcomes = if self.shards > 1 {
-            self.run_sharded_outcomes(g, stop, engine.cap)
-        } else {
-            engine.run_spec_outcomes(g, &self.process, &self.start, stop)
-        };
-        Ok(Estimate::from_outcomes(&outcomes, engine.cap))
+        let mut outcomes = Vec::with_capacity(self.trials);
+        let (cap, _) = self.run_stopping(g, None, false, |o| outcomes.push(*o))?;
+        Ok(Estimate::from_outcomes(&outcomes, cap))
     }
 
     /// [`SimSpec::try_run`], panicking on an invalid spec — the
@@ -567,28 +438,16 @@ impl<'g> SimSpec<'g> {
     /// thread count.
     pub fn measure(&self) -> Result<Measurement, SimError> {
         let topo = self.topology()?;
-        on_topology!(&topo, |g| self.measure_on(g))
+        with_topology!(&topo, |g| self.measure_on(g))
     }
 
     fn measure_on<T: Topology + Sync>(&self, g: &T) -> Result<Measurement, SimError> {
         self.check(g)?;
         match &self.objective {
             Objective::Cover | Objective::Hit(_) | Objective::Infection { .. } => {
-                let engine = self.engine(g);
-                let stop = self
-                    .objective
-                    .stop_when(g, &self.start)
-                    .map_err(SimError::Invalid)?;
-                let outcomes = if self.shards > 1 {
-                    self.run_sharded_outcomes(g, stop, engine.cap)
-                } else {
-                    engine.run_spec_outcomes(g, &self.process, &self.start, stop)
-                };
                 let mut acc = StoppingAccumulator::new();
-                for o in &outcomes {
-                    acc.push(o);
-                }
-                Ok(Measurement::Stopping(acc.finish(engine.cap)))
+                let (cap, _) = self.run_stopping(g, None, false, |o| acc.push(o))?;
+                Ok(Measurement::Stopping(acc.finish(cap)))
             }
             Objective::Duality { horizons } => {
                 // The duality identity relates a COBRA hitting time to a
@@ -662,7 +521,7 @@ impl<'g> SimSpec<'g> {
         time_phases: bool,
     ) -> Result<(Measurement, Option<Box<PhaseTimers>>), SimError> {
         let topo = self.topology()?;
-        on_topology!(&topo, |g| self.measure_traced_on(g, sink, time_phases))
+        with_topology!(&topo, |g| self.measure_traced_on(g, sink, time_phases))
     }
 
     fn measure_traced_on<T: Topology + Sync>(
@@ -672,83 +531,16 @@ impl<'g> SimSpec<'g> {
         time_phases: bool,
     ) -> Result<(Measurement, Option<Box<PhaseTimers>>), SimError> {
         self.check(g)?;
-        match self.objective {
-            Objective::Cover | Objective::Hit(_) | Objective::Infection { .. } => {}
-            Objective::Duality { .. } | Objective::Trajectory => {
-                return Err(SimError::Invalid(format!(
-                    "objective \"{}\" cannot be traced — per-round probes attach \
-                     to the stopping objectives (cover, hit:*, infection:*)",
-                    self.objective
-                )));
-            }
+        if !self.objective.is_sweepable() {
+            return Err(SimError::Invalid(format!(
+                "objective \"{}\" cannot be traced — per-round probes attach \
+                 to the stopping objectives (cover, hit:*, infection:*)",
+                self.objective
+            )));
         }
-        let engine = self.engine(g);
-        let stop = self
-            .objective
-            .stop_when(g, &self.start)
-            .map_err(SimError::Invalid)?;
         let mut acc = StoppingAccumulator::new();
-        let timers = if self.shards > 1 {
-            let kernel = self
-                .process
-                .shard_kernel()
-                .expect("check_sharding vetted the process");
-            let mut state = ShardedState::new(g, kernel, self.shards);
-            state.instrument(time_phases);
-            let threads = self.shard_threads();
-            for i in 0..self.trials {
-                let before = state.timers().map(PhaseTimers::sums);
-                let outcome = {
-                    let mut probe = SinkProbe::new(i, sink);
-                    run_sharded_trial_probed(
-                        &mut state,
-                        trial_seed(self.master_seed, i as u64),
-                        self.start[0],
-                        stop,
-                        engine.cap,
-                        threads,
-                        &mut probe,
-                    )
-                };
-                acc.push(&outcome);
-                if let (Some(before), Some(t)) = (before, state.timers()) {
-                    sink.on_trial_phases(i, &phase_deltas(before, t));
-                }
-            }
-            state.take_timers()
-        } else {
-            // Mirrors `Engine::run_spec_outcomes` exactly — build once,
-            // reseed + reset per trial — so outcomes are bit-identical
-            // to the parallel engine (trial seeds never depend on the
-            // worker layout).
-            let mut process = self.process.build(g, &self.start);
-            let mut ctx = StepCtx::new();
-            if time_phases {
-                ctx.timers = Some(Box::default());
-            }
-            for i in 0..self.trials {
-                ctx.reseed(trial_seed(self.master_seed, i as u64));
-                process.reset(g, &self.start);
-                let before = ctx.timers.as_deref().map(PhaseTimers::sums);
-                let outcome = {
-                    let mut probe = SinkProbe::new(i, sink);
-                    run_trial_probed(
-                        &mut process,
-                        &mut ctx,
-                        stop,
-                        engine.cap,
-                        Completion,
-                        &mut probe,
-                    )
-                };
-                acc.push(&outcome);
-                if let (Some(before), Some(t)) = (before, ctx.timers.as_deref()) {
-                    sink.on_trial_phases(i, &phase_deltas(before, t));
-                }
-            }
-            ctx.timers.take()
-        };
-        Ok((Measurement::Stopping(acc.finish(engine.cap)), timers))
+        let (cap, timers) = self.run_stopping(g, Some(sink), time_phases, |o| acc.push(o))?;
+        Ok((Measurement::Stopping(acc.finish(cap)), timers))
     }
 
     /// Resolves everything a trial would see — backend, sizes, stop
@@ -758,9 +550,8 @@ impl<'g> SimSpec<'g> {
     /// `hypercube:24` dry run costs bytes.
     pub fn resolve(&self) -> Result<ResolvedRun, SimError> {
         let topo = self.topology()?;
-        on_topology!(&topo, |g| {
+        with_topology!(&topo, |g| {
             self.check(g)?;
-            let engine = self.engine(g);
             let stop = self
                 .objective
                 .stop_when(g, &self.start)
@@ -771,7 +562,7 @@ impl<'g> SimSpec<'g> {
                 backend: topo.backend_name(),
                 graph_bytes: g.memory_bytes(),
                 stop,
-                cap: engine.cap,
+                cap: resolve_cap(g, &self.process, self.cap),
                 explicit_cap: self.cap.is_some(),
                 shards: self.shards,
                 shard_state_bytes: per_shard_state_bytes(g.n(), self.shards),
@@ -794,7 +585,7 @@ impl<'g> SimSpec<'g> {
         Ob::Output: Send,
     {
         let topo = self.topology()?;
-        on_topology!(&topo, |g| {
+        with_topology!(&topo, |g| {
             self.check(g)?;
             let engine = self.engine(g);
             Ok(engine.run_spec(g, &self.process, &self.start, stop, make_observer))
@@ -805,7 +596,7 @@ impl<'g> SimSpec<'g> {
     /// mean of the reached count after `t` rounds, `t = 0..=rounds`.
     pub fn trajectory(&self, rounds: usize) -> Result<Vec<f64>, SimError> {
         let topo = self.topology()?;
-        on_topology!(&topo, |g| {
+        with_topology!(&topo, |g| {
             self.check(g)?;
             Ok(self.trajectory_with(g, rounds))
         })
@@ -906,19 +697,6 @@ pub struct TrajectoryEstimate {
 /// trial seeds so graph sampling never correlates with trial noise).
 pub fn graph_seed(master_seed: u64) -> u64 {
     master_seed ^ 0x6AF5_EED0_6AF5_EED0
-}
-
-/// Per-phase nanoseconds accumulated since the `before` snapshot —
-/// the per-trial split `measure_traced` hands to
-/// [`RoundSink::on_trial_phases`]. Only phases that advanced appear.
-fn phase_deltas(before: [u64; PHASES], timers: &PhaseTimers) -> Vec<(Phase, u64)> {
-    let after = timers.sums();
-    Phase::ALL
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| after[i] > before[i])
-        .map(|(i, &p)| (p, after[i] - before[i]))
-        .collect()
 }
 
 /// The per-trial round cap for `process` on `g`: explicit if given,

@@ -61,11 +61,6 @@ struct Entry {
     last_used: u64,
 }
 
-#[derive(Debug)]
-struct MappedEntry {
-    graph: MappedCsr,
-}
-
 /// A memoizing, LRU-byte-capped wrapper around [`GraphSpec::build`].
 #[derive(Debug)]
 pub struct GraphCache {
@@ -75,7 +70,7 @@ pub struct GraphCache {
     /// graph, since pages are demand-paged and shared), not by the
     /// materialized CSR size, so they never trigger LRU pressure and are
     /// exempt from eviction.
-    mapped: HashMap<String, MappedEntry>,
+    mapped: HashMap<String, MappedCsr>,
     capacity_bytes: usize,
     resident_bytes: usize,
     hits: usize,
@@ -159,9 +154,9 @@ impl GraphCache {
         };
         let key = spec.key_string();
         self.tick += 1;
-        if let Some(entry) = self.mapped.get(&key) {
+        if let Some(mapped) = self.mapped.get(&key) {
             self.hits += 1;
-            return Some(entry.graph.clone());
+            return Some(mapped.clone());
         }
         let mapped = crate::ingest::try_open_cached(Path::new(path), *digest, *giant)?;
         self.misses += 1;
@@ -171,12 +166,7 @@ impl GraphCache {
         // evicted (there is nothing to reclaim), so the bytes are added
         // once and stay.
         self.resident_bytes += mapped.memory_bytes();
-        self.mapped.insert(
-            key,
-            MappedEntry {
-                graph: mapped.clone(),
-            },
-        );
+        self.mapped.insert(key, mapped.clone());
         Some(mapped)
     }
 

@@ -54,6 +54,7 @@ use rand::SeedableRng;
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// A graph family plus its parameters, as data.
 #[derive(Debug, Clone, PartialEq)]
@@ -854,7 +855,7 @@ impl GraphSpec {
     /// The implicit backend for this spec, when one exists. Parameter
     /// contracts mirror the CSR generators exactly (same asserts), so
     /// the two backends accept the same spec set.
-    fn build_implicit(&self) -> Option<BuiltTopology> {
+    fn build_implicit(&self) -> Option<BuiltTopology<'static>> {
         if !self.has_implicit() {
             return None;
         }
@@ -891,10 +892,10 @@ impl GraphSpec {
         &self,
         seed: u64,
         backend: Backend,
-    ) -> Result<BuiltTopology, GraphSpecError> {
+    ) -> Result<BuiltTopology<'static>, GraphSpecError> {
         self.validate()?;
         match backend {
-            Backend::Csr => Ok(BuiltTopology::Csr(self.build(seed)?)),
+            Backend::Csr => Ok(BuiltTopology::Csr(Arc::new(self.build(seed)?))),
             Backend::Auto => {
                 // Warm `file:` loads serve straight from the mmap-backed
                 // binary cache: O(1) resident memory, pages shared across
@@ -911,11 +912,11 @@ impl GraphSpec {
                     {
                         return Ok(BuiltTopology::Mapped(mapped));
                     }
-                    return Ok(BuiltTopology::Csr(self.build(seed)?));
+                    return Ok(BuiltTopology::Csr(Arc::new(self.build(seed)?)));
                 }
                 match self.build_implicit() {
                     Some(t) => Ok(t),
-                    None => Ok(BuiltTopology::Csr(self.build(seed)?)),
+                    None => Ok(BuiltTopology::Csr(Arc::new(self.build(seed)?))),
                 }
             }
             Backend::Implicit => self.build_implicit().ok_or_else(|| {

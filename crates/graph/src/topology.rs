@@ -34,6 +34,7 @@ use crate::csr::{Graph, VertexId};
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use std::fmt;
+use std::sync::Arc;
 
 /// The read surface of a graph, as the simulation kernels see it.
 ///
@@ -834,13 +835,19 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// A materialized graph behind one of the concrete backends — what
-/// [`crate::GraphSpec::build_topology`] returns. Callers monomorphize
+/// A materialized graph behind one of the concrete backends — the one
+/// graph wrapper every run path steps on. [`crate::GraphSpec::build_topology`]
+/// and the campaign planner produce the owned variants (`'static`); a
+/// caller that already holds a [`Graph`] lends it as
+/// [`BuiltTopology::Borrowed`] without copying it. Callers monomorphize
 /// their simulation path per variant via [`crate::with_topology!`].
 #[derive(Debug, Clone)]
-pub enum BuiltTopology {
-    /// Materialized CSR adjacency.
-    Csr(Graph),
+pub enum BuiltTopology<'g> {
+    /// Materialized CSR adjacency, shared (the campaign planner hands
+    /// one `Arc` to every point on the same graph).
+    Csr(Arc<Graph>),
+    /// A caller-owned CSR graph (backend selection does not apply).
+    Borrowed(&'g Graph),
     /// CSR served from an mmap-backed `.csrbin` cache (warm `file:`
     /// loads) — same pick encoding as [`BuiltTopology::Csr`], O(1)
     /// resident memory.
@@ -860,12 +867,19 @@ pub enum BuiltTopology {
 /// Dispatches a generic expression over the concrete backend inside a
 /// [`BuiltTopology`] reference: `with_topology!(&built, |g| f(g))`
 /// monomorphizes `f` per backend, so the simulation kernels inline with
-/// no per-call dispatch.
+/// no per-call dispatch. Both CSR variants bind `g: &Graph`.
 #[macro_export]
 macro_rules! with_topology {
     ($topo:expr, |$g:ident| $body:expr) => {
         match $topo {
-            $crate::topology::BuiltTopology::Csr($g) => $body,
+            $crate::topology::BuiltTopology::Csr(g) => {
+                let $g: &$crate::csr::Graph = g;
+                $body
+            }
+            $crate::topology::BuiltTopology::Borrowed(g) => {
+                let $g: &$crate::csr::Graph = g;
+                $body
+            }
             $crate::topology::BuiltTopology::Mapped($g) => $body,
             $crate::topology::BuiltTopology::Complete($g) => $body,
             $crate::topology::BuiltTopology::Circulant($g) => $body,
@@ -876,7 +890,7 @@ macro_rules! with_topology {
     };
 }
 
-impl BuiltTopology {
+impl BuiltTopology<'_> {
     /// Number of vertices.
     pub fn n(&self) -> usize {
         with_topology!(self, |g| g.n())
@@ -885,11 +899,6 @@ impl BuiltTopology {
     /// Number of undirected edges.
     pub fn m(&self) -> usize {
         with_topology!(self, |g| g.m())
-    }
-
-    /// Maximum vertex degree.
-    pub fn max_degree(&self) -> usize {
-        with_topology!(self, |g| g.max_degree())
     }
 
     /// The `(n, m, max_degree)` triple for cap policies.
@@ -905,13 +914,16 @@ impl BuiltTopology {
     /// True for the arithmetic O(1)-memory backends (not CSR, and not
     /// the mmap-backed CSR, which stores real adjacency on disk).
     pub fn is_implicit(&self) -> bool {
-        !matches!(self, BuiltTopology::Csr(_) | BuiltTopology::Mapped(_))
+        !matches!(
+            self,
+            BuiltTopology::Csr(_) | BuiltTopology::Borrowed(_) | BuiltTopology::Mapped(_)
+        )
     }
 
     /// `"csr"`, `"mmap"`, or `"implicit"` — for logs and reports.
     pub fn backend_name(&self) -> &'static str {
         match self {
-            BuiltTopology::Csr(_) => "csr",
+            BuiltTopology::Csr(_) | BuiltTopology::Borrowed(_) => "csr",
             BuiltTopology::Mapped(_) => "mmap",
             _ => "implicit",
         }
@@ -921,6 +933,7 @@ impl BuiltTopology {
     pub fn as_csr(&self) -> Option<&Graph> {
         match self {
             BuiltTopology::Csr(g) => Some(g),
+            BuiltTopology::Borrowed(g) => Some(g),
             _ => None,
         }
     }
@@ -992,7 +1005,7 @@ mod tests {
     }
 
     /// Builds a spec's implicit backend, asserting it exists.
-    fn implicit_of(spec: &str) -> BuiltTopology {
+    fn implicit_of(spec: &str) -> BuiltTopology<'static> {
         let spec: GraphSpec = spec.parse().unwrap();
         let built = spec.build_topology(0, Backend::Implicit).unwrap();
         assert!(built.is_implicit(), "{spec} did not build implicit");

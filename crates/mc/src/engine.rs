@@ -3,7 +3,10 @@
 //! Before this engine existed, cover-time, infection-time, and duality
 //! estimation each owned a hand-rolled loop over [`run_trials`] with its
 //! own seeding, stepping, stop condition, and censoring bookkeeping.
-//! [`Engine::run`] centralises all of that:
+//! The engine centralises all of that in one per-trial step (reseed →
+//! reset → run) and two loops over it: [`Engine::run`] spreads trials
+//! over threads; [`Engine::run_sequential`] runs them in order on one
+//! reusable [`TrialState`] (traced runs, sharded runs, campaign points):
 //!
 //! * trials, master seed, and thread count live in the engine;
 //! * the per-trial round cap and the [`StopWhen`] condition decide when
@@ -31,10 +34,15 @@
 //!
 //! [`run_trials`]: crate::runner::run_trials
 
+use crate::queue::CancelToken;
 use crate::runner::{run_trials_with, RunConfig};
+use crate::seed::trial_seed;
+use crate::shard::run_sharded_trial;
 use cobra_graph::{Topology, VertexId};
-use cobra_obs::{NoProbe, Probe, RoundRecord, TrialTotals};
-use cobra_process::{BoxedProcess, ProcessSpec, ProcessState, ProcessView, StepCtx};
+use cobra_obs::{
+    NoProbe, Phase, PhaseTimers, Probe, RoundRecord, RoundSink, SinkProbe, TrialTotals, PHASES,
+};
+use cobra_process::{BoxedProcess, ProcessSpec, ProcessState, ProcessView, ShardedState, StepCtx};
 
 /// When a trial stops stepping (the round cap always applies on top).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,12 +143,12 @@ impl Observer for Trajectory {
 /// Drives one trial of an already-reset process to its stop condition.
 ///
 /// This is the single trial loop of the workspace, shared by
-/// [`Engine::run`] (which parallelizes over *trials*) and the campaign
-/// scheduler (which parallelizes over *jobs*, each job running its
-/// trials sequentially on a per-worker [`StepCtx`]). The caller is
-/// responsible for reseeding `ctx` and resetting `process` beforehand;
-/// given the same post-reset state and seed, the outcome is identical
-/// whichever layer invokes it.
+/// [`Engine::run`] (which parallelizes over *trials*) and
+/// [`Engine::run_sequential`] (which the campaign scheduler runs per
+/// job, on a per-worker [`StepCtx`]). The caller is responsible for
+/// reseeding `ctx` and resetting `process` beforehand; given the same
+/// post-reset state and seed, the outcome is identical whichever layer
+/// invokes it.
 pub fn run_trial<'g, T, P, Ob>(
     process: &mut P,
     ctx: &mut StepCtx,
@@ -239,6 +247,26 @@ where
     observer.finish(outcome, process)
 }
 
+/// One seeded trial: reseed `ctx`, `reset` the state to round 0 (it may
+/// draw from the fresh stream), run to the stop condition. The step
+/// both [`Engine::run`] and [`Engine::run_sequential`] take, so the two
+/// loops cannot drift apart bit-wise.
+#[allow(clippy::too_many_arguments)]
+fn seeded_trial<'g, T: Topology, P: ProcessState<'g, T>, Ob: Observer>(
+    process: &mut P,
+    ctx: &mut StepCtx,
+    seed: u64,
+    reset: impl FnOnce(&mut P, &mut StepCtx),
+    stop: StopWhen,
+    cap: usize,
+    observer: Ob,
+    probe: &mut impl Probe,
+) -> Ob::Output {
+    ctx.reseed(seed);
+    reset(process, ctx);
+    run_trial_probed(process, ctx, stop, cap, observer, probe)
+}
+
 /// The unified trial executor. Owns everything the three former
 /// bespoke loops duplicated: trial count, master seed, worker threads,
 /// and the per-trial round cap.
@@ -304,28 +332,18 @@ impl Engine {
             RunConfig::new(self.trials, self.master_seed).with_threads(self.threads),
             || (make_state(), StepCtx::new()),
             |(process, ctx), seed, index| {
-                ctx.reseed(seed);
-                reset(process, index, ctx);
-                run_trial(process, ctx, stop, cap, make_observer(index))
+                seeded_trial(
+                    process,
+                    ctx,
+                    seed,
+                    |p, ctx| reset(p, index, ctx),
+                    stop,
+                    cap,
+                    make_observer(index),
+                    &mut NoProbe,
+                )
             },
         )
-    }
-
-    /// [`Engine::run`] with the no-op observer: one [`TrialOutcome`]
-    /// per trial.
-    pub fn run_outcomes<'g, T, P, F, R>(
-        &self,
-        stop: StopWhen,
-        make_state: F,
-        reset: R,
-    ) -> Vec<TrialOutcome>
-    where
-        T: Topology,
-        P: ProcessState<'g, T>,
-        F: Fn() -> P + Sync,
-        R: Fn(&mut P, usize, &mut StepCtx) + Sync,
-    {
-        self.run(stop, make_state, reset, |_| Completion)
     }
 
     /// [`Engine::run`] for a parsed [`ProcessSpec`] — the type-erased
@@ -355,16 +373,159 @@ impl Engine {
         )
     }
 
-    /// [`Engine::run_spec`] with the no-op observer.
-    pub fn run_spec_outcomes<T: Topology + Sync>(
+    /// The sequential stopping-trial loop: runs the trials in trial order
+    /// on one reusable [`TrialState`] (ignoring `threads`) and hands each
+    /// outcome to `fold`. Trial `i` sees `trial_seed(master_seed, i)`, as
+    /// in [`Engine::run`], so unsharded outcomes match the parallel path.
+    ///
+    /// `cancel` is polled before every trial; a cancelled batch returns
+    /// `false`. A `sink` receives every round and trial total, then the
+    /// trial's phase-time split when the state carries timers.
+    pub fn run_sequential<T: Topology + Sync>(
         &self,
-        g: &T,
-        spec: &ProcessSpec,
-        start: &[VertexId],
+        state: &mut TrialState<'_, '_, T>,
         stop: StopWhen,
-    ) -> Vec<TrialOutcome> {
-        self.run_spec(g, spec, start, stop, |_| Completion)
+        cancel: Option<&CancelToken>,
+        mut sink: Option<&mut dyn RoundSink>,
+        mut fold: impl FnMut(&TrialOutcome),
+    ) -> bool {
+        for i in 0..self.trials {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return false;
+            }
+            let seed = trial_seed(self.master_seed, i as u64);
+            let outcome = match sink.as_deref_mut() {
+                None => state.run_trial(seed, stop, self.cap, &mut NoProbe),
+                Some(sink) => {
+                    let before = state.timers().map(PhaseTimers::sums);
+                    let outcome =
+                        state.run_trial(seed, stop, self.cap, &mut SinkProbe::new(i, &mut *sink));
+                    if let (Some(before), Some(timers)) = (before, state.timers()) {
+                        sink.on_trial_phases(i, &phase_deltas(before, timers));
+                    }
+                    outcome
+                }
+            };
+            fold(&outcome);
+        }
+        true
     }
+}
+
+/// The reusable state [`Engine::run_sequential`] drives: a process built
+/// from a [`ProcessSpec`] on a caller-owned [`StepCtx`], or the sharded
+/// engine's partitioned state.
+pub enum TrialState<'c, 'g, T: Topology> {
+    /// The unsharded engine.
+    Process {
+        process: BoxedProcess<'g, T>,
+        ctx: &'c mut StepCtx,
+        graph: &'g T,
+        start: &'c [VertexId],
+    },
+    /// The sharded engine, stepping its shards on `threads` workers.
+    Sharded {
+        state: ShardedState<'g, T>,
+        start: VertexId,
+        threads: usize,
+    },
+}
+
+impl<'c, 'g, T: Topology + Sync> TrialState<'c, 'g, T> {
+    /// The state `process` runs on from `start`: sharded when `shards > 1`
+    /// (callers vet that the process shards and `start` is one vertex).
+    pub fn new(
+        graph: &'g T,
+        process: &ProcessSpec,
+        start: &'c [VertexId],
+        shards: usize,
+        threads: usize,
+        ctx: &'c mut StepCtx,
+    ) -> Self {
+        if shards > 1 {
+            let kernel = process
+                .shard_kernel()
+                .expect("sharded runs are vetted to use a shardable process");
+            TrialState::Sharded {
+                state: ShardedState::new(graph, kernel, shards),
+                start: start[0],
+                threads,
+            }
+        } else {
+            TrialState::Process {
+                process: process.build(graph, start),
+                ctx,
+                graph,
+                start,
+            }
+        }
+    }
+
+    /// Turns on telemetry for a traced batch: phase timing when
+    /// `time_phases` is set and, sharded, per-round outbox traffic.
+    pub fn instrument(&mut self, time_phases: bool) {
+        match self {
+            TrialState::Process { ctx, .. } => {
+                if time_phases {
+                    ctx.timers = Some(Box::default());
+                }
+            }
+            TrialState::Sharded { state, .. } => state.instrument(time_phases),
+        }
+    }
+
+    /// The phase timers accumulated so far, when timing is on.
+    pub fn timers(&self) -> Option<&PhaseTimers> {
+        match self {
+            TrialState::Process { ctx, .. } => ctx.timers.as_deref(),
+            TrialState::Sharded { state, .. } => state.timers(),
+        }
+    }
+
+    /// One trial from `seed`: reseed → reset → run to `stop` or `cap`.
+    fn run_trial<Pr: Probe>(
+        &mut self,
+        seed: u64,
+        stop: StopWhen,
+        cap: usize,
+        probe: &mut Pr,
+    ) -> TrialOutcome {
+        match self {
+            TrialState::Process {
+                process,
+                ctx,
+                graph,
+                start,
+            } => seeded_trial(
+                process,
+                ctx,
+                seed,
+                |p, _| p.reset(graph, start),
+                stop,
+                cap,
+                Completion,
+                probe,
+            ),
+            TrialState::Sharded {
+                state,
+                start,
+                threads,
+            } => run_sharded_trial(state, seed, *start, stop, cap, *threads, probe),
+        }
+    }
+}
+
+/// Per-phase nanoseconds accumulated since the `before` snapshot — the
+/// per-trial split handed to [`RoundSink::on_trial_phases`]. Only phases
+/// that advanced appear.
+fn phase_deltas(before: [u64; PHASES], timers: &PhaseTimers) -> Vec<(Phase, u64)> {
+    let after = timers.sums();
+    Phase::ALL
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| after[i] > before[i])
+        .map(|(i, &p)| (p, after[i] - before[i]))
+        .collect()
 }
 
 #[cfg(test)]
@@ -380,10 +541,11 @@ mod tests {
     #[test]
     fn completes_and_orders_outcomes() {
         let (engine, g) = k16_cobra(12, 10_000);
-        let outcomes = engine.run_outcomes(
+        let outcomes = engine.run(
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
+            |_| Completion,
         );
         assert_eq!(outcomes.len(), 12);
         for o in &outcomes {
@@ -396,15 +558,17 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let (engine, g) = k16_cobra(16, 10_000);
-        let seq = engine.with_threads(1).run_outcomes(
+        let seq = engine.with_threads(1).run(
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
+            |_| Completion,
         );
-        let par = engine.with_threads(8).run_outcomes(
+        let par = engine.with_threads(8).run(
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
+            |_| Completion,
         );
         assert_eq!(seq, par);
     }
@@ -413,10 +577,11 @@ mod tests {
     fn cap_censors_with_executed_rounds() {
         let engine = Engine::new(5, 1, 3);
         let g = generators::path(64);
-        let outcomes = engine.run_outcomes(
+        let outcomes = engine.run(
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
+            |_| Completion,
         );
         for o in outcomes {
             assert_eq!(o.rounds, None);
@@ -429,15 +594,24 @@ mod tests {
         let engine = Engine::new(10, 2, 100_000);
         let g = generators::cycle(24);
         let make = || Cobra::new(&g, &[0], Branching::B2, Laziness::None);
-        let outcomes =
-            engine.run_outcomes(StopWhen::Reached(12), make, |p, _, _| p.reset(&g, &[0]));
+        let outcomes = engine.run(
+            StopWhen::Reached(12),
+            make,
+            |p, _, _| p.reset(&g, &[0]),
+            |_| Completion,
+        );
         for o in &outcomes {
             let hit = o.rounds.expect("must hit within cap");
             // Vertex 12 is 12 hops away; spreading one hop per round.
             assert!(hit >= 12, "hit {hit} beats the distance bound");
         }
         // Hitting the start vertex takes zero rounds.
-        let zero = engine.run_outcomes(StopWhen::Reached(0), make, |p, _, _| p.reset(&g, &[0]));
+        let zero = engine.run(
+            StopWhen::Reached(0),
+            make,
+            |p, _, _| p.reset(&g, &[0]),
+            |_| Completion,
+        );
         assert!(zero.iter().all(|o| o.rounds == Some(0)));
     }
 
@@ -446,7 +620,7 @@ mod tests {
         let engine = Engine::new(8, 6, 100_000);
         let g = generators::complete(32);
         let make = || Cobra::b2(&g, 0);
-        let run = |stop| engine.run_outcomes(stop, make, |p, _, _| p.reset(&g, &[0]));
+        let run = |stop| engine.run(stop, make, |p, _, _| p.reset(&g, &[0]), |_| Completion);
         let half = run(StopWhen::ReachedCount(16));
         let full = run(StopWhen::Complete);
         for (h, f) in half.iter().zip(&full) {
@@ -488,10 +662,11 @@ mod tests {
     fn at_cap_runs_exactly_cap_rounds() {
         let engine = Engine::new(4, 3, 7);
         let g = generators::complete(8);
-        let outcomes = engine.run_outcomes(
+        let outcomes = engine.run(
             StopWhen::AtCap,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
+            |_| Completion,
         );
         for o in outcomes {
             assert_eq!(o.rounds, None);
@@ -525,10 +700,11 @@ mod tests {
         // vertex 0 takes zero rounds only for the trial starting there.
         let engine = Engine::new(6, 5, 100_000);
         let g = generators::cycle(12);
-        let outcomes = engine.run_outcomes(
+        let outcomes = engine.run(
             StopWhen::Reached(0),
             || Cobra::b2(&g, 0),
             |p, i, _| p.reset(&g, &[(i as u32 % 12)]),
+            |_| Completion,
         );
         assert_eq!(outcomes[0].rounds, Some(0));
         for o in &outcomes[1..] {
@@ -542,7 +718,7 @@ mod tests {
         let engine = Engine::new(5, 5, 100_000);
         let g = generators::petersen();
         let spec: ProcessSpec = "bips:b2".parse().unwrap();
-        let outcomes = engine.run_spec_outcomes(&g, &spec, &[0], StopWhen::Complete);
+        let outcomes = engine.run_spec(&g, &spec, &[0], StopWhen::Complete, |_| Completion);
         assert!(outcomes.iter().all(|o| o.rounds.is_some()));
     }
 
@@ -552,11 +728,12 @@ mod tests {
         let engine = Engine::new(8, 9, 100_000);
         let g = generators::torus(&[5, 5]);
         let spec: ProcessSpec = "cobra:b2".parse().unwrap();
-        let boxed = engine.run_spec_outcomes(&g, &spec, &[0], StopWhen::Complete);
-        let concrete = engine.run_outcomes(
+        let boxed = engine.run_spec(&g, &spec, &[0], StopWhen::Complete, |_| Completion);
+        let concrete = engine.run(
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
+            |_| Completion,
         );
         assert_eq!(boxed, concrete);
     }

@@ -11,7 +11,9 @@
 //!   parallel run is bit-identical to a sequential one;
 //! * [`engine`] — the unified [`Engine`]: one monomorphized trial loop
 //!   driving any [`cobra_process::ProcessState`] under a [`StopWhen`]
-//!   condition and a round cap, with pluggable [`Observer`] hooks
+//!   condition and a round cap, run in parallel over trials
+//!   ([`Engine::run`]) or in trial order on one reusable [`TrialState`]
+//!   ([`Engine::run_sequential`]), with pluggable [`Observer`] hooks
 //!   (cover detection, trajectories, transmission accounting, round
 //!   snapshots) reading through [`cobra_process::ProcessView`]. All
 //!   Monte-Carlo estimation in the workspace goes through it. Each
@@ -36,11 +38,12 @@ pub mod shard;
 
 pub use engine::{
     run_trial, run_trial_probed, Completion, Engine, Observer, StopWhen, Trajectory, TrialOutcome,
+    TrialState,
 };
 pub use objective::{
     HitTarget, Objective, StoppingAccumulator, StoppingEstimate, OBJECTIVE_USAGES,
 };
 pub use queue::{CancelToken, Claimed, JobQueue, LaneId, QueueClosed, QueueStats};
-pub use runner::{run_jobs, run_trials, run_trials_with, RunConfig};
+pub use runner::{resolve_threads, run_jobs, run_trials, run_trials_with, RunConfig};
 pub use seed::{key_seed, shard_seed, trial_seed, SeedSequence};
-pub use shard::{run_sharded_trial, run_sharded_trial_probed, run_sharded_trials};
+pub use shard::run_sharded_trial;

@@ -35,7 +35,7 @@
 //!   never materializes a sample vector.
 
 use crate::engine::{StopWhen, TrialOutcome};
-use cobra_graph::{props, Topology, VertexId};
+use cobra_graph::{props, GraphSpec, Topology, VertexId};
 use cobra_stats::streaming::StreamingSummary;
 use std::fmt;
 use std::str::FromStr;
@@ -109,6 +109,28 @@ impl Objective {
             self,
             Objective::Cover | Objective::Hit(_) | Objective::Infection { .. }
         )
+    }
+
+    /// Rejects a full-reach objective (`cover`, `hit:far`) on a
+    /// disconnected `file:` graph, naming the components and the
+    /// `?component=giant` fix. Synthetic families are connected by
+    /// construction, so only loaded graphs pay the O(n + m) scan.
+    pub fn check_reachable<T: Topology>(&self, spec: &GraphSpec, g: &T) -> Result<(), String> {
+        if !self.requires_full_reach() || !matches!(spec, GraphSpec::File { giant: false, .. }) {
+            return Ok(());
+        }
+        let cc = props::component_summary(g);
+        if cc.components > 1 {
+            return Err(format!(
+                "objective \"{self}\" cannot terminate: the loaded graph has {} connected \
+                 components (largest spans {:.1}% of {} vertices); append \
+                 ?component=giant to the file: spec to restrict to the giant component",
+                cc.components,
+                100.0 * cc.giant_fraction(),
+                cc.n
+            ));
+        }
+        Ok(())
     }
 
     /// Checks the objective against a concrete graph and start set

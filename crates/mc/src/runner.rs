@@ -32,15 +32,16 @@ impl RunConfig {
     }
 
     fn effective_threads(&self) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let t = if self.threads == 0 {
-            auto
-        } else {
-            self.threads
-        };
-        t.min(self.trials.max(1))
+        resolve_threads(self.threads).min(self.trials.max(1))
+    }
+}
+
+/// A worker-thread knob resolved to a count: `0` means one per
+/// available core.
+pub fn resolve_threads(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        t => t,
     }
 }
 
@@ -147,10 +148,7 @@ where
     if jobs == 0 {
         return Vec::new();
     }
-    let auto = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = if threads == 0 { auto } else { threads }.min(jobs);
+    let threads = resolve_threads(threads).min(jobs);
 
     let queue: crate::queue::JobQueue<usize> = crate::queue::JobQueue::new();
     let lane = queue.lane();

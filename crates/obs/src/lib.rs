@@ -8,7 +8,7 @@
 //! eyes on those quantities without taxing the measurement path:
 //!
 //! - [`Probe`] is the monomorphized observation hook the trial loops
-//!   (`cobra_mc::run_trial_probed`, `run_sharded_trial_probed`) are
+//!   (`cobra_mc::run_trial_probed`, `run_sharded_trial`) are
 //!   generic over. The default [`NoProbe`] sets `ENABLED = false`, so
 //!   every instrumentation block (`if Pr::ENABLED { .. }`) compiles to
 //!   nothing — the probes-off path is instruction-for-instruction the

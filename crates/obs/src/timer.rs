@@ -142,9 +142,10 @@ impl Log2Histogram {
         self.count == 0
     }
 
-    /// Lower bound of the bucket holding the `q`-quantile sample
-    /// (`q` clamped to `[0, 1]`; 0 when empty). A bucketed
-    /// approximation: exact to within one power of two.
+    /// Lower bound of the bucket holding the `q`-quantile sample,
+    /// clamped to the recorded `[min, max]` (`q` clamped to `[0, 1]`; 0
+    /// when empty). A bucketed approximation: exact to within one power
+    /// of two, and never outside the observed range.
     pub fn approx_quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -154,7 +155,8 @@ impl Log2Histogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return if i == 0 { 0 } else { 1u64 << (i - 1) };
+                let lower = if i == 0 { 0 } else { 1u64 << (i - 1) };
+                return lower.clamp(self.min, self.max);
             }
         }
         self.max
@@ -305,6 +307,19 @@ mod tests {
         let empty = Log2Histogram::new();
         assert_eq!(empty.approx_quantile(0.5), 0);
         assert_eq!(empty.mean(), 0);
+    }
+
+    #[test]
+    fn quantiles_never_fall_below_the_minimum() {
+        // Every sample sits in the [4194304, 8388608) bucket, whose lower
+        // bound is below the smallest sample.
+        let mut h = Log2Histogram::new();
+        for v in [6_362_926u64, 6_500_000, 7_000_000] {
+            h.record(v);
+        }
+        assert_eq!(h.approx_quantile(0.5), 6_362_926);
+        assert_eq!(h.approx_quantile(0.0), h.min());
+        assert!(h.approx_quantile(0.99) <= h.max());
     }
 
     #[test]

@@ -242,16 +242,17 @@ impl<'g, T: Topology + Sync> ShardedState<'g, T> {
         self.timers.as_deref()
     }
 
-    /// Takes the accumulated phase timers out of the state.
-    pub fn take_timers(&mut self) -> Option<Box<cobra_obs::PhaseTimers>> {
-        self.timers.take()
-    }
-
     /// Active frontier size after the last round: vertices that will
     /// transmit next round, summed across shards (mirrors the
     /// unsharded [`ProcessView::frontier_len`](crate::ProcessView::frontier_len)).
+    /// Counts the set bits: the COBRA gather fills the frontier with
+    /// uncounted inserts, so `BitSet::count` is stale there.
     pub fn frontier_len(&self) -> usize {
-        self.slots.iter().map(|s| s.active.count()).sum()
+        self.slots
+            .iter()
+            .flat_map(|s| s.active.words())
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Restores round 0 from a single start vertex, reseeding shard
@@ -283,11 +284,6 @@ impl<'g, T: Topology + Sync> ShardedState<'g, T> {
             slot.visited.insert(local);
             slot.reached = 1;
         }
-    }
-
-    /// Shard count of the partition.
-    pub fn shards(&self) -> usize {
-        self.slots.len()
     }
 
     /// Rounds executed since the last reset.
@@ -695,6 +691,24 @@ mod tests {
                 assert_eq!(reached, 64);
                 assert!(tx > 0);
             }
+        }
+    }
+
+    #[test]
+    fn frontier_len_counts_the_active_bits() {
+        let g = generators::hypercube(8);
+        for shards in [1, 3] {
+            let mut s = ShardedState::new(&g, cobra_b2(), shards);
+            s.reset(0, |i| 9 + i as u64);
+            assert_eq!(s.frontier_len(), 1, "round 0 frontier is the start");
+            let mut grew = false;
+            while !s.is_complete() {
+                s.step(1);
+                let set_bits: usize = s.slots.iter().map(|slot| slot.active.iter().count()).sum();
+                assert_eq!(s.frontier_len(), set_bits);
+                grew |= set_bits > 1;
+            }
+            assert!(grew, "the COBRA frontier never branched");
         }
     }
 

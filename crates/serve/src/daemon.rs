@@ -35,8 +35,8 @@
 //! held.
 
 use cobra_campaign::{
-    default_cap, plan_sweep, run_point_cancellable, PlannedPoint, PointEvent, PointRecord,
-    PointStatus, SharedStore, SweepSpec,
+    default_cap, plan_sweep, run_point_cancellable, PlannedPoint, PointEvent, PointStatus,
+    SharedStore, SweepSpec,
 };
 use cobra_graph::GraphShape;
 use cobra_mc::queue::{JobQueue, LaneId};
@@ -79,13 +79,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Resolved worker-thread count.
     pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
+        cobra_mc::resolve_threads(self.threads)
     }
 }
 
@@ -104,11 +98,14 @@ impl CampaignCounts {
     }
 }
 
-/// The event log of one campaign: NDJSON lines in emission order, plus
-/// the done flag the streaming endpoint blocks on.
+/// The event log of one campaign: NDJSON lines in emission order, the
+/// lifecycle counters, and the done flag the streaming endpoint blocks
+/// on. One lock covers all three, so a terminal event's line, its count
+/// and the `done` line it may complete land atomically and in order.
 #[derive(Debug, Default)]
 struct EventLog {
     lines: Vec<String>,
+    counts: CampaignCounts,
     done: bool,
 }
 
@@ -124,7 +121,6 @@ pub struct CampaignState {
     pub total: usize,
     /// DRR lane this campaign's jobs ride.
     lane: LaneId,
-    counts: Mutex<CampaignCounts>,
     log: Mutex<EventLog>,
     log_ready: Condvar,
 }
@@ -132,7 +128,7 @@ pub struct CampaignState {
 impl CampaignState {
     /// Snapshot of the lifecycle counters.
     pub fn counts(&self) -> CampaignCounts {
-        *self.counts.lock().expect("campaign counts")
+        self.log.lock().expect("campaign log").counts
     }
 
     /// True once every point has resolved and the done event is logged.
@@ -157,39 +153,36 @@ impl CampaignState {
         (log.lines[from.min(log.lines.len())..].to_vec(), log.done)
     }
 
-    /// Appends one event line and wakes streaming readers.
-    fn push_line(&self, line: String) {
+    /// Records one terminal point status, emits its event, and closes
+    /// the campaign with a `done` event when the last point resolves —
+    /// all under the log lock, so `done` always follows every terminal
+    /// event, however many workers resolve points concurrently.
+    fn resolve_point(&self, event: &PointEvent) {
+        let line = self.envelope(event);
         let mut log = self.log.lock().expect("campaign log");
+        let counts = &mut log.counts;
+        match event.status {
+            PointStatus::Computed => counts.computed += 1,
+            PointStatus::Cached => counts.cached += 1,
+            PointStatus::Deduped => counts.deduped += 1,
+            PointStatus::Cancelled => counts.cancelled += 1,
+            PointStatus::Started => unreachable!("started is not terminal"),
+        }
+        let counts = *counts;
         log.lines.push(line);
+        if counts.resolved() == self.total {
+            log.lines.push(self.done_line(counts));
+            log.done = true;
+        }
         self.log_ready.notify_all();
     }
 
-    /// Records one terminal point status, emits its event, and closes
-    /// the campaign with a `done` event when the last point resolves.
-    fn resolve_point(&self, event: &PointEvent) {
-        let counts = {
-            let mut counts = self.counts.lock().expect("campaign counts");
-            match event.status {
-                PointStatus::Computed => counts.computed += 1,
-                PointStatus::Cached => counts.cached += 1,
-                PointStatus::Deduped => counts.deduped += 1,
-                PointStatus::Cancelled => counts.cancelled += 1,
-                PointStatus::Started => unreachable!("started is not terminal"),
-            }
-            *counts
-        };
-        self.push_line(self.envelope(event));
-        if counts.resolved() == self.total {
-            let mut log = self.log.lock().expect("campaign log");
-            log.lines.push(self.done_line(counts));
-            log.done = true;
-            self.log_ready.notify_all();
-        }
-    }
-
-    /// Emits a non-terminal (`started`) event.
+    /// Emits a non-terminal (`started`) event and wakes streaming
+    /// readers.
     fn note_started(&self, event: &PointEvent) {
-        self.push_line(self.envelope(event));
+        let line = self.envelope(event);
+        self.log.lock().expect("campaign log").lines.push(line);
+        self.log_ready.notify_all();
     }
 
     /// A point event wrapped with this campaign's envelope fields.
@@ -396,7 +389,6 @@ impl CampaignService {
             spec: spec.to_string(),
             total: plan.len(),
             lane: self.queue.lane(),
-            counts: Mutex::new(CampaignCounts::default()),
             log: Mutex::new(EventLog::default()),
             log_ready: Condvar::new(),
         });
@@ -410,7 +402,7 @@ impl CampaignService {
                 let record = store
                     .get(&key, &planned.point.full_key())
                     .expect("plan partitioned this point as cached");
-                campaign.resolve_point(&point_event(
+                campaign.resolve_point(&PointEvent::from_planned(
                     index,
                     planned,
                     PointStatus::Cached,
@@ -471,7 +463,7 @@ impl CampaignService {
                 .unwrap_or_default()
         };
         for (campaign, index) in &started {
-            campaign.note_started(&point_event(
+            campaign.note_started(&PointEvent::from_planned(
                 *index,
                 &job.planned,
                 PointStatus::Started,
@@ -500,7 +492,7 @@ impl CampaignService {
                 drop(state);
                 let mut subscribers = inflight.subscribers.into_iter();
                 if let Some((campaign, index)) = subscribers.next() {
-                    campaign.resolve_point(&point_event(
+                    campaign.resolve_point(&PointEvent::from_planned(
                         index,
                         &job.planned,
                         PointStatus::Computed,
@@ -509,7 +501,7 @@ impl CampaignService {
                 }
                 self.metrics.counter("serve.points.computed", 1);
                 for (campaign, index) in subscribers {
-                    campaign.resolve_point(&point_event(
+                    campaign.resolve_point(&PointEvent::from_planned(
                         index,
                         &job.planned,
                         PointStatus::Deduped,
@@ -521,7 +513,7 @@ impl CampaignService {
             None => {
                 drop(state);
                 for (campaign, index) in inflight.subscribers {
-                    campaign.resolve_point(&point_event(
+                    campaign.resolve_point(&PointEvent::from_planned(
                         index,
                         &job.planned,
                         PointStatus::Cancelled,
@@ -586,25 +578,6 @@ impl CampaignService {
             m.gauge("queue.in_flight", stats.in_flight as f64);
             m.gauge("queue.lanes", stats.lanes as f64);
         });
-    }
-}
-
-/// Builds a [`PointEvent`] from a planned point — the daemon-side
-/// mirror of the private constructor in `cobra_campaign::runner`.
-fn point_event(
-    index: usize,
-    planned: &PlannedPoint,
-    status: PointStatus,
-    record: Option<PointRecord>,
-) -> PointEvent {
-    PointEvent {
-        index,
-        status,
-        key: planned.point.digest_hex(),
-        objective: planned.point.objective.to_string(),
-        graph: planned.point.graph.to_string(),
-        process: planned.point.process.to_string(),
-        record,
     }
 }
 
@@ -703,6 +676,50 @@ mod tests {
         assert!(lines.last().unwrap().contains("\"cancelled\":4"));
         // Submitting after shutdown fails cleanly.
         assert!(svc.submit(SPEC).is_err());
+    }
+
+    #[test]
+    fn done_follows_every_terminal_event_under_concurrent_resolution() {
+        let queue: JobQueue<()> = JobQueue::new();
+        for _ in 0..1000 {
+            let campaign = CampaignState {
+                id: 1,
+                name: "race".into(),
+                spec: String::new(),
+                total: 2,
+                lane: queue.lane(),
+                log: Mutex::new(EventLog::default()),
+                log_ready: Condvar::new(),
+            };
+            // Release both resolutions at once so they contend for the
+            // log; the old two-lock version logged `done` early here.
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for index in 0..2 {
+                    let (campaign, start) = (&campaign, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        campaign.resolve_point(&PointEvent {
+                            index,
+                            status: PointStatus::Computed,
+                            key: format!("k{index}"),
+                            objective: String::new(),
+                            graph: String::new(),
+                            process: String::new(),
+                            record: None,
+                        });
+                    });
+                }
+            });
+            let (lines, done) = campaign.events_from(0);
+            assert!(done);
+            assert_eq!(lines.len(), 3, "{lines:#?}");
+            assert!(
+                lines[2].contains("\"type\":\"done\""),
+                "done must come last: {lines:#?}"
+            );
+            assert_eq!(campaign.counts().computed, 2);
+        }
     }
 
     #[test]
