@@ -1393,19 +1393,23 @@ fn bench_subcommand(args: &[String]) -> ExitCode {
     // Warm-up batch, then the measured batch. Under --trace the
     // measured batch goes through the probed sequential engine (same
     // trial outcomes), so the recorded entry prices the probe tax.
-    let _ = measured.clone().with_trials(trials.div_ceil(8)).run();
+    if let Err(e) = measured.clone().with_trials(trials.div_ceil(8)).outcomes() {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     let start = std::time::Instant::now();
-    let total_rounds: usize = match &trace {
-        Some(path) => match bench_traced(&measured, path, trace_every) {
-            Ok(rounds) => rounds,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => {
-            let est = measured.run();
-            est.samples.iter().sum::<usize>() + est.censored * est.cap
+    let total_rounds = match &trace {
+        Some(path) => bench_traced(&measured, path, trace_every),
+        None => measured
+            .outcomes()
+            .map(|outcomes| outcomes.iter().map(|o| o.executed).sum())
+            .map_err(|e| e.to_string()),
+    };
+    let total_rounds: usize = match total_rounds {
+        Ok(rounds) => rounds,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
     let wall = start.elapsed().as_secs_f64();

@@ -279,10 +279,17 @@ fn check_point(
         )));
     }
     // Full-reach objectives (cover, hit:far) cannot terminate on a
-    // disconnected loaded graph — the `SimSpec::check` rule, at plan
+    // disconnected graph — the `SimSpec::check` rule, at plan
     // time so a sweep fails before any point runs.
     with_topology!(topology, |g| objective.check_reachable(gspec, g))
         .map_err(CampaignError::Invalid)?;
+    if n > 1 && with_topology!(topology, |g| g.degree(spec.start)) == 0 {
+        return Err(CampaignError::Invalid(format!(
+            "start vertex {} is isolated in {gspec} (degree 0, n = {n}); \
+             no process can spread from it",
+            spec.start
+        )));
+    }
     // Objective-level termination checks (hit target in range, hit:far
     // reachable, infection threshold in (0, 1]) — errors name the
     // offending token and the graph it fails on.
@@ -1145,6 +1152,22 @@ mod tests {
         .unwrap();
         let out = run_sweep(&giant, &mut Store::in_memory(), 1, &default_cap).unwrap();
         assert_eq!(out.records[0].n, 3);
+    }
+
+    #[test]
+    fn disconnected_random_sweeps_fail_at_plan_time() {
+        // gnp:100:0.001 samples ~5 edges: cover cannot terminate, and
+        // vertex 0 is isolated, so no other objective can start from it.
+        for (objective, want) in [("cover", "connected components"), ("hit:1", "isolated")] {
+            let spec: SweepSpec =
+                format!("{objective}; graph=gnp:100:0.001; process=cobra:b2; trials=2")
+                    .parse()
+                    .unwrap();
+            let err = plan_sweep(&spec, &Store::in_memory(), &default_cap)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(want), "{objective}: {err}");
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! and both sides are generic over the graph backend.
 
 use crate::report::{fmt_f, Table};
-use crate::sim::Estimate;
 use cobra_graph::{Topology, VertexId};
 use cobra_mc::{Completion, Engine, Observer, StopWhen, TrialOutcome};
 use cobra_process::{BipsMode, Branching, Laziness, ProcessSpec, ProcessView};
@@ -194,7 +193,6 @@ pub fn duality_check<T: Topology + Sync>(
     };
     let cobra_engine = Engine::new(cfg.trials, cfg.master_seed, max_t).with_threads(cfg.threads);
     let outcomes = cobra_engine.run_spec(g, &cobra_spec, c, StopWhen::Reached(v), |_| Completion);
-    let cobra = Estimate::from_outcomes(&outcomes, max_t);
 
     // BIPS side: run to the fixed horizon, snapshotting disjointness.
     let c_set = BitSet::from_indices(g.n(), c);
@@ -216,8 +214,10 @@ pub fn duality_check<T: Topology + Sync>(
         .iter()
         .enumerate()
         .map(|(i, &t)| {
-            let cobra_not_hit =
-                (cobra.samples.iter().filter(|&&hit| hit > t).count() + cobra.censored) as f64;
+            let cobra_not_hit = outcomes
+                .iter()
+                .filter(|o| o.rounds.is_none_or(|hit| hit > t))
+                .count() as f64;
             let bips_disjoint = disjoint.iter().filter(|f| f[i]).count() as f64;
             let p1 = cobra_not_hit / n;
             let p2 = bips_disjoint / n;

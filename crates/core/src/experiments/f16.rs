@@ -8,8 +8,9 @@
 //! lazy process satisfies the theorem's preconditions but is slower by
 //! roughly the factor-2 pick dilution.
 
-use crate::cover::CoverConfig;
+use super::stopping_summary;
 use crate::report::{fmt_f, Table};
+use crate::sim::SimSpec;
 use cobra_graph::{generators, props, Graph};
 use cobra_spectral::{lanczos_edge_spectrum, lazy_lambda};
 
@@ -53,21 +54,12 @@ pub fn run(quick: bool) -> Table {
         );
         let lam_plain = lanczos_edge_spectrum(&g, 0).lambda_abs();
         let lam_lazy = lazy_lambda(&g);
-        let plain = CoverConfig::default()
-            .with_trials(trials)
-            .with_seed(0x0F16_0000 + i as u64)
-            .to_sim(&g, &[0])
-            .run()
-            .summary()
-            .mean;
-        let lazy = CoverConfig::default()
-            .lazy()
-            .with_trials(trials)
-            .with_seed(0x0F16_1000 + i as u64)
-            .to_sim(&g, &[0])
-            .run()
-            .summary()
-            .mean;
+        let cover = |process: &str, seed| {
+            let spec = SimSpec::new(&g, process.parse().expect("static spec"));
+            stopping_summary(spec.with_trials(trials).with_seed(seed)).mean
+        };
+        let plain = cover("cobra:b2", 0x0F16_0000 + i as u64);
+        let lazy = cover("cobra:b2:lazy", 0x0F16_1000 + i as u64);
         table.push_row(vec![
             label.to_string(),
             g.n().to_string(),

@@ -7,10 +7,12 @@
 //! gap with Lanczos per instance, verify the Theorem 1.2 gap condition,
 //! and fit the cover exponent in `ln n`.
 
+use super::stopping_summary;
 use crate::bounds;
-use crate::cover::CoverConfig;
 use crate::report::{fmt_f, Table};
+use crate::sim::SimSpec;
 use cobra_graph::generators;
+use cobra_process::ProcessSpec;
 use cobra_spectral::lanczos_edge_spectrum;
 use cobra_stats::fit_power_law;
 use rand::rngs::SmallRng;
@@ -47,12 +49,11 @@ pub fn run(quick: bool) -> Table {
                 .expect("regular graph generation");
             let spec = lanczos_edge_spectrum(&g, 0);
             let gap = spec.gap();
-            let est = CoverConfig::default()
-                .with_trials(trials)
-                .with_seed(0xF2 + k as u64)
-                .to_sim(&g, &[0])
-                .run();
-            let s = est.summary();
+            let s = stopping_summary(
+                SimSpec::new(&g, ProcessSpec::COBRA_B2)
+                    .with_trials(trials)
+                    .with_seed(0xF2 + k as u64),
+            );
             ln_ns.push((n as f64).ln());
             covers.push(s.mean);
             // Theorem 1.2's condition `1−λ > C·sqrt(log n / n)` is

@@ -5,10 +5,12 @@
 //! (odd ⇒ non-bipartite, so the plain chain applies), fit the exponent
 //! of cover vs `n` per dimension, and expect `α ≈ 1/D`.
 
+use super::stopping_summary;
 use crate::bounds;
-use crate::cover::CoverConfig;
 use crate::report::{fmt_f, Table};
+use crate::sim::SimSpec;
 use cobra_graph::generators;
+use cobra_process::ProcessSpec;
 use cobra_stats::fit_power_law;
 
 /// Runs F3 (`quick`: two sizes per dimension; full: four).
@@ -49,12 +51,11 @@ pub fn run(quick: bool) -> Table {
             let dims = vec![side; d];
             let g = generators::torus(&dims);
             let n = g.n();
-            let est = CoverConfig::default()
-                .with_trials(trials)
-                .with_seed(0xF3 + (d * 1000 + side) as u64)
-                .to_sim(&g, &[0])
-                .run();
-            let s = est.summary();
+            let s = stopping_summary(
+                SimSpec::new(&g, ProcessSpec::COBRA_B2)
+                    .with_trials(trials)
+                    .with_seed(0xF3 + (d * 1000 + side) as u64),
+            );
             let root = (n as f64).powf(1.0 / d as f64);
             ns.push(n as f64);
             covers.push(s.mean);

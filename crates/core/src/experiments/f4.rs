@@ -7,10 +7,12 @@
 //! `dmax²` term), barbells and lollipops (dense blobs plus appendages),
 //! and binary trees (both small).
 
+use super::stopping_summary;
 use crate::bounds;
-use crate::cover::CoverConfig;
 use crate::report::{fmt_f, Table};
+use crate::sim::SimSpec;
 use cobra_graph::{props, Graph};
+use cobra_process::ProcessSpec;
 
 struct Family {
     name: &'static str,
@@ -95,12 +97,11 @@ pub fn run(quick: bool) -> Table {
                 "{} generator broke connectivity",
                 fam.name
             );
-            let est = CoverConfig::default()
-                .with_trials(trials)
-                .with_seed(0xF4 ^ (n as u64) << 8)
-                .to_sim(&g, &[0])
-                .run();
-            let s = est.summary();
+            let s = stopping_summary(
+                SimSpec::new(&g, ProcessSpec::COBRA_B2)
+                    .with_trials(trials)
+                    .with_seed(0xF4 ^ (n as u64) << 8),
+            );
             let bound = bounds::thm_1_1(g.n(), g.m(), g.max_degree());
             let ratio = s.mean / bound;
             let diam = props::diameter(&g).expect("connected");

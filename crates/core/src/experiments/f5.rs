@@ -6,10 +6,12 @@
 //! `cover / bound` stays bounded as the gap collapses, and the fitted
 //! exponent of cover vs `1/(1−λ)` stays at or below 1.
 
+use super::stopping_summary;
 use crate::bounds;
-use crate::cover::CoverConfig;
 use crate::report::{fmt_f, Table};
+use crate::sim::SimSpec;
 use cobra_graph::generators;
+use cobra_process::ProcessSpec;
 use cobra_spectral::lanczos_edge_spectrum;
 use cobra_stats::fit_power_law;
 
@@ -42,12 +44,11 @@ pub fn run(quick: bool) -> Table {
         let spec = lanczos_edge_spectrum(&g, 0);
         let gap = spec.gap();
         assert!(gap > 0.0, "ring of cliques must be non-bipartite");
-        let est = CoverConfig::default()
-            .with_trials(trials)
-            .with_seed(0xF5 + k as u64)
-            .to_sim(&g, &[0])
-            .run();
-        let s = est.summary();
+        let s = stopping_summary(
+            SimSpec::new(&g, ProcessSpec::COBRA_B2)
+                .with_trials(trials)
+                .with_seed(0xF5 + k as u64),
+        );
         let bound = bounds::thm_1_2(g.n(), r, gap);
         inv_gaps.push(1.0 / gap);
         covers.push(s.mean);

@@ -6,10 +6,11 @@
 //! slowdown `cover(ρ)/cover(1)` stays below the bound's `1/ρ²` envelope
 //! (shape check: fitted exponent of slowdown vs `1/ρ` at most 2).
 
-use crate::cover::CoverConfig;
+use super::stopping_summary;
 use crate::report::{fmt_f, Table};
+use crate::sim::SimSpec;
 use cobra_graph::{generators, Graph};
-use cobra_process::Branching;
+use cobra_process::{Branching, Laziness, ProcessSpec};
 use cobra_stats::fit_power_law;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -58,13 +59,16 @@ pub fn run(quick: bool) -> Table {
             } else {
                 Branching::Expected(rho)
             };
-            let est = CoverConfig::default()
-                .with_branching(branching)
-                .with_trials(trials)
-                .with_seed(0xF7_10 + i as u64)
-                .to_sim(g, &[0])
-                .run();
-            let mean = est.summary().mean;
+            let process = ProcessSpec::Cobra {
+                branching,
+                laziness: Laziness::None,
+            };
+            let mean = stopping_summary(
+                SimSpec::new(g, process)
+                    .with_trials(trials)
+                    .with_seed(0xF7_10 + i as u64),
+            )
+            .mean;
             if rho >= 1.0 {
                 base = mean;
             }

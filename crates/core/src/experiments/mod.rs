@@ -48,12 +48,25 @@ pub mod f9;
 pub mod t1;
 
 use crate::report::Table;
+use crate::sim::SimSpec;
+use cobra_stats::Summary;
 
 /// All experiment ids, in presentation order.
 pub const ALL_IDS: [&str; 17] = [
     "t1", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11", "f12", "f13", "f14",
     "f15", "f16",
 ];
+
+/// The stopping-time summary of a static experiment spec. Panics on an
+/// invalid spec or when every trial was censored (the experiment must
+/// then raise its cap).
+fn stopping_summary(spec: SimSpec<'_>) -> Summary {
+    spec.measure()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_stopping()
+        .expect("stopping objective")
+        .summary()
+}
 
 /// Runs an experiment by id (case-insensitive). `quick` selects the
 /// fast preset. Returns `None` for unknown ids.

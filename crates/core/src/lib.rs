@@ -16,24 +16,24 @@
 //! let est = SimSpec::parse("complete:64", "cobra:b2")
 //!     .unwrap()
 //!     .with_trials(20)
-//!     .run();
-//! let summary = est.summary();
+//!     .measure()
+//!     .unwrap()
+//!     .into_stopping()
+//!     .unwrap();
 //! // K_64 covers in Θ(log n) rounds; the mean sits well under 50.
-//! assert!(summary.mean < 50.0);
+//! assert!(est.mean < 50.0);
 //! assert_eq!(est.censored, 0);
 //! ```
 //!
 //! Modules:
 //!
 //! * [`sim`] — [`sim::SimSpec`] (the builder), [`sim::Objective`] (the
-//!   first-class estimand: `cover`, `hit:V`/`hit:far`, `infection:T`,
-//!   `duality:h{..}`, `trajectory`), [`sim::Measurement`] /
-//!   [`sim::Estimate`] (the streamed and sample-vector results), and
-//!   the shared cap policy [`sim::resolve_cap`].
-//! * [`cover`] — COBRA cover-time and hitting-time estimation
-//!   (Theorems 1.1/1.2 measure `cover(u)`); legacy shims over `SimSpec`.
-//! * [`infection`] — BIPS infection-time estimation and infection
-//!   trajectories (Theorems 1.4/1.5 measure `infec(v)`).
+//!   first-class estimand: `cover` and `hit:V`/`hit:far` for the
+//!   Theorem 1.1/1.2 `cover(u)`, `infection:T` for the Theorem 1.4/1.5
+//!   `infec(v)`, `duality:h{..}`, `trajectory`), [`sim::Measurement`]
+//!   (the objective-shaped result of [`sim::SimSpec::measure`]), the
+//!   per-trial samples of [`sim::SimSpec::outcomes`], and the shared
+//!   cap policy [`sim::resolve_cap`].
 //! * [`duality`] — two-sided estimation of the duality identity
 //!   (Theorem 1.3) with statistical equality tests.
 //! * [`bounds`] — every bound named in the paper as an explicit,
@@ -45,11 +45,21 @@
 //! * [`report`] — plain/markdown/CSV table rendering for the harness.
 
 pub mod bounds;
-pub mod cover;
 pub mod duality;
 pub mod experiments;
-pub mod infection;
 pub mod sim;
+
+/// Cover- and hitting-time regression tests through [`sim::SimSpec`].
+#[cfg(test)]
+mod cover {
+    mod tests;
+}
+
+/// BIPS infection-time regression tests through [`sim::SimSpec`].
+#[cfg(test)]
+mod infection {
+    mod tests;
+}
 
 /// Result tables (re-exported from [`cobra_stats::report`], where they
 /// moved so the campaign layer below this crate can produce them too).
@@ -58,11 +68,9 @@ pub mod report {
 }
 
 pub use cobra_graph::Backend;
-pub use cover::{CoverConfig, CoverEstimate};
 pub use duality::{duality_check, DualityConfig, DualityReport};
-pub use infection::{infection_trajectory, InfectionConfig};
 pub use report::Table;
 pub use sim::{
-    Estimate, GraphSource, HitTarget, Measurement, Objective, ResolvedRun, SimError, SimSpec,
-    StoppingEstimate, TrajectoryEstimate,
+    GraphSource, HitTarget, Measurement, Objective, ResolvedRun, SimError, SimSpec,
+    StoppingEstimate, TrajectoryEstimate, TrialOutcome,
 };

@@ -9,22 +9,23 @@
 //! use cobra::sim::SimSpec;
 //!
 //! // COBRA b=2 cover time on the 6-dimensional hypercube, 20 trials.
-//! let est = SimSpec::parse("hypercube:6", "cobra:b2:lazy")
-//!     .unwrap()
-//!     .with_trials(20)
-//!     .run();
-//! assert_eq!(est.censored, 0);
-//! assert!(est.summary().mean >= 6.0, "cannot beat log2 n");
-//!
-//! // The same scenario measured through a parsed objective — partial
-//! // infection to half the vertices, reduced without sample vectors.
 //! let spec = SimSpec::parse("hypercube:6", "cobra:b2:lazy")
 //!     .unwrap()
-//!     .with_trials(20)
-//!     .with_objective("infection:0.5".parse().unwrap());
-//! let m = spec.measure().unwrap().into_stopping().unwrap();
-//! assert_eq!(m.censored, 0);
-//! assert!(m.mean <= est.summary().mean);
+//!     .with_trials(20);
+//! let cover = spec.measure().unwrap().into_stopping().unwrap();
+//! assert_eq!(cover.censored, 0);
+//! assert!(cover.min >= 6.0, "cannot beat log2 n");
+//!
+//! // The same scenario measured through a parsed objective — partial
+//! // infection to half the vertices.
+//! let half = spec
+//!     .with_objective("infection:0.5".parse().unwrap())
+//!     .measure()
+//!     .unwrap()
+//!     .into_stopping()
+//!     .unwrap();
+//! assert_eq!(half.censored, 0);
+//! assert!(half.mean <= cover.mean);
 //! ```
 //!
 //! All three coordinates are data — [`GraphSpec`], [`ProcessSpec`], and
@@ -58,9 +59,8 @@
 //! trial order; the campaign scheduler (`cobra_campaign::run_point`)
 //! folds each trial the moment it finishes, which is what makes a
 //! sweep point's steady-state memory O(1) in its trial count. Callers
-//! that genuinely need per-trial samples (KS tests, bootstrap CIs) use
-//! the legacy [`SimSpec::run`] path, which materializes an
-//! [`Estimate`].
+//! that genuinely need per-trial samples (KS tests, bootstrap CIs) take
+//! the same trials unfolded from [`SimSpec::outcomes`].
 //!
 //! Programmatic callers that already hold a [`Graph`] borrow it instead
 //! of re-building: `SimSpec::new(&g, spec)`.
@@ -71,18 +71,15 @@ use cobra_graph::{
     with_topology, Backend, BuiltTopology, Graph, GraphShape, GraphSpec, GraphSpecError, Topology,
     VertexId,
 };
-use cobra_mc::{
-    resolve_threads, Completion, Engine, Observer, StopWhen, Trajectory, TrialOutcome, TrialState,
-};
+use cobra_mc::{resolve_threads, Completion, Engine, Observer, StopWhen, Trajectory, TrialState};
 use cobra_obs::{PhaseTimers, RoundSink};
 use cobra_process::{per_shard_state_bytes, Branching, ProcessSpec, ProcessSpecError, StepCtx};
-use cobra_stats::streaming::StreamingSummary;
-use cobra_stats::Summary;
 use std::fmt;
 
 pub use cobra_mc::objective::{
     HitTarget, Objective, StoppingAccumulator, StoppingEstimate, OBJECTIVE_USAGES,
 };
+pub use cobra_mc::TrialOutcome;
 
 /// Where the graph of a simulation comes from.
 #[derive(Debug, Clone)]
@@ -280,11 +277,12 @@ impl<'g> SimSpec<'g> {
     }
 
     /// Validates the spec against its materialised graph (any
-    /// backend): non-empty in-range start set, then the objective's own
-    /// termination checks (`hit:` target in range, `hit:far` reachable,
-    /// threshold in range). Every run path calls this; external drivers
-    /// (the CLI's `--dry-run`) can call it to reject a spec without
-    /// running a round.
+    /// backend): non-empty in-range start set, a connected graph for the
+    /// full-reach objectives, no isolated start vertex, then the
+    /// objective's own termination checks (`hit:` target in range,
+    /// `hit:far` reachable, threshold in range). Every run path calls
+    /// this; external drivers (the CLI's `--dry-run`) can call it to
+    /// reject a spec without running a round.
     pub fn check<T: Topology>(&self, g: &T) -> Result<(), SimError> {
         if self.start.is_empty() {
             return Err(SimError::Invalid("start set is empty".into()));
@@ -302,6 +300,12 @@ impl<'g> SimSpec<'g> {
             self.objective
                 .check_reachable(spec, g)
                 .map_err(SimError::Invalid)?;
+        }
+        if let Some(v) = self.start.iter().find(|&&v| g.n() > 1 && g.degree(v) == 0) {
+            return Err(SimError::Invalid(format!(
+                "start vertex {v} is isolated (degree 0, n = {}); no process can spread from it",
+                g.n()
+            )));
         }
         self.objective
             .validate(g, &self.start)
@@ -396,36 +400,27 @@ impl<'g> SimSpec<'g> {
         .with_threads(self.threads)
     }
 
-    /// Runs the spec through the engine and aggregates the stopping
-    /// times into a sample-vector [`Estimate`] — the legacy
-    /// materializing path, valid only for the stopping objectives
-    /// (`cover`, `hit:*`, `infection:*`). Prefer [`SimSpec::measure`],
-    /// which handles every objective and streams its reduction; reach
-    /// for `try_run` only when downstream statistics (KS tests,
-    /// bootstrap CIs) genuinely need the per-trial samples.
-    pub fn try_run(&self) -> Result<Estimate, SimError> {
+    /// The per-trial samples behind [`SimSpec::measure`]: the same
+    /// stopping trials (objective, shards, backend and threads
+    /// included), returned unfolded in trial order. `rounds` is the
+    /// stopping time (`None` when censored at the cap) and `executed`
+    /// the rounds run — what KS tests and bootstrap CIs consume. Only
+    /// the stopping objectives (`cover`, `hit:*`, `infection:*`) have
+    /// per-trial samples.
+    pub fn outcomes(&self) -> Result<Vec<TrialOutcome>, SimError> {
         let topo = self.topology()?;
-        with_topology!(&topo, |g| self.try_run_on(g))
-    }
-
-    fn try_run_on<T: Topology + Sync>(&self, g: &T) -> Result<Estimate, SimError> {
-        self.check(g)?;
-        if !self.objective.is_sweepable() {
-            return Err(SimError::Invalid(format!(
-                "objective \"{}\" has no sample-vector estimate; use SimSpec::measure()",
-                self.objective
-            )));
-        }
-        let mut outcomes = Vec::with_capacity(self.trials);
-        let (cap, _) = self.run_stopping(g, None, false, |o| outcomes.push(*o))?;
-        Ok(Estimate::from_outcomes(&outcomes, cap))
-    }
-
-    /// [`SimSpec::try_run`], panicking on an invalid spec — the
-    /// ergonomic path for examples and experiments whose specs are
-    /// static.
-    pub fn run(&self) -> Estimate {
-        self.try_run().unwrap_or_else(|e| panic!("{e}"))
+        with_topology!(&topo, |g| {
+            self.check(g)?;
+            if !self.objective.is_sweepable() {
+                return Err(SimError::Invalid(format!(
+                    "objective \"{}\" has no per-trial samples; use SimSpec::measure()",
+                    self.objective
+                )));
+            }
+            let mut outcomes = Vec::with_capacity(self.trials);
+            self.run_stopping(g, None, false, |o| outcomes.push(*o))?;
+            Ok(outcomes)
+        })
     }
 
     /// The unified measurement path: resolves the objective to its
@@ -433,9 +428,9 @@ impl<'g> SimSpec<'g> {
     /// the mapping) and returns the objective-shaped [`Measurement`].
     ///
     /// Stopping objectives fold their trials through a streaming
-    /// [`StoppingAccumulator`] in trial order — bit-identical to the
-    /// sample-vector path folded through the same reducer, whatever the
-    /// thread count.
+    /// [`StoppingAccumulator`] in trial order — bit-identical to
+    /// [`SimSpec::outcomes`] folded through the same reducer, whatever
+    /// the thread count.
     pub fn measure(&self) -> Result<Measurement, SimError> {
         let topo = self.topology()?;
         with_topology!(&topo, |g| self.measure_on(g))
@@ -573,7 +568,9 @@ impl<'g> SimSpec<'g> {
     /// Runs with a custom per-trial [`Observer`] and an explicit stop
     /// condition — the escape hatch composite estimators (duality,
     /// trajectories) are built from. All trial-loop mechanics still
-    /// live in the engine.
+    /// live in the engine. Observers read the unsharded
+    /// [`ProcessView`](cobra_process::ProcessView), so `shards > 1` is
+    /// rejected.
     pub fn run_observed<Ob, G>(
         &self,
         stop: StopWhen,
@@ -587,24 +584,20 @@ impl<'g> SimSpec<'g> {
         let topo = self.topology()?;
         with_topology!(&topo, |g| {
             self.check(g)?;
+            if self.shards > 1 {
+                return Err(SimError::Invalid(format!(
+                    "custom observers run on the unsharded engine (got shards={}); \
+                     use shards=1",
+                    self.shards
+                )));
+            }
             let engine = self.engine(g);
             Ok(engine.run_spec(g, &self.process, &self.start, stop, make_observer))
         })
     }
 
-    /// Mean reached-set-size trajectory: entry `t` is the Monte-Carlo
-    /// mean of the reached count after `t` rounds, `t = 0..=rounds`.
-    pub fn trajectory(&self, rounds: usize) -> Result<Vec<f64>, SimError> {
-        let topo = self.topology()?;
-        with_topology!(&topo, |g| {
-            self.check(g)?;
-            Ok(self.trajectory_with(g, rounds))
-        })
-    }
-
-    /// [`SimSpec::trajectory`] against an already-materialised,
-    /// already-checked graph (so `measure()` never builds the graph
-    /// twice).
+    /// Mean reached-set-size trajectory over `rounds` rounds: entry `t`
+    /// is the Monte-Carlo mean of the reached count after `t` rounds.
     fn trajectory_with<T: Topology + Sync>(&self, g: &T, rounds: usize) -> Vec<f64> {
         let engine = Engine::new(self.trials, self.master_seed, rounds).with_threads(self.threads);
         let per_trial = engine.run_spec(g, &self.process, &self.start, StopWhen::AtCap, |_| {
@@ -745,119 +738,34 @@ pub fn resolve_cap_shape(
     (500.0 * base * rho_penalty) as usize + 10_000
 }
 
-/// The outcome of a batch of trials: one stopping-time sample per
-/// completed trial, plus censoring and resource accounting.
-///
-/// This is the single result type of the `SimSpec` API; the legacy
-/// `CoverEstimate`/`InfectionEstimate` names are aliases of it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Estimate {
-    /// Stopping time (rounds) for each trial that met the objective.
-    pub samples: Vec<usize>,
-    /// Trials that hit the cap without meeting the objective.
-    pub censored: usize,
-    /// The round cap that was in force.
-    pub cap: usize,
-    /// Mean transmissions sent per trial (all trials, censored
-    /// included) — the resource COBRA is designed to bound.
-    pub mean_transmissions: f64,
-    /// Mean reached-set size at trial end (all trials).
-    pub mean_reached: f64,
-}
-
-impl Estimate {
-    /// Aggregates engine outcomes under the cap that produced them.
-    pub fn from_outcomes(outcomes: &[TrialOutcome], cap: usize) -> Estimate {
-        let mut samples = Vec::with_capacity(outcomes.len());
-        let mut censored = 0usize;
-        let mut tx = 0.0;
-        let mut reached = 0.0;
-        for o in outcomes {
-            match o.rounds {
-                Some(r) => samples.push(r),
-                None => censored += 1,
-            }
-            tx += o.transmissions as f64;
-            reached += o.reached as f64;
-        }
-        let trials = outcomes.len().max(1) as f64;
-        Estimate {
-            samples,
-            censored,
-            cap,
-            mean_transmissions: tx / trials,
-            mean_reached: reached / trials,
-        }
-    }
-
-    /// Trials that were run.
-    pub fn trials(&self) -> usize {
-        self.samples.len() + self.censored
-    }
-
-    /// Fraction of trials that met the objective.
-    pub fn completion_rate(&self) -> f64 {
-        if self.trials() == 0 {
-            return 0.0;
-        }
-        self.samples.len() as f64 / self.trials() as f64
-    }
-
-    /// Summary statistics of the completed trials. Panics if every
-    /// trial was censored (the experiment must then raise its cap).
-    pub fn summary(&self) -> Summary {
-        assert!(
-            !self.samples.is_empty(),
-            "all {} trials censored at cap {}",
-            self.censored,
-            self.cap
-        );
-        Summary::from_samples(&self.samples_f64())
-    }
-
-    /// Samples as f64 (for fits and KS tests).
-    pub fn samples_f64(&self) -> Vec<f64> {
-        self.samples.iter().map(|&s| s as f64).collect()
-    }
-
-    /// Folds this materialized estimate through the same streaming
-    /// reducer the objective path uses, in the same (trial) order — the
-    /// bridge the equivalence tests pin: `measure()` on a stopping
-    /// objective must equal `run()` pushed through this.
-    pub fn to_streamed(&self) -> StoppingEstimate {
-        let mut summary = StreamingSummary::new();
-        for &s in &self.samples {
-            summary.push(s as f64);
-        }
-        StoppingEstimate::from_fold(
-            &summary,
-            self.trials(),
-            self.censored,
-            self.cap,
-            self.mean_transmissions,
-            self.mean_reached,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cobra_graph::generators;
     use proptest::prelude::*;
 
+    /// `outcomes()` folded through the reducer `measure()` uses, under
+    /// the spec's resolved cap.
+    fn folded(spec: &SimSpec<'_>) -> StoppingEstimate {
+        let mut acc = StoppingAccumulator::new();
+        spec.outcomes().unwrap().iter().for_each(|o| acc.push(o));
+        acc.finish(spec.resolve().unwrap().cap)
+    }
+
     #[test]
     fn parse_run_covers_complete_graph() {
         let est = SimSpec::parse("complete:64", "cobra:b2")
             .unwrap()
             .with_trials(15)
-            .run();
+            .measure()
+            .unwrap()
+            .into_stopping()
+            .unwrap();
         assert_eq!(est.censored, 0);
-        let s = est.summary();
         assert!(
-            s.mean >= 5.0 && s.mean <= 60.0,
+            est.mean >= 5.0 && est.mean <= 60.0,
             "K_64 mean cover {}",
-            s.mean
+            est.mean
         );
         assert_eq!(est.mean_reached, 64.0);
         assert!(est.mean_transmissions > 0.0);
@@ -868,12 +776,16 @@ mod tests {
         // A deterministic family gives identical results whether the
         // caller builds the graph or the spec does.
         let g = generators::torus(&[5, 5]);
-        let borrowed = SimSpec::new(&g, ProcessSpec::COBRA_B2).with_trials(8).run();
+        let borrowed = SimSpec::new(&g, ProcessSpec::COBRA_B2)
+            .with_trials(8)
+            .outcomes()
+            .unwrap();
         let speced = SimSpec::parse("torus:5x5", "cobra:b2")
             .unwrap()
             .with_trials(8)
-            .run();
-        assert_eq!(borrowed.samples, speced.samples);
+            .outcomes()
+            .unwrap();
+        assert_eq!(borrowed, speced);
     }
 
     #[test]
@@ -881,32 +793,41 @@ mod tests {
         let spec = SimSpec::parse("cycle:32", "cobra:b2")
             .unwrap()
             .with_trials(12);
-        let seq = spec.clone().with_threads(1).run();
-        let par = spec.clone().with_threads(8).run();
+        let seq = spec.clone().with_threads(1).outcomes().unwrap();
+        let par = spec.clone().with_threads(8).outcomes().unwrap();
         assert_eq!(seq, par);
     }
 
     #[test]
     fn hitting_objective_reports_distance_consistent_times() {
-        let est = SimSpec::parse("cycle:24", "cobra:b2")
-            .unwrap()
-            .reaching(12)
-            .with_trials(10)
-            .run();
-        assert_eq!(est.censored, 0);
-        assert!(est.samples.iter().all(|&h| h >= 12), "{:?}", est.samples);
+        let hit = |starts: &[VertexId], target| {
+            SimSpec::parse("cycle:24", "cobra:b2")
+                .unwrap()
+                .with_starts(starts)
+                .reaching(target)
+                .with_trials(10)
+                .outcomes()
+                .unwrap()
+        };
+        let far = hit(&[0], 12);
+        assert!(far.iter().all(|o| o.rounds >= Some(12)), "{far:?}");
+        // A target inside the start set is hit at round 0.
+        assert!(hit(&[2, 7], 7).iter().all(|o| o.rounds == Some(0)));
     }
 
     #[test]
     fn explicit_cap_censors() {
-        let est = SimSpec::parse("path:128", "cobra:b2")
+        let spec = SimSpec::parse("path:128", "cobra:b2")
             .unwrap()
             .with_trials(5)
-            .with_cap(3)
-            .run();
-        assert_eq!(est.censored, 5);
+            .with_cap(3);
+        let outcomes = spec.outcomes().unwrap();
+        assert!(outcomes
+            .iter()
+            .all(|o| o.rounds.is_none() && o.executed == 3));
+        let est = spec.measure().unwrap().into_stopping().unwrap();
+        assert_eq!((est.censored, est.cap), (5, 3));
         assert_eq!(est.completion_rate(), 0.0);
-        assert!(est.samples.is_empty());
     }
 
     #[test]
@@ -916,36 +837,44 @@ mod tests {
         let bad_start = SimSpec::parse("cycle:8", "cobra:b2")
             .unwrap()
             .with_start(99);
-        assert!(matches!(bad_start.try_run(), Err(SimError::Invalid(_))));
+        assert!(matches!(bad_start.outcomes(), Err(SimError::Invalid(_))));
         let bad_target = SimSpec::parse("cycle:8", "cobra:b2").unwrap().reaching(99);
-        assert!(matches!(bad_target.try_run(), Err(SimError::Invalid(_))));
+        assert!(matches!(bad_target.outcomes(), Err(SimError::Invalid(_))));
     }
 
     #[test]
     fn walk_cap_derivation_is_nm_scaled() {
-        let g = generators::cycle(24);
         let walk: ProcessSpec = "rw".parse().unwrap();
         let b2: ProcessSpec = "cobra:b2".parse().unwrap();
         let b1: ProcessSpec = "cobra:b1".parse().unwrap();
-        let walk_cap = resolve_cap(&g, &walk, None);
-        assert_eq!(walk_cap, 32 * 24 * 24 + 10_000);
-        // b=1 COBRA *is* a random walk: identical cap derivation.
-        assert_eq!(resolve_cap(&g, &b1, None), walk_cap);
-        // The walk cap covers the Θ(n·m) regime...
-        assert!(walk_cap >= 2 * g.n() * g.m());
-        // ...and an explicit cap always wins.
-        assert_eq!(resolve_cap(&g, &walk, Some(77)), 77);
-        // b=2 uses the Theorem 1.1-shaped cap instead.
-        let b2_cap = resolve_cap(&g, &b2, None);
-        assert!(b2_cap != walk_cap);
+        for n in [24, 64] {
+            let g = generators::cycle(n);
+            let walk_cap = resolve_cap(&g, &walk, None);
+            assert_eq!(walk_cap, 32 * g.n() * g.m() + 10_000);
+            // b=1 COBRA *is* a random walk: identical cap derivation.
+            assert_eq!(resolve_cap(&g, &b1, None), walk_cap);
+            // The walk cap covers the Θ(n·m) regime...
+            assert!(walk_cap >= 2 * g.n() * g.m());
+            // ...and an explicit cap always wins.
+            assert_eq!(resolve_cap(&g, &walk, Some(77)), 77);
+            assert_eq!(resolve_cap(&g, &b2, Some(77)), 77);
+            // b=2 uses the (smaller) Theorem 1.1-shaped cap instead.
+            assert!(resolve_cap(&g, &b2, None) < walk_cap);
+        }
     }
 
     #[test]
     fn trajectory_grows_to_n() {
-        let spec = SimSpec::parse("complete:64", "bips:b2")
+        let traj = SimSpec::parse("complete:64", "bips:b2")
             .unwrap()
-            .with_trials(10);
-        let traj = spec.trajectory(40).unwrap();
+            .with_trials(10)
+            .with_cap(40)
+            .with_objective(Objective::Trajectory)
+            .measure()
+            .unwrap()
+            .into_trajectory()
+            .unwrap()
+            .mean_sizes;
         assert_eq!(traj.len(), 41);
         assert_eq!(traj[0], 1.0);
         assert!(traj[40] > 60.0, "mean final size {}", traj[40]);
@@ -959,8 +888,7 @@ mod tests {
                 .with_trials(12)
                 .with_objective(objective.parse().unwrap());
             let streamed = spec.measure().unwrap().into_stopping().unwrap();
-            let materialized = spec.run().to_streamed();
-            assert_eq!(streamed, materialized, "{objective}: paths diverged");
+            assert_eq!(streamed, folded(&spec), "{objective}: paths diverged");
         }
     }
 
@@ -982,8 +910,8 @@ mod tests {
 
     #[test]
     fn infection_threshold_orders_means() {
-        let spec = |t: &str| {
-            SimSpec::parse("complete:64", "bips:b2")
+        let spec = |process: &str, t: &str| {
+            SimSpec::parse("complete:64", process)
                 .unwrap()
                 .with_trials(12)
                 .with_objective(t.parse().unwrap())
@@ -992,11 +920,14 @@ mod tests {
                 .into_stopping()
                 .unwrap()
         };
-        let quarter = spec("infection:0.25");
-        let half = spec("infection:0.5");
-        let full = spec("infection:1");
+        let quarter = spec("bips:b2", "infection:0.25");
+        let half = spec("bips:b2", "infection:0.5");
+        let full = spec("bips:b2", "infection:1");
         assert!(quarter.mean <= half.mean && half.mean <= full.mean);
         assert_eq!(full.censored, 0);
+        // Fractional branching 1 + ρ infects more slowly than b = 2.
+        let slow = spec("bips:rho0.2", "infection:1");
+        assert!(slow.mean > full.mean, "{} vs {}", slow.mean, full.mean);
     }
 
     #[test]
@@ -1077,7 +1008,14 @@ mod tests {
             .with_objective(Objective::Trajectory);
         let traj = spec.measure().unwrap().into_trajectory().unwrap();
         assert_eq!(traj.trials, 10);
-        assert_eq!(traj.mean_sizes, spec.trajectory(40).unwrap());
+        // The same curve averaged by hand from the raw observer path.
+        let curves = spec
+            .run_observed(StopWhen::AtCap, |_| Trajectory::with_capacity(40))
+            .unwrap();
+        let by_hand: Vec<f64> = (0..=40)
+            .map(|t| curves.iter().map(|c| c[t] as f64).sum::<f64>() / 10.0)
+            .collect();
+        assert_eq!(traj.mean_sizes, by_hand);
         assert_eq!(traj.mean_sizes[0], 1.0);
     }
 
@@ -1086,7 +1024,7 @@ mod tests {
         let err = SimSpec::parse("petersen", "cobra:b2")
             .unwrap()
             .with_objective(Objective::Trajectory)
-            .try_run()
+            .outcomes()
             .unwrap_err();
         assert!(err.to_string().contains("measure"), "{err}");
     }
@@ -1126,16 +1064,15 @@ mod tests {
             .unwrap()
             .with_trials(6)
             .with_shards(4);
-        let seq = spec.clone().with_threads(1).run();
-        let par = spec.clone().with_threads(8).run();
+        let seq = spec.clone().with_threads(1).outcomes().unwrap();
+        let par = spec.clone().with_threads(8).outcomes().unwrap();
         assert_eq!(seq, par, "thread count changed a sharded result");
-        let again = spec.clone().with_threads(1).run();
+        let again = spec.clone().with_threads(1).outcomes().unwrap();
         assert_eq!(seq, again, "sharded rerun diverged");
-        assert_eq!(seq.censored, 0);
-        assert_eq!(seq.mean_reached, 256.0);
+        assert!(seq.iter().all(|o| o.rounds.is_some() && o.reached == 256));
         // The streaming measure() path agrees with the sample path.
         let streamed = spec.measure().unwrap().into_stopping().unwrap();
-        assert_eq!(streamed, seq.to_streamed());
+        assert_eq!(streamed, folded(&spec));
     }
 
     #[test]
@@ -1145,11 +1082,12 @@ mod tests {
                 .unwrap()
                 .with_trials(4)
                 .with_shards(shards)
-                .run()
+                .outcomes()
+                .unwrap()
         };
         assert_ne!(
-            run(2).samples,
-            run(4).samples,
+            run(2),
+            run(4),
             "independent shard streams should not collide"
         );
     }
@@ -1159,7 +1097,7 @@ mod tests {
         let err = SimSpec::parse("cycle:16", "rw")
             .unwrap()
             .with_shards(4)
-            .try_run()
+            .outcomes()
             .unwrap_err();
         assert!(err.to_string().contains("cobra, bips"), "{err}");
         let err = SimSpec::parse("cycle:16", "cobra:b2")
@@ -1172,9 +1110,46 @@ mod tests {
         let err = SimSpec::parse("cycle:16", "cobra:b2")
             .unwrap()
             .with_shards(0)
-            .try_run()
+            .outcomes()
             .unwrap_err();
         assert!(err.to_string().contains(">= 1"), "{err}");
+    }
+
+    #[test]
+    fn run_observed_rejects_sharded_specs() {
+        // `check` accepts the sharded cover spec; the observer path must
+        // still refuse it rather than silently run unsharded.
+        let spec = SimSpec::parse("hypercube:6", "cobra:b2")
+            .unwrap()
+            .with_trials(2)
+            .with_shards(4);
+        assert!(spec.outcomes().is_ok());
+        let err = spec
+            .run_observed(StopWhen::Complete, |_| Completion)
+            .unwrap_err();
+        assert!(err.to_string().contains("shards=1"), "{err}");
+    }
+
+    #[test]
+    fn disconnected_random_graphs_are_rejected_not_run() {
+        // gnp:100:0.001 has ~5 edges: vertex 0 is isolated and the
+        // graph has ~95 components.
+        let sparse = |objective: &str| {
+            SimSpec::parse("gnp:100:0.001", "cobra:b2")
+                .unwrap()
+                .with_trials(2)
+                .with_objective(objective.parse().unwrap())
+        };
+        for objective in ["cover", "hit:far"] {
+            let err = sparse(objective).measure().unwrap_err();
+            assert!(err.to_string().contains("connected components"), "{err}");
+        }
+        // Objectives that need no full reach still refuse an isolated
+        // start vertex instead of panicking in the kernel.
+        for objective in ["hit:1", "infection:0.5"] {
+            let err = sparse(objective).outcomes().unwrap_err();
+            assert!(err.to_string().contains("isolated"), "{err}");
+        }
     }
 
     #[test]
@@ -1224,17 +1199,18 @@ mod tests {
             .unwrap()
             .with_trials(4)
             .reaching(2)
-            .run();
-        assert_eq!(est.censored, 0);
+            .outcomes()
+            .unwrap();
+        assert!(est.iter().all(|o| o.rounds.is_some()));
 
         // The giant modifier restricts to the triangle and cover works.
         let giant = format!("file:{}?component=giant", path.display());
         let est = SimSpec::parse(&giant, "cobra:b2")
             .unwrap()
             .with_trials(4)
-            .run();
-        assert_eq!(est.censored, 0);
-        assert_eq!(est.mean_reached, 3.0);
+            .outcomes()
+            .unwrap();
+        assert!(est.iter().all(|o| o.rounds.is_some() && o.reached == 3));
     }
 
     #[test]
@@ -1242,11 +1218,11 @@ mod tests {
         let spec = SimSpec::parse("gnp:64:0.2", "cobra:b2")
             .unwrap()
             .with_trials(6);
-        let a = spec.clone().run();
-        let b = spec.clone().run();
+        let a = spec.outcomes().unwrap();
+        let b = spec.outcomes().unwrap();
         assert_eq!(a, b);
         // A different master seed samples a different graph.
-        let c = spec.clone().with_seed(99).run();
-        assert!(a.samples != c.samples || a.mean_transmissions != c.mean_transmissions);
+        let c = spec.clone().with_seed(99).outcomes().unwrap();
+        assert_ne!(a, c);
     }
 }

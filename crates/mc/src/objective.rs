@@ -112,19 +112,28 @@ impl Objective {
     }
 
     /// Rejects a full-reach objective (`cover`, `hit:far`) on a
-    /// disconnected `file:` graph, naming the components and the
-    /// `?component=giant` fix. Synthetic families are connected by
-    /// construction, so only loaded graphs pay the O(n + m) scan.
+    /// disconnected graph, naming the components and the fix. Only the
+    /// families that are not connected by construction pay the
+    /// O(n + m) scan: loaded `file:` graphs (fix: `?component=giant`),
+    /// `gnp` and Watts–Strogatz samples.
     pub fn check_reachable<T: Topology>(&self, spec: &GraphSpec, g: &T) -> Result<(), String> {
-        if !self.requires_full_reach() || !matches!(spec, GraphSpec::File { giant: false, .. }) {
+        let fix = match spec {
+            GraphSpec::File { giant: false, .. } => {
+                "append ?component=giant to the file: spec to restrict to the giant component"
+            }
+            GraphSpec::Gnp { .. } | GraphSpec::WattsStrogatz { .. } => {
+                "raise the edge density or change the seed to sample a connected graph"
+            }
+            _ => return Ok(()),
+        };
+        if !self.requires_full_reach() {
             return Ok(());
         }
         let cc = props::component_summary(g);
         if cc.components > 1 {
             return Err(format!(
-                "objective \"{self}\" cannot terminate: the loaded graph has {} connected \
-                 components (largest spans {:.1}% of {} vertices); append \
-                 ?component=giant to the file: spec to restrict to the giant component",
+                "objective \"{self}\" cannot terminate: the graph {spec} has {} connected \
+                 components (largest spans {:.1}% of {} vertices); {fix}",
                 cc.components,
                 100.0 * cc.giant_fraction(),
                 cc.n
@@ -359,13 +368,12 @@ impl StoppingAccumulator {
     }
 }
 
-/// The streamed result of a batch of stopping-time trials: everything
-/// the sample-vector `Estimate` could report, without the samples.
+/// The streamed result of a batch of stopping-time trials: moments,
+/// quartiles, censoring and resource means, without the samples.
 ///
 /// All statistics cover the *completed* trials
 /// (`trials - censored`); the fields are zero when every trial was
-/// censored (and [`StoppingEstimate::summary`] panics, mirroring the
-/// sample-vector path).
+/// censored (and [`StoppingEstimate::summary`] panics).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoppingEstimate {
     /// Trials folded (completed + censored).
@@ -398,7 +406,7 @@ impl StoppingEstimate {
     /// Closes a streamed fold over completed stopping times into an
     /// estimate — the single place the censored-fold zero sentinels
     /// and the quartile unpacking live ([`StoppingAccumulator::finish`]
-    /// and the sample-vector bridge both build through here).
+    /// and hand folds of per-trial outcomes both build through here).
     pub fn from_fold(
         summary: &StreamingSummary,
         trials: usize,
@@ -409,8 +417,7 @@ impl StoppingEstimate {
     ) -> StoppingEstimate {
         let (mean, std_dev, min, max, q25, median, q75) = if summary.count() == 0 {
             // Zero sentinels keep the estimate (and the records built
-            // from it) comparable with `==`; `summary()` still panics,
-            // like the sample-vector path.
+            // from it) comparable with `==`; `summary()` still panics.
             (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         } else {
             let s = summary.to_summary();
@@ -446,7 +453,7 @@ impl StoppingEstimate {
     }
 
     /// The completed-trial statistics as a [`cobra_stats::Summary`].
-    /// Panics if every trial was censored, like the sample-vector path.
+    /// Panics if every trial was censored.
     pub fn summary(&self) -> cobra_stats::Summary {
         assert!(
             self.completed() > 0,
@@ -584,6 +591,22 @@ mod tests {
             .parse::<Objective>()
             .unwrap()
             .requires_full_reach());
+    }
+
+    #[test]
+    fn sampled_families_are_checked_for_reachability() {
+        // gnp and Watts–Strogatz can sample a disconnected graph, so
+        // full-reach objectives pay the component scan on them.
+        for spec in ["gnp:100:0.001", "ws:200:1:1"] {
+            let spec: GraphSpec = spec.parse().unwrap();
+            let g = spec.build(7).unwrap();
+            let err = Objective::Cover.check_reachable(&spec, &g).unwrap_err();
+            assert!(err.contains("connected components"), "{spec}: {err}");
+            assert!(Objective::hit(0).check_reachable(&spec, &g).is_ok());
+        }
+        let dense: GraphSpec = "gnp:64:0.5".parse().unwrap();
+        let g = dense.build(7).unwrap();
+        assert!(Objective::Cover.check_reachable(&dense, &g).is_ok());
     }
 
     #[test]

@@ -564,10 +564,12 @@ mod tests {
         // Plain BIPS b=1 on a bipartite graph can oscillate forever; the
         // lazy variants must complete.
         let g = generators::hypercube(4);
-        let spec: ProcessSpec = "cobra:b2:lazy".parse().unwrap();
-        let mut p = spec.build(&g, &[0]);
-        let mut ctx = StepCtx::seeded(2);
-        assert!(p.run_to_completion(&mut ctx, 100_000).is_some());
+        for s in ["cobra:b2:lazy", "bips:b2:lazy"] {
+            let spec: ProcessSpec = s.parse().unwrap();
+            let mut p = spec.build(&g, &[0]);
+            let mut ctx = StepCtx::seeded(2);
+            assert!(p.run_to_completion(&mut ctx, 100_000).is_some(), "{s}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rand::{RngExt, SeedableRng};
 /// Outcome of the power iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerResult {
-    /// Estimate of `max_{i≥2} |λ_i|`.
+    /// Estimated `max_{i≥2} |λ_i|`.
     pub lambda_abs: f64,
     /// Iterations actually performed.
     pub iterations: usize,

@@ -11,8 +11,8 @@
 //! cargo run --release --example epidemic_bips
 //! ```
 
-use cobra::infection::{infection_trajectory, InfectionConfig};
-use cobra_graph::generators;
+use cobra::{Objective, SimSpec};
+use cobra_graph::{generators, Graph};
 use cobra_spectral::lanczos_edge_spectrum;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -37,18 +37,33 @@ fn print_curve(label: &str, traj: &[f64], n: usize) {
     println!();
 }
 
+/// Mean infected-set size `|A_t|` of BIPS b=2 from vertex 0 over 20
+/// trials, for `t = 0..=rounds`.
+fn mean_infection_curve(g: &Graph, rounds: usize) -> Vec<f64> {
+    SimSpec::new(g, "bips:b2".parse().unwrap())
+        .with_trials(20)
+        .with_seed(0xB195)
+        .with_cap(rounds)
+        .with_objective(Objective::Trajectory)
+        .measure()
+        .expect("valid spec")
+        .into_trajectory()
+        .expect("trajectory objective")
+        .mean_sizes
+}
+
 fn main() {
     let mut rng = SmallRng::seed_from_u64(1);
 
     let expander = generators::random_regular(1024, 4, true, &mut rng).expect("expander");
     let gap_e = lanczos_edge_spectrum(&expander, 0).gap();
-    let traj_e = infection_trajectory(&expander, 0, 60, InfectionConfig::default().with_trials(20));
+    let traj_e = mean_infection_curve(&expander, 60);
     println!("== expander: random 4-regular, gap 1−λ = {gap_e:.3} ==");
     print_curve("mean |A_t|", &traj_e, expander.n());
 
     let ring = generators::ring_of_cliques(24, 6);
     let gap_r = lanczos_edge_spectrum(&ring, 0).gap();
-    let traj_r = infection_trajectory(&ring, 0, 400, InfectionConfig::default().with_trials(20));
+    let traj_r = mean_infection_curve(&ring, 400);
     println!("== bottlenecked: ring of 24 six-cliques, gap 1−λ = {gap_r:.4} ==");
     print_curve("mean |A_t|", &traj_r, ring.n());
 

@@ -46,9 +46,12 @@ fn main() {
             .with_seed(d as u64);
         let resolved = spec.resolve().expect("spec resolves");
         assert_eq!(resolved.backend, "implicit");
-        let est = spec.run();
+        let s = spec
+            .measure()
+            .expect("spec runs")
+            .into_stopping()
+            .expect("cover is a stopping objective");
         let n = 1usize << d;
-        let s = est.summary();
         let (spaa16, podc16, this_paper) = bounds::hypercube_ladder(d);
         println!(
             "{d:<4} {n:<8} {:<12} {trials:<7} {:<10.1} {:<12.0} {:<12.0} {:<12.0}",

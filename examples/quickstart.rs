@@ -34,15 +34,17 @@ fn main() {
         spec.gap()
     );
 
-    // Estimate the COBRA b=2 cover time from vertex 0 — one declarative
+    // Measure the COBRA b=2 cover time from vertex 0 — one declarative
     // SimSpec, executed by the unified engine.
-    let est = SimSpec::new(&g, "cobra:b2".parse().unwrap())
+    let s = SimSpec::new(&g, "cobra:b2".parse().unwrap())
         .with_trials(50)
-        .run();
-    let s = est.summary();
+        .measure()
+        .expect("valid spec")
+        .into_stopping()
+        .expect("cover is a stopping objective");
     println!(
-        "COBRA b=2 cover time over {} trials: mean {:.1}, median {:.0}, range [{}, {}]",
-        s.count, s.mean, s.median, s.min, s.max
+        "COBRA b=2 cover time over {} trials: mean {:.1}, median ≈ {:.0}, range [{}, {}]",
+        s.trials, s.mean, s.median, s.min, s.max
     );
 
     // The paper's bounds for this graph.

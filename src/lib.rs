@@ -10,13 +10,14 @@
 //! use cobra_repro::prelude::*;
 //!
 //! // COBRA b=2 cover time on the Petersen graph, 10 seeded trials.
-//! let est = SimSpec::parse("petersen", "cobra:b2").unwrap().with_trials(10).run();
+//! let spec = SimSpec::parse("petersen", "cobra:b2").unwrap().with_trials(10);
+//! let est = spec.measure().unwrap().into_stopping().unwrap();
 //! assert_eq!(est.censored, 0);
 //!
-//! // The same scenario against a caller-built graph.
+//! // The same scenario against a caller-built graph, trial by trial.
 //! let g = generators::petersen();
-//! let est2 = SimSpec::new(&g, "cobra:b2".parse().unwrap()).with_trials(10).run();
-//! assert_eq!(est.samples, est2.samples);
+//! let own = SimSpec::new(&g, "cobra:b2".parse().unwrap()).with_trials(10);
+//! assert_eq!(spec.outcomes().unwrap(), own.outcomes().unwrap());
 //! ```
 
 pub use cobra;
@@ -33,8 +34,8 @@ pub use cobra_util;
 /// Everything an example needs, one import away.
 pub mod prelude {
     pub use cobra::sim::{
-        Estimate, GraphSource, HitTarget, Measurement, Objective, SimError, SimSpec,
-        StoppingEstimate, TrajectoryEstimate,
+        GraphSource, HitTarget, Measurement, Objective, SimError, SimSpec, StoppingEstimate,
+        TrajectoryEstimate, TrialOutcome,
     };
     pub use cobra_campaign::{run_sweep, PointRecord, Store, SweepSpec};
     pub use cobra_graph::{

@@ -2,19 +2,22 @@
 //! (upper bounds as shapes with slack, the lower bound exactly) across
 //! graph families spanning every generator category.
 
-use cobra::bounds;
-use cobra::cover::CoverConfig;
+use cobra::{bounds, SimSpec, StoppingEstimate};
 use cobra_graph::{generators, props, Graph};
 use cobra_spectral::{lanczos_edge_spectrum, lazy_eigenvalue_gap};
 
-fn measured_cover(g: &Graph, trials: usize, seed: u64) -> f64 {
-    CoverConfig::default()
+fn cover(g: &Graph, process: &str, trials: usize, seed: u64) -> StoppingEstimate {
+    SimSpec::new(g, process.parse().unwrap())
         .with_trials(trials)
         .with_seed(seed)
-        .to_sim(g, &[0])
-        .run()
-        .summary()
-        .mean
+        .measure()
+        .unwrap()
+        .into_stopping()
+        .unwrap()
+}
+
+fn measured_cover(g: &Graph, trials: usize, seed: u64) -> f64 {
+    cover(g, "cobra:b2", trials, seed).summary().mean
 }
 
 #[test]
@@ -51,12 +54,7 @@ fn lower_bound_never_beaten() {
     for (label, g) in graphs {
         // Sample minimum over trials still must respect the bound with
         // the start's eccentricity (≥ diam/2).
-        let est = CoverConfig::default()
-            .with_trials(15)
-            .with_seed(1)
-            .to_sim(&g, &[0])
-            .run();
-        let min = *est.samples.iter().min().unwrap() as f64;
+        let min = cover(&g, "cobra:b2", 15, 1).summary().min;
         let ecc = props::eccentricity(&g, 0).unwrap();
         let lb = ((g.n() as f64 + 1.0).log2() - 1.0).max(ecc as f64);
         assert!(
@@ -98,14 +96,7 @@ fn lazy_hypercube_obeys_lazy_gap_bound() {
     // Lazy gap has the closed form 1/d.
     let lazy_gap = lazy_eigenvalue_gap(&g);
     assert!((lazy_gap - 1.0 / d as f64).abs() < 1e-6);
-    let cover = CoverConfig::default()
-        .lazy()
-        .with_trials(10)
-        .with_seed(0xB3)
-        .to_sim(&g, &[0])
-        .run()
-        .summary()
-        .mean;
+    let cover = cover(&g, "cobra:b2:lazy", 10, 0xB3).summary().mean;
     let bound = bounds::thm_1_2(g.n(), d as usize, lazy_gap);
     assert!(cover <= 30.0 * bound, "lazy Q_{d}: {cover} vs {bound}");
 }

@@ -5,8 +5,8 @@
 //! `SmallRng`) at commit `cc5fc81`, for every `ProcessSpec` family.
 //! `tests/golden_outcomes.rs` pins the zero-allocation engine path to
 //! them; `tests/objective_equivalence.rs` pins the unified
-//! `Objective`/`measure()` path to the same recordings through the
-//! legacy sample-vector estimators. One fixture set, two invariants —
+//! `Objective`/`measure()` path to the same recordings and to its own
+//! per-trial `outcomes()`. One fixture set, two invariants —
 //! extend here, not in the suites.
 #![allow(dead_code)]
 

@@ -2,10 +2,21 @@
 //! determinism, and the public API working together the way the
 //! harness and examples use it.
 
-use cobra::cover::CoverConfig;
-use cobra::experiments;
-use cobra::infection::InfectionConfig;
-use cobra_graph::generators;
+use cobra::{experiments, SimSpec};
+use cobra_graph::{generators, Graph};
+
+/// Mean stopping time of `process` from vertex 0 on `g`.
+fn mean_time(g: &Graph, process: &str, trials: usize, seed: u64) -> f64 {
+    SimSpec::new(g, process.parse().unwrap())
+        .with_trials(trials)
+        .with_seed(seed)
+        .measure()
+        .unwrap()
+        .into_stopping()
+        .unwrap()
+        .summary()
+        .mean
+}
 
 #[test]
 fn every_registered_experiment_runs_quick() {
@@ -32,24 +43,27 @@ fn experiment_output_is_deterministic() {
     assert_eq!(c, d);
 }
 
+/// The `cobra-exps --quick` tables of the experiments that estimate
+/// cover times through `SimSpec`, exactly as the CLI prints them.
+const QUICK_TABLES: &str = include_str!("data/quick_tables.txt");
+
+#[test]
+fn quick_tables_match_the_recording() {
+    let printed: String = ["f2", "f3", "f4", "f5", "f7", "f16"]
+        .iter()
+        .map(|id| format!("{}\n", experiments::run(id, true).unwrap().render()))
+        .collect();
+    assert_eq!(printed, QUICK_TABLES);
+}
+
 #[test]
 fn cover_and_infection_agree_on_order_of_magnitude() {
     // COBRA cover(u) and BIPS infec(v) are linked by duality plus a
     // union bound; on a small expander they land in the same regime.
     let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(5);
     let g = generators::random_regular(128, 4, true, &mut rng).unwrap();
-    let cover = CoverConfig::default()
-        .with_trials(20)
-        .to_sim(&g, &[0])
-        .run()
-        .summary()
-        .mean;
-    let infect = InfectionConfig::default()
-        .with_trials(20)
-        .to_sim(&g, 0)
-        .run()
-        .summary()
-        .mean;
+    let cover = mean_time(&g, "cobra:b2", 20, 0xC0B7A);
+    let infect = mean_time(&g, "bips:b2", 20, 0xB195);
     assert!(cover > 1.0 && infect > 1.0);
     let ratio = cover / infect;
     assert!(
@@ -64,12 +78,7 @@ fn bounds_rank_processes_correctly_on_k_n() {
     // Θ(log n): measured separation must be at least ~n/ something.
     use cobra_process::{Laziness, RandomWalk, StepCtx};
     let g = generators::complete(64);
-    let cobra_mean = CoverConfig::default()
-        .with_trials(15)
-        .to_sim(&g, &[0])
-        .run()
-        .summary()
-        .mean;
+    let cobra_mean = mean_time(&g, "cobra:b2", 15, 0xC0B7A);
     let mut srw_total = 0.0;
     for i in 0..15u64 {
         let mut ctx = StepCtx::seeded(100 + i);

@@ -3,9 +3,8 @@
 //! `cobra-exact` (no sampling) and the estimation layer every
 //! experiment relies on.
 
-use cobra::cover::CoverConfig;
 use cobra::duality::{duality_check, DualityConfig};
-use cobra::infection::{infection_trajectory, InfectionConfig};
+use cobra::{Objective, SimSpec};
 use cobra_exact::bips::bips_distributions;
 use cobra_exact::cobra::cobra_survival_probabilities;
 use cobra_exact::walk::srw_cover_time;
@@ -50,13 +49,14 @@ fn b1_cover_estimator_matches_exact_walk_cover() {
     let g = generators::cycle(8);
     let exact = srw_cover_time(&g, 0); // = n(n−1)/2 = 28
     assert!((exact - 28.0).abs() < 1e-9, "closed form sanity");
-    let est = CoverConfig::default()
-        .with_branching(Branching::Fixed(1))
+    let s = SimSpec::new(&g, "cobra:b1".parse().unwrap())
         .with_trials(3000)
         .with_seed(0xE2)
-        .to_sim(&g, &[0])
-        .run();
-    let s = est.summary();
+        .measure()
+        .unwrap()
+        .into_stopping()
+        .unwrap()
+        .summary();
     assert!(
         (s.mean - exact).abs() < 0.05 * exact + 3.0 * s.std_error(),
         "MC cover {} vs exact {exact}",
@@ -69,12 +69,16 @@ fn infection_trajectory_matches_exact_expected_sizes() {
     let g = generators::petersen();
     let rounds = 4;
     let exact = bips_distributions(&g, 0, Branching::B2, Laziness::None, rounds);
-    let traj = infection_trajectory(
-        &g,
-        0,
-        rounds,
-        InfectionConfig::default().with_trials(4000).with_seed(0xE3),
-    );
+    let traj = SimSpec::new(&g, "bips:b2".parse().unwrap())
+        .with_trials(4000)
+        .with_seed(0xE3)
+        .with_cap(rounds)
+        .with_objective(Objective::Trajectory)
+        .measure()
+        .unwrap()
+        .into_trajectory()
+        .unwrap()
+        .mean_sizes;
     for t in 0..=rounds {
         let ex = exact[t].expected_size();
         assert!(
@@ -95,12 +99,16 @@ fn exact_full_infection_probability_bounds_mc_infection_time() {
     let t90 = (0..=12)
         .find(|&t| dists[t].prob_full() > 0.9)
         .expect("K_5 infects well within 12 rounds");
-    let est = cobra::infection::InfectionConfig::default()
+    // The exact sample median, from the per-trial outcomes.
+    let samples: Vec<f64> = SimSpec::new(&g, "bips:b2".parse().unwrap())
         .with_trials(400)
         .with_seed(0xE4)
-        .to_sim(&g, 0)
-        .run();
-    let median = est.summary().median;
+        .outcomes()
+        .unwrap()
+        .iter()
+        .map(|o| o.rounds.expect("K_5 infects within the cap") as f64)
+        .collect();
+    let median = cobra_stats::Summary::from_samples(&samples).median;
     assert!(
         median <= t90 as f64,
         "median infection {median} exceeds exact 90% round {t90}"

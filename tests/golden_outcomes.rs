@@ -91,8 +91,8 @@ fn golden_outcomes_are_thread_count_invariant() {
     // The recording was made sequentially; the parallel path must agree
     // for every family (worker-state reuse must not leak across trials).
     for &(process, graph, _) in GOLDEN {
-        let seq = spec(process, graph).with_threads(1).run();
-        let par = spec(process, graph).with_threads(8).run();
+        let seq = spec(process, graph).with_threads(1).outcomes().unwrap();
+        let par = spec(process, graph).with_threads(8).outcomes().unwrap();
         assert_eq!(seq, par, "{process} on {graph}: threads changed results");
     }
 }

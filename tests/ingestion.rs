@@ -9,7 +9,7 @@
 //! directory before loading — the loader writes a `.csrbin` cache next
 //! to its input, and parallel tests must not race on one file.
 
-use cobra::SimSpec;
+use cobra::{SimSpec, TrialOutcome};
 use cobra_graph::{ingest, Backend, GraphSpec};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,11 +59,11 @@ fn fixture_cover_runs_bit_identically_cold_and_warm() {
         SimSpec::parse(&spec, "cobra:b2")
             .unwrap()
             .with_trials(6)
-            .run()
+            .outcomes()
+            .unwrap()
     };
     let cold = run();
-    assert_eq!(cold.censored, 0);
-    assert_eq!(cold.mean_reached, 30.0);
+    assert!(cold.iter().all(|o| o.rounds.is_some() && o.reached == 30));
 
     // The cold run left a `.csrbin`; the warm run serves the mmap.
     assert!(ingest::cache_path(&path, false).exists());
@@ -85,7 +85,8 @@ fn fixture_cover_runs_bit_identically_cold_and_warm() {
         .unwrap()
         .with_trials(6)
         .with_backend(Backend::Csr)
-        .run();
+        .outcomes()
+        .unwrap();
     assert_eq!(cold, forced);
 }
 
@@ -97,7 +98,8 @@ fn corrupted_cache_falls_back_to_the_text_parse() {
         SimSpec::parse(&spec, "cobra:b2")
             .unwrap()
             .with_trials(4)
-            .run()
+            .outcomes()
+            .unwrap()
     };
     let cold = run();
 
@@ -155,18 +157,24 @@ fn golden_lollipop_cover_is_thread_and_shard_invariant() {
             .with_trials(8)
             .with_threads(threads)
             .with_shards(shards)
-            .run()
+            .outcomes()
+            .unwrap()
+    };
+    let samples = |outcomes: &[TrialOutcome]| -> Vec<usize> {
+        outcomes.iter().map(|o| o.rounds.unwrap()).collect()
     };
     for threads in [1, 8] {
         let est = run(threads, 1);
         assert_eq!(
-            est.samples, GOLDEN_LOLLIPOP64,
+            samples(&est),
+            GOLDEN_LOLLIPOP64,
             "unsharded lollipop:64 drifted (threads={threads})"
         );
-        assert_eq!(est.mean_reached, 64.0);
+        assert!(est.iter().all(|o| o.reached == 64));
         let sharded = run(threads, 2);
         assert_eq!(
-            sharded.samples, GOLDEN_LOLLIPOP64_SHARDS2,
+            samples(&sharded),
+            GOLDEN_LOLLIPOP64_SHARDS2,
             "sharded lollipop:64 drifted (threads={threads})"
         );
     }
@@ -186,7 +194,10 @@ fn adversarial_families_cover_end_to_end() {
         let est = SimSpec::parse(graph, "cobra:b2")
             .unwrap()
             .with_trials(4)
-            .run();
+            .measure()
+            .unwrap()
+            .into_stopping()
+            .unwrap();
         assert_eq!(est.censored, 0, "{graph} censored");
         assert!(est.mean_reached > 0.0);
     }

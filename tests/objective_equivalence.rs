@@ -1,12 +1,13 @@
-//! The unified `Objective`/`measure()` path pinned bit-identical to the
-//! legacy per-estimand entry points, over the golden spec families of
-//! `tests/common/mod.rs`.
+//! The unified `Objective`/`measure()` path pinned bit-identical to its
+//! per-trial samples and to the pre-refactor recordings, over the golden
+//! spec families of `tests/common/mod.rs`.
 //!
 //! Three layers must agree exactly:
 //!
 //! 1. `SimSpec::measure()` (streamed reduction) versus
-//!    `SimSpec::run()` (sample vectors) folded through the same
-//!    reducer — for every golden family and every stopping objective;
+//!    `SimSpec::outcomes()` (per-trial samples) folded by hand through
+//!    a `StreamingSummary` — for every golden family and every stopping
+//!    objective;
 //! 2. the streamed statistics versus the **pre-refactor recordings**
 //!    themselves (the golden triples fold to known exact values);
 //! 3. the campaign scheduler's `run_point` versus `measure()` under
@@ -16,26 +17,50 @@
 mod common;
 
 use cobra::sim::{Measurement, Objective};
-use cobra::SimSpec;
+use cobra::{SimSpec, StoppingEstimate};
 use cobra_campaign::{default_cap, plan_sweep, run_point, Store, SweepSpec};
 use cobra_process::StepCtx;
 use cobra_stats::streaming::StreamingSummary;
 use common::{spec, GOLDEN, GOLDEN_REACHING};
 
-fn stopping(spec: &SimSpec<'_>) -> cobra::StoppingEstimate {
+fn stopping(spec: &SimSpec<'_>) -> StoppingEstimate {
     spec.measure()
         .unwrap_or_else(|e| panic!("{e}"))
         .into_stopping()
         .expect("stopping objective")
 }
 
+/// `outcomes()` folded by hand: completed stopping times through a
+/// `StreamingSummary` in trial order, transmissions and reached sizes
+/// averaged over every trial, under the spec's resolved cap.
+fn folded_outcomes(spec: &SimSpec<'_>) -> StoppingEstimate {
+    let outcomes = spec.outcomes().unwrap_or_else(|e| panic!("{e}"));
+    let mut summary = StreamingSummary::new();
+    for r in outcomes.iter().filter_map(|o| o.rounds) {
+        summary.push(r as f64);
+    }
+    let trials = outcomes.len() as f64;
+    let tx: u64 = outcomes.iter().map(|o| o.transmissions).sum();
+    let reached: usize = outcomes.iter().map(|o| o.reached).sum();
+    StoppingEstimate::from_fold(
+        &summary,
+        outcomes.len(),
+        outcomes.len() - summary.count(),
+        spec.resolve().unwrap().cap,
+        tx as f64 / trials,
+        reached as f64 / trials,
+    )
+}
+
 #[test]
-fn cover_measure_equals_the_legacy_sample_path_for_every_golden_family() {
+fn cover_measure_equals_the_folded_outcomes_for_every_golden_family() {
     for &(process, graph, _) in GOLDEN {
         let s = spec(process, graph);
-        let streamed = stopping(&s);
-        let legacy = s.run().to_streamed();
-        assert_eq!(streamed, legacy, "{process} on {graph}: paths diverged");
+        assert_eq!(
+            stopping(&s),
+            folded_outcomes(&s),
+            "{process} on {graph}: paths diverged"
+        );
     }
 }
 
@@ -79,8 +104,7 @@ fn hit_measure_reproduces_the_pre_refactor_recording() {
     let (process, graph, target, want) = GOLDEN_REACHING;
     let s = spec(process, graph).with_objective(Objective::hit(target));
     let streamed = stopping(&s);
-    let legacy = s.run().to_streamed();
-    assert_eq!(streamed, legacy);
+    assert_eq!(streamed, folded_outcomes(&s));
     let mut fold = StreamingSummary::new();
     for (rounds, _, _) in want {
         fold.push(rounds as f64);
@@ -104,7 +128,7 @@ fn partial_infection_equals_the_sample_path() {
         let s = spec("bips:b2", "torus:6x6").with_objective(threshold.parse().unwrap());
         assert_eq!(
             stopping(&s),
-            s.run().to_streamed(),
+            folded_outcomes(&s),
             "{threshold}: paths diverged"
         );
     }
@@ -142,24 +166,6 @@ fn duality_measure_equals_the_legacy_duality_check() {
     assert_eq!(
         via_objective, direct,
         "objective path diverged from duality_check"
-    );
-}
-
-#[test]
-fn legacy_config_carriers_agree_with_the_objective_path() {
-    use cobra::cover::CoverConfig;
-    use cobra::infection::InfectionConfig;
-    use cobra_graph::generators;
-    let g = generators::torus(&[6, 6]);
-    let cover_cfg = CoverConfig::default().with_trials(10);
-    assert_eq!(
-        stopping(&cover_cfg.to_sim(&g, &[0])),
-        cover_cfg.to_sim(&g, &[0]).run().to_streamed()
-    );
-    let infect_cfg = InfectionConfig::default().with_trials(10);
-    assert_eq!(
-        stopping(&infect_cfg.to_sim(&g, 0)),
-        infect_cfg.to_sim(&g, 0).run().to_streamed()
     );
 }
 

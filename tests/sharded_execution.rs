@@ -31,9 +31,9 @@ use common::{spec, GOLDEN, GOLDEN_TRIALS};
 fn sharded_runs_are_thread_and_rerun_invariant() {
     for process in ["cobra:b2", "bips:b2"] {
         let mk = || spec(process, "hypercube:8").with_shards(4);
-        let seq = mk().with_threads(1).run();
-        let par = mk().with_threads(8).run();
-        let again = mk().with_threads(1).run();
+        let seq = mk().with_threads(1).outcomes().unwrap();
+        let par = mk().with_threads(8).outcomes().unwrap();
+        let again = mk().with_threads(1).outcomes().unwrap();
         assert_eq!(seq, par, "{process}: thread count changed a sharded run");
         assert_eq!(seq, again, "{process}: sharded rerun diverged");
     }
@@ -46,7 +46,8 @@ fn sharded_runs_are_backend_invariant() {
             spec("cobra:b2", "hypercube:8")
                 .with_shards(shards)
                 .with_backend(backend)
-                .run()
+                .outcomes()
+                .unwrap()
         };
         assert_eq!(
             run(Backend::Csr),
@@ -83,7 +84,12 @@ fn shard_count_is_identity_not_execution() {
     // Different shard counts sample different (equally valid)
     // trajectories — the reason `shards=` participates in campaign
     // point keys while `backend=` and thread count do not.
-    let run = |shards| spec("cobra:b2", "hypercube:8").with_shards(shards).run();
+    let run = |shards| {
+        spec("cobra:b2", "hypercube:8")
+            .with_shards(shards)
+            .outcomes()
+            .unwrap()
+    };
     assert_ne!(
         run(1),
         run(4),

@@ -1,7 +1,7 @@
 //! Integration coverage for the declarative `SimSpec` API: spec
 //! round-trips (including rejection of malformed specs), engine
-//! determinism across thread counts, and the legacy config carriers
-//! delegating to the unified path.
+//! determinism across thread counts, and custom observers running
+//! through the engine.
 
 use cobra_repro::prelude::*;
 
@@ -100,7 +100,7 @@ fn malformed_specs_are_rejected_not_panicked() {
 
 #[test]
 fn engine_is_deterministic_across_thread_counts() {
-    // Identical Estimate for threads=1 vs threads=8 on the same spec —
+    // Identical outcomes for threads=1 vs threads=8 on the same spec —
     // parallelism is an implementation detail, never a variable.
     for (graph, process) in [
         ("hypercube:6", "cobra:b2:lazy"),
@@ -112,8 +112,8 @@ fn engine_is_deterministic_across_thread_counts() {
             .unwrap()
             .with_trials(16)
             .with_seed(0xD3);
-        let seq = spec.clone().with_threads(1).run();
-        let par = spec.clone().with_threads(8).run();
+        let seq = spec.clone().with_threads(1).outcomes().unwrap();
+        let par = spec.clone().with_threads(8).outcomes().unwrap();
         assert_eq!(
             seq, par,
             "thread count changed results for {process} on {graph}"
@@ -134,7 +134,10 @@ fn every_process_family_runs_on_a_spec_built_graph() {
         let est = SimSpec::parse("complete:32", process)
             .unwrap()
             .with_trials(6)
-            .run();
+            .measure()
+            .unwrap()
+            .into_stopping()
+            .unwrap();
         assert_eq!(est.censored, 0, "{process} censored on K_32");
         assert_eq!(est.mean_reached, 32.0, "{process} did not reach everyone");
     }
@@ -142,41 +145,16 @@ fn every_process_family_runs_on_a_spec_built_graph() {
 
 #[test]
 fn hitting_time_objective_is_distance_bounded() {
-    let est = SimSpec::parse("path:32", "cobra:b2")
+    let outcomes = SimSpec::parse("path:32", "cobra:b2")
         .unwrap()
         .reaching(31)
         .with_trials(8)
-        .run();
-    assert_eq!(est.censored, 0);
+        .outcomes()
+        .unwrap();
     assert!(
-        est.samples.iter().all(|&h| h >= 31),
-        "path distance is a hard lower bound"
+        outcomes.iter().all(|o| o.rounds >= Some(31)),
+        "path distance is a hard lower bound: {outcomes:?}"
     );
-}
-
-#[test]
-fn legacy_configs_delegate_to_the_unified_path() {
-    // The deprecated `cobra_cover_samples`/`bips_infection_samples`
-    // shims are gone; the config carriers convert via `to_sim` and must
-    // agree with a hand-built SimSpec on every knob they set.
-    use cobra::cover::CoverConfig;
-    use cobra::infection::InfectionConfig;
-    let g = generators::torus(&[6, 6]);
-    let cover_cfg = CoverConfig::default().with_trials(10);
-    let via_cfg = cover_cfg.to_sim(&g, &[0]).run();
-    let via_spec = SimSpec::new(&g, cover_cfg.process_spec())
-        .with_trials(10)
-        .with_seed(cover_cfg.master_seed)
-        .run();
-    assert_eq!(via_cfg, via_spec);
-
-    let infect_cfg = InfectionConfig::default().with_trials(10);
-    let via_cfg = infect_cfg.to_sim(&g, 0).run();
-    let via_spec = SimSpec::new(&g, infect_cfg.process_spec())
-        .with_trials(10)
-        .with_seed(infect_cfg.master_seed)
-        .run();
-    assert_eq!(via_cfg, via_spec);
 }
 
 #[test]
