@@ -421,22 +421,16 @@ fn parse_graph_spec(s: &str) -> Result<GraphSpec, GraphSpecError> {
             }
             "hypercube" => {
                 expect_arity(&parts, 1, "hypercube:D")?;
-                let d: u32 = parse_num(parts[1], "dimension")?;
-                if d > 30 {
-                    return Err(GraphSpecError::new(format!(
-                        "hypercube dimension {d} too large"
-                    )));
+                GraphSpec::Hypercube {
+                    d: parse_num(parts[1], "dimension")?,
                 }
-                GraphSpec::Hypercube { d }
             }
             "tree" => {
                 expect_arity(&parts, 2, "tree:K:N")?;
-                let k = parse_num(parts[1], "arity")?;
-                let n = parse_num(parts[2], "vertex count")?;
-                if k == 0 {
-                    return Err(GraphSpecError::new("tree arity must be positive"));
+                GraphSpec::KaryTree {
+                    k: parse_num(parts[1], "arity")?,
+                    n: parse_num(parts[2], "vertex count")?,
                 }
-                GraphSpec::KaryTree { k, n }
             }
             "cyclepower" => {
                 expect_arity(&parts, 2, "cyclepower:N:K")?;
@@ -452,9 +446,6 @@ fn parse_graph_spec(s: &str) -> Result<GraphSpec, GraphSpecError> {
                     .split('+')
                     .map(|t| parse_num(t, "an offset"))
                     .collect::<Result<_, _>>()?;
-                if offsets.is_empty() || offsets.contains(&0) {
-                    return Err(GraphSpecError::new("circulant needs positive offsets"));
-                }
                 GraphSpec::Circulant { n, offsets }
             }
             "ringcliques" => {
@@ -622,61 +613,82 @@ fn join(xs: &[usize], sep: &str) -> String {
 
 impl GraphSpec {
     /// Checks parameter sanity shared by parsing and programmatic
-    /// construction.
+    /// construction. Every value accepted here builds: the bounds are
+    /// the generators' own preconditions, so a spec that parses can
+    /// never panic in [`GraphSpec::build`] or [`GraphSpec::build_topology`].
     pub fn validate(&self) -> Result<(), GraphSpecError> {
-        let positive = |n: usize, what: &str| {
-            if n == 0 {
-                Err(GraphSpecError::new(format!("{what} must be positive")))
+        let at_least = |v: usize, min: usize, what: &str| {
+            if v < min {
+                Err(GraphSpecError::new(format!(
+                    "{what} must be at least {min}, got {v}"
+                )))
             } else {
                 Ok(())
             }
         };
         match self {
-            GraphSpec::Complete { n }
-            | GraphSpec::Cycle { n }
-            | GraphSpec::Path { n }
-            | GraphSpec::Star { n }
-            | GraphSpec::Wheel { n }
-            | GraphSpec::Gnp { n, .. } => positive(*n, "vertex count"),
-            GraphSpec::Petersen | GraphSpec::Hypercube { .. } => Ok(()),
+            GraphSpec::Complete { n } | GraphSpec::Path { n } | GraphSpec::Gnp { n, .. } => {
+                at_least(*n, 1, "vertex count")
+            }
+            GraphSpec::Cycle { n } => at_least(*n, 3, "cycle vertex count"),
+            GraphSpec::Star { n } => at_least(*n, 2, "star vertex count"),
+            GraphSpec::Wheel { n } => at_least(*n, 4, "wheel vertex count"),
+            GraphSpec::Petersen => Ok(()),
+            GraphSpec::Hypercube { d } => {
+                if !(1..=30).contains(d) {
+                    return Err(GraphSpecError::new(format!(
+                        "hypercube dimension must be in 1..=30, got {d}"
+                    )));
+                }
+                Ok(())
+            }
             GraphSpec::CompleteBipartite { a, b } | GraphSpec::DoubleStar { a, b } => {
-                positive(*a, "side size")?;
-                positive(*b, "side size")
+                at_least(*a, 1, "side size")?;
+                at_least(*b, 1, "side size")
             }
             GraphSpec::Grid { dims } | GraphSpec::Torus { dims } => {
                 if dims.is_empty() {
                     return Err(GraphSpecError::new("need at least one dimension"));
                 }
-                dims.iter().try_for_each(|&d| positive(d, "dimension"))
+                dims.iter().try_for_each(|&d| at_least(d, 1, "dimension"))?;
+                let n = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+                if n.is_none_or(|n| n > u32::MAX as usize) {
+                    return Err(GraphSpecError::new(format!(
+                        "lattice {} has more than 2^32 - 1 vertices",
+                        join(dims, "x")
+                    )));
+                }
+                Ok(())
             }
             GraphSpec::KaryTree { k, n } => {
-                positive(*k, "arity")?;
-                positive(*n, "vertex count")
+                at_least(*k, 1, "arity")?;
+                at_least(*n, 1, "vertex count")
             }
             GraphSpec::CyclePower { n, k } => {
-                positive(*n, "vertex count")?;
-                positive(*k, "power")
+                at_least(*k, 1, "power")?;
+                let min = k.saturating_mul(2).saturating_add(1);
+                at_least(*n, min, "cycle power vertex count (n > 2k)")
             }
             GraphSpec::Circulant { n, offsets } => {
-                positive(*n, "vertex count")?;
-                if offsets.is_empty() || offsets.contains(&0) {
-                    return Err(GraphSpecError::new("circulant needs positive offsets"));
+                at_least(*n, 3, "circulant vertex count")?;
+                if offsets.is_empty() || offsets.iter().any(|&o| o == 0 || o > n / 2) {
+                    return Err(GraphSpecError::new(format!(
+                        "circulant offsets must lie in 1..={}, got {}",
+                        n / 2,
+                        join(offsets, "+")
+                    )));
                 }
                 Ok(())
             }
             GraphSpec::RingOfCliques { k, c } => {
-                positive(*k, "clique count")?;
-                positive(*c, "clique size")
+                at_least(*k, 3, "clique count")?;
+                at_least(*c, 3, "clique size")
             }
-            GraphSpec::Barbell { c, p } | GraphSpec::Lollipop { c, p } => {
-                positive(*c, "clique size")?;
-                positive(*p, "path length")
-            }
-            GraphSpec::TwoClique { c, p } => {
-                if *c < 2 {
-                    return Err(GraphSpecError::new("twoclique cliques need size >= 2"));
-                }
-                positive(*p, "path length")
+            GraphSpec::Barbell { c, p }
+            | GraphSpec::Lollipop { c, p }
+            | GraphSpec::TwoClique { c, p } => {
+                at_least(*c, 2, "clique size")?;
+                at_least(*p, 1, "path length")
             }
             GraphSpec::LollipopN { n } => {
                 if *n < 3 {
@@ -703,8 +715,7 @@ impl GraphSpec {
                 Ok(())
             }
             GraphSpec::BarabasiAlbert { n, m } | GraphSpec::PrefAttach { n, m } => {
-                positive(*n, "vertex count")?;
-                positive(*m, "edges per arrival")?;
+                at_least(*m, 1, "edges per arrival")?;
                 if *n <= *m {
                     return Err(GraphSpecError::new(format!(
                         "preferential attachment needs n > m (got n={n}, m={m})"
@@ -713,8 +724,9 @@ impl GraphSpec {
                 Ok(())
             }
             GraphSpec::WattsStrogatz { n, k, beta } => {
-                positive(*n, "vertex count")?;
-                positive(*k, "ring degree")?;
+                at_least(*k, 1, "ring degree")?;
+                let min = k.saturating_mul(2).saturating_add(2);
+                at_least(*n, min, "ws vertex count (n > 2k + 1)")?;
                 if !(0.0..=1.0).contains(beta) {
                     return Err(GraphSpecError::new(format!(
                         "ws beta {beta} outside [0, 1]"
@@ -1016,6 +1028,89 @@ mod tests {
             "file:?component=giant",
         ] {
             assert!(s.parse::<GraphSpec>().is_err(), "{s:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn every_family_rejects_below_its_generator_bounds_and_builds_at_them() {
+        // (smallest rejected, smallest accepted) for each family and each
+        // bounded parameter. The rejected value is a one-line parse error,
+        // never a generator panic; the accepted one builds on every
+        // backend it has.
+        let file = file_fixture("bounds", "0 1\n");
+        let file_ok = format!("file:{}", file.display());
+        let cases = [
+            ("complete:0", "complete:1"),
+            ("cycle:2", "cycle:3"),
+            ("path:0", "path:1"),
+            ("star:1", "star:2"),
+            ("wheel:3", "wheel:4"),
+            ("petersen:1", "petersen"),
+            ("bipartite:0x1", "bipartite:1x1"),
+            ("doublestar:0x1", "doublestar:1x1"),
+            ("grid:0", "grid:1"),
+            ("torus:0", "torus:1"),
+            ("hypercube:0", "hypercube:1"),
+            ("tree:0:1", "tree:1:1"),
+            ("tree:1:0", "tree:1:1"),
+            ("cyclepower:2:1", "cyclepower:3:1"),
+            ("cyclepower:3:0", "cyclepower:3:1"),
+            ("circulant:2:1", "circulant:3:1"),
+            ("circulant:4:3", "circulant:4:2"),
+            ("ringcliques:2:3", "ringcliques:3:3"),
+            ("ringcliques:3:2", "ringcliques:3:3"),
+            ("barbell:1:1", "barbell:2:1"),
+            ("barbell:2:0", "barbell:2:1"),
+            ("barbell:5", "barbell:6"),
+            ("lollipop:1:1", "lollipop:2:1"),
+            ("lollipop:2:0", "lollipop:2:1"),
+            ("lollipop:2", "lollipop:3"),
+            ("twoclique:1:1", "twoclique:2:1"),
+            ("gnp:0:0.5", "gnp:1:0.5"),
+            ("regular:1:1", "regular:1:0"),
+            ("rreg:1:1", "rreg:1:0"),
+            ("ba:1:1", "ba:2:1"),
+            ("pa:1:1", "pa:2:1"),
+            ("ws:3:1:0.5", "ws:4:1:0.5"),
+            ("ws:4:0:0.5", "ws:4:1:0.5"),
+            ("file:", file_ok.as_str()),
+        ];
+        for (family, _) in FAMILY_USAGES {
+            assert!(
+                cases
+                    .iter()
+                    .any(|(bad, _)| bad.split(':').next() == Some(family)),
+                "family {family} has no bounds case"
+            );
+        }
+        for (bad, good) in cases {
+            let e = bad.parse::<GraphSpec>().expect_err(bad).to_string();
+            assert!(
+                e.starts_with("graph spec error: ") && !e.contains('\n'),
+                "{e:?}"
+            );
+            let spec: GraphSpec = good.parse().expect(good);
+            spec.build(1).unwrap_or_else(|e| panic!("{good}: {e}"));
+            spec.build_topology(1, Backend::Auto)
+                .unwrap_or_else(|e| panic!("{good}: {e}"));
+        }
+        // Upper bounds, and every spec that once panicked after parsing.
+        for bad in [
+            "hypercube:31",
+            "grid:65536x65536",
+            "torus:4294967296x4294967296",
+            "cyclepower:64:9223372036854775808",
+            "ws:64:9223372036854775808:0.5",
+            "cycle:1",
+            "wheel:1",
+            "circulant:1:1",
+            "ringcliques:1:1",
+            "ringcliques:2:1",
+        ] {
+            assert!(
+                bad.parse::<GraphSpec>().is_err(),
+                "{bad:?} should not parse"
+            );
         }
     }
 

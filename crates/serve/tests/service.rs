@@ -169,6 +169,21 @@ fn malformed_spec_and_unknown_campaign_fail_cleanly() {
 }
 
 #[test]
+fn a_graph_the_generator_would_reject_answers_400_and_the_daemon_keeps_serving() {
+    // `cycle:2` once parsed and then panicked in the generator while the
+    // service mutex was held, so every later POST went unanswered.
+    with_daemon(ServeConfig::default(), 1, |addr, _service| {
+        let bad = "cover; graph=cycle:2; process=cobra:b2; trials=2; name=svc-bad";
+        let bad = client::post(addr, "/campaigns", bad.as_bytes()).unwrap();
+        assert_eq!(bad.status, 400);
+        assert!(bad.text().contains("graph spec error"), "{}", bad.text());
+        let good = "cover; graph=cycle:3; process=cobra:b2; trials=2; name=svc-good";
+        let good = client::post(addr, "/campaigns", good.as_bytes()).unwrap();
+        assert_eq!(good.status, 200, "{}", good.text());
+    });
+}
+
+#[test]
 fn back_to_back_campaigns_ride_separate_lanes_and_both_complete() {
     // Two campaigns submitted before any worker runs land on separate
     // DRR lanes (the deterministic alternation itself is pinned by the

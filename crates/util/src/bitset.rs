@@ -82,6 +82,27 @@ impl BitSet {
         }
     }
 
+    /// Sets `idx`; returns true if it was newly set. Same result and
+    /// `count()` as [`insert`](Self::insert), without its data-dependent
+    /// branch: the word is always stored and the fresh bit is added to
+    /// the count arithmetically. For arrival streams whose new/seen
+    /// outcome is a coin flip (the COBRA coalesce pass); `insert` stays
+    /// the cheaper call when one outcome dominates.
+    #[inline]
+    pub fn test_and_set(&mut self, idx: usize) -> bool {
+        assert!(
+            idx < self.len,
+            "BitSet index {idx} out of range {}",
+            self.len
+        );
+        let w = &mut self.words[idx / WORD_BITS];
+        let shift = idx % WORD_BITS;
+        let fresh = (!*w >> shift) & 1;
+        *w |= 1u64 << shift;
+        self.ones += fresh as usize;
+        fresh == 1
+    }
+
     /// Sets `idx` without maintaining the `count()` accounting: a
     /// branchless load-OR-store, vs [`insert`](Self::insert)'s
     /// was-it-new test — a branch that coalescing arrival streams make
@@ -388,6 +409,47 @@ mod tests {
             let got: Vec<usize> = s.iter().collect();
             let want: Vec<usize> = model.into_iter().collect();
             prop_assert_eq!(got, want);
+        }
+
+        /// `test_and_set` is `insert` without the branch: same return
+        /// values, same count, same words.
+        #[test]
+        fn test_and_set_matches_insert(idxs in proptest::collection::vec(0usize..300, 0..400)) {
+            let mut a = BitSet::new(300);
+            let mut b = BitSet::new(300);
+            for idx in idxs {
+                prop_assert_eq!(a.test_and_set(idx), b.insert(idx));
+                prop_assert_eq!(a.count(), b.count());
+            }
+            prop_assert_eq!(a.words(), b.words());
+        }
+
+        /// The COBRA kernel's two ways to end a round agree: folding the
+        /// whole mark into `visited` and clearing it (dense rounds) leaves
+        /// both sets as per-index inserts plus `clear_indices` (sparse
+        /// rounds) do.
+        #[test]
+        fn dense_fold_and_clear_matches_the_per_index_path(
+            seen in proptest::collection::vec(0u32..300, 0..100),
+            arrivals in proptest::collection::vec(0u32..300, 0..400),
+        ) {
+            let mut dense_visited = BitSet::from_indices(300, &seen);
+            let mut sparse_visited = dense_visited.clone();
+            let mut dense_mark = BitSet::new(300);
+            let mut sparse_mark = BitSet::new(300);
+            let mut fresh = Vec::new();
+            for &w in &arrivals {
+                dense_mark.test_and_set(w as usize);
+                sparse_visited.test_and_set(w as usize);
+                if sparse_mark.test_and_set(w as usize) {
+                    fresh.push(w);
+                }
+            }
+            dense_visited.union_with(&dense_mark);
+            dense_mark.clear();
+            sparse_mark.clear_indices(&fresh);
+            prop_assert_eq!(dense_visited, sparse_visited);
+            prop_assert_eq!(dense_mark, sparse_mark);
         }
 
         /// from_indices tolerates duplicates and counts distinct elements.
