@@ -479,14 +479,17 @@ fn print_resolved_run(spec: &SimSpec<'_>, graph: &str, process: &str) -> Result<
         resolved.backend, resolved.graph_bytes
     ));
     out_line(&format!(
-        "  shards:    {}{} (per-shard state ~{} bytes: visited + frontier + scratch)",
+        "  shards:    {}{} ({})",
         resolved.shards,
         if resolved.shards == 1 {
             " (unsharded engine)"
         } else {
             ""
         },
-        resolved.shard_state_bytes
+        match resolved.shard_state_bytes {
+            Some(bytes) => format!("per-shard state ~{bytes} bytes: visited + frontier + scratch"),
+            None => "process does not shard".into(),
+        }
     ));
     out_line(&format!("  objective: {}", spec.objective));
     out_line(&format!("  stop when: {:?}", resolved.stop));

@@ -666,6 +666,11 @@ pub fn run_sweep_watched(
             .expect("freshly created queue accepts submissions");
     }
     queue.close();
+    // A flag raised before the run cancels every point: shut the queue
+    // before a worker can claim one, not when the relay first polls.
+    if cancel.load(Ordering::Acquire) {
+        queue.shutdown();
+    }
 
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
     let fresh: Mutex<Vec<PointRecord>> = Mutex::new(Vec::with_capacity(plan.missing.len()));

@@ -560,7 +560,10 @@ impl<'g> SimSpec<'g> {
                 cap: resolve_cap(g, &self.process, self.cap),
                 explicit_cap: self.cap.is_some(),
                 shards: self.shards,
-                shard_state_bytes: per_shard_state_bytes(g.n(), self.shards),
+                shard_state_bytes: self
+                    .process
+                    .shard_kernel()
+                    .map(|kernel| per_shard_state_bytes(g.n(), self.shards, kernel)),
             })
         })
     }
@@ -631,11 +634,12 @@ pub struct ResolvedRun {
     pub explicit_cap: bool,
     /// Shard count of the partitioned engine (1 = unsharded).
     pub shards: usize,
-    /// Resident vertex-state bytes *per shard* (the three local
-    /// bitsets: visited/infected, frontier, next) — what to budget
+    /// Resident vertex-state bytes *per shard* (COBRA: visited,
+    /// frontier and next bitsets; BIPS: frontier, next and candidate
+    /// bitsets plus a `u32` counter per vertex) — what to budget
     /// alongside [`ResolvedRun::graph_bytes`] when planning a
-    /// `hypercube:30`-scale run.
-    pub shard_state_bytes: usize,
+    /// `hypercube:30`-scale run. `None` for processes that do not shard.
+    pub shard_state_bytes: Option<usize>,
 }
 
 /// The objective-shaped result of [`SimSpec::measure`].
@@ -1161,13 +1165,25 @@ mod tests {
             .unwrap();
         assert_eq!(r.shards, 8);
         // span = 2^20/8 = 2^17 local vertices → 16 KiB per bitset, ×3.
-        assert_eq!(r.shard_state_bytes, 3 * (1 << 14));
+        assert_eq!(r.shard_state_bytes, Some(3 * (1 << 14)));
         let unsharded = SimSpec::parse("hypercube:20", "cobra:b2")
             .unwrap()
             .resolve()
             .unwrap();
         assert_eq!(unsharded.shards, 1);
-        assert_eq!(unsharded.shard_state_bytes, 3 * (1 << 17));
+        assert_eq!(unsharded.shard_state_bytes, Some(3 * (1 << 17)));
+        // BIPS adds a u32 `d_A` counter per local vertex.
+        let bips = SimSpec::parse("hypercube:20", "bips:b2")
+            .unwrap()
+            .with_shards(8)
+            .resolve()
+            .unwrap();
+        assert_eq!(bips.shard_state_bytes, Some(3 * (1 << 14) + 4 * (1 << 17)));
+        let walk = SimSpec::parse("hypercube:20", "rw")
+            .unwrap()
+            .resolve()
+            .unwrap();
+        assert_eq!(walk.shard_state_bytes, None, "walks do not shard");
     }
 
     #[test]

@@ -424,6 +424,11 @@ impl Topology for CirculantTopo {
 }
 
 /// Implicit hypercube `Q_d`: ids adjacent iff they differ in one bit.
+///
+/// `neighbor(v, i)` runs without data-dependent branches or loops: a
+/// sign mask picks the arm (clear one of `v`'s set bits, or set one of
+/// its unset bits — both are `v ^ (1 << pos)`), and `nth_set_bit`
+/// finds `pos` with SWAR byte counts and a select-in-byte table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HypercubeTopo {
     d: u32,
@@ -445,14 +450,46 @@ impl HypercubeTopo {
     }
 }
 
-/// Position of the `j`-th set bit of `v` (LSB-first, `j <
-/// popcount(v)`).
-#[inline]
-fn nth_set_bit(mut v: u32, j: u32) -> u32 {
-    for _ in 0..j {
-        v &= v - 1; // clear the lowest set bit
+/// `SELECT_IN_BYTE[b][r]`: position of the `r`-th set bit of byte `b`
+/// (LSB-first); 0 where `b` has fewer than `r + 1` set bits. 2 KiB.
+const SELECT_IN_BYTE: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut pos, mut r) = (0, 0);
+        while pos < 8 {
+            if (b >> pos) & 1 == 1 {
+                table[b][r] = pos as u8;
+                r += 1;
+            }
+            pos += 1;
+        }
+        b += 1;
     }
-    v.trailing_zeros()
+    table
+};
+
+/// Position of the `j`-th set bit of `v` (LSB-first, `j <
+/// popcount(v)`), branch-free: SWAR per-byte popcounts, a multiply
+/// into inclusive per-byte prefix counts, the byte `k` holding the bit
+/// as the number of low prefixes `≤ j`, then a table select inside
+/// byte `k`.
+#[inline]
+fn nth_set_bit(v: u32, j: u32) -> u32 {
+    debug_assert!(j < v.count_ones(), "rank {j} out of range for {v:#x}");
+    let c = v - ((v >> 1) & 0x5555_5555);
+    let c = (c & 0x3333_3333) + ((c >> 2) & 0x3333_3333);
+    let c = (c + (c >> 4)) & 0x0f0f_0f0f;
+    // Byte b of `prefix` = set bits in bytes 0..=b (at most 32, no carry).
+    let prefix = c.wrapping_mul(0x0101_0101);
+    let k = ((prefix & 0xff) <= j) as u32
+        + (((prefix >> 8) & 0xff) <= j) as u32
+        + (((prefix >> 16) & 0xff) <= j) as u32;
+    // Set bits below byte k: byte k − 1 of `prefix` (0 for k = 0).
+    let below = ((prefix << 8) >> (8 * k)) & 0xff;
+    let byte = (v >> (8 * k)) & 0xff;
+    // `& 7` keeps valid ranks as they are and drops the bounds check.
+    8 * k + SELECT_IN_BYTE[byte as usize][((j - below) & 7) as usize] as u32
 }
 
 impl Topology for HypercubeTopo {
@@ -474,17 +511,14 @@ impl Topology for HypercubeTopo {
     #[inline]
     fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
         debug_assert!(i < self.d as usize, "neighbor index {i} out of range");
-        let i = i as u32;
-        let set = v.count_ones();
-        if i < set {
-            // Clearing a set bit yields a smaller id; higher bits yield
-            // smaller differences — enumerate set bits MSB-first.
-            v ^ (1 << nth_set_bit(v, set - 1 - i))
-        } else {
-            // Setting an unset bit yields a larger id, ascending with
-            // the bit position — enumerate unset bits LSB-first.
-            v | (1 << nth_set_bit(!v, i - set))
-        }
+        // Sorted order lists the ids below `v` first: cleared set bits,
+        // highest bit first (rank `set − 1 − i` among the set bits of
+        // `v`); then the ids above: set unset bits, lowest first (rank
+        // `i − set` among the set bits of `!v`). `flip` is all ones
+        // exactly in the second case, and `!(set − 1 − i) == i − set`.
+        let rank = v.count_ones().wrapping_sub(1).wrapping_sub(i as u32);
+        let flip = ((rank as i32) >> 31) as u32;
+        v ^ (1 << nth_set_bit(v ^ flip, rank ^ flip))
     }
 
     #[inline]
@@ -1049,6 +1083,7 @@ mod tests {
             "hypercube:2",
             "hypercube:5",
             "hypercube:8",
+            "hypercube:12",
         ];
         for case in cases {
             let spec: GraphSpec = case.parse().unwrap();
@@ -1139,6 +1174,89 @@ mod tests {
                     assert!(w > p, "neighbors of {v} not ascending");
                 }
                 prev = Some(w);
+            }
+        }
+    }
+
+    /// The clear-lowest-bit loop the branch-free select replaced: the
+    /// reference [`nth_set_bit`] is checked against.
+    fn nth_set_bit_loop(mut v: u32, j: u32) -> u32 {
+        for _ in 0..j {
+            v &= v - 1;
+        }
+        v.trailing_zeros()
+    }
+
+    /// The two-armed `HypercubeTopo::neighbor` the sign-mask arm choice
+    /// replaced, on the loop select.
+    fn hypercube_neighbor_loop(v: u32, i: u32) -> u32 {
+        let set = v.count_ones();
+        if i < set {
+            v ^ (1 << nth_set_bit_loop(v, set - 1 - i))
+        } else {
+            v | (1 << nth_set_bit_loop(!v, i - set))
+        }
+    }
+
+    /// Asserts `neighbor(v, i)` of `Q_d` equals the reference for every
+    /// `i < d`.
+    fn assert_hypercube_matches_loop(d: u32, v: u32) {
+        let q = HypercubeTopo::new(d);
+        for i in 0..d {
+            assert_eq!(
+                q.neighbor(v, i as usize),
+                hypercube_neighbor_loop(v, i),
+                "hypercube:{d}: neighbor({v:#x}, {i})"
+            );
+        }
+    }
+
+    #[test]
+    fn hypercube_neighbor_matches_loop_reference_on_bit_patterns() {
+        for d in 1..=30u32 {
+            let all = (1u32 << d) - 1;
+            for v in [0, all, 0x5555_5555 & all, 0xAAAA_AAAA & all] {
+                assert_hypercube_matches_loop(d, v);
+            }
+            for b in 0..d {
+                assert_hypercube_matches_loop(d, 1 << b);
+                assert_hypercube_matches_loop(d, all ^ (1 << b));
+            }
+        }
+    }
+
+    #[test]
+    fn nth_set_bit_matches_loop_reference_on_every_16_bit_word() {
+        // Each word both in the low half and shifted into the high half,
+        // so all four bytes meet every byte pattern.
+        for w in 0..=u16::MAX as u32 {
+            for word in [w, w << 16] {
+                for j in 0..word.count_ones() {
+                    assert_eq!(
+                        nth_set_bit(word, j),
+                        nth_set_bit_loop(word, j),
+                        "nth_set_bit({word:#x}, {j})"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random ids of every dimension: bytes 1–3 of the select are
+        /// only reached from `hypercube:9` up.
+        #[test]
+        fn hypercube_neighbor_matches_loop_reference(raw in any::<u32>()) {
+            for d in 1..=30u32 {
+                assert_hypercube_matches_loop(d, raw & ((1 << d) - 1));
+            }
+        }
+
+        #[test]
+        fn nth_set_bit_matches_loop_reference(w in any::<u32>()) {
+            for j in 0..w.count_ones() {
+                prop_assert_eq!(nth_set_bit(w, j), nth_set_bit_loop(w, j), "word {:#x}, rank {}", w, j);
             }
         }
     }

@@ -107,13 +107,22 @@ struct ShardSlot {
     cand: BitSet,
 }
 
+impl ShardKernel {
+    /// Lengths of the kernel-specific buffers over a `span`-vertex
+    /// shard, as `(visited, d_a)`: COBRA keeps `visited`; BIPS keeps the
+    /// `d_a` counters and their `cand` bitset.
+    fn scratch_lens(self, span: usize) -> (usize, usize) {
+        match self {
+            ShardKernel::Cobra { .. } => (span, 0),
+            ShardKernel::Bips { .. } => (0, span),
+        }
+    }
+}
+
 impl ShardSlot {
     fn new(index: usize, range: Range<usize>, shards: usize, kernel: ShardKernel) -> ShardSlot {
         let span = range.end - range.start;
-        let (visited_len, d_a_len) = match kernel {
-            ShardKernel::Cobra { .. } => (span, 0),
-            ShardKernel::Bips { .. } => (0, span),
-        };
+        let (visited_len, d_a_len) = kernel.scratch_lens(span);
         ShardSlot {
             index,
             range,
@@ -158,13 +167,17 @@ where
     }
 }
 
-/// Heap bytes of one shard's resident vertex state (the three local
-/// bitsets; outboxes are traffic-dependent and excluded). The
+/// Heap bytes of one shard's resident vertex state under `kernel`: the
+/// bitsets and counters `ShardSlot::new` allocates over a full span
+/// (outboxes are traffic-dependent and excluded). The
 /// `SimSpec::resolve()` planning surface reports this next to
 /// resident-graph bytes.
-pub fn per_shard_state_bytes(n: usize, shards: usize) -> usize {
+pub fn per_shard_state_bytes(n: usize, shards: usize, kernel: ShardKernel) -> usize {
     let span = ShardMap::new(n, shards).span().min(n);
-    3 * span.div_ceil(64) * 8
+    let (visited_len, d_a_len) = kernel.scratch_lens(span);
+    let bitset = |len: usize| len.div_ceil(64) * std::mem::size_of::<u64>();
+    // visited + active + next + cand, then the d_a counters.
+    bitset(visited_len) + 2 * bitset(span) + bitset(d_a_len) + d_a_len * std::mem::size_of::<u32>()
 }
 
 /// A spreading process partitioned across shards.
@@ -662,6 +675,13 @@ mod tests {
         }
     }
 
+    fn bips_b2() -> ShardKernel {
+        ShardKernel::Bips {
+            branching: Branching::B2,
+            laziness: Laziness::None,
+        }
+    }
+
     fn run_cover<T: Topology + Sync>(
         g: &T,
         kernel: ShardKernel,
@@ -714,10 +734,7 @@ mod tests {
 
     #[test]
     fn sharded_bips_infects_small_graphs() {
-        let kernel = ShardKernel::Bips {
-            branching: Branching::B2,
-            laziness: Laziness::None,
-        };
+        let kernel = bips_b2();
         let g = generators::complete(48);
         for shards in [1, 3, 8] {
             let (rounds, reached, _) = run_cover(&g, kernel, shards, 1, 7, 10_000);
@@ -859,12 +876,36 @@ mod tests {
     #[test]
     fn per_shard_state_bytes_math() {
         // hypercube:30 at 8 shards: span 2^27, three bitsets of
-        // 2^27/8 = 16 MiB each.
-        let b = per_shard_state_bytes(1 << 30, 8);
+        // 2^27/8 = 16 MiB each for COBRA; BIPS adds a u32 per vertex.
+        let b = per_shard_state_bytes(1 << 30, 8, cobra_b2());
         assert_eq!(b, 3 * (1 << 24));
+        let b = per_shard_state_bytes(1 << 30, 8, bips_b2());
+        assert_eq!(b, 3 * (1 << 24) + 4 * (1 << 27));
         // Single shard covers the whole universe.
-        assert_eq!(per_shard_state_bytes(64, 1), 3 * 8);
+        assert_eq!(per_shard_state_bytes(64, 1, cobra_b2()), 3 * 8);
         // Tiny universes never report more than the universe.
-        assert_eq!(per_shard_state_bytes(10, 64), 3 * 8);
+        assert_eq!(per_shard_state_bytes(10, 64, cobra_b2()), 3 * 8);
+    }
+
+    #[test]
+    fn per_shard_state_bytes_matches_what_slots_allocate() {
+        fn allocated(slot: &ShardSlot) -> usize {
+            [&slot.visited, &slot.active, &slot.next, &slot.cand]
+                .iter()
+                .map(|b| std::mem::size_of_val(b.words()))
+                .sum::<usize>()
+                + std::mem::size_of_val(slot.d_a.as_slice())
+        }
+        let g = HypercubeTopo::new(12);
+        for kernel in [cobra_b2(), bips_b2()] {
+            for shards in [1, 3, 8] {
+                let state = ShardedState::new(&g, kernel, shards);
+                assert_eq!(
+                    per_shard_state_bytes(g.n(), shards, kernel),
+                    allocated(&state.slots[0]),
+                    "{kernel:?} at {shards} shards"
+                );
+            }
+        }
     }
 }
