@@ -29,15 +29,15 @@
 use cobra::experiments;
 use cobra::{SimSpec, Table};
 use cobra_campaign::{
-    artifact, plan_sweep, run_sweep, run_sweep_watched, run_sweep_with_progress, Store,
-    SweepProgress, SweepSpec,
+    artifact, plan_sweep, run_sweep_watched, PointEvent, PointStatus, Store, SweepSpec,
+    WatchOutcome,
 };
 use cobra_obs::status::{err_line, err_transient, out_line};
-use cobra_obs::{MetricsRegistry, RegistrySink, RoundRecord, RoundSink, TraceWriter, TrialTotals};
-use cobra_util::json::{obj, Json};
+use cobra_obs::{MetricsRegistry, RegistrySink, RoundSink, TraceWriter};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cobra_viz::{Plot, Scale, Series};
 
@@ -53,17 +53,11 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("run") {
         return run_subcommand(&args[1..]);
     }
-    if args.first().map(String::as_str) == Some("bench") {
-        return bench_subcommand(&args[1..]);
-    }
     if args.first().map(String::as_str) == Some("sweep") {
         return sweep_subcommand(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("serve") {
         return serve_subcommand(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("loadtest") {
-        return loadtest_subcommand(&args[1..]);
     }
     let mut quick = false;
     let mut plot = false;
@@ -232,7 +226,6 @@ fn run_subcommand(args: &[String]) -> ExitCode {
     let mut threads: usize = 0;
     let mut cap: Option<usize> = None;
     let mut start: u32 = 0;
-    let mut target: Option<u32> = None;
     let mut backend = cobra::Backend::Auto;
     let mut shards: usize = 1;
     let mut dry_run = false;
@@ -277,11 +270,6 @@ fn run_subcommand(args: &[String]) -> ExitCode {
                 v.parse()
                     .map(|v| start = v)
                     .map_err(|e| format!("--start: {e}"))
-            }),
-            "--target" => value("--target").and_then(|v| {
-                v.parse()
-                    .map(|v| target = Some(v))
-                    .map_err(|e| format!("--target: {e}"))
             }),
             "--backend" | "-B" => value("--backend")
                 .and_then(|v| v.parse().map(|v| backend = v).map_err(|e: String| e)),
@@ -334,22 +322,13 @@ fn run_subcommand(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    // Resolve the objective: --objective grammar, or the legacy
-    // --target V shorthand for hit:V.
-    let objective: cobra::Objective = match (&objective_arg, target) {
-        (Some(_), Some(_)) => {
-            eprintln!("--objective and --target are two spellings of one thing; pick one");
+    let objective: cobra::Objective = match objective_arg.as_deref().map(str::parse) {
+        None => cobra::Objective::Cover,
+        Some(Ok(objective)) => objective,
+        Some(Err(e)) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-        (Some(text), None) => match text.parse() {
-            Ok(objective) => objective,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, Some(v)) => cobra::Objective::hit(v),
-        (None, None) => cobra::Objective::Cover,
     };
 
     let spec = match SimSpec::parse(&graph, &process) {
@@ -711,11 +690,6 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
     }
     let name = spec.name();
     let store_dir = store_root.join(&name);
-    // The cap policy of the SimSpec layer: the paper's bounds decide
-    // each point's round budget unless the spec pins `cap=`.
-    let cap_policy = |shape: cobra_graph::GraphShape, p: &cobra_process::ProcessSpec| {
-        cobra::sim::resolve_cap_shape(shape, p, None)
-    };
 
     if dry_run {
         // Read-only: a dry run inspects the store without creating it.
@@ -724,7 +698,7 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
         } else {
             Store::load(&store_dir)
         };
-        let plan = match plan_sweep(&spec, &store, &cap_policy) {
+        let plan = match plan_sweep(&spec, &store, &paper_cap) {
             Ok(plan) => plan,
             Err(e) => {
                 eprintln!("{e}");
@@ -791,76 +765,72 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
         }
     };
     let started = std::time::Instant::now();
-    let render_progress = |p: SweepProgress| {
-        let done = p.cached + p.computed;
-        let pct = 100 * done / p.total.max(1);
-        let rate = p.computed as f64 / started.elapsed().as_secs_f64().max(1e-9);
-        let eta = (p.to_compute - p.computed) as f64 / rate.max(1e-9);
+    // Every event is printed under --watch; --progress draws its live
+    // line from them. Cached events all fire before the first point
+    // starts; expansion twins resolve after the drain, so the line
+    // counts them as still to do until then.
+    let total = spec.expand_axes().map_or(0, |grid| grid.len());
+    let (cached_seen, computed_seen) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let on_event = |event: &PointEvent| {
+        if watch {
+            out_line(&event.to_json().to_string());
+        }
+        if !progress {
+            return;
+        }
+        let computed = match event.status {
+            PointStatus::Cached => {
+                cached_seen.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            PointStatus::Computed => computed_seen.fetch_add(1, Ordering::Relaxed) + 1,
+            _ => return,
+        };
+        let cached = cached_seen.load(Ordering::Relaxed);
+        let done = cached + computed;
+        let pct = 100 * done / total.max(1);
+        let rate = computed as f64 / started.elapsed().as_secs_f64().max(1e-9);
+        let eta = total.saturating_sub(done) as f64 / rate.max(1e-9);
         err_transient(&format!(
-            "progress: {done}/{} points ({pct}%) — {} cached, {rate:.1} points/s, ETA {eta:.0}s",
-            p.total, p.cached
+            "progress: {done}/{total} points ({pct}%) — {cached} cached, {rate:.1} points/s, ETA {eta:.0}s"
         ));
     };
-    // Graceful interruption (SIGINT/SIGTERM): the non-progress paths
-    // ride the cancellable queue — in-flight trials drain at the next
-    // trial boundary, every finished record is already flushed, and the
-    // campaign resumes where it stopped on the next run.
+    // Graceful interruption (SIGINT/SIGTERM): in-flight trials drain at
+    // the next trial boundary, every finished record is already
+    // flushed, and the campaign resumes where it stopped on the next run.
     cobra_serve::signal::install_handlers();
     let cancel = cobra_serve::signal::shutdown_flag();
-    let mut cancelled = 0usize;
-    let mut interrupted = false;
-    let (records, cached_n, computed_n, cache_stats) = if progress {
-        match run_sweep_with_progress(&spec, &mut store, threads, &cap_policy, &render_progress) {
-            Ok(outcome) => {
-                // Unconditional final line: an all-cached sweep never
-                // fires the callback, and the transient line (if any)
-                // needs terminating. Trailing spaces blank out any
-                // longer transient remainder.
-                let total = outcome.records.len();
-                err_line(&format!(
-                    "\rprogress: {total}/{total} points (100%) — {} cached, {} computed        ",
-                    outcome.cached, outcome.computed
-                ));
-                (
-                    outcome.records,
-                    outcome.cached,
-                    outcome.computed,
-                    outcome.cache_stats,
-                )
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let print_event =
-            |event: &cobra_campaign::PointEvent| out_line(&event.to_json().to_string());
-        let silent = |_: &cobra_campaign::PointEvent| {};
-        let on_event: &(dyn Fn(&cobra_campaign::PointEvent) + Sync) =
-            if watch { &print_event } else { &silent };
-        match run_sweep_watched(&spec, &mut store, threads, &cap_policy, on_event, cancel) {
-            Ok(outcome) => {
-                cancelled = outcome.cancelled;
-                interrupted = outcome.interrupted;
-                let records: Vec<_> = outcome.records.into_iter().flatten().collect();
-                (
-                    records,
-                    outcome.cached,
-                    outcome.computed,
-                    outcome.cache_stats,
-                )
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+    let outcome = match run_sweep_watched(&spec, &mut store, threads, &paper_cap, &on_event, cancel)
+    {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
+    let WatchOutcome {
+        records,
+        cached: cached_n,
+        computed: computed_n,
+        cancelled,
+        interrupted,
+        cache_stats,
+    } = outcome;
+    let records: Vec<_> = records.into_iter().flatten().collect();
+    if progress {
+        // Unconditional final line: an all-cached sweep never draws the
+        // transient line, and the transient line (if any) needs
+        // terminating. Trailing spaces blank out any longer remainder.
+        let done = cached_n + computed_n;
+        err_line(&format!(
+            "\rprogress: {done}/{total} points ({}%) — {cached_n} cached, {computed_n} computed        ",
+            100 * done / total.max(1)
+        ));
+    }
     if metrics {
         let cs = cache_stats;
         let mut reg = MetricsRegistry::new();
-        reg.counter("campaign.points.total", (records.len() + cancelled) as u64);
+        reg.counter("campaign.points.total", total as u64);
         reg.counter("campaign.points.cached", cached_n as u64);
         reg.counter("campaign.points.computed", computed_n as u64);
         reg.counter("campaign.points.cancelled", cancelled as u64);
@@ -965,10 +935,10 @@ fn print_sweep_help() {
          \u{20}        --dry-run (show resolved objectives/caps + cache hits, run nothing)\n\
          \u{20}        --threads N (auto)  --store DIR (campaigns)  --no-store\n\
          \u{20}        --progress (live stderr line: done/total, cached, points/s, ETA;\n\
-         \u{20}        always ends with a final 100% line)\n\
+         \u{20}        always ends with a final done/total line)\n\
          \u{20}        --watch (stream one NDJSON lifecycle event per point to stdout:\n\
          \u{20}        cached/started/computed/deduped/cancelled — same schema as the\n\
-         \u{20}        cobra-serve event stream)\n\
+         \u{20}        cobra-serve event stream; combines with --progress)\n\
          \u{20}        --metrics (dump campaign + graph-cache counters to stderr)\n\
          \u{20}        --csv | --markdown  --plot\n\
          \n\
@@ -981,10 +951,11 @@ fn print_sweep_help() {
     );
 }
 
-/// The daemon's cap policy: the same paper-bound resolution the sweep
-/// subcommand injects, as a plain `fn` so [`cobra_serve::ServeConfig`]
-/// can hold it.
-fn serve_cap(shape: cobra_graph::GraphShape, process: &cobra_process::ProcessSpec) -> usize {
+/// The cap policy of the SimSpec layer, shared by `sweep` and `serve`:
+/// the paper's bounds decide each point's round budget unless the spec
+/// pins `cap=`. A plain `fn` so [`cobra_serve::ServeConfig`] can hold
+/// it.
+fn paper_cap(shape: cobra_graph::GraphShape, process: &cobra_process::ProcessSpec) -> usize {
     cobra::sim::resolve_cap_shape(shape, process, None)
 }
 
@@ -997,7 +968,6 @@ fn serve_subcommand(args: &[String]) -> ExitCode {
     let mut addr: std::net::SocketAddr = "127.0.0.1:7171".parse().expect("static default addr");
     let mut threads: usize = 0;
     let mut store_root: Option<PathBuf> = Some(PathBuf::from("campaigns"));
-    let mut quantum = cobra_serve::ServeConfig::default().quantum;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |what: &str| {
@@ -1021,11 +991,6 @@ fn serve_subcommand(args: &[String]) -> ExitCode {
                 store_root = None;
                 Ok(())
             }
-            "--quantum" => value("--quantum").and_then(|v| {
-                v.parse()
-                    .map(|v| quantum = v)
-                    .map_err(|e| format!("--quantum: {e}"))
-            }),
             "--help" | "-h" => {
                 print_serve_help();
                 return ExitCode::SUCCESS;
@@ -1041,8 +1006,8 @@ fn serve_subcommand(args: &[String]) -> ExitCode {
     let config = cobra_serve::ServeConfig {
         threads,
         store_root: store_root.clone(),
-        quantum,
-        cap: serve_cap,
+        cap: paper_cap,
+        ..cobra_serve::ServeConfig::default()
     };
     let workers = config.resolved_threads();
     let service = std::sync::Arc::new(cobra_serve::CampaignService::new(config));
@@ -1092,7 +1057,6 @@ fn print_serve_help() {
          options: --addr HOST:PORT (127.0.0.1:7171)  --threads N (one per core)\n\
          \u{20}        --store DIR (campaigns; same layout as sweep --store, so\n\
          \u{20}        existing sweep results are served warm)  --no-store (in-memory)\n\
-         \u{20}        --quantum N (deficit round-robin quantum, in trial units)\n\
          \n\
          endpoints: POST /campaigns (sweep-spec text -> receipt JSON)\n\
          \u{20}          GET /campaigns/<id> (status)  GET /campaigns/<id>/events (NDJSON)\n\
@@ -1101,580 +1065,6 @@ fn print_serve_help() {
          Campaigns from all clients share one worker pool (fair-share per campaign),\n\
          one content-addressed store per campaign name, and an in-flight index that\n\
          computes identical points exactly once. SIGINT/SIGTERM drain and summarize."
-    );
-}
-
-/// `cobra-exps loadtest` — drive N concurrent clients against a running
-/// daemon and record aggregate points/sec (plus the dedup accounting)
-/// to `BENCH_serve.json`.
-fn loadtest_subcommand(args: &[String]) -> ExitCode {
-    let mut addr: std::net::SocketAddr = "127.0.0.1:7171".parse().expect("static default addr");
-    let mut clients: usize = 8;
-    let mut specs: Vec<String> = Vec::new();
-    let mut label = "serve".to_string();
-    let mut out = "BENCH_serve.json".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .ok_or_else(|| format!("{what} needs a value"))
-                .cloned()
-        };
-        let parsed = match arg.as_str() {
-            "--addr" | "-a" => value("--addr").and_then(|v| {
-                v.parse()
-                    .map(|v| addr = v)
-                    .map_err(|e| format!("--addr: {e}"))
-            }),
-            "--clients" | "-c" => value("--clients").and_then(|v| {
-                v.parse()
-                    .map(|v| clients = v)
-                    .map_err(|e| format!("--clients: {e}"))
-            }),
-            "--spec" | "-s" => value("--spec").map(|v| specs.push(v)),
-            "--label" => value("--label").map(|v| label = v),
-            "--out" | "-o" => value("--out").map(|v| out = v),
-            "--help" | "-h" => {
-                print_loadtest_help();
-                return ExitCode::SUCCESS;
-            }
-            other => Err(format!("unknown argument: {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}");
-            print_loadtest_help();
-            return ExitCode::FAILURE;
-        }
-    }
-    if clients == 0 {
-        eprintln!("--clients must be >= 1");
-        return ExitCode::FAILURE;
-    }
-    if specs.is_empty() {
-        // Every client submits the same grid: the canonical dedup
-        // stress — one client's points compute, the rest attach.
-        specs.push(
-            "cover; graph=cycle:{32..39}; process=cobra:b2; trials=8; name=loadtest".to_string(),
-        );
-    }
-    let report = match cobra_serve::run_loadtest(addr, clients, &specs) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("loadtest against {addr} failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let duplicates = report.points_total - report.computed;
-    out_line(&format!(
-        "loadtest: {} clients, {} campaigns, {} points — {} computed, {} cached, \
-         {} deduped in flight, {} cancelled ({} duplicates resolved without recompute)",
-        report.clients,
-        report.campaigns,
-        report.points_total,
-        report.computed,
-        report.cached,
-        report.deduped,
-        report.cancelled,
-        duplicates,
-    ));
-    if report.event_parse_errors > 0 {
-        eprintln!(
-            "loadtest: {} event lines failed to parse as JSON",
-            report.event_parse_errors
-        );
-        return ExitCode::FAILURE;
-    }
-    let entry = obj([
-        ("label", Json::Str(label.clone())),
-        ("scenario", Json::Str(format!("loadtest x{clients}"))),
-        ("clients", Json::Int(report.clients as i128)),
-        ("campaigns", Json::Int(report.campaigns as i128)),
-        ("points_total", Json::Int(report.points_total as i128)),
-        ("computed", Json::Int(report.computed as i128)),
-        ("cached", Json::Int(report.cached as i128)),
-        ("deduped", Json::Int(report.deduped as i128)),
-        ("cancelled", Json::Int(report.cancelled as i128)),
-        (
-            "wall_seconds",
-            Json::Float(round_places(report.wall_seconds, 4)),
-        ),
-        (
-            "points_per_sec",
-            Json::Float(round_places(report.points_per_sec, 1)),
-        ),
-    ]);
-    out_line(&entry.to_string());
-    if let Err(e) = merge_bench_file(&out, &label, entry) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-fn print_loadtest_help() {
-    eprintln!(
-        "cobra-exps loadtest — N concurrent clients against a running cobra-serve daemon\n\
-         \n\
-         usage: cobra-exps loadtest [options]\n\
-         \n\
-         options: --addr HOST:PORT (127.0.0.1:7171)  --clients N (8)\n\
-         \u{20}        --spec S (repeatable; clients cycle through the specs;\n\
-         \u{20}        default: one shared 8-point grid, the canonical dedup stress)\n\
-         \u{20}        --label L (serve)  --out FILE (BENCH_serve.json)\n\
-         \n\
-         Each client POSTs its campaign and streams events to the done marker;\n\
-         the aggregate points/sec and dedup accounting are printed and recorded\n\
-         under the label (re-running a label replaces its entry)."
-    );
-}
-
-/// `cobra-exps bench` — measure simulation throughput and record it in
-/// a machine-readable JSON file so the performance trajectory of the
-/// hot loop is tracked across PRs.
-///
-/// The default scenario is the workspace's canonical perf probe:
-/// `cobra:b2` over `hypercube:16`, 64 trials. One warm-up batch runs
-/// first (graph in cache, scratch buffers at their high-water mark),
-/// then the measured batch; `rounds_per_sec` counts executed simulation
-/// rounds over the measured wall time. Entries are keyed by `label` —
-/// re-running with an existing label replaces that entry, so the
-/// committed `pre-refactor` baseline survives while `current` tracks
-/// HEAD.
-fn bench_subcommand(args: &[String]) -> ExitCode {
-    let mut graph = "hypercube:16".to_string();
-    let mut process = "cobra:b2".to_string();
-    let mut trials: usize = 64;
-    let mut seed: u64 = 0xBE7C;
-    let mut label: Option<String> = None;
-    let mut out = "BENCH_cover.json".to_string();
-    // Default to CSR so the throughput trajectory stays comparable with
-    // the committed pre-refactor baselines (which ran on CSR); pass
-    // --backend implicit (or auto) to measure the implicit kernels.
-    let mut backend = cobra::Backend::Csr;
-    let mut shards: usize = 1;
-    let mut sweep_mode = false;
-    let mut ingest: Option<String> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut trace_every: usize = 1;
-    // Engine-probe flags that are meaningless under --sweep (which
-    // measures a fixed grid); mixing them is rejected, not ignored.
-    let mut engine_flags: Vec<&str> = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .ok_or_else(|| format!("{what} needs a value"))
-                .cloned()
-        };
-        let parsed = match arg.as_str() {
-            "--graph" | "-g" => value("--graph").map(|v| {
-                graph = v;
-                engine_flags.push("--graph");
-            }),
-            "--process" | "-p" => value("--process").map(|v| {
-                process = v;
-                engine_flags.push("--process");
-            }),
-            "--trials" | "-t" => value("--trials").and_then(|v| {
-                v.parse()
-                    .map(|v| {
-                        trials = v;
-                        engine_flags.push("--trials");
-                    })
-                    .map_err(|e| format!("--trials: {e}"))
-            }),
-            "--seed" => value("--seed").and_then(|v| {
-                v.parse()
-                    .map(|v| seed = v)
-                    .map_err(|e| format!("--seed: {e}"))
-            }),
-            "--label" => value("--label").map(|v| label = Some(v)),
-            "--out" | "-o" => value("--out").map(|v| out = v),
-            "--backend" | "-B" => value("--backend").and_then(|v| {
-                v.parse()
-                    .map(|v| {
-                        backend = v;
-                        engine_flags.push("--backend");
-                    })
-                    .map_err(|e: String| e)
-            }),
-            "--shards" | "-S" => value("--shards").and_then(|v| {
-                v.parse()
-                    .map(|v| {
-                        shards = v;
-                        engine_flags.push("--shards");
-                    })
-                    .map_err(|e| format!("--shards: {e}"))
-            }),
-            "--sweep" => {
-                sweep_mode = true;
-                Ok(())
-            }
-            "--ingest" => value("--ingest").map(|v| ingest = Some(v)),
-            "--trace" => value("--trace").map(|v| {
-                trace = Some(PathBuf::from(v));
-                engine_flags.push("--trace");
-            }),
-            "--trace-every" => value("--trace-every").and_then(|v| {
-                v.parse()
-                    .map(|v| {
-                        trace_every = v;
-                        engine_flags.push("--trace-every");
-                    })
-                    .map_err(|e| format!("--trace-every: {e}"))
-            }),
-            "--help" | "-h" => {
-                print_bench_help();
-                return ExitCode::SUCCESS;
-            }
-            other => Err(format!("unknown argument: {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}");
-            print_bench_help();
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if let Some(path) = ingest {
-        if sweep_mode || !engine_flags.is_empty() {
-            eprintln!(
-                "bench --ingest measures graph loading only; {} cannot apply \
-                 (use --seed/--label/--out)",
-                if sweep_mode {
-                    "--sweep".to_string()
-                } else {
-                    engine_flags.join(", ")
-                }
-            );
-            return ExitCode::FAILURE;
-        }
-        return bench_ingest(&path, &label.unwrap_or_else(|| "ingest".to_string()), &out);
-    }
-    if sweep_mode {
-        if !engine_flags.is_empty() {
-            eprintln!(
-                "bench --sweep measures a fixed grid; {} cannot apply (use --seed/--label/--out)",
-                engine_flags.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-        return bench_sweep(seed, &label.unwrap_or_else(|| "sweep".to_string()), &out);
-    }
-    let label = label.unwrap_or_else(|| "current".to_string());
-
-    let spec = match SimSpec::parse(&graph, &process) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Materialise the topology once so graph construction never
-    // pollutes the throughput number. The CSR backend is measured
-    // against the borrowed graph; implicit backends rebuild per run
-    // (a few arithmetic ops) and are measured through the spec itself.
-    let spec = spec.with_seed(seed).with_backend(backend);
-    let topo = match spec.topology() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (n, m) = (topo.n(), topo.m());
-    let backend_name = topo.backend_name();
-    let measured = match topo.as_csr() {
-        Some(g) => SimSpec::new(g, spec.process.clone())
-            .with_seed(seed)
-            .with_shards(shards)
-            .with_trials(trials),
-        None => spec.clone().with_shards(shards).with_trials(trials),
-    };
-
-    // Warm-up batch, then the measured batch. Under --trace the
-    // measured batch goes through the probed sequential engine (same
-    // trial outcomes), so the recorded entry prices the probe tax.
-    if let Err(e) = measured.clone().with_trials(trials.div_ceil(8)).outcomes() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let start = std::time::Instant::now();
-    let total_rounds = match &trace {
-        Some(path) => bench_traced(&measured, path, trace_every),
-        None => measured
-            .outcomes()
-            .map(|outcomes| outcomes.iter().map(|o| o.executed).sum())
-            .map_err(|e| e.to_string()),
-    };
-    let total_rounds: usize = match total_rounds {
-        Ok(rounds) => rounds,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let wall = start.elapsed().as_secs_f64();
-    let rounds_per_sec = total_rounds as f64 / wall.max(1e-12);
-
-    let entry = obj([
-        ("label", Json::Str(label.clone())),
-        ("scenario", Json::Str(process.clone())),
-        ("graph", Json::Str(graph.clone())),
-        ("backend", Json::Str(backend_name.to_string())),
-        ("shards", Json::Int(shards as i128)),
-        ("n", Json::Int(n as i128)),
-        ("m", Json::Int(m as i128)),
-        ("trials", Json::Int(trials as i128)),
-        ("seed", Json::Int(seed as i128)),
-        ("total_rounds", Json::Int(total_rounds as i128)),
-        ("wall_seconds", Json::Float(round_places(wall, 4))),
-        (
-            "rounds_per_sec",
-            Json::Float(round_places(rounds_per_sec, 1)),
-        ),
-    ]);
-    out_line(&entry.to_string());
-    let entries = match merge_bench_file(&out, &label, entry) {
-        Ok(entries) => entries,
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Report against the committed pre-refactor baseline when the same
-    // scenario is present.
-    let base_rps = entries
-        .iter()
-        .find(|e| {
-            e.get("label").and_then(Json::as_str) == Some("pre-refactor")
-                && e.get("scenario").and_then(Json::as_str) == Some(process.as_str())
-                && e.get("graph").and_then(Json::as_str) == Some(graph.as_str())
-        })
-        .and_then(|e| e.get("rounds_per_sec"))
-        .and_then(Json::as_f64);
-    if let Some(base_rps) = base_rps {
-        out_line(&format!(
-            "speedup vs pre-refactor baseline ({base_rps:.1} rounds/s): {:.2}x",
-            rounds_per_sec / base_rps
-        ));
-    }
-    ExitCode::SUCCESS
-}
-
-/// The measured batch under `bench --trace`: the same trials through
-/// the probed sequential engine, counting executed rounds off the
-/// per-trial totals while the trace streams to `path`. Counting through
-/// the sink (rather than re-deriving from the estimate) keeps the
-/// number exact for censored trials too.
-fn bench_traced(spec: &SimSpec<'_>, path: &Path, every: usize) -> Result<usize, String> {
-    struct Counting<W: std::io::Write> {
-        inner: TraceWriter<W>,
-        rounds: usize,
-    }
-    impl<W: std::io::Write> RoundSink for Counting<W> {
-        fn on_round(&mut self, trial: usize, record: &RoundRecord<'_>) {
-            self.inner.on_round(trial, record);
-        }
-        fn on_trial_end(&mut self, trial: usize, totals: &TrialTotals) {
-            self.rounds += totals.executed;
-            self.inner.on_trial_end(trial, totals);
-        }
-    }
-    let writer = TraceWriter::create(path, every)
-        .map_err(|e| format!("cannot create trace file {}: {e}", path.display()))?;
-    let mut sink = Counting {
-        inner: writer,
-        rounds: 0,
-    };
-    spec.measure_traced(&mut sink, false)
-        .map_err(|e| e.to_string())?;
-    let rounds = sink.rounds;
-    sink.inner
-        .finish()
-        .map_err(|e| format!("trace write failed: {e}"))?;
-    Ok(rounds)
-}
-
-/// `cobra-exps bench --sweep` — campaign-layer throughput: points/sec
-/// over a fixed small grid, one entry per objective (`<label>:cover`,
-/// `<label>:hit:far`, `<label>:infection:1`), recorded alongside the
-/// engine probe so the scheduling layer's overhead — and the relative
-/// cost of each estimand — is tracked across PRs. Both the warm-up and
-/// the measured run use fresh in-memory stores (a disk store would make
-/// the second run all cache hits and measure nothing).
-fn bench_sweep(seed: u64, label: &str, out: &str) -> ExitCode {
-    let cap_policy = |shape: cobra_graph::GraphShape, p: &cobra_process::ProcessSpec| {
-        cobra::sim::resolve_cap_shape(shape, p, None)
-    };
-    for objective in ["cover", "hit:far", "infection:1"] {
-        let spec_text = format!(
-            "{objective}; graph=cycle:{{32..47}}; process=cobra:b2|rw; trials=8; seed={seed}"
-        );
-        let spec: SweepSpec = spec_text.parse().expect("static bench sweep parses");
-        let run = |store: &mut Store| run_sweep(&spec, store, 0, &cap_policy);
-        if let Err(e) = run(&mut Store::in_memory()) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        let start = std::time::Instant::now();
-        let outcome = match run(&mut Store::in_memory()) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let points_per_sec = outcome.computed as f64 / wall.max(1e-12);
-        let entry_label = format!("{label}:{objective}");
-        let entry = obj([
-            ("label", Json::Str(entry_label.clone())),
-            ("scenario", Json::Str(spec_text.clone())),
-            ("objective", Json::Str(objective.to_string())),
-            ("points", Json::Int(outcome.computed as i128)),
-            ("trials", Json::Int(spec.trials as i128)),
-            ("seed", Json::Int(seed as i128)),
-            ("wall_seconds", Json::Float(round_places(wall, 4))),
-            (
-                "points_per_sec",
-                Json::Float(round_places(points_per_sec, 1)),
-            ),
-        ]);
-        out_line(&entry.to_string());
-        if let Err(e) = merge_bench_file(out, &entry_label, entry) {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `cobra-exps bench --ingest PATH` — measure graph *loading*, not
-/// simulation: a cold text parse of an edge-list file (which also
-/// writes the `.csrbin` binary cache) against a warm mmap open of that
-/// cache. Two entries land in the benchmark file, `<label>:cold` and
-/// `<label>:warm`, each recording wall time, the backend served, and
-/// the resident bytes of the representation — the warm entry's
-/// near-zero residency is the point of the mmap path. The graph is
-/// recorded by its content key (`file:@<digest>`), so the entry stays
-/// meaningful wherever the file lives.
-fn bench_ingest(path: &str, label: &str, out: &str) -> ExitCode {
-    use cobra_graph::{ingest, GraphSpec};
-    let spec: GraphSpec = match format!("file:{path}").parse() {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Start cold: drop any existing binary cache for this file.
-    for giant in [false, true] {
-        let _ = std::fs::remove_file(ingest::cache_path(std::path::Path::new(path), giant));
-    }
-    let measure = |phase: &str, expect_backend: &str| -> Result<Json, String> {
-        let start = std::time::Instant::now();
-        let topo = spec
-            .build_topology(0, cobra::Backend::Auto)
-            .map_err(|e| e.to_string())?;
-        let wall = start.elapsed().as_secs_f64();
-        if topo.backend_name() != expect_backend {
-            return Err(format!(
-                "{phase} load served backend {:?}, expected {expect_backend:?}",
-                topo.backend_name()
-            ));
-        }
-        Ok(obj([
-            ("label", Json::Str(format!("{label}:{phase}"))),
-            ("scenario", Json::Str(format!("ingest:{phase}"))),
-            ("graph", Json::Str(spec.key_string())),
-            ("backend", Json::Str(topo.backend_name().to_string())),
-            ("n", Json::Int(topo.n() as i128)),
-            ("m", Json::Int(topo.m() as i128)),
-            ("resident_bytes", Json::Int(topo.memory_bytes() as i128)),
-            ("wall_seconds", Json::Float(round_places(wall, 4))),
-        ]))
-    };
-    // Cold: text parse + CSR build + `.csrbin` write. Warm: mmap open.
-    for (phase, backend) in [("cold", "csr"), ("warm", "mmap")] {
-        let entry = match measure(phase, backend) {
-            Ok(entry) => entry,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        out_line(&entry.to_string());
-        if let Err(e) = merge_bench_file(out, &format!("{label}:{phase}"), entry) {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Merges `entry` into the label-keyed benchmark file (replacing any
-/// entry with the same label) and rewrites it, one entry per line.
-/// Returns the resulting entry list. A file that fails to parse is
-/// started over — baselines live in version control.
-fn merge_bench_file(out: &str, label: &str, entry: Json) -> std::io::Result<Vec<Json>> {
-    let mut entries: Vec<Json> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(out) {
-        match Json::parse(&existing) {
-            Ok(parsed) => {
-                for e in parsed
-                    .get("benchmarks")
-                    .and_then(Json::as_array)
-                    .unwrap_or(&[])
-                {
-                    if e.get("label").and_then(Json::as_str) != Some(label) {
-                        entries.push(e.clone());
-                    }
-                }
-            }
-            Err(e) => eprintln!("warning: {out} is not valid JSON ({e}); rewriting"),
-        }
-    }
-    entries.push(entry);
-    let body = entries
-        .iter()
-        .map(|e| format!("    {}", e.to_string_compact()))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    std::fs::write(out, format!("{{\n  \"benchmarks\": [\n{body}\n  ]\n}}\n"))?;
-    Ok(entries)
-}
-
-/// Rounds to `places` decimal digits (for tidy recorded numbers).
-fn round_places(x: f64, places: u32) -> f64 {
-    let scale = 10f64.powi(places as i32);
-    (x * scale).round() / scale
-}
-
-fn print_bench_help() {
-    eprintln!(
-        "cobra-exps bench — measure rounds/sec and record it in BENCH_cover.json\n\
-         \n\
-         usage: cobra-exps bench [options]\n\
-         \n\
-         options: --graph G (hypercube:16)  --process P (cobra:b2)  --trials N (64)\n\
-         \u{20}        --seed S (0xBE7C)  --label L (current)  --out FILE (BENCH_cover.json)\n\
-         \u{20}        --backend auto|csr|implicit (compare graph backends on one scenario,\n\
-         \u{20}                 e.g. labels csr:hypercube:16 / implicit:hypercube:16)\n\
-         \u{20}        --shards N (run the sharded engine; record shard-scaling entries,\n\
-         \u{20}                 e.g. labels shards1:hypercube:20 .. shards8:hypercube:20)\n\
-         \u{20}        --sweep (measure campaign points/sec over a fixed small grid\n\
-         \u{20}                 instead of engine rounds/sec; default label 'sweep')\n\
-         \u{20}        --ingest PATH (measure edge-list loading: cold text parse vs\n\
-         \u{20}                 warm mmap of the .csrbin cache; entries <label>:cold\n\
-         \u{20}                 and <label>:warm, default label 'ingest')\n\
-         \u{20}        --trace FILE / --trace-every N (run the measured batch through\n\
-         \u{20}                 the probed engine, streaming the trace; records the\n\
-         \u{20}                 telemetry overhead, e.g. labels trace:off/trace:on)\n\
-         \n\
-         Entries are keyed by label; rerunning a label replaces its entry. When a\n\
-         'pre-refactor' entry for the same scenario exists the speedup is printed."
     );
 }
 
@@ -1692,8 +1082,8 @@ fn print_run_help() {
          objectives:    cover (default), hit:V, hit:far, infection:T,\n\
          \u{20}              duality:h{{T1,T2,...}}, trajectory\n\
          \n\
-         options: --objective O (cover)  --target V (shorthand for hit:V)\n\
-         \u{20}        --trials N (30)  --seed S  --threads T (auto)  --cap C (derived)\n\
+         options: --objective O (cover)  --trials N (30)  --seed S\n\
+         \u{20}        --threads T (auto)  --cap C (derived)\n\
          \u{20}        --start V (0)  --backend auto|csr|implicit (auto: implicit for\n\
          \u{20}        structured families — hypercube:24 runs in O(1) graph memory)\n\
          \u{20}        --shards N (1 = unsharded; partitions vertex state across N\n\
@@ -1717,8 +1107,6 @@ fn print_help() {
          \u{20}      cobra-exps run --graph <spec> --process <spec> [options]\n\
          \u{20}      cobra-exps sweep '<sweep spec>' [options]   (see sweep --help)\n\
          \u{20}      cobra-exps serve [options]                  (see serve --help)\n\
-         \u{20}      cobra-exps loadtest [options]               (see loadtest --help)\n\
-         \u{20}      cobra-exps bench [--sweep] [options]        (see bench --help)\n\
          \n\
          ids: {}",
         experiments::ALL_IDS.join(", ")

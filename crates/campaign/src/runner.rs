@@ -1,14 +1,17 @@
 //! The point-level scheduler: expand → skip cached → run → persist.
 //!
 //! A sweep run is a plan (every point resolved, graphs memoized, caps
-//! fixed, keys derived) followed by a job-level parallel section over
-//! only the points the store does not already hold. Each worker thread
-//! owns one long-lived [`StepCtx`] reused across every job it executes;
-//! within a job the process is built once and reset per trial, so the
-//! zero-allocation steady state of the engine extends across whole
-//! campaign points. Each finished record is appended (and flushed) to
-//! the store immediately, which is what makes a killed campaign
-//! resumable.
+//! fixed, keys derived) followed by one executor: the points the store
+//! does not already hold go onto a single-lane [`JobQueue`], drained by
+//! the worker pool under a cancel flag, with one lifecycle event per
+//! point. [`run_sweep`], [`run_sweep_with_progress`] and
+//! [`run_sweep_watched`] are views of that one executor. Each worker
+//! thread owns one long-lived [`StepCtx`] reused across every job it
+//! executes; within a job the process is built once and reset per
+//! trial, so the zero-allocation steady state of the engine extends
+//! across whole campaign points. Each finished record is appended (and
+//! flushed) to the store immediately, which is what makes a killed
+//! campaign resumable.
 //!
 //! Determinism: a point's trials are seeded `trial_seed(point.seed, i)`
 //! with `point.seed` derived from the point's content key — never from
@@ -313,8 +316,9 @@ pub fn run_sweep(
 /// [`run_sweep`] with a live progress callback: invoked once per
 /// computed point, after the record is appended to the store, possibly
 /// from a worker thread. The callback must be cheap and is responsible
-/// for its own rendering (the CLI draws a transient stderr line);
-/// all-cached sweeps never invoke it.
+/// for its own rendering; all-cached sweeps never invoke it. The points
+/// run on the same queue as [`run_sweep_watched`], under a cancel flag
+/// that is never raised.
 pub fn run_sweep_with_progress(
     spec: &SweepSpec,
     store: &mut Store,
@@ -326,43 +330,24 @@ pub fn run_sweep_with_progress(
     // Duplicates count as cached: they are served from the record
     // their twin produced (or the store already held), never rerun.
     let cached = plan.cached.len() + plan.duplicates.len();
+    let (to_compute, total) = (plan.missing.len(), plan.len());
     let done = AtomicUsize::new(0);
-    let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let fresh: Vec<PointRecord> =
-        run_jobs(threads, plan.missing.len(), StepCtx::new, |ctx, job| {
-            let planned = &plan.points[plan.missing[job]];
-            let record = run_point(&planned.point, &planned.topology, ctx);
-            if let Err(e) = store.append(&record) {
-                io_error.lock().expect("io error slot").get_or_insert(e);
-            }
+    let on_event = |event: &PointEvent| {
+        if event.status == PointStatus::Computed {
             progress(SweepProgress {
                 computed: done.fetch_add(1, Ordering::Relaxed) + 1,
-                to_compute: plan.missing.len(),
+                to_compute,
                 cached,
-                total: plan.len(),
+                total,
             });
-            record
-        });
-    if let Some(e) = io_error.into_inner().expect("io error slot") {
-        return Err(CampaignError::Io(format!(
-            "cannot append to result store: {e}"
-        )));
-    }
-    let computed = fresh.len();
-    store.absorb(fresh);
-    let mut records = Vec::with_capacity(plan.len());
-    for planned in &plan.points {
-        let point = &planned.point;
-        let rec = store
-            .get(&point.digest_hex(), &point.full_key())
-            .expect("every point cached or just computed");
-        records.push(rec.clone());
-    }
+        }
+    };
+    let outcome = execute_plan(&plan, store, threads, &on_event, &AtomicBool::new(false))?;
     Ok(RunOutcome {
-        records,
-        cached,
-        computed,
-        cache_stats: plan.cache_stats,
+        cached: outcome.cached,
+        computed: outcome.computed,
+        cache_stats: outcome.cache_stats,
+        records: outcome.complete_records(),
     })
 }
 
@@ -480,7 +465,7 @@ fn point_timing(started: Instant, mut trial_secs: Vec<f64>) -> PointTiming {
 }
 
 // ---------------------------------------------------------------------------
-// Queue-riding sweeps with live events and graceful interruption
+// Lifecycle events and the one sweep executor
 // ---------------------------------------------------------------------------
 
 /// What happened to one expanded point — the lifecycle vocabulary
@@ -609,17 +594,16 @@ pub struct WatchOutcome {
 impl WatchOutcome {
     /// The records of a run that was *not* interrupted, in expansion
     /// order. Panics on an interrupted outcome.
-    pub fn complete_records(&self) -> Vec<PointRecord> {
+    pub fn complete_records(self) -> Vec<PointRecord> {
         self.records
-            .iter()
-            .map(|r| r.clone().expect("complete run has every record"))
+            .into_iter()
+            .map(|r| r.expect("complete run has every record"))
             .collect()
     }
 }
 
-/// [`run_sweep`] riding the [`JobQueue`] directly, with per-point
-/// lifecycle events and graceful interruption — the engine under
-/// `cobra-exps sweep --watch` and plain `sweep` runs (where the flag is
+/// [`run_sweep`] with per-point lifecycle events and graceful
+/// interruption — the engine under `cobra-exps sweep` (where the flag is
 /// wired to SIGINT/SIGTERM).
 ///
 /// Missing points are submitted to a single-lane queue at cost =
@@ -630,9 +614,10 @@ impl WatchOutcome {
 /// trial boundary, and everything already persisted stays — the run
 /// loses at most one trial per worker beyond the records it kept.
 ///
-/// Results are bit-identical to [`run_sweep`] by construction (point
-/// seeds derive from content keys, never from scheduling); the
-/// queue-vs-direct golden test pins this.
+/// Results are bit-identical whatever the thread count or interruption
+/// history (point seeds derive from content keys, never from
+/// scheduling); the queue-vs-direct golden test and the engine
+/// equivalence test of [`run_point`] pin this.
 pub fn run_sweep_watched(
     spec: &SweepSpec,
     store: &mut Store,
@@ -642,6 +627,19 @@ pub fn run_sweep_watched(
     cancel: &AtomicBool,
 ) -> Result<WatchOutcome, CampaignError> {
     let plan = plan_sweep(spec, store, cap_policy)?;
+    execute_plan(&plan, store, threads, on_event, cancel)
+}
+
+/// The one sweep executor: runs a [`Plan`]'s missing points on a
+/// single-lane [`JobQueue`], emitting lifecycle events, until the queue
+/// drains or `cancel` flips.
+fn execute_plan(
+    plan: &Plan,
+    store: &mut Store,
+    threads: usize,
+    on_event: &(dyn Fn(&PointEvent) + Sync),
+    cancel: &AtomicBool,
+) -> Result<WatchOutcome, CampaignError> {
     for &index in &plan.cached {
         let planned = &plan.points[index];
         let record = store
@@ -678,14 +676,14 @@ pub fn run_sweep_watched(
     std::thread::scope(|scope| {
         // The interrupt relay: flag → queue shutdown. Polling (rather
         // than a condvar) keeps the flag a plain AtomicBool a signal
-        // handler can set.
+        // handler can set; the end of the drain unparks it at once.
         let relay = scope.spawn(|| {
             while !drained.load(Ordering::Acquire) {
                 if cancel.load(Ordering::Acquire) {
                     queue.shutdown();
                     return;
                 }
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                std::thread::park_timeout(std::time::Duration::from_millis(10));
             }
         });
         drain_with(&queue, threads, StepCtx::new, |ctx, index, token| {
@@ -715,6 +713,7 @@ pub fn run_sweep_watched(
             }
         });
         drained.store(true, Ordering::Release);
+        relay.thread().unpark();
         relay.join().expect("interrupt relay never panics");
     });
     if let Some(e) = io_error.into_inner().expect("io error slot") {

@@ -277,15 +277,18 @@ impl<'g> SimSpec<'g> {
     }
 
     /// Validates the spec against its materialised graph (any
-    /// backend): non-empty in-range start set, a connected graph for the
-    /// full-reach objectives, no isolated start vertex, then the
-    /// objective's own termination checks (`hit:` target in range,
-    /// `hit:far` reachable, threshold in range). Every run path calls
-    /// this; external drivers (the CLI's `--dry-run`) can call it to
-    /// reject a spec without running a round.
+    /// backend): at least one trial, a non-empty in-range start set, a
+    /// connected graph for the full-reach objectives, no isolated start
+    /// vertex, then the objective's own termination checks (`hit:`
+    /// target in range, `hit:far` reachable, threshold in range). Every
+    /// run path calls this; external drivers (the CLI's `--dry-run`) can
+    /// call it to reject a spec without running a round.
     pub fn check<T: Topology>(&self, g: &T) -> Result<(), SimError> {
         if self.start.is_empty() {
             return Err(SimError::Invalid("start set is empty".into()));
+        }
+        if self.trials == 0 {
+            return Err(SimError::Invalid("trials must be >= 1".into()));
         }
         self.check_sharding()?;
         for &v in &self.start {
@@ -844,6 +847,15 @@ mod tests {
         assert!(matches!(bad_start.outcomes(), Err(SimError::Invalid(_))));
         let bad_target = SimSpec::parse("cycle:8", "cobra:b2").unwrap().reaching(99);
         assert!(matches!(bad_target.outcomes(), Err(SimError::Invalid(_))));
+        let no_trials = SimSpec::parse("cycle:8", "cobra:b2")
+            .unwrap()
+            .with_trials(0)
+            .measure()
+            .unwrap_err();
+        assert_eq!(
+            no_trials.to_string(),
+            "invalid sim spec: trials must be >= 1"
+        );
     }
 
     #[test]

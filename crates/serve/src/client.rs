@@ -1,14 +1,12 @@
 //! A minimal blocking client for the campaign service — enough for the
-//! CLI's `loadtest` driver, the CI smoke test, and integration tests:
-//! plain GET/POST helpers over one `TcpStream` each, NDJSON event
-//! streaming with per-line callbacks, and the multi-client loadtest
-//! harness that commits points/sec to `BENCH_serve.json`.
+//! `serve-mixed` benchmark workload and the integration tests: plain
+//! GET/POST helpers over one `TcpStream` each, and NDJSON event
+//! streaming with per-line callbacks.
 
 use crate::http::read_chunked_body;
 use cobra_util::Json;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
 
 /// A fully-buffered response.
 #[derive(Debug)]
@@ -133,123 +131,6 @@ pub fn stream_ndjson(
         lines += 1;
     }
     Ok(lines)
-}
-
-/// What one loadtest run measured, across all clients.
-#[derive(Debug, Clone, Default)]
-pub struct LoadtestReport {
-    pub clients: usize,
-    pub campaigns: usize,
-    /// Total points across all submitted campaigns (expansion size).
-    pub points_total: usize,
-    pub computed: usize,
-    pub cached: usize,
-    pub deduped: usize,
-    pub cancelled: usize,
-    pub wall_seconds: f64,
-    /// Resolved points per second of wall time.
-    pub points_per_sec: f64,
-    /// Event lines that failed to parse as JSON (should be zero).
-    pub event_parse_errors: usize,
-}
-
-/// Drives `clients` concurrent clients against a running daemon: each
-/// submits its spec (clients cycle through `specs`), streams the
-/// campaign's events to completion, and tallies terminal statuses.
-/// Duplicate specs across clients exercise the cross-client dedup path.
-pub fn run_loadtest(
-    addr: SocketAddr,
-    clients: usize,
-    specs: &[String],
-) -> Result<LoadtestReport, String> {
-    if specs.is_empty() {
-        return Err("loadtest needs at least one spec".to_string());
-    }
-    let started = Instant::now();
-    let tallies: Vec<Result<ClientTally, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|i| {
-                let spec = &specs[i % specs.len()];
-                scope.spawn(move || run_client(addr, spec))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loadtest client never panics"))
-            .collect()
-    });
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let mut report = LoadtestReport {
-        clients,
-        wall_seconds,
-        ..LoadtestReport::default()
-    };
-    for tally in tallies {
-        let tally = tally?;
-        report.campaigns += 1;
-        report.points_total += tally.total;
-        report.computed += tally.computed;
-        report.cached += tally.cached;
-        report.deduped += tally.deduped;
-        report.cancelled += tally.cancelled;
-        report.event_parse_errors += tally.parse_errors;
-    }
-    let resolved = report.computed + report.cached + report.deduped;
-    report.points_per_sec = if wall_seconds > 0.0 {
-        resolved as f64 / wall_seconds
-    } else {
-        0.0
-    };
-    Ok(report)
-}
-
-#[derive(Debug, Default)]
-struct ClientTally {
-    total: usize,
-    computed: usize,
-    cached: usize,
-    deduped: usize,
-    cancelled: usize,
-    parse_errors: usize,
-}
-
-/// One client: POST the campaign, then stream its events to the `done`
-/// marker, tallying terminal statuses from the stream (not the status
-/// endpoint — the stream is the product under test).
-fn run_client(addr: SocketAddr, spec: &str) -> Result<ClientTally, String> {
-    let response =
-        post(addr, "/campaigns", spec.as_bytes()).map_err(|e| format!("POST /campaigns: {e}"))?;
-    if response.status != 200 {
-        return Err(format!(
-            "POST /campaigns returned {}: {}",
-            response.status,
-            response.text()
-        ));
-    }
-    let receipt = response.json()?;
-    let id = receipt
-        .get("campaign")
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("receipt missing campaign id: {}", response.text()))?;
-    let mut tally = ClientTally {
-        total: receipt.get("total").and_then(|v| v.as_usize()).unwrap_or(0),
-        ..ClientTally::default()
-    };
-    stream_ndjson(addr, &format!("/campaigns/{id}/events"), |line| {
-        let Ok(event) = Json::parse(line) else {
-            tally.parse_errors += 1;
-            return;
-        };
-        match event.get("status").and_then(|s| s.as_str()) {
-            Some("computed") => tally.computed += 1,
-            Some("cached") => tally.cached += 1,
-            Some("deduped") => tally.deduped += 1,
-            Some("cancelled") => tally.cancelled += 1,
-            _ => {} // started / done
-        }
-    })
-    .map_err(|e| format!("event stream: {e}"))?;
-    Ok(tally)
 }
 
 #[cfg(test)]

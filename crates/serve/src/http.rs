@@ -204,7 +204,7 @@ impl<W: Write> ChunkedResponse<W> {
 }
 
 /// Decodes a chunked transfer body from `reader` until the zero-length
-/// chunk — the read side used by the loadtest client (and tests).
+/// chunk — the read side of [`crate::client`] (and tests).
 pub fn read_chunked_body(reader: &mut impl BufRead) -> io::Result<Vec<u8>> {
     let mut body = Vec::new();
     loop {

@@ -42,7 +42,7 @@ pub mod daemon;
 pub mod http;
 pub mod signal;
 
-pub use client::{get, post, run_loadtest, stream_ndjson, HttpResponse, LoadtestReport};
+pub use client::{get, post, stream_ndjson, HttpResponse};
 pub use daemon::{
     CampaignCounts, CampaignService, CampaignState, PointJob, ServeConfig, SubmitReceipt,
 };

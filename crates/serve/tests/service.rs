@@ -9,7 +9,7 @@ use cobra_util::Json;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cobra-serve-{tag}-{}", std::process::id()));
@@ -119,11 +119,69 @@ fn daemon_round_trip_is_bit_identical_to_direct_run() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// What one wave of concurrent clients saw on their event streams.
+#[derive(Debug, Default)]
+struct Wave {
+    clients: usize,
+    campaigns: usize,
+    /// Total points across all submitted campaigns (expansion size).
+    points_total: usize,
+    computed: usize,
+    cached: usize,
+    deduped: usize,
+    cancelled: usize,
+    /// Event lines that failed to parse as JSON.
+    event_parse_errors: usize,
+}
+
+/// Drives `clients` concurrent clients: each POSTs `spec`, then streams
+/// its campaign's events to the `done` marker, tallying terminal
+/// statuses from the stream (not the status endpoint — the stream is
+/// the product under test).
+fn wave(addr: SocketAddr, clients: usize, spec: &str) -> Wave {
+    let wave = Mutex::new(Wave {
+        clients,
+        ..Wave::default()
+    });
+    std::thread::scope(|scope| {
+        for _ in 0..clients {
+            scope.spawn(|| {
+                let receipt = client::post(addr, "/campaigns", spec.as_bytes()).unwrap();
+                assert_eq!(receipt.status, 200, "{}", receipt.text());
+                let receipt = receipt.json().unwrap();
+                let id = receipt.get("campaign").unwrap().as_u64().unwrap();
+                let total = receipt.get("total").unwrap().as_usize().unwrap();
+                {
+                    let mut wave = wave.lock().unwrap();
+                    wave.campaigns += 1;
+                    wave.points_total += total;
+                }
+                client::stream_ndjson(addr, &format!("/campaigns/{id}/events"), |line| {
+                    let mut wave = wave.lock().unwrap();
+                    let Ok(event) = Json::parse(line) else {
+                        wave.event_parse_errors += 1;
+                        return;
+                    };
+                    match event.get("status").and_then(|s| s.as_str()) {
+                        Some("computed") => wave.computed += 1,
+                        Some("cached") => wave.cached += 1,
+                        Some("deduped") => wave.deduped += 1,
+                        Some("cancelled") => wave.cancelled += 1,
+                        _ => {} // started / done
+                    }
+                })
+                .unwrap();
+            });
+        }
+    });
+    wave.into_inner().unwrap()
+}
+
 #[test]
 fn loadtest_duplicates_compute_exactly_once() {
     let spec = "cover; graph=cycle:{16..19}; process=cobra:b2; trials=6; name=svc-load";
     with_daemon(ServeConfig::default(), 4, |addr, service| {
-        let report = client::run_loadtest(addr, 8, &[spec.to_string()]).unwrap();
+        let report = wave(addr, 8, spec);
         assert_eq!(report.clients, 8);
         assert_eq!(report.campaigns, 8);
         assert_eq!(report.points_total, 8 * 4);
@@ -146,7 +204,7 @@ fn loadtest_duplicates_compute_exactly_once() {
         );
 
         // A second identical wave is served entirely without compute.
-        let again = client::run_loadtest(addr, 8, &[spec.to_string()]).unwrap();
+        let again = wave(addr, 8, spec);
         assert_eq!(again.computed, 0, "second wave recomputes nothing");
         assert_eq!(again.cached + again.deduped, 32);
         assert_eq!(metrics.counter_value("serve.points.computed"), Some(4));

@@ -1,8 +1,8 @@
 //! A tiny dependency-free JSON value: writer + recursive-descent parser.
 //!
-//! The workspace persists two kinds of machine-readable artifacts — the
-//! `BENCH_cover.json` throughput records and the campaign result store
-//! (JSONL under `campaigns/<name>/`) — and both need the same thing: a
+//! The workspace reads and writes machine-readable artifacts — the
+//! campaign result store (JSONL under `campaigns/<name>/`), the service's
+//! NDJSON event streams, and run traces — and all need the same thing: a
 //! small, exact JSON round trip with no external crates. This module is
 //! that shared writer/reader.
 //!
