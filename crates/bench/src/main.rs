@@ -82,9 +82,7 @@ fn main() -> ExitCode {
             }
             "all" => ids.extend(experiments::ALL_IDS.iter().map(|s| s.to_string())),
             other if other.starts_with('-') => {
-                eprintln!("unknown flag: {other}");
-                print_help();
-                return ExitCode::FAILURE;
+                return usage_error(&format!("unknown flag: {other}"), "");
             }
             other => ids.push(other.to_ascii_lowercase()),
         }
@@ -96,11 +94,16 @@ fn main() -> ExitCode {
     // Order-preserving dedup: `cobra-exps f1 f2 f1` runs f1 once, first.
     let mut seen: HashSet<String> = HashSet::new();
     ids.retain(|id| seen.insert(id.clone()));
+    // Every id is checked before any experiment runs.
+    if let Some(id) = ids
+        .iter()
+        .find(|id| !experiments::ALL_IDS.contains(&id.as_str()))
+    {
+        eprintln!("unknown experiment id: {id} (try --list)");
+        return ExitCode::FAILURE;
+    }
     for id in &ids {
-        let Some(table) = experiments::run(id, quick) else {
-            eprintln!("unknown experiment id: {id} (try --list)");
-            return ExitCode::FAILURE;
-        };
+        let table = experiments::run(id, quick).expect("ids were checked");
         match format {
             Format::Plain => println!("{}", table.render()),
             Format::Csv => print!("{}", table.to_csv()),
@@ -311,15 +314,11 @@ fn run_subcommand(args: &[String]) -> ExitCode {
             other => Err(format!("unknown argument: {other}")),
         };
         if let Err(e) = parsed {
-            eprintln!("{e}");
-            print_run_help();
-            return ExitCode::FAILURE;
+            return usage_error(&e, "run ");
         }
     }
     let (Some(graph), Some(process)) = (graph, process) else {
-        eprintln!("run needs both --graph and --process");
-        print_run_help();
-        return ExitCode::FAILURE;
+        return usage_error("run needs both --graph and --process", "run ");
     };
 
     let objective: cobra::Objective = match objective_arg.as_deref().map(str::parse) {
@@ -640,15 +639,14 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
             other => Err(format!("unexpected extra argument: {other}")),
         };
         if let Err(e) = parsed {
-            eprintln!("{e}");
-            print_sweep_help();
-            return ExitCode::FAILURE;
+            return usage_error(&e, "sweep ");
         }
     }
     let Some(spec_arg) = spec_arg else {
-        eprintln!("sweep needs a spec (inline, @file, or a path to a spec file)");
-        print_sweep_help();
-        return ExitCode::FAILURE;
+        return usage_error(
+            "sweep needs a spec (inline, @file, or a path to a spec file)",
+            "sweep ",
+        );
     };
     let spec_text = match load_sweep_text(&spec_arg) {
         Ok(text) => text,
@@ -767,8 +765,8 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
     let started = std::time::Instant::now();
     // Every event is printed under --watch; --progress draws its live
     // line from them. Cached events all fire before the first point
-    // starts; expansion twins resolve after the drain, so the line
-    // counts them as still to do until then.
+    // starts; an expansion twin's `deduped` follows its job's
+    // `computed`, so the next redraw counts it with the cached points.
     let total = spec.expand_axes().map_or(0, |grid| grid.len());
     let (cached_seen, computed_seen) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let on_event = |event: &PointEvent| {
@@ -779,7 +777,7 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
             return;
         }
         let computed = match event.status {
-            PointStatus::Cached => {
+            PointStatus::Cached | PointStatus::Deduped => {
                 cached_seen.fetch_add(1, Ordering::Relaxed);
                 return;
             }
@@ -998,16 +996,13 @@ fn serve_subcommand(args: &[String]) -> ExitCode {
             other => Err(format!("unknown argument: {other}")),
         };
         if let Err(e) = parsed {
-            eprintln!("{e}");
-            print_serve_help();
-            return ExitCode::FAILURE;
+            return usage_error(&e, "serve ");
         }
     }
     let config = cobra_serve::ServeConfig {
         threads,
         store_root: store_root.clone(),
         cap: paper_cap,
-        ..cobra_serve::ServeConfig::default()
     };
     let workers = config.resolved_threads();
     let service = std::sync::Arc::new(cobra_serve::CampaignService::new(config));
@@ -1046,6 +1041,14 @@ fn serve_subcommand(args: &[String]) -> ExitCode {
         count("serve.points.cancelled"),
     ));
     ExitCode::SUCCESS
+}
+
+/// A command-line usage error: one stderr line that points at the
+/// command's help (`command` is `"run "`, `"sweep "`, `"serve "` or
+/// empty for the experiment harness), and exit status 1.
+fn usage_error(message: &str, command: &str) -> ExitCode {
+    eprintln!("{message} (see cobra-exps {command}--help)");
+    ExitCode::FAILURE
 }
 
 fn print_serve_help() {

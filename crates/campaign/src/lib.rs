@@ -56,7 +56,9 @@
 //! within a job the process is built once and reset per trial — the
 //! engine's zero-allocation steady state stretched across whole sweep
 //! points. Graph construction is memoized per spec ([`GraphCache`]),
-//! so `cobra:b{1,2,3}` over one hypercube builds it once.
+//! so `cobra:b{1,2,3}` over one hypercube builds it once. Every sweep
+//! is one submission to a [`Scheduler`] — the dedup queue the
+//! `cobra-serve` daemon shares across campaigns — see [`scheduler`].
 //!
 //! # Artifacts
 //!
@@ -71,6 +73,7 @@
 pub mod artifact;
 pub mod point;
 pub mod runner;
+pub mod scheduler;
 pub mod store;
 pub mod sweep;
 
@@ -86,6 +89,7 @@ pub use runner::{
     run_sweep_watched, run_sweep_with_progress, CapPolicy, Plan, PlanCacheStats, PlannedPoint,
     PointEvent, PointStatus, RunOutcome, SweepProgress, WatchOutcome,
 };
+pub use scheduler::{Scheduler, Submission, Subscriber};
 pub use store::{PointRecord, PointTiming, SharedStore, Store};
 pub use sweep::{expand_pattern, validate_name, SweepSpec};
 
@@ -102,6 +106,8 @@ pub enum CampaignError {
     Invalid(String),
     /// Result-store I/O failures.
     Io(String),
+    /// A submission reached a [`Scheduler`] after its shutdown.
+    Closed,
 }
 
 impl fmt::Display for CampaignError {
@@ -112,6 +118,7 @@ impl fmt::Display for CampaignError {
             CampaignError::Process(e) => write!(f, "{e}"),
             CampaignError::Invalid(m) => write!(f, "invalid sweep: {m}"),
             CampaignError::Io(m) => write!(f, "campaign store error: {m}"),
+            CampaignError::Closed => write!(f, "the scheduler is shutting down"),
         }
     }
 }

@@ -1,13 +1,13 @@
-//! The point-level scheduler: expand → skip cached → run → persist.
+//! Sweep planning and execution: expand → skip cached → run → persist.
 //!
 //! A sweep run is a plan (every point resolved, graphs memoized, caps
-//! fixed, keys derived) followed by one executor: the points the store
-//! does not already hold go onto a single-lane [`JobQueue`], drained by
-//! the worker pool under a cancel flag, with one lifecycle event per
-//! point. [`run_sweep`], [`run_sweep_with_progress`] and
-//! [`run_sweep_watched`] are views of that one executor. Each worker
-//! thread owns one long-lived [`StepCtx`] reused across every job it
-//! executes; within a job the process is built once and reset per
+//! fixed, keys derived) submitted to a private [`Scheduler`] — the same
+//! dedup scheduler the `cobra-serve` daemon shares across campaigns —
+//! and drained by scoped workers under a cancel flag, with one
+//! lifecycle event per point. [`run_sweep`], [`run_sweep_with_progress`]
+//! and [`run_sweep_watched`] are views of that one submission. Each
+//! worker thread owns one long-lived [`StepCtx`] reused across every job
+//! it executes; within a job the process is built once and reset per
 //! trial, so the zero-allocation steady state of the engine extends
 //! across whole campaign points. Each finished record is appended (and
 //! flushed) to the store immediately, which is what makes a killed
@@ -21,13 +21,14 @@
 //! `master_seed = point.seed` is pinned by tests.)
 
 use crate::point::SweepPoint;
-use crate::store::{PointRecord, PointTiming, Store};
+use crate::scheduler::{Scheduler, Subscriber};
+use crate::store::{PointRecord, PointTiming, SharedStore, Store};
 use crate::sweep::SweepSpec;
 use crate::CampaignError;
 use cobra_graph::{
     with_topology, Backend, BuiltTopology, Graph, GraphCache, GraphShape, GraphSpec, Topology,
 };
-use cobra_mc::queue::{drain_with, JobQueue};
+use cobra_mc::queue::drain_with;
 use cobra_mc::{
     key_seed, resolve_threads, run_jobs, CancelToken, Engine, Objective, StoppingAccumulator,
     TrialState,
@@ -35,7 +36,7 @@ use cobra_mc::{
 use cobra_process::{ProcessSpec, StepCtx};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// How a point with no explicit cap resolves one, given its graph's
@@ -317,8 +318,8 @@ pub fn run_sweep(
 /// computed point, after the record is appended to the store, possibly
 /// from a worker thread. The callback must be cheap and is responsible
 /// for its own rendering; all-cached sweeps never invoke it. The points
-/// run on the same queue as [`run_sweep_watched`], under a cancel flag
-/// that is never raised.
+/// run on the same scheduler as [`run_sweep_watched`], under a cancel
+/// flag that is never raised.
 pub fn run_sweep_with_progress(
     spec: &SweepSpec,
     store: &mut Store,
@@ -326,14 +327,11 @@ pub fn run_sweep_with_progress(
     cap_policy: CapPolicy<'_>,
     progress: &(dyn Fn(SweepProgress) + Sync),
 ) -> Result<RunOutcome, CampaignError> {
-    let plan = plan_sweep(spec, store, cap_policy)?;
-    // Duplicates count as cached: they are served from the record
-    // their twin produced (or the store already held), never rerun.
-    let cached = plan.cached.len() + plan.duplicates.len();
-    let (to_compute, total) = (plan.missing.len(), plan.len());
+    let counts = OnceLock::new();
     let done = AtomicUsize::new(0);
     let on_event = |event: &PointEvent| {
         if event.status == PointStatus::Computed {
+            let &(to_compute, cached, total) = counts.get().expect("set at plan time");
             progress(SweepProgress {
                 computed: done.fetch_add(1, Ordering::Relaxed) + 1,
                 to_compute,
@@ -342,7 +340,15 @@ pub fn run_sweep_with_progress(
             });
         }
     };
-    let outcome = execute_plan(&plan, store, threads, &on_event, &AtomicBool::new(false))?;
+    let subscriber = |plan: &Plan| {
+        // Duplicates count as cached: they are served from the record
+        // their twin produced (or the store already held), never rerun.
+        let cached = plan.cached.len() + plan.duplicates.len();
+        counts.get_or_init(|| (plan.missing.len(), cached, plan.len()));
+        &on_event
+    };
+    let never = AtomicBool::new(false);
+    let outcome = sweep_with(spec, store, threads, cap_policy, subscriber, &never)?;
     Ok(RunOutcome {
         cached: outcome.cached,
         computed: outcome.computed,
@@ -465,7 +471,7 @@ fn point_timing(started: Instant, mut trial_secs: Vec<f64>) -> PointTiming {
 }
 
 // ---------------------------------------------------------------------------
-// Lifecycle events and the one sweep executor
+// Lifecycle events and the scheduled sweep
 // ---------------------------------------------------------------------------
 
 /// What happened to one expanded point — the lifecycle vocabulary
@@ -606,13 +612,15 @@ impl WatchOutcome {
 /// interruption — the engine under `cobra-exps sweep` (where the flag is
 /// wired to SIGINT/SIGTERM).
 ///
-/// Missing points are submitted to a single-lane queue at cost =
-/// trials and drained by `threads` workers (0 = one per core). Every
-/// finished record is appended (and flushed) to the store before its
-/// `computed` event fires. When `cancel` flips, the queue shuts down:
-/// queued points are discarded, in-flight points stop at their next
-/// trial boundary, and everything already persisted stays — the run
-/// loses at most one trial per worker beyond the records it kept.
+/// The sweep is one submission to a private [`Scheduler`], drained by
+/// `threads` workers (0 = one per core). Every finished record is
+/// appended (and flushed) to the store before its `computed` event
+/// fires; an expansion twin of a computed point gets `deduped` with the
+/// same record, and one whose key the store already holds is `cached`.
+/// When `cancel` flips, the queue shuts down: queued points are
+/// discarded, in-flight points stop at their next trial boundary, and
+/// everything already persisted stays — the run loses at most one trial
+/// per worker beyond the records it kept.
 ///
 /// Results are bit-identical whatever the thread count or interruption
 /// history (point seeds derive from content keys, never from
@@ -626,52 +634,71 @@ pub fn run_sweep_watched(
     on_event: &(dyn Fn(&PointEvent) + Sync),
     cancel: &AtomicBool,
 ) -> Result<WatchOutcome, CampaignError> {
-    let plan = plan_sweep(spec, store, cap_policy)?;
-    execute_plan(&plan, store, threads, on_event, cancel)
+    sweep_with(spec, store, threads, cap_policy, |_| on_event, cancel)
 }
 
-/// The one sweep executor: runs a [`Plan`]'s missing points on a
-/// single-lane [`JobQueue`], emitting lifecycle events, until the queue
-/// drains or `cancel` flips.
-fn execute_plan(
-    plan: &Plan,
+/// Every `run_sweep*` entry point: lends the store to a private
+/// [`Scheduler`], submits the sweep with the subscriber `subscriber`
+/// builds from its plan, drains it, and counts the outcome.
+fn sweep_with<S: Subscriber + Clone + Send + Sync>(
+    spec: &SweepSpec,
     store: &mut Store,
     threads: usize,
-    on_event: &(dyn Fn(&PointEvent) + Sync),
+    cap_policy: CapPolicy<'_>,
+    subscriber: impl FnOnce(&Plan) -> S,
     cancel: &AtomicBool,
 ) -> Result<WatchOutcome, CampaignError> {
-    for &index in &plan.cached {
-        let planned = &plan.points[index];
-        let record = store
-            .get(&planned.point.digest_hex(), &planned.point.full_key())
-            .expect("plan partitioned this point as cached")
-            .clone();
-        on_event(&PointEvent::from_planned(
-            index,
-            planned,
-            PointStatus::Cached,
-            Some(record),
-        ));
-    }
+    let shared = SharedStore::new(std::mem::replace(store, Store::in_memory()));
+    let drained = drain(spec, &shared, threads, cap_policy, subscriber, cancel);
+    *store = shared.into_inner();
+    let plan = drained?;
+    let records: Vec<Option<PointRecord>> = plan
+        .points
+        .iter()
+        .map(|p| {
+            store
+                .get(&p.point.digest_hex(), &p.point.full_key())
+                .cloned()
+        })
+        .collect();
+    // A fresh scheduler makes a job of exactly the plan's missing points.
+    let computed = plan
+        .missing
+        .iter()
+        .filter(|&&i| records[i].is_some())
+        .count();
+    let resolved = records.iter().flatten().count();
+    Ok(WatchOutcome {
+        cached: resolved - computed,
+        computed,
+        cancelled: records.len() - resolved,
+        interrupted: cancel.load(Ordering::Acquire),
+        cache_stats: plan.cache_stats,
+        records,
+    })
+}
 
-    let threads = resolve_threads(threads).min(plan.missing.len().max(1));
-    let queue: JobQueue<usize> = JobQueue::new();
-    let lane = queue.lane();
-    for &index in &plan.missing {
-        let cost = plan.points[index].point.trials as u64;
-        queue
-            .submit(lane, cost, index)
-            .expect("freshly created queue accepts submissions");
-    }
+/// Submits the sweep to a fresh scheduler and drains it under the
+/// interrupt relay; the plan comes back for counting.
+fn drain<S: Subscriber + Clone + Send + Sync>(
+    spec: &SweepSpec,
+    store: &SharedStore,
+    threads: usize,
+    cap_policy: CapPolicy<'_>,
+    subscriber: impl FnOnce(&Plan) -> S,
+    cancel: &AtomicBool,
+) -> Result<Plan, CampaignError> {
+    let scheduler = Scheduler::default();
+    let submission = scheduler.submit(spec, store, cap_policy, subscriber)?;
+    let queue = scheduler.queue();
     queue.close();
     // A flag raised before the run cancels every point: shut the queue
     // before a worker can claim one, not when the relay first polls.
     if cancel.load(Ordering::Acquire) {
         queue.shutdown();
     }
-
+    let threads = resolve_threads(threads).min(submission.scheduled.max(1));
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let fresh: Mutex<Vec<PointRecord>> = Mutex::new(Vec::with_capacity(plan.missing.len()));
     let drained = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // The interrupt relay: flag → queue shutdown. Polling (rather
@@ -686,91 +713,23 @@ fn execute_plan(
                 std::thread::park_timeout(std::time::Duration::from_millis(10));
             }
         });
-        drain_with(&queue, threads, StepCtx::new, |ctx, index, token| {
-            let planned = &plan.points[index];
-            on_event(&PointEvent::from_planned(
-                index,
-                planned,
-                PointStatus::Started,
-                None,
-            ));
-            // A cancelled point (None) gets its terminal event from the
-            // post-drain sweep below — one source for claimed and
-            // never-claimed points alike.
-            if let Some(record) =
-                run_point_cancellable(&planned.point, &planned.topology, ctx, token)
-            {
-                if let Err(e) = store.append(&record) {
-                    io_error.lock().expect("io error slot").get_or_insert(e);
-                }
-                on_event(&PointEvent::from_planned(
-                    index,
-                    planned,
-                    PointStatus::Computed,
-                    Some(record.clone()),
-                ));
-                fresh.lock().expect("fresh records slot").push(record);
+        drain_with(queue, threads, StepCtx::new, |ctx, key, token| {
+            if let Err(e) = scheduler.execute(&key, token, ctx) {
+                io_error.lock().expect("io error slot").get_or_insert(e);
             }
         });
         drained.store(true, Ordering::Release);
         relay.thread().unpark();
         relay.join().expect("interrupt relay never panics");
     });
-    if let Some(e) = io_error.into_inner().expect("io error slot") {
-        return Err(CampaignError::Io(format!(
+    // Points the interrupt discarded before any worker claimed them.
+    scheduler.shutdown();
+    match io_error.into_inner().expect("io error slot") {
+        Some(e) => Err(CampaignError::Io(format!(
             "cannot append to result store: {e}"
-        )));
+        ))),
+        None => Ok(submission.plan),
     }
-
-    let fresh = fresh.into_inner().expect("fresh records slot");
-    let computed = fresh.len();
-    store.absorb(fresh);
-    let interrupted = cancel.load(Ordering::Acquire);
-    let mut records: Vec<Option<PointRecord>> = Vec::with_capacity(plan.len());
-    let mut cancelled = 0;
-    let mut duplicates_served = 0;
-    for (index, planned) in plan.points.iter().enumerate() {
-        let point = &planned.point;
-        let rec = store.get(&point.digest_hex(), &point.full_key()).cloned();
-        match &rec {
-            Some(record) => {
-                // Expansion twins resolve to their computed sibling's
-                // record; emit their terminal event now that it exists.
-                if plan.duplicates.contains(&index) {
-                    duplicates_served += 1;
-                    on_event(&PointEvent::from_planned(
-                        index,
-                        planned,
-                        PointStatus::Deduped,
-                        Some(record.clone()),
-                    ));
-                }
-            }
-            None => {
-                // Claimed-then-aborted and never-claimed points alike
-                // end here (a cancelled twin leaves its duplicates
-                // recordless too); this loop is the single emitter of
-                // terminal `cancelled` events, in expansion order.
-                cancelled += 1;
-                on_event(&PointEvent::from_planned(
-                    index,
-                    planned,
-                    PointStatus::Cancelled,
-                    None,
-                ));
-            }
-        }
-        records.push(rec);
-    }
-    debug_assert!(interrupted || cancelled == 0, "only interrupts cancel");
-    Ok(WatchOutcome {
-        records,
-        cached: plan.cached.len() + duplicates_served,
-        computed,
-        cancelled,
-        interrupted,
-        cache_stats: plan.cache_stats,
-    })
 }
 
 #[cfg(test)]
@@ -1288,10 +1247,11 @@ mod tests {
             .parse()
             .unwrap();
         let never = AtomicBool::new(false);
+        let mut store = Store::in_memory();
         let events = Mutex::new(Vec::new());
         let out = run_sweep_watched(
             &spec,
-            &mut Store::in_memory(),
+            &mut store,
             1,
             &default_cap,
             &|e| events.lock().unwrap().push(e.clone()),
@@ -1308,6 +1268,21 @@ mod tests {
         for e in deduped {
             assert!(e.record.is_some(), "deduped events carry the twin's record");
         }
+        // Warm, a twin's key is in the store: every point is cached.
+        let events = Mutex::new(Vec::new());
+        let out = run_sweep_watched(
+            &spec,
+            &mut store,
+            1,
+            &default_cap,
+            &|e| events.lock().unwrap().push(e.clone()),
+            &never,
+        )
+        .unwrap();
+        assert_eq!((out.computed, out.cached), (0, 6));
+        let events = events.into_inner().unwrap();
+        assert_eq!(events.len(), 6);
+        assert!(events.iter().all(|e| e.status == PointStatus::Cached));
     }
 
     #[test]

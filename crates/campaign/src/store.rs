@@ -492,6 +492,17 @@ impl SharedStore {
     pub fn read<T>(&self, f: impl FnOnce(&Store) -> T) -> T {
         f(&self.inner.read().expect("shared store poisoned"))
     }
+
+    /// True when both handles share one store.
+    pub fn same_store(&self, other: &SharedStore) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// The store back, once this is the last handle.
+    pub fn into_inner(self) -> Store {
+        let lock = Arc::try_unwrap(self.inner).expect("no other handle is live");
+        lock.into_inner().expect("shared store poisoned")
+    }
 }
 
 /// Indexes every readable JSONL record at `path` (absent file = empty).

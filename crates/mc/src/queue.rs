@@ -1,6 +1,6 @@
 //! Cancellable fair-share job queue — the scheduling core shared by
-//! [`crate::runner::run_jobs`], the campaign runner, and the
-//! `cobra-serve` daemon.
+//! [`crate::runner::run_jobs`] and the campaign `Scheduler` that runs
+//! every sweep and `cobra-serve` point.
 //!
 //! # Model
 //!

@@ -1,45 +1,21 @@
 //! The campaign service: a long-running multiplexer that accepts sweep
-//! campaigns from many clients, schedules their points on one shared
-//! worker pool with deficit-round-robin fairness, dedups identical work
-//! across clients at two levels, and streams per-point lifecycle events
-//! to each campaign's subscribers.
+//! campaigns from many clients and streams each campaign's per-point
+//! lifecycle events to its subscribers.
 //!
-//! # Fairness
-//!
-//! Every campaign gets its own [`JobQueue`] lane; points are submitted
-//! at cost = trial count, so the scheduler's deficit round-robin
-//! balances *compute*, not job count — a 1000-trial campaign cannot
-//! starve a 5-trial one submitted after it.
-//!
-//! # Two-level dedup
-//!
-//! 1. **Store level** — a point whose content key is already in the
-//!    campaign's content-addressed store is served immediately as a
-//!    `cached` event; it never touches the queue.
-//! 2. **In-flight level** — a point whose key is currently being
-//!    computed (by any campaign) *attaches* to the running job instead
-//!    of scheduling a second one. When the job finishes, the first
-//!    subscriber sees `computed` and every attached subscriber sees
-//!    `deduped`, all carrying the same record. The work happens exactly
-//!    once.
-//!
-//! # Locking protocol
-//!
-//! One mutex (the private `ServiceState`) owns the campaign table, store table,
-//! and in-flight index. Submission plans and schedules *under* that
-//! lock, and workers record-and-detach under the same lock, so the
-//! "plan saw key K missing, but K completed before we scheduled it"
-//! race cannot happen: between a plan and its schedule no job can
-//! complete. Lock order is always service state → store (`SharedStore`
-//! is internally locked); point computation itself runs with no lock
-//! held.
+//! Scheduling is the shared [`Scheduler`] of `cobra-campaign`, the same
+//! one `cobra-exps sweep` submits to: each campaign rides its own
+//! deficit-round-robin lane at cost = trial count, a point whose key is
+//! in the campaign's store is `cached`, one whose key is in flight
+//! (from any campaign) attaches to that job and gets `deduped`, and a
+//! computed record is persisted to every waiting campaign's store. The
+//! service adds the campaign table, one [`SharedStore`] per campaign
+//! name, the event logs, the metrics, the worker threads and HTTP.
+//! Lock order is service state → scheduler → store → campaign log.
 
 use cobra_campaign::{
-    default_cap, plan_sweep, run_point_cancellable, PlannedPoint, PointEvent, PointStatus,
-    SharedStore, SweepSpec,
+    default_cap, PointEvent, PointStatus, Scheduler, SharedStore, Subscriber, SweepSpec,
 };
 use cobra_graph::GraphShape;
-use cobra_mc::queue::{JobQueue, LaneId};
 use cobra_obs::SharedRegistry;
 use cobra_process::{ProcessSpec, StepCtx};
 use cobra_util::json::obj;
@@ -59,8 +35,6 @@ pub struct ServeConfig {
     /// at an existing campaigns directory serves those results warm);
     /// `None` keeps every store in-memory (tests, throwaway runs).
     pub store_root: Option<PathBuf>,
-    /// Deficit round-robin quantum, in trial units.
-    pub quantum: u64,
     /// Per-trial round cap policy for points without an explicit cap.
     pub cap: fn(GraphShape, &ProcessSpec) -> usize,
 }
@@ -70,7 +44,6 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: 0,
             store_root: None,
-            quantum: cobra_mc::queue::DEFAULT_QUANTUM,
             cap: default_cap,
         }
     }
@@ -110,7 +83,7 @@ struct EventLog {
 }
 
 /// One accepted campaign. Shared (`Arc`) between the service state, the
-/// in-flight subscriber lists, and any number of streaming readers.
+/// scheduler's waiter lists, and any number of streaming readers.
 #[derive(Debug)]
 pub struct CampaignState {
     pub id: u64,
@@ -119,10 +92,10 @@ pub struct CampaignState {
     pub spec: String,
     /// Total points in the expansion.
     pub total: usize,
-    /// DRR lane this campaign's jobs ride.
-    lane: LaneId,
     log: Mutex<EventLog>,
     log_ready: Condvar,
+    /// The service metrics, where each terminal status is counted.
+    metrics: SharedRegistry,
 }
 
 impl CampaignState {
@@ -161,27 +134,21 @@ impl CampaignState {
         let line = self.envelope(event);
         let mut log = self.log.lock().expect("campaign log");
         let counts = &mut log.counts;
-        match event.status {
-            PointStatus::Computed => counts.computed += 1,
-            PointStatus::Cached => counts.cached += 1,
-            PointStatus::Deduped => counts.deduped += 1,
-            PointStatus::Cancelled => counts.cancelled += 1,
+        let (count, metric) = match event.status {
+            PointStatus::Computed => (&mut counts.computed, "serve.points.computed"),
+            PointStatus::Cached => (&mut counts.cached, "serve.points.cached"),
+            PointStatus::Deduped => (&mut counts.deduped, "serve.points.deduped"),
+            PointStatus::Cancelled => (&mut counts.cancelled, "serve.points.cancelled"),
             PointStatus::Started => unreachable!("started is not terminal"),
-        }
+        };
+        *count += 1;
+        self.metrics.counter(metric, 1);
         let counts = *counts;
         log.lines.push(line);
         if counts.resolved() == self.total {
             log.lines.push(self.done_line(counts));
             log.done = true;
         }
-        self.log_ready.notify_all();
-    }
-
-    /// Emits a non-terminal (`started`) event and wakes streaming
-    /// readers.
-    fn note_started(&self, event: &PointEvent) {
-        let line = self.envelope(event);
-        self.log.lock().expect("campaign log").lines.push(line);
         self.log_ready.notify_all();
     }
 
@@ -224,24 +191,18 @@ impl CampaignState {
     }
 }
 
-/// One point being computed right now, with everyone waiting on it.
-struct InFlight {
-    /// Subscribers in attach order; the first is the campaign that
-    /// scheduled the job (it gets `computed`), the rest attached via
-    /// in-flight dedup (they get `deduped`).
-    subscribers: Vec<(Arc<CampaignState>, usize)>,
+impl Subscriber for CampaignState {
+    fn notify(&self, event: &PointEvent) {
+        if event.status != PointStatus::Started {
+            return self.resolve_point(event);
+        }
+        let line = self.envelope(event);
+        self.log.lock().expect("campaign log").lines.push(line);
+        self.log_ready.notify_all();
+    }
 }
 
-/// One job on the shared queue: a fully-planned point bound to its
-/// campaign's store.
-pub struct PointJob {
-    key: String,
-    planned: PlannedPoint,
-    store: SharedStore,
-}
-
-/// Everything the service mutex owns. See the module docs for the
-/// locking protocol.
+/// Everything the service mutex owns.
 #[derive(Default)]
 struct ServiceState {
     next_id: u64,
@@ -250,15 +211,13 @@ struct ServiceState {
     /// writer lock (a second `Store::open` on the same directory fails
     /// fast) by construction.
     stores: HashMap<String, SharedStore>,
-    /// Content key → the running job's subscribers.
-    inflight: HashMap<String, InFlight>,
 }
 
-/// The campaign service: shared queue + state table + metrics. Wrap in
-/// an `Arc`, call [`CampaignService::spawn_workers`], and hand clones
+/// The campaign service: shared scheduler + state table + metrics. Wrap
+/// in an `Arc`, call [`CampaignService::spawn_workers`], and hand clones
 /// to the HTTP layer (or drive it in-process, as the tests do).
 pub struct CampaignService {
-    queue: JobQueue<PointJob>,
+    scheduler: Scheduler<Arc<CampaignState>>,
     state: Mutex<ServiceState>,
     metrics: SharedRegistry,
     config: ServeConfig,
@@ -303,7 +262,7 @@ impl CampaignService {
     /// in-flight dedup).
     pub fn new(config: ServeConfig) -> CampaignService {
         CampaignService {
-            queue: JobQueue::with_quantum(config.quantum),
+            scheduler: Scheduler::default(),
             state: Mutex::new(ServiceState::default()),
             metrics: SharedRegistry::new(),
             config,
@@ -329,10 +288,16 @@ impl CampaignService {
             let service = Arc::clone(self);
             workers.push(std::thread::spawn(move || {
                 let mut ctx = StepCtx::new();
-                while let Some(mut claim) = service.queue.next() {
-                    let token = claim.token().clone();
-                    let job = claim.take();
-                    service.execute(job, &token, &mut ctx);
+                while let Some(mut claim) = service.scheduler.queue().next() {
+                    let key = claim.take();
+                    if let Err(e) = service.scheduler.execute(&key, claim.token(), &mut ctx) {
+                        // Subscribers still got the record — it is
+                        // correct, just not durable.
+                        service.metrics.counter("serve.store.append_errors", 1);
+                        cobra_obs::status::err_line(&format!("store append failed for {key}: {e}"));
+                    }
+                    drop(claim);
+                    service.publish_queue_gauges();
                 }
             }));
         }
@@ -350,14 +315,13 @@ impl CampaignService {
 
     /// Queue statistics (depth, in-flight, lanes, totals).
     pub fn queue_stats(&self) -> cobra_mc::QueueStats {
-        self.queue.stats()
+        self.scheduler.queue().stats()
     }
 
-    /// Accepts a campaign: parses the spec, plans it against the
-    /// campaign's store, serves cached points immediately, attaches to
-    /// in-flight twins, and schedules the rest on the campaign's own
-    /// DRR lane. Plan + schedule happen atomically under the service
-    /// lock (see module docs).
+    /// Accepts a campaign: parses the spec and submits it to the
+    /// scheduler against the campaign name's store. Cached points
+    /// resolve at once; the rest attach to in-flight twins or run on
+    /// the campaign's own DRR lane.
     pub fn submit(&self, spec_text: &str) -> Result<SubmitReceipt, String> {
         let spec: SweepSpec = spec_text.trim().parse().map_err(|e| format!("{e}"))?;
         let name = spec.name();
@@ -374,190 +338,43 @@ impl CampaignService {
                 store
             }
         };
-        let plan = store
-            .read(|s| {
-                plan_sweep(&spec, s, &|shape, process| {
-                    (self.config.cap)(shape, process)
-                })
+        let submission = self
+            .scheduler
+            .submit(&spec, &store, &self.config.cap, |plan| {
+                state.next_id += 1;
+                let campaign = Arc::new(CampaignState {
+                    id: state.next_id,
+                    name,
+                    spec: spec.to_string(),
+                    total: plan.len(),
+                    log: Mutex::new(EventLog::default()),
+                    log_ready: Condvar::new(),
+                    metrics: self.metrics.clone(),
+                });
+                state.campaigns.insert(campaign.id, Arc::clone(&campaign));
+                campaign
             })
             .map_err(|e| format!("{e}"))?;
-
-        state.next_id += 1;
-        let campaign = Arc::new(CampaignState {
-            id: state.next_id,
-            name,
-            spec: spec.to_string(),
-            total: plan.len(),
-            lane: self.queue.lane(),
-            log: Mutex::new(EventLog::default()),
-            log_ready: Condvar::new(),
-        });
-        state.campaigns.insert(campaign.id, Arc::clone(&campaign));
-
-        let cached_set: std::collections::HashSet<usize> = plan.cached.iter().copied().collect();
-        let (mut scheduled, mut cached, mut attached) = (0usize, 0usize, 0usize);
-        for (index, planned) in plan.points.iter().enumerate() {
-            let key = planned.point.digest_hex();
-            if cached_set.contains(&index) {
-                let record = store
-                    .get(&key, &planned.point.full_key())
-                    .expect("plan partitioned this point as cached");
-                campaign.resolve_point(&PointEvent::from_planned(
-                    index,
-                    planned,
-                    PointStatus::Cached,
-                    Some(record),
-                ));
-                cached += 1;
-            } else if let Some(inflight) = state.inflight.get_mut(&key) {
-                inflight.subscribers.push((Arc::clone(&campaign), index));
-                attached += 1;
-            } else {
-                self.queue
-                    .submit(
-                        campaign.lane,
-                        planned.point.trials as u64,
-                        PointJob {
-                            key: key.clone(),
-                            planned: planned.clone(),
-                            store: store.clone(),
-                        },
-                    )
-                    .map_err(|_| "service is shutting down".to_string())?;
-                state.inflight.insert(
-                    key,
-                    InFlight {
-                        subscribers: vec![(Arc::clone(&campaign), index)],
-                    },
-                );
-                scheduled += 1;
-            }
-        }
         drop(state);
 
         self.metrics.counter("serve.campaigns.submitted", 1);
-        self.metrics.counter("serve.points.cached", cached as u64);
-        self.metrics.counter("serve.dedup.hits", attached as u64);
+        self.metrics
+            .counter("serve.dedup.hits", submission.attached as u64);
         self.publish_queue_gauges();
         Ok(SubmitReceipt {
-            campaign,
-            scheduled,
-            cached,
-            attached,
+            campaign: submission.subscriber,
+            scheduled: submission.scheduled,
+            cached: submission.cached,
+            attached: submission.attached,
         })
     }
 
-    /// Runs one claimed job on a worker thread. Computation holds no
-    /// lock; the record-and-detach step takes the service lock so no
-    /// submission can plan against a store state this job is about to
-    /// change.
-    fn execute(&self, job: PointJob, token: &cobra_mc::CancelToken, ctx: &mut StepCtx) {
-        let started = {
-            // Snapshot subscribers at claim time for the started event;
-            // later attachers only see their terminal `deduped`.
-            let state = self.state.lock().expect("service state");
-            state
-                .inflight
-                .get(&job.key)
-                .map(|f| f.subscribers.clone())
-                .unwrap_or_default()
-        };
-        for (campaign, index) in &started {
-            campaign.note_started(&PointEvent::from_planned(
-                *index,
-                &job.planned,
-                PointStatus::Started,
-                None,
-            ));
-        }
-
-        let outcome = run_point_cancellable(&job.planned.point, &job.planned.topology, ctx, token);
-
-        let mut state = self.state.lock().expect("service state");
-        let Some(inflight) = state.inflight.remove(&job.key) else {
-            return; // already swept by shutdown
-        };
-        match outcome {
-            Some(record) => {
-                if let Err(e) = job.store.record(&record) {
-                    // Record the failure, but still resolve subscribers
-                    // with the computed record — it is correct, just not
-                    // durable.
-                    self.metrics.counter("serve.store.append_errors", 1);
-                    cobra_obs::status::err_line(&format!(
-                        "store append failed for {}: {e}",
-                        job.key
-                    ));
-                }
-                drop(state);
-                let mut subscribers = inflight.subscribers.into_iter();
-                if let Some((campaign, index)) = subscribers.next() {
-                    campaign.resolve_point(&PointEvent::from_planned(
-                        index,
-                        &job.planned,
-                        PointStatus::Computed,
-                        Some(record.clone()),
-                    ));
-                }
-                self.metrics.counter("serve.points.computed", 1);
-                for (campaign, index) in subscribers {
-                    campaign.resolve_point(&PointEvent::from_planned(
-                        index,
-                        &job.planned,
-                        PointStatus::Deduped,
-                        Some(record.clone()),
-                    ));
-                    self.metrics.counter("serve.points.deduped", 1);
-                }
-            }
-            None => {
-                drop(state);
-                for (campaign, index) in inflight.subscribers {
-                    campaign.resolve_point(&PointEvent::from_planned(
-                        index,
-                        &job.planned,
-                        PointStatus::Cancelled,
-                        None,
-                    ));
-                    self.metrics.counter("serve.points.cancelled", 1);
-                }
-            }
-        }
-        self.publish_queue_gauges();
-    }
-
     /// Graceful shutdown: cancel queued and in-flight work, wait for
-    /// workers to reach a trial boundary and drain, emit `cancelled`
-    /// terminal events for everything that never ran, and join the
-    /// worker pool. Everything already persisted stays.
+    /// workers to reach a trial boundary, emit `cancelled` for
+    /// everything that never finished, and join the worker pool.
+    /// Everything already persisted stays.
     pub fn shutdown(&self) {
-        self.queue.shutdown();
-        self.queue.wait_idle();
-        // Workers have drained: any in-flight entry left belongs to a
-        // job that was discarded from the queue without ever running.
-        let leftover: Vec<InFlight> = {
-            let mut state = self.state.lock().expect("service state");
-            let keys: Vec<String> = state.inflight.keys().cloned().collect();
-            keys.iter()
-                .filter_map(|k| state.inflight.remove(k))
-                .collect()
-        };
-        for inflight in leftover {
-            for (campaign, index) in inflight.subscribers {
-                // The planned point is gone with the job; synthesize the
-                // terminal event from the campaign's own table instead.
-                campaign.resolve_point(&PointEvent {
-                    index,
-                    status: PointStatus::Cancelled,
-                    key: String::new(),
-                    objective: String::new(),
-                    graph: String::new(),
-                    process: String::new(),
-                    record: None,
-                });
-                self.metrics.counter("serve.points.cancelled", 1);
-            }
-        }
+        self.scheduler.shutdown();
         let workers = std::mem::take(&mut *self.workers.lock().expect("worker table"));
         for worker in workers {
             worker.join().expect("worker never panics");
@@ -568,11 +385,11 @@ impl CampaignService {
     /// Blocks until the queue is empty and no job is running — the
     /// in-process equivalent of waiting for every campaign's `done`.
     pub fn wait_idle(&self) {
-        self.queue.wait_idle();
+        self.scheduler.queue().wait_idle();
     }
 
     fn publish_queue_gauges(&self) {
-        let stats = self.queue.stats();
+        let stats = self.queue_stats();
         self.metrics.with(|m| {
             m.gauge("queue.depth", stats.depth as f64);
             m.gauge("queue.in_flight", stats.in_flight as f64);
@@ -674,22 +491,82 @@ mod tests {
         assert_eq!(counts.cancelled, 4);
         assert_eq!(counts.computed, 0);
         assert!(lines.last().unwrap().contains("\"cancelled\":4"));
+        // Every cancelled event still says which point it was.
+        for line in &lines[..4] {
+            let event = Json::parse(line).unwrap();
+            assert_eq!(event.get("status").unwrap().as_str(), Some("cancelled"));
+            for field in ["key", "objective", "graph", "process"] {
+                let value = event.get(field).unwrap().as_str().unwrap();
+                assert!(!value.is_empty(), "{field} is empty in {line}");
+            }
+        }
         // Submitting after shutdown fails cleanly.
         assert!(svc.submit(SPEC).is_err());
     }
 
     #[test]
+    fn a_warm_resubmission_serves_expansion_twins_from_the_store() {
+        let root = std::env::temp_dir().join(format!("cobra-daemon-twins-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let svc = Arc::new(CampaignService::new(ServeConfig {
+            store_root: Some(root.clone()),
+            ..ServeConfig::default()
+        }));
+        svc.spawn_workers(2);
+        // cycle:9 appears twice: 4 points, 3 distinct keys.
+        let twins = "cover; graph=cycle:{8..9}|cycle:{9..10}; process=cobra:b2; trials=3";
+        let cold = svc.submit(twins).unwrap();
+        assert_eq!((cold.scheduled, cold.attached), (3, 1));
+        svc.wait_idle();
+        assert_eq!(cold.campaign.counts().deduped, 1);
+        let warm = svc.submit(twins).unwrap();
+        assert_eq!((warm.scheduled, warm.cached), (0, 4));
+        assert!(warm.campaign.is_done());
+        svc.wait_idle();
+        assert_eq!(
+            svc.metrics().counter_value("serve.points.computed"),
+            Some(3)
+        );
+        svc.shutdown();
+        let results = root.join(&cold.campaign.name).join("results.jsonl");
+        let lines = std::fs::read_to_string(results).unwrap();
+        assert_eq!(lines.lines().count(), 3, "one store line per key");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_point_attached_across_stores_is_persisted_to_both() {
+        let svc = service();
+        let spec = |name: &str| {
+            format!("cover; graph=cycle:{{8,9}}; process=cobra:b2; trials=3; name={name}")
+        };
+        let alpha = svc.submit(&spec("alpha")).unwrap();
+        let beta = svc.submit(&spec("beta")).unwrap();
+        assert_eq!((alpha.scheduled, beta.attached), (2, 2));
+        svc.spawn_workers(2);
+        svc.wait_idle();
+        assert_eq!(beta.campaign.counts().deduped, 2);
+        // beta's own store now holds both records.
+        let again = svc.submit(&spec("beta")).unwrap();
+        assert_eq!((again.scheduled, again.cached), (0, 2));
+        assert_eq!(
+            svc.metrics().counter_value("serve.points.computed"),
+            Some(2)
+        );
+        svc.shutdown();
+    }
+
+    #[test]
     fn done_follows_every_terminal_event_under_concurrent_resolution() {
-        let queue: JobQueue<()> = JobQueue::new();
         for _ in 0..1000 {
             let campaign = CampaignState {
                 id: 1,
                 name: "race".into(),
                 spec: String::new(),
                 total: 2,
-                lane: queue.lane(),
                 log: Mutex::new(EventLog::default()),
                 log_ready: Condvar::new(),
+                metrics: SharedRegistry::new(),
             };
             // Release both resolutions at once so they contend for the
             // log; the old two-lock version logged `done` early here.

@@ -20,10 +20,11 @@
 //!
 //! The protocol layer is a hand-rolled HTTP/1.1 subset over
 //! `std::net` ([`http`]) — one request per connection, `Connection:
-//! close`, chunked transfer only on the event stream. The scheduling
-//! and dedup core is transport-independent ([`daemon`]); the in-process
-//! tests drive it without a socket, and the same [`CampaignService`]
-//! value backs both the daemon and any embedded use.
+//! close`, chunked transfer only on the event stream. The service core
+//! is transport-independent ([`daemon`], scheduling through
+//! `cobra_campaign::Scheduler`, the same one `cobra-exps sweep` uses);
+//! the in-process tests drive it without a socket, and the same
+//! [`CampaignService`] value backs both the daemon and any embedded use.
 //!
 //! ```no_run
 //! use cobra_serve::{CampaignService, ServeConfig, Server};
@@ -43,9 +44,7 @@ pub mod http;
 pub mod signal;
 
 pub use client::{get, post, stream_ndjson, HttpResponse};
-pub use daemon::{
-    CampaignCounts, CampaignService, CampaignState, PointJob, ServeConfig, SubmitReceipt,
-};
+pub use daemon::{CampaignCounts, CampaignService, CampaignState, ServeConfig, SubmitReceipt};
 
 use crate::http::{respond, ChunkedResponse, Request};
 use std::io::BufReader;

@@ -247,11 +247,7 @@ fn back_to_back_campaigns_ride_separate_lanes_and_both_complete() {
     // DRR lanes (the deterministic alternation itself is pinned by the
     // cobra-mc queue tests); here we verify the service plumbs each
     // campaign onto its own lane and drains both to completion.
-    let config = ServeConfig {
-        quantum: 6,
-        ..ServeConfig::default()
-    };
-    let service = Arc::new(CampaignService::new(config));
+    let service = Arc::new(CampaignService::new(ServeConfig::default()));
     let a = service
         .submit("cover; graph=cycle:{20..23}; process=cobra:b2; trials=6; name=fair-a")
         .unwrap();

@@ -15,13 +15,11 @@
 //!
 //! [`streaming`] provides the one-pass reducers (Welford composition +
 //! P² quantile markers) that sweep points fold their trials through in
-//! O(1) memory. [`histogram`] provides fixed-bin histograms for trajectory reports,
-//! and [`report`] renders results as plain/markdown/CSV tables — the
-//! artefact format shared by the experiment suite and the campaign
-//! layer.
+//! O(1) memory, and [`report`] renders results as plain/markdown/CSV
+//! tables — the artefact format shared by the experiment suite and the
+//! campaign layer.
 
 pub mod ci;
-pub mod histogram;
 pub mod ks;
 pub mod regression;
 pub mod report;
@@ -29,7 +27,6 @@ pub mod streaming;
 pub mod summary;
 
 pub use ci::{bootstrap_mean_ci, normal_mean_ci, ConfidenceInterval};
-pub use histogram::Histogram;
 pub use ks::{ks_two_sample, Ecdf, KsResult};
 pub use regression::{fit_line, fit_power_law, LineFit};
 pub use report::{fmt_f, Table};
