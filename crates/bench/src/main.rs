@@ -35,8 +35,10 @@ use cobra_campaign::{
 use cobra_obs::status::{err_line, err_transient, out_line};
 use cobra_obs::{MetricsRegistry, RegistrySink, RoundSink, TraceWriter};
 use std::collections::HashSet;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cobra_viz::{Plot, Scale, Series};
@@ -48,23 +50,100 @@ enum Format {
     Markdown,
 }
 
+fn print_table(table: &Table, format: Format) {
+    match format {
+        Format::Plain => println!("{}", table.render()),
+        Format::Csv => print!("{}", table.to_csv()),
+        Format::Markdown => println!("{}", table.to_markdown()),
+    }
+}
+
+/// Why a command failed: the one stderr line `main` prints before it
+/// exits 1. Every displayable error converts with `?`.
+struct Failure(String);
+
+impl<E: Display> From<E> for Failure {
+    fn from(e: E) -> Failure {
+        Failure(e.to_string())
+    }
+}
+
+/// How a command ends: an exit status, or a one-line failure.
+type Outcome = Result<ExitCode, Failure>;
+
+/// The one flag reader behind every argument loop. A missing or
+/// malformed value becomes a usage error that points at the command's
+/// help (`command` is `"run "`, `"sweep "`, `"serve "` or empty for the
+/// experiment harness).
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    command: &'static str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String], command: &'static str) -> Flags<'a> {
+        Flags {
+            args: args.iter(),
+            command,
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, Failure> {
+        let value = self.args.next().cloned();
+        value.ok_or_else(|| self.usage(format!("{flag} needs a value")))
+    }
+
+    /// The value following `flag`, parsed.
+    fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, Failure>
+    where
+        T::Err: Display,
+    {
+        let value = self.value(flag)?;
+        value
+            .parse()
+            .map_err(|e| self.usage(format!("{flag}: {e}")))
+    }
+
+    /// A usage error: one line that points at the command's help.
+    fn usage(&self, message: impl Display) -> Failure {
+        Failure(format!("{message} (see cobra-exps {}--help)", self.command))
+    }
+}
+
+/// Prints a help text (to stderr) and succeeds.
+fn help(print: fn()) -> Outcome {
+    print();
+    Ok(ExitCode::SUCCESS)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("run") {
-        return run_subcommand(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("sweep") {
-        return sweep_subcommand(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return serve_subcommand(&args[1..]);
-    }
+    let outcome = match args.first().map(String::as_str) {
+        Some("run") => run_subcommand(&args[1..]),
+        Some("sweep") => sweep_subcommand(&args[1..]),
+        Some("serve") => serve_subcommand(&args[1..]),
+        _ => harness(&args),
+    };
+    outcome.unwrap_or_else(|Failure(line)| {
+        err_line(&line);
+        ExitCode::FAILURE
+    })
+}
+
+/// The experiment harness: regenerates the paper's tables by id.
+fn harness(args: &[String]) -> Outcome {
     let mut quick = false;
     let mut plot = false;
     let mut format = Format::Plain;
     let mut ids: Vec<String> = Vec::new();
-    for arg in &args {
-        match arg.as_str() {
+    let mut flags = Flags::new(args, "");
+    while let Some(arg) = flags.next() {
+        match arg {
             "--quick" | "-q" => quick = true,
             "--full" => quick = false,
             "--plot" | "-p" => plot = true,
@@ -74,22 +153,19 @@ fn main() -> ExitCode {
                 for id in experiments::ALL_IDS {
                     println!("{id}");
                 }
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            "--help" | "-h" => {
-                print_help();
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return help(print_help),
             "all" => ids.extend(experiments::ALL_IDS.iter().map(|s| s.to_string())),
             other if other.starts_with('-') => {
-                return usage_error(&format!("unknown flag: {other}"), "");
+                return Err(flags.usage(format!("unknown flag: {other}")));
             }
             other => ids.push(other.to_ascii_lowercase()),
         }
     }
     if ids.is_empty() {
         print_help();
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     // Order-preserving dedup: `cobra-exps f1 f2 f1` runs f1 once, first.
     let mut seen: HashSet<String> = HashSet::new();
@@ -99,23 +175,18 @@ fn main() -> ExitCode {
         .iter()
         .find(|id| !experiments::ALL_IDS.contains(&id.as_str()))
     {
-        eprintln!("unknown experiment id: {id} (try --list)");
-        return ExitCode::FAILURE;
+        return Err(format!("unknown experiment id: {id} (try --list)").into());
     }
     for id in &ids {
         let table = experiments::run(id, quick).expect("ids were checked");
-        match format {
-            Format::Plain => println!("{}", table.render()),
-            Format::Csv => print!("{}", table.to_csv()),
-            Format::Markdown => println!("{}", table.to_markdown()),
-        }
+        print_table(&table, format);
         if plot {
             if let Some(fig) = figure_for(id, &table) {
                 println!("{fig}");
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Describes how to lift a table's columns into a figure: optional
@@ -220,7 +291,7 @@ fn figure_for(id: &str, table: &Table) -> Option<String> {
 
 /// `cobra-exps run` — one ad-hoc scenario through the `SimSpec` API,
 /// measured via its first-class objective.
-fn run_subcommand(args: &[String]) -> ExitCode {
+fn run_subcommand(args: &[String]) -> Outcome {
     let mut graph: Option<String> = None;
     let mut process: Option<String> = None;
     let mut objective_arg: Option<String> = None;
@@ -238,106 +309,38 @@ fn run_subcommand(args: &[String]) -> ExitCode {
     let mut trace_every: usize = 1;
     let mut metrics = false;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .ok_or_else(|| format!("{what} needs a value"))
-                .cloned()
-        };
-        let parsed = match arg.as_str() {
-            "--graph" | "-g" => value("--graph").map(|v| graph = Some(v)),
-            "--process" | "-p" => value("--process").map(|v| process = Some(v)),
-            "--objective" | "-O" => value("--objective").map(|v| objective_arg = Some(v)),
-            "--trials" | "-t" => value("--trials").and_then(|v| {
-                v.parse()
-                    .map(|v| trials = v)
-                    .map_err(|e| format!("--trials: {e}"))
-            }),
-            "--seed" => value("--seed").and_then(|v| {
-                v.parse()
-                    .map(|v| seed = v)
-                    .map_err(|e| format!("--seed: {e}"))
-            }),
-            "--threads" => value("--threads").and_then(|v| {
-                v.parse()
-                    .map(|v| threads = v)
-                    .map_err(|e| format!("--threads: {e}"))
-            }),
-            "--cap" => value("--cap").and_then(|v| {
-                v.parse()
-                    .map(|v| cap = Some(v))
-                    .map_err(|e| format!("--cap: {e}"))
-            }),
-            "--start" => value("--start").and_then(|v| {
-                v.parse()
-                    .map(|v| start = v)
-                    .map_err(|e| format!("--start: {e}"))
-            }),
-            "--backend" | "-B" => value("--backend")
-                .and_then(|v| v.parse().map(|v| backend = v).map_err(|e: String| e)),
-            "--shards" | "-S" => value("--shards").and_then(|v| {
-                v.parse()
-                    .map(|v| shards = v)
-                    .map_err(|e| format!("--shards: {e}"))
-            }),
-            "--dry-run" | "-n" => {
-                dry_run = true;
-                Ok(())
-            }
-            "--verbose" | "-v" => {
-                verbose = true;
-                Ok(())
-            }
-            "--trace" => value("--trace").map(|v| trace = Some(PathBuf::from(v))),
-            "--trace-every" => value("--trace-every").and_then(|v| {
-                v.parse()
-                    .map(|v| trace_every = v)
-                    .map_err(|e| format!("--trace-every: {e}"))
-            }),
-            "--metrics" | "-M" => {
-                metrics = true;
-                Ok(())
-            }
-            "--csv" => {
-                format = Format::Csv;
-                Ok(())
-            }
-            "--markdown" | "--md" => {
-                format = Format::Markdown;
-                Ok(())
-            }
-            "--help" | "-h" => {
-                print_run_help();
-                return ExitCode::SUCCESS;
-            }
-            other => Err(format!("unknown argument: {other}")),
-        };
-        if let Err(e) = parsed {
-            return usage_error(&e, "run ");
+    let mut flags = Flags::new(args, "run ");
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--graph" | "-g" => graph = Some(flags.value("--graph")?),
+            "--process" | "-p" => process = Some(flags.value("--process")?),
+            "--objective" | "-O" => objective_arg = Some(flags.value("--objective")?),
+            "--trials" | "-t" => trials = flags.parse("--trials")?,
+            "--seed" => seed = flags.parse("--seed")?,
+            "--threads" => threads = flags.parse("--threads")?,
+            "--cap" => cap = Some(flags.parse("--cap")?),
+            "--start" => start = flags.parse("--start")?,
+            "--backend" | "-B" => backend = flags.parse("--backend")?,
+            "--shards" | "-S" => shards = flags.parse("--shards")?,
+            "--dry-run" | "-n" => dry_run = true,
+            "--verbose" | "-v" => verbose = true,
+            "--trace" => trace = Some(flags.parse("--trace")?),
+            "--trace-every" => trace_every = flags.parse("--trace-every")?,
+            "--metrics" | "-M" => metrics = true,
+            "--csv" => format = Format::Csv,
+            "--markdown" | "--md" => format = Format::Markdown,
+            "--help" | "-h" => return help(print_run_help),
+            other => return Err(flags.usage(format!("unknown argument: {other}"))),
         }
     }
     let (Some(graph), Some(process)) = (graph, process) else {
-        return usage_error("run needs both --graph and --process", "run ");
+        return Err(flags.usage("run needs both --graph and --process"));
     };
 
-    let objective: cobra::Objective = match objective_arg.as_deref().map(str::parse) {
-        None => cobra::Objective::Cover,
-        Some(Ok(objective)) => objective,
-        Some(Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let spec = match SimSpec::parse(&graph, &process) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut spec = spec
+    let objective: cobra::Objective = objective_arg
+        .as_deref()
+        .map_or(Ok(cobra::Objective::Cover), str::parse)?;
+    let mut spec = SimSpec::parse(&graph, &process)?
         .with_start(start)
         .with_trials(trials)
         .with_seed(seed)
@@ -351,31 +354,16 @@ fn run_subcommand(args: &[String]) -> ExitCode {
         // Resolve everything a trial would see — and reject
         // non-terminating combos (hit: outside the graph, unreachable
         // hit:far) before any round runs, naming the offending token.
-        if let Err(e) = print_resolved_run(&spec, &graph, &process) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        print_resolved_run(&spec, &graph, &process)?;
         if dry_run {
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
     }
 
     let measurement = if trace.is_some() || metrics {
-        match run_traced(&spec, trace.as_deref(), trace_every, metrics) {
-            Ok(measurement) => measurement,
-            Err(e) => {
-                err_line(&e);
-                return ExitCode::FAILURE;
-            }
-        }
+        run_traced(&spec, trace.as_deref(), trace_every, metrics)?
     } else {
-        match spec.measure() {
-            Ok(measurement) => measurement,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        spec.measure()?
     };
 
     let table = match measurement {
@@ -387,12 +375,8 @@ fn run_subcommand(args: &[String]) -> ExitCode {
             trajectory_table(&graph, &process, &traj, format != Format::Plain)
         }
     };
-    match format {
-        Format::Plain => println!("{}", table.render()),
-        Format::Csv => print!("{}", table.to_csv()),
-        Format::Markdown => println!("{}", table.to_markdown()),
-    }
-    ExitCode::SUCCESS
+    print_table(&table, format);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The observed measurement path behind `run --trace` / `run
@@ -405,7 +389,7 @@ fn run_traced(
     trace: Option<&Path>,
     every: usize,
     metrics: bool,
-) -> Result<cobra::Measurement, String> {
+) -> Result<cobra::Measurement, Failure> {
     let mut writer = match trace {
         Some(path) => Some(
             TraceWriter::create(path, every)
@@ -420,16 +404,12 @@ fn run_traced(
     };
     let measurement = if metrics {
         let mut sink = RegistrySink::new(inner);
-        let (measurement, _) = spec
-            .measure_traced(&mut sink, true)
-            .map_err(|e| e.to_string())?;
+        let (measurement, _) = spec.measure_traced(&mut sink, true)?;
         let registry: MetricsRegistry = sink.into_registry();
         err_line(&registry.render());
         measurement
     } else {
-        let (measurement, _) = spec
-            .measure_traced(inner, true)
-            .map_err(|e| e.to_string())?;
+        let (measurement, _) = spec.measure_traced(inner, true)?;
         measurement
     };
     if let Some(writer) = writer {
@@ -442,12 +422,12 @@ fn run_traced(
 
 /// Prints the fully-resolved scenario (objective, stop condition, cap)
 /// without running a round; errors on specs that cannot terminate.
-fn print_resolved_run(spec: &SimSpec<'_>, graph: &str, process: &str) -> Result<(), String> {
+fn print_resolved_run(spec: &SimSpec<'_>, graph: &str, process: &str) -> Result<(), Failure> {
     // Full spec validation (start set in range, objective can
     // terminate) — exactly what every run path checks, so a clean dry
     // run means the real run starts. Implicit backends resolve without
     // materialising a single edge, so hypercube:24 dry-runs instantly.
-    let resolved = spec.resolve().map_err(|e| e.to_string())?;
+    let resolved = spec.resolve()?;
     out_line(&format!(
         "run: {process} on {graph} (n = {}, m = {})",
         resolved.n, resolved.m
@@ -555,7 +535,7 @@ fn trajectory_table(
 /// `cobra-exps sweep` — run a whole parameter grid through the
 /// campaign layer: declarative expansion, content-addressed caching,
 /// resumable scheduling, table/plot artifacts.
-fn sweep_subcommand(args: &[String]) -> ExitCode {
+fn sweep_subcommand(args: &[String]) -> Outcome {
     let mut spec_arg: Option<String> = None;
     let mut objective_axis: Option<String> = None;
     let mut backend_override: Option<cobra::Backend> = None;
@@ -570,106 +550,39 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
     let mut metrics = false;
     let mut watch = false;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .ok_or_else(|| format!("{what} needs a value"))
-                .cloned()
-        };
-        let parsed = match arg.as_str() {
-            "--objective" | "-O" => value("--objective").map(|v| objective_axis = Some(v)),
-            "--backend" | "-B" => value("--backend").and_then(|v| {
-                v.parse()
-                    .map(|v| backend_override = Some(v))
-                    .map_err(|e: String| e)
-            }),
-            "--shards" | "-S" => value("--shards").and_then(|v| {
-                v.parse()
-                    .map(|v| shards_override = Some(v))
-                    .map_err(|e| format!("--shards: {e}"))
-            }),
-            "--dry-run" | "-n" => {
-                dry_run = true;
-                Ok(())
+    let mut flags = Flags::new(args, "sweep ");
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--objective" | "-O" => objective_axis = Some(flags.value("--objective")?),
+            "--backend" | "-B" => backend_override = Some(flags.parse("--backend")?),
+            "--shards" | "-S" => shards_override = Some(flags.parse("--shards")?),
+            "--dry-run" | "-n" => dry_run = true,
+            "--threads" => threads = flags.parse("--threads")?,
+            "--store" => store_root = flags.parse("--store")?,
+            "--no-store" => no_store = true,
+            "--plot" | "-p" => plot = true,
+            "--progress" => progress = true,
+            "--watch" | "-w" => watch = true,
+            "--metrics" | "-M" => metrics = true,
+            "--csv" => format = Format::Csv,
+            "--markdown" | "--md" => format = Format::Markdown,
+            "--help" | "-h" => return help(print_sweep_help),
+            other if other.starts_with('-') => {
+                return Err(flags.usage(format!("unknown argument: {other}")));
             }
-            "--threads" => value("--threads").and_then(|v| {
-                v.parse()
-                    .map(|v| threads = v)
-                    .map_err(|e| format!("--threads: {e}"))
-            }),
-            "--store" => value("--store").map(|v| store_root = PathBuf::from(v)),
-            "--no-store" => {
-                no_store = true;
-                Ok(())
-            }
-            "--plot" | "-p" => {
-                plot = true;
-                Ok(())
-            }
-            "--progress" => {
-                progress = true;
-                Ok(())
-            }
-            "--watch" | "-w" => {
-                watch = true;
-                Ok(())
-            }
-            "--metrics" | "-M" => {
-                metrics = true;
-                Ok(())
-            }
-            "--csv" => {
-                format = Format::Csv;
-                Ok(())
-            }
-            "--markdown" | "--md" => {
-                format = Format::Markdown;
-                Ok(())
-            }
-            "--help" | "-h" => {
-                print_sweep_help();
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => Err(format!("unknown argument: {other}")),
-            other if spec_arg.is_none() => {
-                spec_arg = Some(other.to_string());
-                Ok(())
-            }
-            other => Err(format!("unexpected extra argument: {other}")),
-        };
-        if let Err(e) = parsed {
-            return usage_error(&e, "sweep ");
+            other if spec_arg.is_none() => spec_arg = Some(other.to_string()),
+            other => return Err(flags.usage(format!("unexpected extra argument: {other}"))),
         }
     }
     let Some(spec_arg) = spec_arg else {
-        return usage_error(
-            "sweep needs a spec (inline, @file, or a path to a spec file)",
-            "sweep ",
-        );
+        return Err(flags.usage("sweep needs a spec (inline, @file, or a path to a spec file)"));
     };
-    let spec_text = match load_sweep_text(&spec_arg) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut spec: SweepSpec = match spec_text.parse() {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut spec: SweepSpec = load_sweep_text(&spec_arg)?.parse()?;
     if let Some(axis) = objective_axis {
         // --objective overrides the spec's objective axis; re-validate
         // the expansion under the new axis.
         spec.objectives = axis.split('|').map(|s| s.trim().to_string()).collect();
-        if let Err(e) = spec.expand_axes() {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        spec.expand_axes()?;
     }
     if let Some(backend) = backend_override {
         // --backend overrides the spec's backend= segment; results are
@@ -678,8 +591,7 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
     }
     if let Some(shards) = shards_override {
         if shards == 0 {
-            eprintln!("--shards must be >= 1 (1 = the unsharded engine)");
-            return ExitCode::FAILURE;
+            return Err("--shards must be >= 1 (1 = the unsharded engine)".into());
         }
         // --shards overrides the spec's shards= segment. Unlike
         // --backend this changes every point's content key (and the
@@ -696,13 +608,7 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
         } else {
             Store::load(&store_dir)
         };
-        let plan = match plan_sweep(&spec, &store, &paper_cap) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let plan = plan_sweep(&spec, &store, &paper_cap)?;
         let dup_note = if plan.duplicates.is_empty() {
             String::new()
         } else {
@@ -748,19 +654,14 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
         if plan.len() > SHOW {
             println!("  ... {} more", plan.len() - SHOW);
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let mut store = if no_store {
         Store::in_memory()
     } else {
-        match Store::open(&store_dir) {
-            Ok(store) => store,
-            Err(e) => {
-                eprintln!("cannot open store {}: {e}", store_dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        Store::open(&store_dir)
+            .map_err(|e| format!("cannot open store {}: {e}", store_dir.display()))?
     };
     let started = std::time::Instant::now();
     // Every event is printed under --watch; --progress draws its live
@@ -798,14 +699,6 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
     // flushed, and the campaign resumes where it stopped on the next run.
     cobra_serve::signal::install_handlers();
     let cancel = cobra_serve::signal::shutdown_flag();
-    let outcome = match run_sweep_watched(&spec, &mut store, threads, &paper_cap, &on_event, cancel)
-    {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let WatchOutcome {
         records,
         cached: cached_n,
@@ -813,7 +706,7 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
         cancelled,
         interrupted,
         cache_stats,
-    } = outcome;
+    } = run_sweep_watched(&spec, &mut store, threads, &paper_cap, &on_event, cancel)?;
     let records: Vec<_> = records.into_iter().flatten().collect();
     if progress {
         // Unconditional final line: an all-cached sweep never draws the
@@ -852,11 +745,7 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
     }
     // One table per objective (a single-objective sweep prints one).
     for (_objective, table) in artifact::tables(&name, &records) {
-        match format {
-            Format::Plain => println!("{}", table.render()),
-            Format::Csv => print!("{}", table.to_csv()),
-            Format::Markdown => println!("{}", table.to_markdown()),
-        }
+        print_table(&table, format);
     }
     if plot {
         if let Some(fig) = artifact::scaling_plot(&name, &records) {
@@ -864,24 +753,18 @@ fn sweep_subcommand(args: &[String]) -> ExitCode {
         }
     }
     if !no_store && !interrupted {
-        match artifact::write_artifacts(&store_dir, &name, &records) {
-            Ok(written) => {
-                for path in written {
-                    out_line(&format!("wrote {}", path.display()));
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot write artifacts: {e}");
-                return ExitCode::FAILURE;
-            }
+        let written = artifact::write_artifacts(&store_dir, &name, &records)
+            .map_err(|e| format!("cannot write artifacts: {e}"))?;
+        for path in written {
+            out_line(&format!("wrote {}", path.display()));
         }
     }
     if interrupted {
         // The conventional SIGINT exit status; the drain was graceful
         // but the sweep is incomplete.
-        return ExitCode::from(130);
+        return Ok(ExitCode::from(130));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Resolves the sweep-spec argument: inline text, `@file`, or a path to
@@ -962,41 +845,19 @@ fn paper_cap(shape: cobra_graph::GraphShape, process: &cobra_process::ProcessSpe
 /// worker pool, dedup identical work across clients, and stream
 /// per-point NDJSON events. SIGINT/SIGTERM drain in-flight trials and
 /// exit with a final summary.
-fn serve_subcommand(args: &[String]) -> ExitCode {
+fn serve_subcommand(args: &[String]) -> Outcome {
     let mut addr: std::net::SocketAddr = "127.0.0.1:7171".parse().expect("static default addr");
     let mut threads: usize = 0;
     let mut store_root: Option<PathBuf> = Some(PathBuf::from("campaigns"));
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .ok_or_else(|| format!("{what} needs a value"))
-                .cloned()
-        };
-        let parsed = match arg.as_str() {
-            "--addr" | "-a" => value("--addr").and_then(|v| {
-                v.parse()
-                    .map(|v| addr = v)
-                    .map_err(|e| format!("--addr: {e}"))
-            }),
-            "--threads" => value("--threads").and_then(|v| {
-                v.parse()
-                    .map(|v| threads = v)
-                    .map_err(|e| format!("--threads: {e}"))
-            }),
-            "--store" => value("--store").map(|v| store_root = Some(PathBuf::from(v))),
-            "--no-store" => {
-                store_root = None;
-                Ok(())
-            }
-            "--help" | "-h" => {
-                print_serve_help();
-                return ExitCode::SUCCESS;
-            }
-            other => Err(format!("unknown argument: {other}")),
-        };
-        if let Err(e) = parsed {
-            return usage_error(&e, "serve ");
+    let mut flags = Flags::new(args, "serve ");
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" | "-a" => addr = flags.parse("--addr")?,
+            "--threads" => threads = flags.parse("--threads")?,
+            "--store" => store_root = Some(flags.parse("--store")?),
+            "--no-store" => store_root = None,
+            "--help" | "-h" => return help(print_serve_help),
+            other => return Err(flags.usage(format!("unknown argument: {other}"))),
         }
     }
     let config = cobra_serve::ServeConfig {
@@ -1007,13 +868,8 @@ fn serve_subcommand(args: &[String]) -> ExitCode {
     let workers = config.resolved_threads();
     let service = std::sync::Arc::new(cobra_serve::CampaignService::new(config));
     service.spawn_workers(0);
-    let server = match cobra_serve::Server::bind(addr, std::sync::Arc::clone(&service)) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = cobra_serve::Server::bind(addr, std::sync::Arc::clone(&service))
+        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     cobra_serve::signal::install_handlers();
     out_line(&format!(
         "cobra-serve listening on http://{} — {workers} workers, store {}",
@@ -1024,9 +880,8 @@ fn serve_subcommand(args: &[String]) -> ExitCode {
         }
     ));
     if let Err(e) = server.run(cobra_serve::signal::shutdown_flag()) {
-        eprintln!("accept loop failed: {e}");
         service.shutdown();
-        return ExitCode::FAILURE;
+        return Err(format!("accept loop failed: {e}").into());
     }
     out_line("shutdown requested — draining in-flight trials");
     service.shutdown();
@@ -1040,15 +895,7 @@ fn serve_subcommand(args: &[String]) -> ExitCode {
         count("serve.points.deduped"),
         count("serve.points.cancelled"),
     ));
-    ExitCode::SUCCESS
-}
-
-/// A command-line usage error: one stderr line that points at the
-/// command's help (`command` is `"run "`, `"sweep "`, `"serve "` or
-/// empty for the experiment harness), and exit status 1.
-fn usage_error(message: &str, command: &str) -> ExitCode {
-    eprintln!("{message} (see cobra-exps {command}--help)");
-    ExitCode::FAILURE
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_serve_help() {

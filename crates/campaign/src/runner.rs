@@ -30,8 +30,8 @@ use cobra_graph::{
 };
 use cobra_mc::queue::drain_with;
 use cobra_mc::{
-    key_seed, resolve_threads, run_jobs, CancelToken, Engine, Objective, StoppingAccumulator,
-    TrialState,
+    key_seed, resolve_threads, run_trials_with, CancelToken, Engine, Objective, RunConfig,
+    StoppingAccumulator, TrialState, MAX_RESERVED_TRIALS,
 };
 use cobra_process::{ProcessSpec, StepCtx};
 use std::collections::{HashMap, HashSet};
@@ -382,7 +382,9 @@ where
         .iter()
         .map(|s| cache.get_or_build(s, graph_build_seed(master_seed, s)))
         .collect::<Result<_, _>>()?;
-    Ok(run_jobs(threads, specs.len(), StepCtx::new, |ctx, i| {
+    // Cases own their seeding, so the runner's per-index seed is unused.
+    let config = RunConfig::new(specs.len(), master_seed).with_threads(threads);
+    Ok(run_trials_with(config, StepCtx::new, |ctx, _seed, i| {
         exec(i, &graphs[i], ctx)
     }))
 }
@@ -423,7 +425,7 @@ pub fn run_point_cancellable(
         let mut state = TrialState::new(graph, &point.process, &start, point.shards, 1, ctx);
         let mut acc = StoppingAccumulator::new();
         let started = Instant::now();
-        let mut trial_secs = Vec::with_capacity(point.trials);
+        let mut trial_secs = Vec::with_capacity(point.trials.min(MAX_RESERVED_TRIALS));
         let mut lap = started;
         let finished = Engine::new(point.trials, point.seed, point.cap).run_sequential(
             &mut state,
@@ -908,6 +910,18 @@ mod tests {
             assert_eq!(record.total_transmissions, tx);
             assert_eq!(record.total_reached, reached);
         }
+    }
+
+    #[test]
+    fn a_huge_trial_count_reserves_nothing_it_cannot_hold() {
+        let plan = plan_sweep(&small_spec(), &Store::in_memory(), &default_cap).unwrap();
+        let planned = &plan.points[0];
+        let mut point = planned.point.clone();
+        point.trials = usize::MAX;
+        let token = CancelToken::new();
+        token.cancel();
+        let out = run_point_cancellable(&point, &planned.topology, &mut StepCtx::new(), &token);
+        assert!(out.is_none());
     }
 
     #[test]

@@ -71,7 +71,10 @@ use cobra_graph::{
     with_topology, Backend, BuiltTopology, Graph, GraphShape, GraphSpec, GraphSpecError, Topology,
     VertexId,
 };
-use cobra_mc::{resolve_threads, Completion, Engine, Observer, StopWhen, Trajectory, TrialState};
+use cobra_mc::{
+    resolve_threads, Completion, Engine, Observer, StopWhen, Trajectory, TrialState,
+    MAX_RESERVED_TRIALS,
+};
 use cobra_obs::{PhaseTimers, RoundSink};
 use cobra_process::{per_shard_state_bytes, Branching, ProcessSpec, ProcessSpecError, StepCtx};
 use std::fmt;
@@ -420,7 +423,7 @@ impl<'g> SimSpec<'g> {
                     self.objective
                 )));
             }
-            let mut outcomes = Vec::with_capacity(self.trials);
+            let mut outcomes = Vec::with_capacity(self.trials.min(MAX_RESERVED_TRIALS));
             self.run_stopping(g, None, false, |o| outcomes.push(*o))?;
             Ok(outcomes)
         })

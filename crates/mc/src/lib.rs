@@ -44,6 +44,6 @@ pub use objective::{
     HitTarget, Objective, StoppingAccumulator, StoppingEstimate, OBJECTIVE_USAGES,
 };
 pub use queue::{CancelToken, Claimed, JobQueue, LaneId, QueueClosed, QueueStats};
-pub use runner::{resolve_threads, run_jobs, run_trials, run_trials_with, RunConfig};
+pub use runner::{resolve_threads, run_trials, run_trials_with, RunConfig, MAX_RESERVED_TRIALS};
 pub use seed::{key_seed, shard_seed, trial_seed, SeedSequence};
 pub use shard::run_sharded_trial;

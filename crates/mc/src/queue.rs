@@ -1,6 +1,5 @@
-//! Cancellable fair-share job queue — the scheduling core shared by
-//! [`crate::runner::run_jobs`] and the campaign `Scheduler` that runs
-//! every sweep and `cobra-serve` point.
+//! Cancellable fair-share job queue — the scheduling core of the
+//! campaign `Scheduler` that runs every sweep and `cobra-serve` point.
 //!
 //! # Model
 //!
@@ -144,13 +143,38 @@ struct State<J> {
 impl<J> State<J> {
     /// DRR dispatch: drop cancelled heads, retire empty lanes, credit
     /// quantum per visit, and serve the first affordable head.
+    ///
+    /// A full pass that dispatches nothing is followed by one bulk
+    /// credit: every lane gets the quanta the closest lane still needs,
+    /// which is exactly what that many further passes would have added.
+    /// The schedule is unchanged, but a huge cost no longer spins here,
+    /// under the queue lock, for `cost / quantum` visits.
     fn pop_next(&mut self) -> Option<Pending<J>> {
+        // Visits since the last dispatch, bulk credit or pass start.
+        let mut misses = 0;
         loop {
             if self.lanes.is_empty() {
                 return None;
             }
             if self.cursor >= self.lanes.len() {
                 self.cursor = 0;
+            }
+            if misses >= self.lanes.len() {
+                let quantum = self.quantum;
+                let quanta = self
+                    .lanes
+                    .iter()
+                    .map(|l| {
+                        let cost = l.fifo.front().map_or(0, |head| head.cost);
+                        cost.saturating_sub(l.deficit).div_ceil(quantum)
+                    })
+                    .min()
+                    .unwrap_or(0);
+                let credit = quanta.saturating_mul(quantum);
+                for lane in &mut self.lanes {
+                    lane.deficit = lane.deficit.saturating_add(credit);
+                }
+                misses = 0;
             }
             let lane = &mut self.lanes[self.cursor];
             while let Some(head) = lane.fifo.front() {
@@ -178,8 +202,9 @@ impl<J> State<J> {
                 }
                 return Some(pending);
             }
-            lane.deficit += self.quantum;
+            lane.deficit = lane.deficit.saturating_add(self.quantum);
             self.cursor += 1;
+            misses += 1;
         }
     }
 
@@ -491,6 +516,76 @@ mod tests {
             drain_order(&queue),
             vec!["h1", "l1", "l2", "l3", "l4", "h2", "l5", "l6", "l7", "l8"]
         );
+    }
+
+    #[test]
+    fn bulk_credit_keeps_the_per_visit_schedule() {
+        // Reference DRR: one quantum per visit, no bulk credit.
+        fn per_visit(lanes: &[Vec<u64>], quantum: u64) -> Vec<(usize, usize)> {
+            // (lane, deficit, head job) for every lane with jobs left.
+            let mut live: Vec<(usize, u64, usize)> = (0..lanes.len()).map(|l| (l, 0, 0)).collect();
+            let (mut cursor, mut order) = (0, Vec::new());
+            while !live.is_empty() {
+                cursor %= live.len();
+                let (lane, deficit, job) = &mut live[cursor];
+                let cost = lanes[*lane][*job];
+                if *deficit >= cost {
+                    *deficit -= cost;
+                    order.push((*lane, *job));
+                    *job += 1;
+                    if *job == lanes[*lane].len() {
+                        live.remove(cursor);
+                    }
+                } else {
+                    *deficit += quantum;
+                    cursor += 1;
+                }
+            }
+            order
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut cost = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            1 + x % 400
+        };
+        for quantum in [1, 7, 32] {
+            let lanes: Vec<Vec<u64>> = (0..4)
+                .map(|l| (0..6 + l).map(|_| cost()).collect())
+                .collect();
+            let queue: JobQueue<(usize, usize)> = JobQueue::with_quantum(quantum);
+            for (l, costs) in lanes.iter().enumerate() {
+                let lane = queue.lane();
+                for (job, &c) in costs.iter().enumerate() {
+                    queue.submit(lane, c, (l, job)).unwrap();
+                }
+            }
+            queue.close();
+            let mut got = Vec::new();
+            while let Some(mut claim) = queue.next() {
+                got.push(claim.take());
+            }
+            assert_eq!(got, per_visit(&lanes, quantum), "quantum {quantum}");
+        }
+    }
+
+    #[test]
+    fn a_huge_cost_is_claimed_at_once() {
+        let queue: JobQueue<u32> = JobQueue::new();
+        let lane = queue.lane();
+        queue.submit(lane, u64::MAX, 7).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = queue.clone();
+        // A helper thread, so a spinning queue fails the test by timeout
+        // instead of hanging the suite.
+        let handle = std::thread::spawn(move || {
+            let job = worker.next().map(|mut claim| claim.take());
+            let _ = tx.send(job);
+        });
+        let claimed = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(claimed, Ok(Some(7)), "the queue spun on a u64::MAX cost");
+        handle.join().expect("the claiming thread returns");
     }
 
     #[test]

@@ -36,6 +36,13 @@ impl RunConfig {
     }
 }
 
+/// The most per-trial result slots a runner reserves up front. Trial
+/// counts arrive from the CLI, sweep specs and HTTP, so none may size an
+/// allocation on its own: `trials = usize::MAX` would overflow the
+/// capacity, and `10^12` abort on a 48 TB request. Longer batches grow
+/// their vectors as results arrive.
+pub const MAX_RESERVED_TRIALS: usize = 1 << 16;
+
 /// A worker-thread knob resolved to a count: `0` means one per
 /// available core.
 pub fn resolve_threads(threads: usize) -> usize {
@@ -82,13 +89,18 @@ where
     let threads = config.effective_threads();
     if threads <= 1 {
         let mut state = init();
-        return (0..config.trials)
-            .map(|i| f(&mut state, trial_seed(config.master_seed, i as u64), i))
-            .collect();
+        // A loop, not `collect`: a range's exact size hint would reserve
+        // every slot up front.
+        let mut out = Vec::with_capacity(config.trials.min(MAX_RESERVED_TRIALS));
+        for i in 0..config.trials {
+            out.push(f(&mut state, trial_seed(config.master_seed, i as u64), i));
+        }
+        return out;
     }
 
     let counter = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(config.trials));
+    let reserved = config.trials.min(MAX_RESERVED_TRIALS);
+    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(reserved));
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
@@ -117,59 +129,6 @@ where
     let mut collected = results.into_inner().expect("all workers joined");
     collected.sort_by_key(|&(i, _)| i);
     debug_assert_eq!(collected.len(), config.trials);
-    collected.into_iter().map(|(_, t)| t).collect()
-}
-
-/// Runs `jobs` indexed jobs across the worker pool with reusable
-/// per-worker state — the *job-level* analogue of [`run_trials_with`].
-///
-/// Where trials derive a seed from their index, jobs own their seeding
-/// (a campaign point's seed comes from its content key via
-/// [`crate::seed::key_seed`]), so `f` receives only the worker state
-/// and the job index. Each worker thread builds its state once (`init`)
-/// and reuses it across every job it executes — this is how the
-/// campaign scheduler gives each worker one long-lived
-/// `cobra_process::StepCtx` whose scratch buffers amortize across whole
-/// sweep points, not just trials. Output is ordered by job index,
-/// identical for any thread count.
-///
-/// Since the service-mode work, this rides [`crate::queue::JobQueue`] —
-/// the same scheduler the `cobra-serve` daemon multiplexes campaigns
-/// on — as a single-lane batch: all jobs submitted up front, the queue
-/// closed, and [`crate::queue::drain_with`] worker threads draining it.
-/// Results are unchanged by construction: `f` sees only `(state,
-/// index)`, so scheduling (direct or queued) is never observable.
-pub fn run_jobs<S, T, I, F>(threads: usize, jobs: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let threads = resolve_threads(threads).min(jobs);
-
-    let queue: crate::queue::JobQueue<usize> = crate::queue::JobQueue::new();
-    let lane = queue.lane();
-    for i in 0..jobs {
-        queue
-            .submit(lane, 1, i)
-            .expect("queue closed before batch submission finished");
-    }
-    queue.close();
-
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(jobs));
-    crate::queue::drain_with(&queue, threads, init, |state, index, _token| {
-        let out = f(state, index);
-        results
-            .lock()
-            .expect("worker panicked while holding results lock")
-            .push((index, out));
-    });
-    let mut collected = results.into_inner().expect("all workers joined");
-    collected.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(collected.len(), jobs);
     collected.into_iter().map(|(_, t)| t).collect()
 }
 
@@ -255,37 +214,6 @@ mod tests {
         );
         assert!(inits.load(Ordering::Relaxed) <= 4);
         assert_eq!(out, (0..64).collect::<Vec<usize>>());
-    }
-
-    #[test]
-    fn run_jobs_is_index_ordered_and_complete() {
-        let ran = AtomicU64::new(0);
-        let out: Vec<usize> = run_jobs(
-            4,
-            37,
-            || (),
-            |(), i| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                i
-            },
-        );
-        assert_eq!(out, (0..37).collect::<Vec<usize>>());
-        assert_eq!(ran.load(Ordering::Relaxed), 37);
-    }
-
-    #[test]
-    fn run_jobs_reuses_worker_state() {
-        // Sequential: one worker state threaded through all jobs.
-        let out: Vec<u64> = run_jobs(
-            1,
-            5,
-            || 0u64,
-            |state, _| {
-                *state += 1;
-                *state
-            },
-        );
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -600,6 +600,37 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_trial_count_wedges_neither_the_queue_nor_shutdown() {
+        // Runs on a helper thread so a wedged queue fails the test by
+        // timeout instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let svc = service();
+            svc.spawn_workers(2);
+            let huge = "cover; graph=cycle:8; process=cobra:b2; trials=1000000000000000000";
+            let huge = svc.submit(huge).unwrap();
+            let small = svc.submit(SPEC).unwrap();
+            let mut from = 0;
+            loop {
+                let (lines, done) = small.campaign.wait_events(from);
+                from += lines.len();
+                if done {
+                    break;
+                }
+            }
+            let small_counts = small.campaign.counts();
+            svc.shutdown();
+            let _ = tx.send((small_counts, huge.campaign.counts()));
+        });
+        let (small, huge) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the small campaign completes and shutdown returns");
+        assert_eq!(small.computed, 4);
+        assert_eq!((huge.computed, huge.cancelled), (0, 1));
+        handle.join().expect("the service thread returns");
+    }
+
+    #[test]
     fn rejects_malformed_specs() {
         let svc = service();
         let err = svc.submit("this is not a sweep").unwrap_err();
