@@ -1,6 +1,7 @@
 //! CLI parity suite for the `cobra-exps` binary: exit codes and exact
 //! stderr on every failure path, byte-identical help texts, and pinned
-//! stdout for `run` (plain, CSV, markdown, dry run) and a dry-run sweep.
+//! stdout for `run` (plain, CSV, markdown, dry run, single-particle
+//! COBRA) and a dry-run sweep.
 //! Fixtures live in `tests/data/`.
 
 use std::process::{Command, Output};
@@ -215,6 +216,29 @@ fn run_tables_are_pinned() {
         ],
         include_str!("data/run-dry.txt"),
     );
+}
+
+#[test]
+fn single_particle_cobra_tables_are_pinned() {
+    // Recorded on the batched COBRA kernel; single-start `cobra:b1` now
+    // runs on the random-walk kernel and must print the same tables.
+    for (process, table) in [
+        ("cobra:b1", include_str!("data/run-b1.txt")),
+        ("cobra:b1:lazy", include_str!("data/run-b1-lazy.txt")),
+    ] {
+        assert_prints(
+            &[
+                "run",
+                "--process",
+                process,
+                "--graph",
+                "hypercube:6",
+                "--trials",
+                "4",
+            ],
+            table,
+        );
+    }
 }
 
 #[test]

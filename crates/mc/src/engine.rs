@@ -19,14 +19,18 @@
 //!
 //! # Zero-allocation trial loop
 //!
-//! The trial loop is generic over `P:`[`ProcessState`], so stepping and
-//! stop checks monomorphize (no virtual dispatch per round). Each worker
-//! thread builds **one** process state and **one** [`StepCtx`] via
-//! [`run_trials_with`]; every trial reseeds the context and
-//! [`ProcessState::reset`]s the state, so steady-state trials perform no
-//! heap allocation at all. The string-spec path still works — a
-//! [`cobra_process::BoxedProcess`] is itself a `ProcessState` — and even
-//! there the `Box` is built once per worker, not once per trial.
+//! The trial loop is generic over `P:`[`ProcessState`], so with a
+//! concrete process type stepping and stop checks monomorphize (no
+//! virtual dispatch per round). Each worker thread builds **one** process
+//! state and **one** [`StepCtx`] via [`run_trials_with`]; every trial
+//! reseeds the context and [`ProcessState::reset`]s the state, so
+//! steady-state trials perform no heap allocation at all.
+//!
+//! Every string-spec run (`SimSpec`, and through it `run`, `sweep` and
+//! `serve`) steps a [`cobra_process::BoxedProcess`] instead, which is
+//! itself a `ProcessState`. The `Box` is built once per worker, not once
+//! per trial, but each round makes three virtual calls through it: the
+//! stop check, `rounds` and `step`.
 //!
 //! Determinism is inherited from [`run_trials`]: trial `i` sees only
 //! `trial_seed(master_seed, i)`, so results are identical across thread
@@ -309,8 +313,11 @@ impl Engine {
     /// begins. `make_observer` builds the per-trial observer. Output
     /// order is by trial index, identical for any thread count.
     ///
-    /// The trial loop monomorphizes over `P`, so the per-round stop
-    /// check and `step` call compile to direct, inlinable code.
+    /// The trial loop monomorphizes over `P`, so for a concrete process
+    /// the per-round stop check and `step` call compile to direct,
+    /// inlinable code. For a [`BoxedProcess`] (the [`Engine::run_spec`]
+    /// path) they are three virtual calls per round: the stop check,
+    /// `rounds` and `step`.
     pub fn run<'g, T, P, F, R, Ob, G>(
         &self,
         stop: StopWhen,

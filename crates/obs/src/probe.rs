@@ -21,9 +21,9 @@
 pub struct RoundRecord<'a> {
     /// 1-based index of the round that just executed.
     pub round: usize,
-    /// Frontier size after the round (active set for frontier
-    /// processes; falls back to the reached count for processes
-    /// without a distinct frontier).
+    /// Frontier size after the round (the active set for COBRA, the
+    /// walker or live-particle count for the walk families; falls back
+    /// to the reached count for processes without a distinct frontier).
     pub frontier: usize,
     /// Vertices covered for the first time during this round.
     pub new_covered: usize,

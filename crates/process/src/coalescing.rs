@@ -114,6 +114,10 @@ impl<T: Topology> ProcessView for CoalescingWalks<'_, T> {
         // lower bound plus merges (each merge consumed one transmission).
         self.rounds as u64 * self.particles.len() as u64 + self.merges
     }
+
+    fn frontier_len(&self) -> usize {
+        self.particles.len()
+    }
 }
 
 impl<'g, T: Topology> ProcessState<'g, T> for CoalescingWalks<'g, T> {

@@ -41,7 +41,8 @@ pub enum ProcessSpec {
         mode: BipsMode,
     },
     /// Simple random walk (COBRA at `b = 1`, kept separate as the
-    /// baseline implementation).
+    /// baseline implementation). Its kernel, [`RandomWalk`], also runs
+    /// single-start `cobra:b1`; see [`ProcessSpec::build`].
     RandomWalk { laziness: Laziness },
     /// `k` independent random walks.
     MultiWalk { k: usize, laziness: Laziness },
@@ -387,6 +388,12 @@ impl ProcessSpec {
     /// process, not the backend, so stepping stays monomorphized over
     /// `T`.
     ///
+    /// Single-start `cobra:b1` (either laziness) builds a [`RandomWalk`]:
+    /// it draws the same stream per round as the batched [`Cobra`]
+    /// kernel, so the trajectory is the same at a fraction of the
+    /// per-round cost. Multi-vertex starts and every other branching
+    /// keep the COBRA kernel.
+    ///
     /// Single-source processes (BIPS, random walk, gossip) use
     /// `start[0]`. `walks:K`/`coalescing:K` given a single start place
     /// their `K` particles by the process's own convention (all at the
@@ -400,6 +407,10 @@ impl ProcessSpec {
     pub fn build<'g, T: Topology>(&self, g: &'g T, start: &[VertexId]) -> BoxedProcess<'g, T> {
         assert!(!start.is_empty(), "process needs a nonempty start set");
         match self {
+            ProcessSpec::Cobra {
+                branching: Branching::Fixed(1),
+                laziness,
+            } if start.len() == 1 => Box::new(RandomWalk::new(g, start[0], *laziness)),
             ProcessSpec::Cobra {
                 branching,
                 laziness,
@@ -434,7 +445,7 @@ impl ProcessSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{ProcessState, StepCtx};
+    use crate::state::{ProcessState, ProcessView, StepCtx};
     use cobra_graph::generators;
 
     fn roundtrip(s: &str) -> ProcessSpec {
@@ -569,6 +580,16 @@ mod tests {
             let mut p = spec.build(&g, &[0]);
             let mut ctx = StepCtx::seeded(2);
             assert!(p.run_to_completion(&mut ctx, 100_000).is_some(), "{s}");
+        }
+    }
+
+    #[test]
+    fn multi_start_cobra_b1_keeps_every_particle() {
+        // Only single-start `cobra:b1` runs on the one-walker kernel.
+        let g = generators::cycle(12);
+        for s in ["cobra:b1", "cobra:b1:lazy"] {
+            let spec: ProcessSpec = s.parse().unwrap();
+            assert_eq!(spec.build(&g, &[0, 6]).frontier_len(), 2, "{s}");
         }
     }
 

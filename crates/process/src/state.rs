@@ -72,9 +72,10 @@ pub trait ProcessView {
     }
 
     /// Size of the *active frontier* after the last round — the set of
-    /// vertices that will transmit next round. Processes without a
-    /// distinct frontier (BIPS, gossip) fall back to the reached count;
-    /// frontier processes (COBRA) override with their active-set size.
+    /// vertices (or particles) that will transmit next round. Processes
+    /// without a distinct frontier (BIPS, gossip) fall back to the
+    /// reached count; COBRA reports its active-set size and the walk
+    /// families their walker or live-particle count.
     /// Observability only: stop conditions never read it.
     fn frontier_len(&self) -> usize {
         self.reached_count()

@@ -4,10 +4,18 @@
 //! implementations are the baselines the paper positions COBRA against
 //! (`Ω(n log n)` cover time for any graph at `b = 1`, and the multiple-
 //! walk literature [1, 3, 7] cited in the related work).
+//!
+//! [`RandomWalk`] is also the kernel of single-start `cobra:b1`:
+//! [`crate::ProcessSpec::build`] routes it here instead of to the batched
+//! [`crate::Cobra`] kernel. Both draw the same stream per round (the
+//! lazy coin, then one `random_range(0..deg)`), so every trajectory is
+//! the same, and with timers on a walk round laps the same
+//! draw/gather/coalesce phases a COBRA round does.
 
 use crate::branching::Laziness;
 use crate::state::{ProcessState, ProcessView, StepCtx};
 use cobra_graph::{Graph, Topology, VertexId};
+use cobra_obs::{Phase, PhaseClock};
 use cobra_util::BitSet;
 
 /// A single random walk tracking its visited set, generic over the
@@ -80,6 +88,10 @@ impl<T: Topology> ProcessView for RandomWalk<'_, T> {
     fn transmissions(&self) -> u64 {
         self.rounds as u64
     }
+
+    fn frontier_len(&self) -> usize {
+        1
+    }
 }
 
 impl<'g, T: Topology> ProcessState<'g, T> for RandomWalk<'g, T> {
@@ -98,10 +110,22 @@ impl<'g, T: Topology> ProcessState<'g, T> for RandomWalk<'g, T> {
         self.rounds = 0;
     }
 
+    /// With timers set, a round laps the three phases `Cobra::step` laps:
+    /// the pick is charged to draw, and gather is only clock overhead
+    /// (a walk has no inbox to gather).
     fn step(&mut self, ctx: &mut StepCtx) {
+        // Telemetry only: `None` (the default) never reads the clock.
+        let mut clock = ctx.timers.as_deref_mut().map(PhaseClock::start);
         self.position = self.laziness.pick(self.g, self.position, &mut ctx.rng);
+        if let Some(c) = clock.as_mut() {
+            c.lap(Phase::Draw);
+            c.lap(Phase::Gather);
+        }
         self.visited.insert(self.position as usize);
         self.rounds += 1;
+        if let Some(c) = clock.as_mut() {
+            c.lap(Phase::Coalesce);
+        }
     }
 }
 
@@ -172,6 +196,10 @@ impl<T: Topology> ProcessView for MultiWalk<'_, T> {
     fn transmissions(&self) -> u64 {
         (self.rounds * self.positions.len()) as u64
     }
+
+    fn frontier_len(&self) -> usize {
+        self.positions.len()
+    }
 }
 
 impl<'g, T: Topology> ProcessState<'g, T> for MultiWalk<'g, T> {
@@ -212,12 +240,58 @@ impl<'g, T: Topology> ProcessState<'g, T> for MultiWalk<'g, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobra_graph::generators;
+    use crate::{Branching, Cobra};
+    use cobra_graph::{generators, HypercubeTopo, TorusTopo};
+    use cobra_obs::PhaseTimers;
     use cobra_stats::Summary;
     use cobra_util::math::harmonic;
 
     fn ctx(seed: u64) -> StepCtx {
         StepCtx::seeded(seed)
+    }
+
+    /// Steps `Cobra` at `b = 1` and `RandomWalk` from the same start and
+    /// seed, checking they agree after every round. A `timed` walk must
+    /// also lap each of COBRA's three phases once per round.
+    fn assert_lockstep<T: Topology>(g: &T, start: VertexId, timed: bool) {
+        for laziness in [Laziness::None, Laziness::Half] {
+            for seed in [1, 7, 0x601D] {
+                let mut cobra = Cobra::new(g, &[start], Branching::Fixed(1), laziness);
+                let mut walk = RandomWalk::new(g, start, laziness);
+                let (mut cx, mut wx) = (ctx(seed), ctx(seed));
+                if timed {
+                    wx.timers = Some(Box::new(PhaseTimers::default()));
+                }
+                for round in 1..=400 {
+                    cobra.step(&mut cx);
+                    walk.step(&mut wx);
+                    let at = format!("{laziness:?}, seed {seed}, round {round}");
+                    assert_eq!(cobra.active(), &[walk.position()], "{at}");
+                    assert_eq!(cobra.rounds(), walk.rounds(), "{at}");
+                    assert_eq!(cobra.transmissions(), walk.transmissions(), "{at}");
+                    assert_eq!(cobra.frontier_len(), walk.frontier_len(), "{at}");
+                    assert_eq!(cobra.visited(), walk.visited(), "{at}");
+                }
+                if let Some(timers) = &wx.timers {
+                    for phase in [Phase::Draw, Phase::Gather, Phase::Coalesce] {
+                        assert_eq!(timers.histogram(phase).count(), 400, "{phase:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_steps_in_lockstep_with_single_particle_cobra() {
+        assert_lockstep(&generators::petersen(), 0, false);
+        assert_lockstep(&generators::lollipop(12, 12), 3, false);
+        assert_lockstep(&generators::torus(&[5, 7]), 4, false);
+        assert_lockstep(&TorusTopo::new(&[5, 7]), 4, false);
+        assert_lockstep(&generators::hypercube(6), 9, false);
+        assert_lockstep(&HypercubeTopo::new(6), 9, false);
+        // Phase timing draws nothing extra.
+        assert_lockstep(&generators::torus(&[5, 7]), 4, true);
+        assert_lockstep(&HypercubeTopo::new(6), 9, true);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! `Objective`/`measure()` path to the same recordings and to its own
 //! per-trial `outcomes()`. One fixture set, two invariants —
 //! extend here, not in the suites.
+//!
+//! The two `cobra:b1` rows were added later, recorded at `1787fb8` on the
+//! batched COBRA kernel, before single-start `cobra:b1` moved to the
+//! random-walk kernel; they pin that move to the same samples.
 #![allow(dead_code)]
 
 use cobra::SimSpec;
@@ -26,6 +30,8 @@ pub const GOLDEN: &[(&str, &str, [Golden; 4])] = &[
     ("cobra:b2", "torus:6x6", [(12, 36, 234), (12, 36, 230), (11, 36, 192), (15, 36, 220)]),
     ("cobra:b3:lazy", "petersen", [(4, 10, 39), (7, 10, 84), (6, 10, 75), (4, 10, 63)]),
     ("cobra:rho0.5", "petersen", [(4, 10, 18), (11, 10, 42), (8, 10, 26), (15, 10, 54)]),
+    ("cobra:b1", "petersen", [(27, 10, 27), (38, 10, 38), (18, 10, 18), (17, 10, 17)]),
+    ("cobra:b1:lazy", "petersen", [(49, 10, 49), (45, 10, 45), (28, 10, 28), (48, 10, 48)]),
     ("bips:b2", "petersen", [(6, 10, 108), (5, 10, 90), (4, 10, 72), (8, 10, 144)]),
     ("bips:b2:exact", "petersen", [(5, 10, 90), (5, 10, 90), (8, 10, 144), (7, 10, 126)]),
     ("bips:rho0.4:lazy", "petersen", [(17, 10, 221), (12, 10, 156), (14, 10, 182), (16, 10, 208)]),
