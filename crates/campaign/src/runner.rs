@@ -31,9 +31,10 @@ use cobra_graph::{
 use cobra_mc::queue::drain_with;
 use cobra_mc::{
     key_seed, resolve_threads, run_trials_with, CancelToken, Engine, Objective, RunConfig,
-    StoppingAccumulator, TrialState, MAX_RESERVED_TRIALS,
+    StoppingAccumulator, TrialState,
 };
 use cobra_process::{ProcessSpec, StepCtx};
+use cobra_stats::streaming::StreamingSummary;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -384,15 +385,21 @@ where
         .collect::<Result<_, _>>()?;
     // Cases own their seeding, so the runner's per-index seed is unused.
     let config = RunConfig::new(specs.len(), master_seed).with_threads(threads);
-    Ok(run_trials_with(config, StepCtx::new, |ctx, _seed, i| {
-        exec(i, &graphs[i], ctx)
-    }))
+    let mut out = Vec::with_capacity(specs.len());
+    run_trials_with(
+        config,
+        StepCtx::new,
+        |ctx, _seed, i| exec(i, &graphs[i], ctx),
+        |case| out.push(case),
+    );
+    Ok(out)
 }
 
 /// Runs every trial of one point on the worker's context, reducing
-/// through the objective's streaming accumulator — each trial folds
-/// into Welford/P² state the moment it finishes, so a point's memory is
-/// O(1) in its trial count (no sample vector ever exists).
+/// through the objective's streaming accumulator — each trial's
+/// outcome and wall time fold into Welford/P² state the moment it
+/// finishes, so a point's memory is O(1) in its trial count (no sample
+/// vector ever exists).
 ///
 /// The trials ride [`Engine::run_sequential`]: trial `i` sees exactly
 /// `trial_seed(point.seed, i)`, so this matches `Engine::run_spec` under
@@ -425,7 +432,7 @@ pub fn run_point_cancellable(
         let mut state = TrialState::new(graph, &point.process, &start, point.shards, 1, ctx);
         let mut acc = StoppingAccumulator::new();
         let started = Instant::now();
-        let mut trial_secs = Vec::with_capacity(point.trials.min(MAX_RESERVED_TRIALS));
+        let mut trial_time = StreamingSummary::new();
         let mut lap = started;
         let finished = Engine::new(point.trials, point.seed, point.cap).run_sequential(
             &mut state,
@@ -433,16 +440,23 @@ pub fn run_point_cancellable(
             Some(token),
             None,
             |outcome| {
-                acc.push(outcome);
+                acc.push(&outcome);
                 let now = Instant::now();
-                trial_secs.push(now.duration_since(lap).as_secs_f64());
+                trial_time.push(now.duration_since(lap).as_secs_f64());
                 lap = now;
             },
         );
         if !finished {
             return None;
         }
-        let timing = point_timing(started, trial_secs);
+        // P² quartiles of the trial seconds; 0 for a point with no trials.
+        let q = |v: f64| if trial_time.count() == 0 { 0.0 } else { v };
+        let timing = PointTiming {
+            wall_seconds: started.elapsed().as_secs_f64(),
+            trial_q25: q(trial_time.q25()),
+            trial_median: q(trial_time.median()),
+            trial_q75: q(trial_time.q75()),
+        };
         Some(PointRecord::from_fold(
             point,
             (graph.n(), graph.m()),
@@ -450,26 +464,6 @@ pub fn run_point_cancellable(
             timing,
         ))
     })
-}
-
-/// Folds a point's wall clock and per-trial seconds into the record's
-/// timing summary. Sorted-sample quantiles (nearest rank) — trial
-/// counts are small, so exactness beats streaming here.
-fn point_timing(started: Instant, mut trial_secs: Vec<f64>) -> PointTiming {
-    let wall_seconds = started.elapsed().as_secs_f64();
-    trial_secs.sort_by(|a, b| a.partial_cmp(b).expect("trial seconds are finite"));
-    let q = |q: f64| -> f64 {
-        match trial_secs.len() {
-            0 => 0.0,
-            len => trial_secs[((len - 1) as f64 * q).round() as usize],
-        }
-    };
-    PointTiming {
-        wall_seconds,
-        trial_q25: q(0.25),
-        trial_median: q(0.5),
-        trial_q75: q(0.75),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -890,13 +884,17 @@ mod tests {
             let record = run_point(p, &planned.topology, &mut ctx);
             let (est, tx, reached) = with_topology!(&planned.topology, |g| {
                 let stop = p.objective.stop_when(g, &[p.start]).unwrap();
-                let outcomes = Engine::new(p.trials, p.seed, p.cap)
-                    .with_threads(1)
-                    .run_spec(g, &p.process, &[p.start], stop, |_| Completion);
                 let mut acc = StoppingAccumulator::new();
-                for o in &outcomes {
-                    acc.push(o);
-                }
+                Engine::new(p.trials, p.seed, p.cap)
+                    .with_threads(1)
+                    .run_spec(
+                        g,
+                        &p.process,
+                        &[p.start],
+                        stop,
+                        |_| Completion,
+                        |o| acc.push(&o),
+                    );
                 let (tx, reached) = (acc.total_transmissions(), acc.total_reached());
                 (acc.finish(p.cap), tx, reached)
             });

@@ -102,7 +102,8 @@ pub struct PointRecord {
 }
 
 /// Wall-clock timing attached to a freshly computed [`PointRecord`].
-/// Additive within `cobra-campaign/2`: old store lines simply decode
+/// The trial quartiles are streaming P² estimates (exact below five
+/// trials). Additive within `cobra-campaign/2`: old store lines simply decode
 /// with zeroed timing, staying warm.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PointTiming {

@@ -164,9 +164,7 @@ impl Observer for HorizonDisjoint<'_> {
 
 /// Runs the two-sided estimation for source `v` and start set `c`, on
 /// any graph backend. Both sides drive the unified [`Engine`] directly
-/// with the same trial counts, seeds, and caps the historical
-/// `SimSpec`-borrowing path used, so results are unchanged — and the
-/// check now runs on implicit topologies too.
+/// and count each trial per horizon as it finishes.
 pub fn duality_check<T: Topology + Sync>(
     g: &T,
     v: VertexId,
@@ -192,7 +190,13 @@ pub fn duality_check<T: Topology + Sync>(
         laziness: Laziness::None,
     };
     let cobra_engine = Engine::new(cfg.trials, cfg.master_seed, max_t).with_threads(cfg.threads);
-    let outcomes = cobra_engine.run_spec(g, &cobra_spec, c, StopWhen::Reached(v), |_| Completion);
+    let mut cobra_not_hit = vec![0; cfg.horizons.len()];
+    let count_not_hit = |o: TrialOutcome| {
+        let not_hit = cfg.horizons.iter().map(|&t| o.rounds.is_none_or(|h| h > t));
+        tally(&mut cobra_not_hit, not_hit)
+    };
+    let hit = StopWhen::Reached(v);
+    cobra_engine.run_spec(g, &cobra_spec, c, hit, |_| Completion, count_not_hit);
 
     // BIPS side: run to the fixed horizon, snapshotting disjointness.
     let c_set = BitSet::from_indices(g.n(), c);
@@ -203,10 +207,11 @@ pub fn duality_check<T: Topology + Sync>(
     };
     let bips_engine =
         Engine::new(cfg.trials, cfg.master_seed ^ 0xB1B5_D0A1, max_t).with_threads(cfg.threads);
-    let disjoint: Vec<Vec<bool>> =
-        bips_engine.run_spec(g, &bips_spec, &[v], StopWhen::AtCap, |_| {
-            HorizonDisjoint::new(&cfg.horizons, &c_set)
-        });
+    let mut bips_disjoint = vec![0; cfg.horizons.len()];
+    let observer = |_| HorizonDisjoint::new(&cfg.horizons, &c_set);
+    bips_engine.run_spec(g, &bips_spec, &[v], StopWhen::AtCap, observer, |flags| {
+        tally(&mut bips_disjoint, flags)
+    });
 
     let n = cfg.trials as f64;
     let rows = cfg
@@ -214,11 +219,7 @@ pub fn duality_check<T: Topology + Sync>(
         .iter()
         .enumerate()
         .map(|(i, &t)| {
-            let cobra_not_hit = outcomes
-                .iter()
-                .filter(|o| o.rounds.is_none_or(|hit| hit > t))
-                .count() as f64;
-            let bips_disjoint = disjoint.iter().filter(|f| f[i]).count() as f64;
+            let (cobra_not_hit, bips_disjoint) = (cobra_not_hit[i] as f64, bips_disjoint[i] as f64);
             let p1 = cobra_not_hit / n;
             let p2 = bips_disjoint / n;
             let pooled = (cobra_not_hit + bips_disjoint) / (2.0 * n);
@@ -236,6 +237,13 @@ pub fn duality_check<T: Topology + Sync>(
     DualityReport {
         rows,
         trials: cfg.trials,
+    }
+}
+
+/// Adds one trial's per-horizon flags to the per-horizon counts.
+fn tally(counts: &mut [usize], flags: impl IntoIterator<Item = bool>) {
+    for (count, flag) in counts.iter_mut().zip(flags) {
+        *count += usize::from(flag);
     }
 }
 

@@ -1,6 +1,6 @@
 //! F15 — ablation: the two BIPS round engines.
 //!
-//! DESIGN.md's implementation claim: literal neighbour sampling costs
+//! The implementation claim: literal neighbour sampling costs
 //! `O(n·b)` per round while the Bernoulli fast path costs `O(d(A_t))`,
 //! with *identical law*. The interesting consequence is a crossover:
 //! the fast path wins while the infected set is small

@@ -3,8 +3,8 @@
 //!
 //! The paper publishes no numbered figures or tables (it is a theory
 //! paper), so each experiment regenerates one of its quantitative
-//! claims; the mapping to paper locations lives in DESIGN.md §4 and the
-//! recorded outcomes in EXPERIMENTS.md.
+//! claims; the table below names the claim each one tests, and the
+//! recorded outcomes live in EXPERIMENTS.md.
 //!
 //! | id  | claim |
 //! |-----|-------|
@@ -27,7 +27,7 @@
 //! | F16 | ablation: lazy vs plain COBRA on bipartite graphs |
 //!
 //! Every experiment has two presets: `quick` (seconds; used by tests and
-//! Criterion benches) and `full` (the EXPERIMENTS.md fidelity).
+//! CI) and `full` (the EXPERIMENTS.md fidelity).
 
 pub mod f1;
 pub mod f10;

@@ -53,14 +53,15 @@
 //! | `duality:h{..}` | `AtCap` at the max horizon (both sides) | horizon-disjointness probe | per-horizon two-proportion z |
 //! | `trajectory` | `AtCap` | [`Trajectory`] (pre-reserved to the cap) | running per-round mean |
 //!
-//! The stopping objectives reduce through [`StoppingAccumulator`] — no
-//! sample vector is ever materialized. `measure()` itself collects the
-//! engine's fixed-size per-trial [`TrialOutcome`]s and folds them in
-//! trial order; the campaign scheduler (`cobra_campaign::run_point`)
-//! folds each trial the moment it finishes, which is what makes a
-//! sweep point's steady-state memory O(1) in its trial count. Callers
-//! that genuinely need per-trial samples (KS tests, bootstrap CIs) take
-//! the same trials unfolded from [`SimSpec::outcomes`].
+//! Every objective folds its trials in trial order as they finish: the
+//! stopping objectives through [`StoppingAccumulator`], duality through
+//! per-horizon counts, trajectories through per-round running sums. No
+//! `measure()` keeps a value per trial, so its memory is bounded by the
+//! engine's fold window whatever the trial count, and so is a campaign
+//! point's (`cobra_campaign::run_point`). Callers that genuinely need
+//! per-trial samples (KS tests, bootstrap CIs) take the same trials
+//! unfolded from [`SimSpec::outcomes`], or a custom observer's outputs
+//! from [`SimSpec::run_observed`].
 //!
 //! Programmatic callers that already hold a [`Graph`] borrow it instead
 //! of re-building: `SimSpec::new(&g, spec)`.
@@ -71,10 +72,7 @@ use cobra_graph::{
     with_topology, Backend, BuiltTopology, Graph, GraphShape, GraphSpec, GraphSpecError, Topology,
     VertexId,
 };
-use cobra_mc::{
-    resolve_threads, Completion, Engine, Observer, StopWhen, Trajectory, TrialState,
-    MAX_RESERVED_TRIALS,
-};
+use cobra_mc::{resolve_threads, Completion, Engine, Observer, StopWhen, Trajectory, TrialState};
 use cobra_obs::{PhaseTimers, RoundSink};
 use cobra_process::{per_shard_state_bytes, Branching, ProcessSpec, ProcessSpecError, StepCtx};
 use std::fmt;
@@ -364,7 +362,7 @@ impl<'g> SimSpec<'g> {
         g: &T,
         sink: Option<&mut dyn RoundSink>,
         time_phases: bool,
-        fold: impl FnMut(&TrialOutcome),
+        fold: impl FnMut(TrialOutcome),
     ) -> Result<(usize, Option<Box<PhaseTimers>>), SimError> {
         let stop = self
             .objective
@@ -372,10 +370,7 @@ impl<'g> SimSpec<'g> {
             .map_err(SimError::Invalid)?;
         let engine = self.engine(g);
         if self.shards == 1 && sink.is_none() {
-            engine
-                .run_spec(g, &self.process, &self.start, stop, |_| Completion)
-                .iter()
-                .for_each(fold);
+            engine.run_spec(g, &self.process, &self.start, stop, |_| Completion, fold);
             return Ok((engine.cap, None));
         }
         let mut ctx = StepCtx::new();
@@ -423,8 +418,8 @@ impl<'g> SimSpec<'g> {
                     self.objective
                 )));
             }
-            let mut outcomes = Vec::with_capacity(self.trials.min(MAX_RESERVED_TRIALS));
-            self.run_stopping(g, None, false, |o| outcomes.push(*o))?;
+            let mut outcomes = Vec::new();
+            self.run_stopping(g, None, false, |o| outcomes.push(o))?;
             Ok(outcomes)
         })
     }
@@ -447,7 +442,7 @@ impl<'g> SimSpec<'g> {
         match &self.objective {
             Objective::Cover | Objective::Hit(_) | Objective::Infection { .. } => {
                 let mut acc = StoppingAccumulator::new();
-                let (cap, _) = self.run_stopping(g, None, false, |o| acc.push(o))?;
+                let (cap, _) = self.run_stopping(g, None, false, |o| acc.push(&o))?;
                 Ok(Measurement::Stopping(acc.finish(cap)))
             }
             Objective::Duality { horizons } => {
@@ -540,7 +535,7 @@ impl<'g> SimSpec<'g> {
             )));
         }
         let mut acc = StoppingAccumulator::new();
-        let (cap, timers) = self.run_stopping(g, Some(sink), time_phases, |o| acc.push(o))?;
+        let (cap, timers) = self.run_stopping(g, Some(sink), time_phases, |o| acc.push(&o))?;
         Ok((Measurement::Stopping(acc.finish(cap)), timers))
     }
 
@@ -600,22 +595,30 @@ impl<'g> SimSpec<'g> {
                     self.shards
                 )));
             }
-            let engine = self.engine(g);
-            Ok(engine.run_spec(g, &self.process, &self.start, stop, make_observer))
+            let (engine, mut outputs) = (self.engine(g), Vec::new());
+            engine.run_spec(g, &self.process, &self.start, stop, make_observer, |o| {
+                outputs.push(o)
+            });
+            Ok(outputs)
         })
     }
 
     /// Mean reached-set-size trajectory over `rounds` rounds: entry `t`
-    /// is the Monte-Carlo mean of the reached count after `t` rounds.
+    /// is the Monte-Carlo mean of the reached count after `t` rounds,
+    /// summed in trial order.
     fn trajectory_with<T: Topology + Sync>(&self, g: &T, rounds: usize) -> Vec<f64> {
         let engine = Engine::new(self.trials, self.master_seed, rounds).with_threads(self.threads);
-        let per_trial = engine.run_spec(g, &self.process, &self.start, StopWhen::AtCap, |_| {
-            Trajectory::with_capacity(rounds)
-        });
-        let trials = per_trial.len().max(1) as f64;
-        (0..=rounds)
-            .map(|t| per_trial.iter().map(|s| s[t] as f64).sum::<f64>() / trials)
-            .collect()
+        let observer = |_| Trajectory::with_capacity(rounds);
+        let mut sums = vec![0.0; rounds + 1];
+        let add = |sizes: Vec<usize>| {
+            for (sum, size) in sums.iter_mut().zip(sizes) {
+                *sum += size as f64;
+            }
+        };
+        let stop = StopWhen::AtCap;
+        engine.run_spec(g, &self.process, &self.start, stop, observer, add);
+        let trials = self.trials.max(1) as f64;
+        sums.into_iter().map(|sum| sum / trials).collect()
     }
 }
 

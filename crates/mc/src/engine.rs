@@ -1,12 +1,10 @@
 //! The unified Monte-Carlo engine: one trial loop for every process.
 //!
-//! Before this engine existed, cover-time, infection-time, and duality
-//! estimation each owned a hand-rolled loop over [`run_trials`] with its
-//! own seeding, stepping, stop condition, and censoring bookkeeping.
-//! The engine centralises all of that in one per-trial step (reseed →
-//! reset → run) and two loops over it: [`Engine::run`] spreads trials
-//! over threads; [`Engine::run_sequential`] runs them in order on one
-//! reusable [`TrialState`] (traced runs, sharded runs, campaign points):
+//! One per-trial step (reseed → reset → run) and two loops over it:
+//! [`Engine::run`] spreads trials over threads; [`Engine::run_sequential`]
+//! runs them in order on one reusable [`TrialState`] (traced runs,
+//! sharded runs, campaign points). Both hand each trial's output to a
+//! caller fold in trial order and return no per-trial vector:
 //!
 //! * trials, master seed, and thread count live in the engine;
 //! * the per-trial round cap and the [`StopWhen`] condition decide when
@@ -16,6 +14,10 @@
 //!   trial into whatever output the estimator needs: nothing but the
 //!   outcome ([`Completion`]), a reached-count trajectory
 //!   ([`Trajectory`]), or any custom per-round probe.
+//!
+//! The stop check, the cap, the probe deltas and the [`TrialOutcome`]
+//! live in one loop behind [`run_trial_probed`]; the sharded engine
+//! reaches the same loop through the crate-private `RoundState` trait.
 //!
 //! # Zero-allocation trial loop
 //!
@@ -32,16 +34,13 @@
 //! per trial, but each round makes three virtual calls through it: the
 //! stop check, `rounds` and `step`.
 //!
-//! Determinism is inherited from [`run_trials`]: trial `i` sees only
-//! `trial_seed(master_seed, i)`, so results are identical across thread
-//! counts.
-//!
-//! [`run_trials`]: crate::runner::run_trials
+//! Determinism is inherited from [`run_trials_with`]: trial `i` sees
+//! only `trial_seed(master_seed, i)` and the fold sees trials in index
+//! order, so results are identical across thread counts.
 
 use crate::queue::CancelToken;
 use crate::runner::{run_trials_with, RunConfig};
-use crate::seed::trial_seed;
-use crate::shard::run_sharded_trial;
+use crate::seed::{shard_seed, trial_seed};
 use cobra_graph::{Topology, VertexId};
 use cobra_obs::{
     NoProbe, Phase, PhaseTimers, Probe, RoundRecord, RoundSink, SinkProbe, TrialTotals, PHASES,
@@ -144,15 +143,11 @@ impl Observer for Trajectory {
     }
 }
 
-/// Drives one trial of an already-reset process to its stop condition.
-///
-/// This is the single trial loop of the workspace, shared by
-/// [`Engine::run`] (which parallelizes over *trials*) and
-/// [`Engine::run_sequential`] (which the campaign scheduler runs per
-/// job, on a per-worker [`StepCtx`]). The caller is responsible for
-/// reseeding `ctx` and resetting `process` beforehand; given the same
-/// post-reset state and seed, the outcome is identical whichever layer
-/// invokes it.
+/// Drives one trial of an already-reset process to its stop condition:
+/// the trial loop [`Engine::run`] and [`Engine::run_sequential`] share.
+/// The caller reseeds `ctx` and resets `process` beforehand; given the
+/// same post-reset state and seed, the outcome is identical whichever
+/// layer invokes it.
 pub fn run_trial<'g, T, P, Ob>(
     process: &mut P,
     ctx: &mut StepCtx,
@@ -194,34 +189,92 @@ where
     Pr: Probe,
 {
     observer.on_start(process);
+    let outcome = run_rounds(&mut (&mut *process, ctx), stop, cap, probe, |(p, _)| {
+        observer.on_round(&**p)
+    });
+    observer.finish(outcome, process)
+}
+
+/// What the trial loop reads and drives, so one loop serves both
+/// engines: the unsharded (process, [`StepCtx`]) pair and the sharded
+/// (`ShardedState`, worker threads) pair.
+pub(crate) trait RoundState<T> {
+    fn is_complete(&self) -> bool;
+    fn has_reached(&self, v: VertexId) -> bool;
+    fn reached_count(&self) -> usize;
+    fn rounds(&self) -> usize;
+    fn transmissions(&self) -> u64;
+    fn frontier_len(&self) -> usize;
+    /// Per-sender outbox entries of the last round (empty unsharded).
+    fn shard_traffic(&self) -> &[u64];
+    fn step(&mut self);
+}
+
+impl<'g, T: Topology, P: ProcessState<'g, T>> RoundState<T> for (&mut P, &mut StepCtx) {
+    fn is_complete(&self) -> bool {
+        self.0.is_complete()
+    }
+    fn has_reached(&self, v: VertexId) -> bool {
+        self.0.has_reached(v)
+    }
+    fn reached_count(&self) -> usize {
+        self.0.reached_count()
+    }
+    fn rounds(&self) -> usize {
+        self.0.rounds()
+    }
+    fn transmissions(&self) -> u64 {
+        self.0.transmissions()
+    }
+    fn frontier_len(&self) -> usize {
+        self.0.frontier_len()
+    }
+    fn shard_traffic(&self) -> &[u64] {
+        &[]
+    }
+    fn step(&mut self) {
+        self.0.step(self.1)
+    }
+}
+
+/// The trial loop: steps `state` until `stop` holds (`rounds = Some`)
+/// or the cap censors it (`None`; always for [`StopWhen::AtCap`]),
+/// calling `on_round` after every round.
+fn run_rounds<T, S: RoundState<T>, Pr: Probe>(
+    state: &mut S,
+    stop: StopWhen,
+    cap: usize,
+    probe: &mut Pr,
+    mut on_round: impl FnMut(&S),
+) -> TrialOutcome {
     let rounds = loop {
         let stopped = match stop {
-            StopWhen::Complete => process.is_complete(),
-            StopWhen::Reached(v) => process.has_reached(v),
-            StopWhen::ReachedCount(k) => process.reached_count() >= k,
+            StopWhen::Complete => state.is_complete(),
+            StopWhen::Reached(v) => state.has_reached(v),
+            StopWhen::ReachedCount(k) => state.reached_count() >= k,
             StopWhen::AtCap => false,
         };
         if stopped {
-            break Some(process.rounds());
+            break Some(state.rounds());
         }
-        if process.rounds() >= cap {
+        if state.rounds() >= cap {
             break None;
         }
         let (tx_before, reached_before) = if Pr::ENABLED {
-            (process.transmissions(), process.reached_count())
+            (state.transmissions(), state.reached_count())
         } else {
             (0, 0)
         };
-        process.step(ctx);
+        state.step();
         if Pr::ENABLED {
-            let total_transmissions = process.transmissions();
+            let total_transmissions = state.transmissions();
             // saturating: coalescing families report `rounds × particles`,
             // which shrinks as particles merge.
             let transmissions = total_transmissions.saturating_sub(tx_before);
-            let frontier = process.frontier_len();
-            let reached = process.reached_count();
+            let frontier = state.frontier_len();
+            let reached = state.reached_count();
             probe.on_round(&RoundRecord {
-                round: process.rounds(),
+                round: state.rounds(),
                 frontier,
                 // saturating: BIPS `reached` can shrink between rounds.
                 new_covered: reached.saturating_sub(reached_before),
@@ -229,16 +282,16 @@ where
                 transmissions,
                 total_transmissions,
                 coalesced: transmissions.saturating_sub(frontier as u64),
-                shard_traffic: &[],
+                shard_traffic: state.shard_traffic(),
             });
         }
-        observer.on_round(process);
+        on_round(state);
     };
     let outcome = TrialOutcome {
         rounds,
-        executed: process.rounds(),
-        reached: process.reached_count(),
-        transmissions: process.transmissions(),
+        executed: state.rounds(),
+        reached: state.reached_count(),
+        transmissions: state.transmissions(),
     };
     if Pr::ENABLED {
         probe.on_trial_end(&TrialTotals {
@@ -248,32 +301,11 @@ where
             transmissions: outcome.transmissions,
         });
     }
-    observer.finish(outcome, process)
+    outcome
 }
 
-/// One seeded trial: reseed `ctx`, `reset` the state to round 0 (it may
-/// draw from the fresh stream), run to the stop condition. The step
-/// both [`Engine::run`] and [`Engine::run_sequential`] take, so the two
-/// loops cannot drift apart bit-wise.
-#[allow(clippy::too_many_arguments)]
-fn seeded_trial<'g, T: Topology, P: ProcessState<'g, T>, Ob: Observer>(
-    process: &mut P,
-    ctx: &mut StepCtx,
-    seed: u64,
-    reset: impl FnOnce(&mut P, &mut StepCtx),
-    stop: StopWhen,
-    cap: usize,
-    observer: Ob,
-    probe: &mut impl Probe,
-) -> Ob::Output {
-    ctx.reseed(seed);
-    reset(process, ctx);
-    run_trial_probed(process, ctx, stop, cap, observer, probe)
-}
-
-/// The unified trial executor. Owns everything the three former
-/// bespoke loops duplicated: trial count, master seed, worker threads,
-/// and the per-trial round cap.
+/// The unified trial executor: trial count, master seed, worker
+/// threads, and the per-trial round cap.
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     /// Independent Monte-Carlo trials.
@@ -310,22 +342,17 @@ impl Engine {
     /// thread); `reset` restores it to round 0 for a trial — it receives
     /// the trial index and the freshly reseeded [`StepCtx`] and may draw
     /// from `ctx.rng` (e.g. for random start sets) before stepping
-    /// begins. `make_observer` builds the per-trial observer. Output
-    /// order is by trial index, identical for any thread count.
-    ///
-    /// The trial loop monomorphizes over `P`, so for a concrete process
-    /// the per-round stop check and `step` call compile to direct,
-    /// inlinable code. For a [`BoxedProcess`] (the [`Engine::run_spec`]
-    /// path) they are three virtual calls per round: the stop check,
-    /// `rounds` and `step`.
+    /// begins. `make_observer` builds the per-trial observer, and `fold`
+    /// receives each trial's output on the calling thread in trial-index
+    /// order, identical for any thread count (see [`run_trials_with`]).
     pub fn run<'g, T, P, F, R, Ob, G>(
         &self,
         stop: StopWhen,
         make_state: F,
         reset: R,
         make_observer: G,
-    ) -> Vec<Ob::Output>
-    where
+        fold: impl FnMut(Ob::Output),
+    ) where
         T: Topology,
         P: ProcessState<'g, T>,
         F: Fn() -> P + Sync,
@@ -339,17 +366,11 @@ impl Engine {
             RunConfig::new(self.trials, self.master_seed).with_threads(self.threads),
             || (make_state(), StepCtx::new()),
             |(process, ctx), seed, index| {
-                seeded_trial(
-                    process,
-                    ctx,
-                    seed,
-                    |p, ctx| reset(p, index, ctx),
-                    stop,
-                    cap,
-                    make_observer(index),
-                    &mut NoProbe,
-                )
+                ctx.reseed(seed);
+                reset(process, index, ctx);
+                run_trial(process, ctx, stop, cap, make_observer(index))
             },
+            fold,
         )
     }
 
@@ -365,8 +386,8 @@ impl Engine {
         start: &[VertexId],
         stop: StopWhen,
         make_observer: G,
-    ) -> Vec<Ob::Output>
-    where
+        fold: impl FnMut(Ob::Output),
+    ) where
         T: Topology + Sync,
         Ob: Observer,
         G: Fn(usize) -> Ob + Sync,
@@ -377,6 +398,7 @@ impl Engine {
             || spec.build(g, start),
             |p: &mut BoxedProcess<'g, T>, _, _| p.reset(g, start),
             make_observer,
+            fold,
         )
     }
 
@@ -394,7 +416,7 @@ impl Engine {
         stop: StopWhen,
         cancel: Option<&CancelToken>,
         mut sink: Option<&mut dyn RoundSink>,
-        mut fold: impl FnMut(&TrialOutcome),
+        mut fold: impl FnMut(TrialOutcome),
     ) -> bool {
         for i in 0..self.trials {
             if cancel.is_some_and(CancelToken::is_cancelled) {
@@ -413,7 +435,7 @@ impl Engine {
                     outcome
                 }
             };
-            fold(&outcome);
+            fold(outcome);
         }
         true
     }
@@ -490,7 +512,8 @@ impl<'c, 'g, T: Topology + Sync> TrialState<'c, 'g, T> {
     }
 
     /// One trial from `seed`: reseed → reset → run to `stop` or `cap`.
-    fn run_trial<Pr: Probe>(
+    /// Shard `i` of a sharded state draws from `shard_seed(seed, i)`.
+    pub(crate) fn run_trial<Pr: Probe>(
         &mut self,
         seed: u64,
         stop: StopWhen,
@@ -503,21 +526,19 @@ impl<'c, 'g, T: Topology + Sync> TrialState<'c, 'g, T> {
                 ctx,
                 graph,
                 start,
-            } => seeded_trial(
-                process,
-                ctx,
-                seed,
-                |p, _| p.reset(graph, start),
-                stop,
-                cap,
-                Completion,
-                probe,
-            ),
+            } => {
+                ctx.reseed(seed);
+                process.reset(graph, start);
+                run_trial_probed(process, ctx, stop, cap, Completion, probe)
+            }
             TrialState::Sharded {
                 state,
                 start,
                 threads,
-            } => run_sharded_trial(state, seed, *start, stop, cap, *threads, probe),
+            } => {
+                state.reset(*start, |i| shard_seed(seed, i));
+                run_rounds(&mut (&mut *state, *threads), stop, cap, probe, |_| {})
+            }
         }
     }
 }
@@ -538,17 +559,49 @@ fn phase_deltas(before: [u64; PHASES], timers: &PhaseTimers) -> Vec<(Phase, u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobra_graph::generators;
+    use cobra_graph::{generators, Graph};
     use cobra_process::{Branching, Cobra, Laziness};
 
-    fn k16_cobra(trials: usize, cap: usize) -> (Engine, cobra_graph::Graph) {
+    fn k16_cobra(trials: usize, cap: usize) -> (Engine, Graph) {
         (Engine::new(trials, 0xE6E, cap), generators::complete(16))
+    }
+
+    /// Every output of `engine.run`, collected through its fold.
+    fn outputs<'g, P, Ob>(
+        engine: Engine,
+        stop: StopWhen,
+        make: impl Fn() -> P + Sync,
+        reset: impl Fn(&mut P, usize, &mut StepCtx) + Sync,
+        observer: impl Fn(usize) -> Ob + Sync,
+    ) -> Vec<Ob::Output>
+    where
+        P: ProcessState<'g, Graph>,
+        Ob: Observer,
+    {
+        let mut out = Vec::new();
+        engine.run(stop, make, reset, observer, |o| out.push(o));
+        out
+    }
+
+    /// Every outcome of `engine.run_spec` from vertex 0 to completion.
+    fn spec_outcomes(engine: Engine, g: &Graph, spec: &ProcessSpec) -> Vec<TrialOutcome> {
+        let mut out = Vec::new();
+        engine.run_spec(
+            g,
+            spec,
+            &[0],
+            StopWhen::Complete,
+            |_| Completion,
+            |o| out.push(o),
+        );
+        out
     }
 
     #[test]
     fn completes_and_orders_outcomes() {
         let (engine, g) = k16_cobra(12, 10_000);
-        let outcomes = engine.run(
+        let outcomes = outputs(
+            engine,
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
@@ -565,13 +618,15 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let (engine, g) = k16_cobra(16, 10_000);
-        let seq = engine.with_threads(1).run(
+        let seq = outputs(
+            engine.with_threads(1),
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
             |_| Completion,
         );
-        let par = engine.with_threads(8).run(
+        let par = outputs(
+            engine.with_threads(8),
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
@@ -584,7 +639,8 @@ mod tests {
     fn cap_censors_with_executed_rounds() {
         let engine = Engine::new(5, 1, 3);
         let g = generators::path(64);
-        let outcomes = engine.run(
+        let outcomes = outputs(
+            engine,
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
@@ -601,7 +657,8 @@ mod tests {
         let engine = Engine::new(10, 2, 100_000);
         let g = generators::cycle(24);
         let make = || Cobra::new(&g, &[0], Branching::B2, Laziness::None);
-        let outcomes = engine.run(
+        let outcomes = outputs(
+            engine,
             StopWhen::Reached(12),
             make,
             |p, _, _| p.reset(&g, &[0]),
@@ -613,7 +670,8 @@ mod tests {
             assert!(hit >= 12, "hit {hit} beats the distance bound");
         }
         // Hitting the start vertex takes zero rounds.
-        let zero = engine.run(
+        let zero = outputs(
+            engine,
             StopWhen::Reached(0),
             make,
             |p, _, _| p.reset(&g, &[0]),
@@ -627,7 +685,15 @@ mod tests {
         let engine = Engine::new(8, 6, 100_000);
         let g = generators::complete(32);
         let make = || Cobra::b2(&g, 0);
-        let run = |stop| engine.run(stop, make, |p, _, _| p.reset(&g, &[0]), |_| Completion);
+        let run = |stop| {
+            outputs(
+                engine,
+                stop,
+                make,
+                |p, _, _| p.reset(&g, &[0]),
+                |_| Completion,
+            )
+        };
         let half = run(StopWhen::ReachedCount(16));
         let full = run(StopWhen::Complete);
         for (h, f) in half.iter().zip(&full) {
@@ -650,7 +716,8 @@ mod tests {
         let engine = Engine::new(4, 11, 25);
         let g = generators::cycle(16);
         let run = |make_ob: fn() -> Trajectory| {
-            engine.run(
+            outputs(
+                engine,
                 StopWhen::AtCap,
                 || Cobra::b2(&g, 0),
                 |p, _, _| p.reset(&g, &[0]),
@@ -669,7 +736,8 @@ mod tests {
     fn at_cap_runs_exactly_cap_rounds() {
         let engine = Engine::new(4, 3, 7);
         let g = generators::complete(8);
-        let outcomes = engine.run(
+        let outcomes = outputs(
+            engine,
             StopWhen::AtCap,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
@@ -685,7 +753,8 @@ mod tests {
     fn trajectory_observer_records_every_round() {
         let engine = Engine::new(6, 4, 10_000);
         let g = generators::complete(32);
-        let trajectories = engine.run(
+        let trajectories = outputs(
+            engine,
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),
@@ -707,7 +776,8 @@ mod tests {
         // vertex 0 takes zero rounds only for the trial starting there.
         let engine = Engine::new(6, 5, 100_000);
         let g = generators::cycle(12);
-        let outcomes = engine.run(
+        let outcomes = outputs(
+            engine,
             StopWhen::Reached(0),
             || Cobra::b2(&g, 0),
             |p, i, _| p.reset(&g, &[(i as u32 % 12)]),
@@ -725,7 +795,7 @@ mod tests {
         let engine = Engine::new(5, 5, 100_000);
         let g = generators::petersen();
         let spec: ProcessSpec = "bips:b2".parse().unwrap();
-        let outcomes = engine.run_spec(&g, &spec, &[0], StopWhen::Complete, |_| Completion);
+        let outcomes = spec_outcomes(engine, &g, &spec);
         assert!(outcomes.iter().all(|o| o.rounds.is_some()));
     }
 
@@ -735,8 +805,9 @@ mod tests {
         let engine = Engine::new(8, 9, 100_000);
         let g = generators::torus(&[5, 5]);
         let spec: ProcessSpec = "cobra:b2".parse().unwrap();
-        let boxed = engine.run_spec(&g, &spec, &[0], StopWhen::Complete, |_| Completion);
-        let concrete = engine.run(
+        let boxed = spec_outcomes(engine, &g, &spec);
+        let concrete = outputs(
+            engine,
             StopWhen::Complete,
             || Cobra::b2(&g, 0),
             |p, _, _| p.reset(&g, &[0]),

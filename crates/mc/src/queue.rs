@@ -437,8 +437,9 @@ impl<J> Drop for Claimed<J> {
 
 /// Runs `threads` scoped workers (min 1) that drain `queue` until it is
 /// closed and empty. Each worker builds its state once via `init` and
-/// calls `f(state, job, token)` per claimed job — the queue-riding
-/// analogue of [`crate::runner::run_trials_with`]'s worker loop.
+/// calls `f(state, job, token)` per claimed job. Unlike
+/// [`crate::runner::run_trials_with`], jobs are claimed dynamically and
+/// `f` returns nothing, so no output needs ordering.
 pub fn drain_with<S, J, I, F>(queue: &JobQueue<J>, threads: usize, init: I, f: F)
 where
     J: Send,

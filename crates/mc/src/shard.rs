@@ -1,139 +1,83 @@
-//! The sharded sibling of [`run_trial_probed`](crate::run_trial_probed).
-//!
-//! [`run_sharded_trial`] drives a
-//! [`ShardedState`] through the same
-//! stop/cap protocol as the unsharded trial loop, seeding shard `i`'s
-//! RNG stream from [`shard_seed`]`(trial_seed, i)`. Threads only change
-//! wall-clock time — the trajectory is fixed by `(trial_seed, shards)`
-//! — so outcomes are bit-identical across thread counts. A whole batch
-//! runs through [`Engine::run_sequential`](crate::Engine::run_sequential)
-//! on one reusable [`TrialState::Sharded`](crate::TrialState::Sharded)
-//! (the shards themselves are the parallelism).
-//!
-//! Observers are not supported here: the sharded state has no global
-//! reached bitset to expose through `ProcessView`, so only the
-//! stopping-reduced objectives (cover, hit, infection thresholds) run
-//! sharded. The `SimSpec` layer enforces that before it ever gets here.
+//! The sharded engine's side of the trial loop: a [`ShardedState`]
+//! stepped on `threads` workers is a `RoundState`, so
+//! [`TrialState::Sharded`](crate::TrialState::Sharded) runs the same
+//! stop/cap/probe loop as the unsharded engine, and an
+//! [`instrument`](ShardedState::instrument)ed state adds each round's
+//! per-sender outbox traffic to the probe record. Threads only change
+//! wall-clock time: the trajectory is fixed by `(trial_seed, shards)`.
+//! Observers need the unsharded `ProcessView`, so only the stopping
+//! objectives run sharded (the `SimSpec` layer enforces that).
 
-use crate::engine::{StopWhen, TrialOutcome};
-use crate::seed::shard_seed;
+use crate::engine::RoundState;
 use cobra_graph::{Topology, VertexId};
-use cobra_obs::{Probe, RoundRecord, TrialTotals};
 use cobra_process::ShardedState;
 
-/// Runs one trial of a sharded process to its stop condition (the cap
-/// always applies on top), resetting `state` from `start` with the
-/// per-shard streams of `trial_seed`. Mirrors
-/// [`run_trial_probed`](crate::run_trial_probed) exactly: `rounds =
-/// None` iff censored at the cap (always, for [`StopWhen::AtCap`]);
-/// `if Pr::ENABLED` blocks compile away under [`NoProbe`](cobra_obs::NoProbe),
-/// and enabled probes observe view deltas after each `step` without
-/// ever touching the per-shard RNG streams. When `state` is
-/// [`instrument`](ShardedState::instrument)ed, each record additionally
-/// carries the round's per-sender outbox traffic.
-pub fn run_sharded_trial<T: Topology + Sync, Pr: Probe>(
-    state: &mut ShardedState<'_, T>,
-    trial_seed: u64,
-    start: VertexId,
-    stop: StopWhen,
-    cap: usize,
-    threads: usize,
-    probe: &mut Pr,
-) -> TrialOutcome {
-    state.reset(start, |i| shard_seed(trial_seed, i));
-    let rounds = loop {
-        let stopped = match stop {
-            StopWhen::Complete => state.is_complete(),
-            StopWhen::Reached(v) => state.has_reached(v),
-            StopWhen::ReachedCount(k) => state.reached_count() >= k,
-            StopWhen::AtCap => false,
-        };
-        if stopped {
-            break Some(state.rounds());
-        }
-        if state.rounds() >= cap {
-            break None;
-        }
-        let (tx_before, reached_before) = if Pr::ENABLED {
-            (state.transmissions(), state.reached_count())
-        } else {
-            (0, 0)
-        };
-        state.step(threads);
-        if Pr::ENABLED {
-            let total_transmissions = state.transmissions();
-            // saturating: mirrors the unsharded engine — not every process
-            // family's transmission counter is monotone across a step.
-            let transmissions = total_transmissions.saturating_sub(tx_before);
-            let frontier = state.frontier_len();
-            let reached = state.reached_count();
-            probe.on_round(&RoundRecord {
-                round: state.rounds(),
-                frontier,
-                new_covered: reached.saturating_sub(reached_before),
-                reached,
-                transmissions,
-                total_transmissions,
-                coalesced: transmissions.saturating_sub(frontier as u64),
-                shard_traffic: state.last_outbox_traffic(),
-            });
-        }
-    };
-    let outcome = TrialOutcome {
-        rounds,
-        executed: state.rounds(),
-        reached: state.reached_count(),
-        transmissions: state.transmissions(),
-    };
-    if Pr::ENABLED {
-        probe.on_trial_end(&TrialTotals {
-            rounds: outcome.rounds,
-            executed: outcome.executed,
-            reached: outcome.reached,
-            transmissions: outcome.transmissions,
-        });
+impl<T: Topology + Sync> RoundState<T> for (&mut ShardedState<'_, T>, usize) {
+    fn is_complete(&self) -> bool {
+        self.0.is_complete()
     }
-    outcome
+    fn has_reached(&self, v: VertexId) -> bool {
+        self.0.has_reached(v)
+    }
+    fn reached_count(&self) -> usize {
+        self.0.reached_count()
+    }
+    fn rounds(&self) -> usize {
+        self.0.rounds()
+    }
+    fn transmissions(&self) -> u64 {
+        self.0.transmissions()
+    }
+    fn frontier_len(&self) -> usize {
+        self.0.frontier_len()
+    }
+    fn shard_traffic(&self) -> &[u64] {
+        self.0.last_outbox_traffic()
+    }
+    fn step(&mut self) {
+        self.0.step(self.1)
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::seed::trial_seed;
-    use cobra_graph::generators;
+    use crate::engine::{Engine, StopWhen, TrialOutcome, TrialState};
+    use cobra_graph::{generators, Graph};
     use cobra_obs::NoProbe;
-    use cobra_process::ProcessSpec;
+    use cobra_process::{ProcessSpec, StepCtx};
 
-    /// `trials` sharded cover trials under `seed`, in trial order.
-    fn cover_batch<T: Topology + Sync>(
-        s: &mut ShardedState<'_, T>,
-        trials: u64,
-        seed: u64,
-        threads: usize,
-    ) -> Vec<TrialOutcome> {
-        let (cover, cap) = (StopWhen::Complete, 100_000);
-        (0..trials)
-            .map(|i| {
-                run_sharded_trial(s, trial_seed(seed, i), 0, cover, cap, threads, &mut NoProbe)
-            })
-            .collect()
-    }
-
-    fn state_for<'g, T: Topology + Sync>(
-        g: &'g T,
+    /// A sharded state for `spec` on `g`, started at vertex 0.
+    fn sharded<'c, 'g>(
+        g: &'g Graph,
         spec: &str,
         shards: usize,
-    ) -> ShardedState<'g, T> {
+        threads: usize,
+        ctx: &'c mut StepCtx,
+    ) -> TrialState<'c, 'g, Graph> {
         let spec: ProcessSpec = spec.parse().unwrap();
-        ShardedState::new(g, spec.shard_kernel().expect("shardable"), shards)
+        let state = TrialState::new(g, &spec, &[0], shards, threads, ctx);
+        assert!(matches!(state, TrialState::Sharded { .. }));
+        state
+    }
+
+    /// `trials` sharded cover trials under `seed`, in trial order.
+    fn cover_batch(
+        s: &mut TrialState<'_, '_, Graph>,
+        trials: usize,
+        seed: u64,
+    ) -> Vec<TrialOutcome> {
+        let mut out = Vec::new();
+        Engine::new(trials, seed, 100_000)
+            .run_sequential(s, StopWhen::Complete, None, None, |o| out.push(o));
+        out
     }
 
     #[test]
     fn outcomes_are_thread_count_invariant() {
         let g = generators::hypercube(8);
-        let mut s = state_for(&g, "cobra:b2", 4);
-        let seq = cover_batch(&mut s, 6, 0x5EED, 1);
-        let par = cover_batch(&mut s, 6, 0x5EED, 8);
+        let (mut c1, mut c8) = (StepCtx::new(), StepCtx::new());
+        let seq = cover_batch(&mut sharded(&g, "cobra:b2", 4, 1, &mut c1), 6, 0x5EED);
+        let par = cover_batch(&mut sharded(&g, "cobra:b2", 4, 8, &mut c8), 6, 0x5EED);
         assert_eq!(seq, par);
         for o in &seq {
             assert_eq!(o.reached, 256);
@@ -144,12 +88,13 @@ mod tests {
     #[test]
     fn censoring_matches_unsharded_protocol() {
         let g = generators::path(64);
-        let mut s = state_for(&g, "cobra:b2", 2);
-        let o = run_sharded_trial(&mut s, 7, 0, StopWhen::Complete, 3, 1, &mut NoProbe);
+        let mut ctx = StepCtx::new();
+        let mut s = sharded(&g, "cobra:b2", 2, 1, &mut ctx);
+        let o = s.run_trial(7, StopWhen::Complete, 3, &mut NoProbe);
         assert_eq!(o.rounds, None);
         assert_eq!(o.executed, 3);
         // AtCap runs to the cap exactly and never completes.
-        let o = run_sharded_trial(&mut s, 7, 0, StopWhen::AtCap, 5, 1, &mut NoProbe);
+        let o = s.run_trial(7, StopWhen::AtCap, 5, &mut NoProbe);
         assert_eq!(o.rounds, None);
         assert_eq!(o.executed, 5);
     }
@@ -157,43 +102,21 @@ mod tests {
     #[test]
     fn hitting_and_threshold_stops() {
         let g = generators::cycle(24);
-        let mut s = state_for(&g, "cobra:b2", 3);
-        let o = run_sharded_trial(
-            &mut s,
-            11,
-            0,
-            StopWhen::Reached(12),
-            100_000,
-            1,
-            &mut NoProbe,
-        );
+        let mut ctx = StepCtx::new();
+        let mut s = sharded(&g, "cobra:b2", 3, 1, &mut ctx);
+        let o = s.run_trial(11, StopWhen::Reached(12), 100_000, &mut NoProbe);
         assert!(o.rounds.expect("must hit") >= 12, "beat the distance bound");
-        let o = run_sharded_trial(
-            &mut s,
-            11,
-            0,
-            StopWhen::Reached(0),
-            100_000,
-            1,
-            &mut NoProbe,
-        );
+        let o = s.run_trial(11, StopWhen::Reached(0), 100_000, &mut NoProbe);
         assert_eq!(o.rounds, Some(0), "start vertex hits instantly");
-        let o = run_sharded_trial(
-            &mut s,
-            11,
-            0,
-            StopWhen::ReachedCount(1),
-            100_000,
-            1,
-            &mut NoProbe,
-        );
+        let o = s.run_trial(11, StopWhen::ReachedCount(1), 100_000, &mut NoProbe);
         assert_eq!(o.rounds, Some(0));
     }
 
     #[test]
     fn trials_use_independent_seeds() {
         let g = generators::hypercube(7);
-        let outcomes = cover_batch(&mut state_for(&g, "bips:b2", 4), 8, 3, 1);
+        let mut ctx = StepCtx::new();
+        let outcomes = cover_batch(&mut sharded(&g, "bips:b2", 4, 1, &mut ctx), 8, 3);
         let rounds: std::collections::HashSet<_> = outcomes.iter().map(|o| o.executed).collect();
         assert!(rounds.len() > 1, "8 trials all identical: {outcomes:?}");
     }

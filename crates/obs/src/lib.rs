@@ -7,8 +7,8 @@
 //! eats the branching factor each round. This crate gives the engine
 //! eyes on those quantities without taxing the measurement path:
 //!
-//! - [`Probe`] is the monomorphized observation hook the trial loops
-//!   (`cobra_mc::run_trial_probed`, `run_sharded_trial`) are
+//! - [`Probe`] is the monomorphized observation hook the trial loop
+//!   (`cobra_mc::run_trial_probed`, which the sharded engine shares) is
 //!   generic over. The default [`NoProbe`] sets `ENABLED = false`, so
 //!   every instrumentation block (`if Pr::ENABLED { .. }`) compiles to
 //!   nothing — the probes-off path is instruction-for-instruction the

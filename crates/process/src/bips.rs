@@ -148,12 +148,6 @@ impl<'g, T: Topology> Bips<'g, T> {
             .extend(self.infected.iter().map(|u| u as VertexId));
     }
 
-    /// Runs until the whole graph is infected; `Some(infec(v))` or `None`
-    /// if censored at `cap` rounds.
-    pub fn run_until_full_infection(&mut self, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
-        self.run_to_completion(ctx, cap)
-    }
-
     fn step_exact(&mut self, rng: &mut SmallRng) {
         let n = self.g.n();
         let mut next = std::mem::replace(&mut self.next, BitSet::new(0));
@@ -346,9 +340,7 @@ mod tests {
         let g = generators::complete(64);
         for mode in [BipsMode::ExactSampling, BipsMode::Bernoulli] {
             let mut b = Bips::new(&g, 0, Branching::B2, Laziness::None, mode);
-            let t = b
-                .run_until_full_infection(&mut ctx(3), 10_000)
-                .expect("infects");
+            let t = b.run_to_completion(&mut ctx(3), 10_000).expect("infects");
             assert!(t < 100, "{mode:?}: K_64 infection took {t}");
         }
     }
@@ -460,7 +452,7 @@ mod tests {
     fn censoring_reports_none() {
         let g = generators::path(256);
         let mut b = Bips::b2(&g, 0);
-        assert_eq!(b.run_until_full_infection(&mut ctx(6), 5), None);
+        assert_eq!(b.run_to_completion(&mut ctx(6), 5), None);
         assert_eq!(b.rounds(), 5);
     }
 
@@ -468,8 +460,8 @@ mod tests {
     fn deterministic_under_seed() {
         let mut cx = ctx(7);
         let g = generators::random_regular(40, 3, true, &mut cx.rng).unwrap();
-        let a = Bips::b2(&g, 0).run_until_full_infection(&mut ctx(8), 1_000_000);
-        let b = Bips::b2(&g, 0).run_until_full_infection(&mut ctx(8), 1_000_000);
+        let a = Bips::b2(&g, 0).run_to_completion(&mut ctx(8), 1_000_000);
+        let b = Bips::b2(&g, 0).run_to_completion(&mut ctx(8), 1_000_000);
         assert_eq!(a, b);
         assert!(a.is_some());
     }
@@ -480,10 +472,10 @@ mod tests {
         for mode in [BipsMode::ExactSampling, BipsMode::Bernoulli] {
             let mut reused = Bips::new(&g, 0, Branching::B2, Laziness::Half, mode);
             let mut cx = ctx(55);
-            let a = reused.run_until_full_infection(&mut cx, 100_000);
+            let a = reused.run_to_completion(&mut cx, 100_000);
             reused.reset(&g, &[0]);
             cx.reseed(55);
-            let b = reused.run_until_full_infection(&mut cx, 100_000);
+            let b = reused.run_to_completion(&mut cx, 100_000);
             assert_eq!(a, b, "{mode:?}");
         }
     }
@@ -502,7 +494,7 @@ mod tests {
             let n = g.n();
             let dmax = g.max_degree();
             let cap = 200 * (g.m() + dmax * dmax * (cobra_util::math::log2_ceil(n) as usize + 1)) + 10_000;
-            prop_assert!(b.run_until_full_infection(&mut cx, cap).is_some());
+            prop_assert!(b.run_to_completion(&mut cx, cap).is_some());
         }
     }
 }

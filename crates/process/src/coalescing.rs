@@ -74,11 +74,6 @@ impl<'g, T: Topology> CoalescingWalks<'g, T> {
         self.merges
     }
 
-    /// Runs until the visited union covers the graph (or `None` at cap).
-    pub fn run_until_cover(&mut self, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
-        self.run_to_completion(ctx, cap)
-    }
-
     /// Runs until a single particle survives (coalescence time), or
     /// `None` at the cap. Returns the rounds taken.
     pub fn run_until_coalesced(&mut self, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
@@ -248,7 +243,7 @@ mod tests {
     fn covers_like_multiwalk_until_merges_bite() {
         let g = generators::torus(&[5, 5]);
         let mut c = CoalescingWalks::new(&g, &[0, 6, 12, 18], Laziness::None);
-        assert!(c.run_until_cover(&mut ctx(5), 10_000_000).is_some());
+        assert!(c.run_to_completion(&mut ctx(5), 10_000_000).is_some());
         assert!(c.is_complete());
     }
 

@@ -125,29 +125,6 @@ impl<'g, T: Topology> Cobra<'g, T> {
     pub fn has_visited(&self, v: VertexId) -> bool {
         self.visited.contains(v as usize)
     }
-
-    /// Runs until `target` is visited; `Some(round)` is the hit time
-    /// `Hit(target)` (0 if `target ∈ C_0`), `None` if censored at `cap`.
-    pub fn run_until_hit(
-        &mut self,
-        target: VertexId,
-        ctx: &mut StepCtx,
-        cap: usize,
-    ) -> Option<usize> {
-        while !self.has_visited(target) {
-            if self.rounds >= cap {
-                return None;
-            }
-            self.step(ctx);
-        }
-        Some(self.rounds)
-    }
-
-    /// Runs until all vertices are visited; `Some(cover_rounds)` or
-    /// `None` if censored at `cap`.
-    pub fn run_until_cover(&mut self, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
-        self.run_to_completion(ctx, cap)
-    }
 }
 
 impl<T: Topology> ProcessView for Cobra<'_, T> {
@@ -336,7 +313,7 @@ mod tests {
     fn covers_complete_graph_quickly() {
         let g = generators::complete(64);
         let mut c = Cobra::b2(&g, 0);
-        let rounds = c.run_until_cover(&mut ctx(1), 10_000).expect("covers");
+        let rounds = c.run_to_completion(&mut ctx(1), 10_000).expect("covers");
         // O(log n) on K_n: 6 doublings minimum, generous upper slack.
         assert!(rounds >= 6, "cannot beat doubling: {rounds}");
         assert!(rounds < 60, "K_64 should cover in tens of rounds: {rounds}");
@@ -348,7 +325,7 @@ mod tests {
     fn covers_path_graph() {
         let g = generators::path(24);
         let mut c = Cobra::b2(&g, 0);
-        let rounds = c.run_until_cover(&mut ctx(2), 1_000_000).expect("covers");
+        let rounds = c.run_to_completion(&mut ctx(2), 1_000_000).expect("covers");
         assert!(rounds >= 23, "must at least reach the far end");
     }
 
@@ -406,7 +383,7 @@ mod tests {
     fn censoring_returns_none_and_preserves_state() {
         let g = generators::path(64);
         let mut c = Cobra::b2(&g, 0);
-        let out = c.run_until_cover(&mut ctx(7), 3);
+        let out = c.run_to_completion(&mut ctx(7), 3);
         assert_eq!(out, None);
         assert_eq!(c.rounds(), 3);
         assert!(!c.is_complete());
@@ -416,7 +393,7 @@ mod tests {
     fn lazy_cobra_covers_bipartite_graphs() {
         let g = generators::hypercube(5);
         let mut c = Cobra::new(&g, &[0], Branching::B2, Laziness::Half);
-        let rounds = c.run_until_cover(&mut ctx(8), 100_000).expect("covers");
+        let rounds = c.run_to_completion(&mut ctx(8), 100_000).expect("covers");
         assert!(rounds >= 5, "diameter lower bound");
     }
 
@@ -450,8 +427,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let g = generators::torus(&[6, 6]);
-        let a = Cobra::b2(&g, 0).run_until_cover(&mut ctx(10), 100_000);
-        let b = Cobra::b2(&g, 0).run_until_cover(&mut ctx(10), 100_000);
+        let a = Cobra::b2(&g, 0).run_to_completion(&mut ctx(10), 100_000);
+        let b = Cobra::b2(&g, 0).run_to_completion(&mut ctx(10), 100_000);
         assert_eq!(a, b);
     }
 
@@ -461,17 +438,17 @@ mod tests {
         let g = generators::torus(&[6, 6]);
         let mut reused = Cobra::b2(&g, 0);
         let mut cx = ctx(77);
-        let first = reused.run_until_cover(&mut cx, 100_000);
+        let first = reused.run_to_completion(&mut cx, 100_000);
         let tx_first = reused.transmissions();
         reused.reset(&g, &[0]);
         assert_eq!(reused.rounds(), 0);
         assert_eq!(reused.transmissions(), 0);
         cx.reseed(77);
-        let second = reused.run_until_cover(&mut cx, 100_000);
+        let second = reused.run_to_completion(&mut cx, 100_000);
         assert_eq!(first, second);
         assert_eq!(tx_first, reused.transmissions());
         // And against an entirely fresh state + context.
-        let fresh = Cobra::b2(&g, 0).run_until_cover(&mut ctx(77), 100_000);
+        let fresh = Cobra::b2(&g, 0).run_to_completion(&mut ctx(77), 100_000);
         assert_eq!(first, fresh);
     }
 
@@ -485,7 +462,7 @@ mod tests {
         assert_eq!(c.reached().len(), 32);
         assert!(c.has_visited(3));
         assert_eq!(c.visited_count(), 1);
-        assert!(c.run_until_cover(&mut ctx(2), 10_000).is_some());
+        assert!(c.run_to_completion(&mut ctx(2), 10_000).is_some());
     }
 
     /// The fused pick-mark-push loop the batched kernel replaces: one
@@ -596,7 +573,7 @@ mod tests {
             prop_assume!(g.n() >= 3);
             let mut c = Cobra::b2(&g, 0);
             let cap = 200 * g.n() + 10_000;
-            let rounds = c.run_until_cover(&mut cx, cap);
+            let rounds = c.run_to_completion(&mut cx, cap);
             prop_assert!(rounds.is_some(), "censored on n={}", g.n());
             let rounds = rounds.unwrap();
             // Visited count after t rounds is ≤ 2^{t+1} − 1, so covering

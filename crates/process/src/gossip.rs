@@ -44,12 +44,6 @@ impl<'g, T: Topology> PushGossip<'g, T> {
     pub fn informed(&self) -> &BitSet {
         &self.informed
     }
-
-    /// Runs until everyone is informed (broadcast time), or `None` at
-    /// the cap.
-    pub fn run_until_broadcast(&mut self, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
-        self.run_to_completion(ctx, cap)
-    }
 }
 
 impl<T: Topology> ProcessView for PushGossip<'_, T> {
@@ -143,11 +137,6 @@ impl<'g, T: Topology> Gossip<'g, T> {
     /// Informed set.
     pub fn informed(&self) -> &BitSet {
         &self.informed
-    }
-
-    /// Runs until everyone is informed, or `None` at the cap.
-    pub fn run_until_broadcast(&mut self, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
-        self.run_to_completion(ctx, cap)
     }
 }
 
@@ -245,7 +234,7 @@ mod tests {
     fn broadcasts_complete_graph_in_logarithmic_rounds() {
         let g = generators::complete(256);
         let mut p = PushGossip::new(&g, 0, 1);
-        let t = p.run_until_broadcast(&mut ctx(2), 10_000).unwrap();
+        let t = p.run_to_completion(&mut ctx(2), 10_000).unwrap();
         // Push on K_n: ~log2 n + ln n ≈ 13.5 expected; allow wide slack.
         assert!((8..60).contains(&t), "broadcast took {t}");
     }
@@ -266,7 +255,7 @@ mod tests {
     fn gossip_eventually_informs_path() {
         let g = generators::path(40);
         let mut p = PushGossip::new(&g, 0, 1);
-        assert!(p.run_until_broadcast(&mut ctx(4), 100_000).is_some());
+        assert!(p.run_to_completion(&mut ctx(4), 100_000).is_some());
     }
 
     #[test]
@@ -309,7 +298,7 @@ mod tests {
             let mut total = 0.0;
             for i in 0..20u64 {
                 let mut p = Gossip::new(&g, 0, mode);
-                total += p.run_until_broadcast(&mut ctx(salt + i), 100_000).unwrap() as f64;
+                total += p.run_to_completion(&mut ctx(salt + i), 100_000).unwrap() as f64;
             }
             total / 20.0
         };
@@ -327,7 +316,7 @@ mod tests {
         let g = generators::complete(64);
         for mode in [GossipMode::Push, GossipMode::Pull, GossipMode::PushPull] {
             let mut p = Gossip::new(&g, 0, mode);
-            let t = p.run_until_broadcast(&mut ctx(12), 10_000).unwrap();
+            let t = p.run_to_completion(&mut ctx(12), 10_000).unwrap();
             assert!(t < 100, "{mode:?} took {t}");
         }
     }
@@ -361,10 +350,10 @@ mod tests {
         let g = generators::complete(32);
         let mut p = Gossip::new(&g, 0, GossipMode::PushPull);
         let mut cx = ctx(21);
-        let a = p.run_until_broadcast(&mut cx, 10_000);
+        let a = p.run_to_completion(&mut cx, 10_000);
         p.reset(&g, &[0]);
         cx.reseed(21);
-        let b = p.run_until_broadcast(&mut cx, 10_000);
+        let b = p.run_to_completion(&mut cx, 10_000);
         assert_eq!(a, b);
     }
 }

@@ -124,6 +124,19 @@ pub trait ProcessState<'g, T: Topology = Graph>: ProcessView {
         }
         Some(self.rounds())
     }
+
+    /// Runs until `target` is reached; `Some(rounds)` is the hitting
+    /// time (0 if `target` is in the start set), `None` if censored at
+    /// `cap`.
+    fn run_until_hit(&mut self, target: VertexId, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
+        while !self.has_reached(target) {
+            if self.rounds() >= cap {
+                return None;
+            }
+            self.step(ctx);
+        }
+        Some(self.rounds())
+    }
 }
 
 /// A type-erased process state — the thin adapter the string-spec

@@ -52,28 +52,6 @@ impl<'g, T: Topology> RandomWalk<'g, T> {
     pub fn visited(&self) -> &BitSet {
         &self.visited
     }
-
-    /// Runs until every vertex is visited (classic cover time), or
-    /// `None` at the cap.
-    pub fn run_until_cover(&mut self, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
-        self.run_to_completion(ctx, cap)
-    }
-
-    /// Runs until `target` is visited (hitting time), or `None` at cap.
-    pub fn run_until_hit(
-        &mut self,
-        target: VertexId,
-        ctx: &mut StepCtx,
-        cap: usize,
-    ) -> Option<usize> {
-        while !self.visited.contains(target as usize) {
-            if self.rounds >= cap {
-                return None;
-            }
-            self.step(ctx);
-        }
-        Some(self.rounds)
-    }
 }
 
 impl<T: Topology> ProcessView for RandomWalk<'_, T> {
@@ -176,11 +154,6 @@ impl<'g, T: Topology> MultiWalk<'g, T> {
     /// Walker positions.
     pub fn positions(&self) -> &[VertexId] {
         &self.positions
-    }
-
-    /// Runs until covered or censored.
-    pub fn run_until_cover(&mut self, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
-        self.run_to_completion(ctx, cap)
     }
 }
 
@@ -333,7 +306,7 @@ mod tests {
         let samples: Vec<f64> = (0..300)
             .map(|i| {
                 let mut w = RandomWalk::new(&g, 0, Laziness::None);
-                w.run_until_cover(&mut ctx(100 + i), 1_000_000).unwrap() as f64
+                w.run_to_completion(&mut ctx(100 + i), 1_000_000).unwrap() as f64
             })
             .collect();
         let s = Summary::from_samples(&samples);
@@ -356,7 +329,7 @@ mod tests {
     fn censoring_on_path() {
         let g = generators::path(1000);
         let mut w = RandomWalk::new(&g, 0, Laziness::None);
-        assert_eq!(w.run_until_cover(&mut ctx(4), 100), None);
+        assert_eq!(w.run_to_completion(&mut ctx(4), 100), None);
     }
 
     #[test]
@@ -366,7 +339,7 @@ mod tests {
             let samples: Vec<f64> = (0..40)
                 .map(|i| {
                     let mut w = RandomWalk::new(&g, 0, Laziness::None);
-                    w.run_until_cover(&mut ctx(500 + i), 10_000_000).unwrap() as f64
+                    w.run_to_completion(&mut ctx(500 + i), 10_000_000).unwrap() as f64
                 })
                 .collect();
             Summary::from_samples(&samples).mean
@@ -375,7 +348,7 @@ mod tests {
             let samples: Vec<f64> = (0..40)
                 .map(|i| {
                     let mut w = MultiWalk::new_at(&g, 0, 8, Laziness::None);
-                    w.run_until_cover(&mut ctx(900 + i), 10_000_000).unwrap() as f64
+                    w.run_to_completion(&mut ctx(900 + i), 10_000_000).unwrap() as f64
                 })
                 .collect();
             Summary::from_samples(&samples).mean

@@ -13,7 +13,8 @@
 
 use cobra_graph::{generators, props};
 use cobra_process::{
-    Branching, Cobra, Laziness, MultiWalk, ProcessView, PushGossip, RandomWalk, StepCtx,
+    Branching, Cobra, Laziness, MultiWalk, ProcessState, ProcessView, PushGossip, RandomWalk,
+    StepCtx,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -57,27 +58,27 @@ fn main() {
 
     race("single random walk", &|ctx| {
         let mut p = RandomWalk::new(&g, 0, Laziness::None);
-        let r = p.run_until_cover(ctx, cap).expect("cover");
+        let r = p.run_to_completion(ctx, cap).expect("cover");
         (r, p.transmissions())
     });
     race("8 independent walks", &|ctx| {
         let mut p = MultiWalk::new_at(&g, 0, 8, Laziness::None);
-        let r = p.run_until_cover(ctx, cap).expect("cover");
+        let r = p.run_to_completion(ctx, cap).expect("cover");
         (r, p.transmissions())
     });
     race("PUSH gossip", &|ctx| {
         let mut p = PushGossip::new(&g, 0, 1);
-        let r = p.run_until_broadcast(ctx, cap).expect("broadcast");
+        let r = p.run_to_completion(ctx, cap).expect("broadcast");
         (r, p.transmissions())
     });
     race("COBRA b=2", &|ctx| {
         let mut p = Cobra::new(&g, &[0], Branching::Fixed(2), Laziness::None);
-        let r = p.run_until_cover(ctx, cap).expect("cover");
+        let r = p.run_to_completion(ctx, cap).expect("cover");
         (r, p.transmissions())
     });
     race("COBRA b=1+0.5", &|ctx| {
         let mut p = Cobra::new(&g, &[0], Branching::Expected(0.5), Laziness::None);
-        let r = p.run_until_cover(ctx, cap).expect("cover");
+        let r = p.run_to_completion(ctx, cap).expect("cover");
         (r, p.transmissions())
     });
 

@@ -127,7 +127,7 @@ fn fixed2_equals_expected_rho_one() {
             .map(|i| {
                 let mut rng = StepCtx::seeded(salt + i);
                 let mut p = Cobra::new(&g, &[0], b, Laziness::None);
-                p.run_until_cover(&mut rng, 1_000_000).unwrap() as f64
+                p.run_to_completion(&mut rng, 1_000_000).unwrap() as f64
             })
             .collect()
     };

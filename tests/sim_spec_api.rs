@@ -122,6 +122,35 @@ fn engine_is_deterministic_across_thread_counts() {
 }
 
 #[test]
+fn measure_is_thread_invariant_for_every_objective_kind() {
+    // Every reduction (stopping summary, per-horizon duality counts,
+    // per-round trajectory sums) folds its trials in trial order, so
+    // the measurement must be `==`, float sums included.
+    for (graph, process, objective) in [
+        ("hypercube:6", "cobra:b2", "cover"),
+        ("cycle:32", "cobra:b2", "hit:far"),
+        ("complete:48", "bips:b2", "infection:0.5"),
+        ("cycle:16", "cobra:b2", "duality:h{0,1,2,4}"),
+        ("torus:6x6", "bips:b2", "trajectory"),
+    ] {
+        let spec = SimSpec::parse(graph, process)
+            .unwrap()
+            .with_objective(objective.parse().unwrap())
+            .with_trials(61)
+            .with_seed(0x7D);
+        let measure = |threads| spec.clone().with_threads(threads).measure().unwrap();
+        let seq = measure(1);
+        for threads in [2, 8] {
+            assert_eq!(
+                measure(threads),
+                seq,
+                "{objective} on {graph} changed at threads = {threads}"
+            );
+        }
+    }
+}
+
+#[test]
 fn every_process_family_runs_on_a_spec_built_graph() {
     for process in [
         "cobra:b2",
