@@ -626,8 +626,8 @@ fn sweep_subcommand(args: &[String]) -> Outcome {
         ));
         let cs = plan.cache_stats;
         out_line(&format!(
-            "  graph cache: {} built, {} hits, {} evicted, ~{} bytes resident",
-            cs.misses, cs.hits, cs.evictions, cs.resident_bytes
+            "  graph cache: {} built, {} hits, ~{} bytes resident",
+            cs.misses, cs.hits, cs.resident_bytes
         ));
         let cached: HashSet<usize> = plan.cached.iter().copied().collect();
         let dups: HashSet<usize> = plan.duplicates.iter().copied().collect();
@@ -727,7 +727,6 @@ fn sweep_subcommand(args: &[String]) -> Outcome {
         reg.counter("campaign.points.cancelled", cancelled as u64);
         reg.counter("graph_cache.hits", cs.hits as u64);
         reg.counter("graph_cache.misses", cs.misses as u64);
-        reg.counter("graph_cache.evictions", cs.evictions as u64);
         reg.gauge("graph_cache.resident_bytes", cs.resident_bytes as f64);
         reg.gauge("sweep.wall_seconds", started.elapsed().as_secs_f64());
         err_line(&reg.render());

@@ -1,7 +1,7 @@
 //! CLI parity suite for the `cobra-exps` binary: exit codes and exact
 //! stderr on every failure path, byte-identical help texts, and pinned
 //! stdout for `run` (plain, CSV, markdown, dry run, single-particle
-//! COBRA) and a dry-run sweep.
+//! COBRA) and dry-run sweeps.
 //! Fixtures live in `tests/data/`.
 
 use std::process::{Command, Output};
@@ -251,5 +251,17 @@ fn sweep_dry_run_is_pinned() {
             "--dry-run",
         ],
         include_str!("data/sweep-dry.txt"),
+    );
+    // 8 points on 2 distinct CSR graphs: 2 builds, and the other 6
+    // points reuse a graph already built.
+    assert_prints(
+        &[
+            "sweep",
+            "objective={cover,hit:far}; graph=rreg:{64,128}:4; process=cobra:b{1,2}; trials=2; \
+             backend=csr",
+            "--no-store",
+            "--dry-run",
+        ],
+        include_str!("data/sweep-dry-csr.txt"),
     );
 }

@@ -55,8 +55,10 @@
 //! thread owns one long-lived `StepCtx` reused across all its jobs, and
 //! within a job the process is built once and reset per trial — the
 //! engine's zero-allocation steady state stretched across whole sweep
-//! points. Graph construction is memoized per spec ([`GraphCache`]),
-//! so `cobra:b{1,2,3}` over one hypercube builds it once. Every sweep
+//! points. Graph construction is memoized per spec within a plan
+//! ([`cache::GraphMemo`]), so `cobra:b{1,2,3}` over one hypercube
+//! builds it once and every point holds the same graph until the plan
+//! is dropped. Every sweep
 //! is one submission to a [`Scheduler`] — the dedup queue the
 //! `cobra-serve` daemon shares across campaigns — see [`scheduler`].
 //!
@@ -67,10 +69,9 @@
 //! markdown / CSV) and a log–log scaling figure, written next to the
 //! store. The `cobra-exps sweep` subcommand is the CLI face of this
 //! crate.
-//!
-//! [`GraphCache`]: cobra_graph::GraphCache
 
 pub mod artifact;
+pub mod cache;
 pub mod point;
 pub mod runner;
 pub mod scheduler;

@@ -20,24 +20,23 @@
 //! around them changes. (The equivalence with `Engine::run_spec` under
 //! `master_seed = point.seed` is pinned by tests.)
 
+use crate::cache::GraphMemo;
 use crate::point::SweepPoint;
 use crate::scheduler::{Scheduler, Subscriber};
 use crate::store::{PointRecord, PointTiming, SharedStore, Store};
 use crate::sweep::SweepSpec;
 use crate::CampaignError;
-use cobra_graph::{
-    with_topology, Backend, BuiltTopology, Graph, GraphCache, GraphShape, GraphSpec, Topology,
-};
+use cobra_graph::{with_topology, Backend, BuiltTopology, Graph, GraphShape, GraphSpec, Topology};
 use cobra_mc::queue::drain_with;
 use cobra_mc::{
-    key_seed, resolve_threads, run_trials_with, CancelToken, Engine, Objective, RunConfig,
+    key_seed, resolve_threads, run_trials_with, CancelToken, Engine, RunConfig,
     StoppingAccumulator, TrialState,
 };
 use cobra_process::{ProcessSpec, StepCtx};
 use cobra_stats::streaming::StreamingSummary;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// How a point with no explicit cap resolves one, given its graph's
@@ -54,10 +53,10 @@ pub fn default_cap(shape: GraphShape, _process: &ProcessSpec) -> usize {
     32 * shape.n.max(2) * shape.m.max(1) + 10_000
 }
 
-/// One fully-resolved point plus its graph: a cache-shared CSR graph
+/// One fully-resolved point plus its graph: a plan-shared CSR graph
 /// ([`BuiltTopology::Csr`], one `Arc` for every point on the graph), an
 /// mmap-backed `.csrbin` of a `file:` spec, or an implicit topology (a
-/// few bytes of parameters, never cached — see [`GraphCache`]).
+/// few bytes of parameters).
 #[derive(Debug, Clone)]
 pub struct PlannedPoint {
     pub point: SweepPoint,
@@ -80,37 +79,22 @@ pub struct Plan {
     pub duplicates: Vec<usize>,
     /// Distinct graphs materialised (memoization across points).
     pub distinct_graphs: usize,
-    /// The plan-local [`GraphCache`]'s accounting: how graph
-    /// materialisation behaved while resolving this plan.
+    /// How graph materialisation behaved while resolving this plan.
     pub cache_stats: PlanCacheStats,
 }
 
-/// A snapshot of the planning [`GraphCache`]'s counters, surfaced so
-/// `--dry-run` and `--metrics` can show what graph construction cost
-/// (and what the byte-capped cache evicted) instead of hiding it.
+/// The plan's graph accounting, surfaced so `--dry-run` and
+/// `--metrics` can show what graph construction cost instead of hiding
+/// it. Only CSR and mmap graphs count; implicit topologies are a few
+/// bytes of parameters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups served from a resident entry.
+    /// Points served by a graph an earlier point already built.
     pub hits: usize,
-    /// Lookups that had to build (or map) the graph.
+    /// Distinct graphs built (or mapped).
     pub misses: usize,
-    /// Entries dropped by the byte cap.
-    pub evictions: usize,
-    /// Bytes resident in the cache when planning finished.
+    /// Bytes of the built graphs, all held until the plan drops.
     pub resident_bytes: usize,
-}
-
-impl PlanCacheStats {
-    /// Reads the counters off a cache.
-    pub fn capture(cache: &GraphCache) -> PlanCacheStats {
-        let (hits, misses) = cache.stats();
-        PlanCacheStats {
-            hits,
-            misses,
-            evictions: cache.evictions(),
-            resident_bytes: cache.resident_bytes(),
-        }
-    }
 }
 
 impl Plan {
@@ -167,55 +151,19 @@ pub fn plan_sweep(
     cap_policy: CapPolicy<'_>,
 ) -> Result<Plan, CampaignError> {
     let grid = spec.expand_axes()?;
-    let mut cache = GraphCache::new();
-    // Plan-local sharing memo: every point of one plan referencing a
-    // graph must hold the *same* Arc, even if the byte-capped cache
-    // evicts its own entry in between (rebuilding a live graph would
-    // duplicate it in memory — the opposite of what the cap is for).
-    // The memo holds the Arcs the points hold anyway, so it adds no
-    // resident bytes.
-    let mut planned_csr: HashMap<String, Arc<Graph>> = HashMap::new();
+    // One build per distinct graph: every point on it shares the same
+    // topology (one `Arc` for CSR, one mapping for a warm `file:`).
+    let mut memo = GraphMemo::new(spec.backend);
     let mut points = Vec::with_capacity(grid.len());
     let mut cached = Vec::new();
     let mut missing = Vec::new();
     let mut duplicates = Vec::new();
     let mut scheduled_keys = HashSet::new();
     for (index, (objective, gspec, pspec)) in grid.into_iter().enumerate() {
-        // Implicit backends bypass the CSR cache entirely — they are a
-        // few bytes of parameters, rebuilt per point.
-        let use_implicit = match spec.backend {
-            Backend::Csr => false,
-            Backend::Implicit => true,
-            Backend::Auto => gspec.has_implicit(),
-        };
-        let seed = graph_build_seed(spec.seed, &gspec);
-        // `backend=csr` forces materialization.
-        let mapped = match spec.backend {
-            Backend::Auto if !use_implicit => cache.get_or_map(&gspec),
-            _ => None,
-        };
-        let topology = if use_implicit {
-            gspec
-                .build_topology(seed, spec.backend)
-                .map_err(CampaignError::Graph)?
-        } else if let Some(mapped) = mapped {
-            // A `file:` spec with a warm `.csrbin` cache under the auto
-            // backend: serve the mmap, O(1) resident per point.
-            BuiltTopology::Mapped(mapped)
-        } else {
-            let shared = match planned_csr.get(&gspec.key_string()) {
-                Some(arc) => Arc::clone(arc),
-                None => {
-                    let arc = cache
-                        .get_or_build(&gspec, seed)
-                        .map_err(CampaignError::Graph)?;
-                    planned_csr.insert(gspec.key_string(), Arc::clone(&arc));
-                    arc
-                }
-            };
-            BuiltTopology::Csr(shared)
-        };
-        check_point(spec, &objective, &gspec, &topology)?;
+        let topology = memo.get(&gspec, graph_build_seed(spec.seed, &gspec))?;
+        let (named, start) = (Some(&gspec), [spec.start]);
+        with_topology!(&topology, |g| objective.check_graph(named, g, &start))
+            .map_err(CampaignError::Invalid)?;
         if spec.shards > 1 && pspec.shard_kernel().is_none() {
             return Err(CampaignError::Invalid(format!(
                 "process {pspec} cannot run sharded (shardable processes: cobra, bips); \
@@ -245,19 +193,13 @@ pub fn plan_sweep(
         }
         points.push(PlannedPoint { point, topology });
     }
-    let distinct_graphs = points
-        .iter()
-        .map(|p| p.point.graph.key_string())
-        .collect::<HashSet<_>>()
-        .len();
-    let cache_stats = PlanCacheStats::capture(&cache);
     Ok(Plan {
         points,
         cached,
         missing,
         duplicates,
-        distinct_graphs,
-        cache_stats,
+        distinct_graphs: memo.len(),
+        cache_stats: memo.stats(),
     })
 }
 
@@ -268,38 +210,6 @@ pub fn plan_sweep(
 /// graph.
 pub fn graph_build_seed(master_seed: u64, spec: &GraphSpec) -> u64 {
     key_seed(master_seed, &format!("graph;{:016x}", spec.digest()))
-}
-
-fn check_point(
-    spec: &SweepSpec,
-    objective: &Objective,
-    gspec: &GraphSpec,
-    topology: &BuiltTopology,
-) -> Result<(), CampaignError> {
-    let n = topology.n();
-    if spec.start as usize >= n {
-        return Err(CampaignError::Invalid(format!(
-            "start vertex {} out of range for {gspec} (n = {n})",
-            spec.start
-        )));
-    }
-    // Full-reach objectives (cover, hit:far) cannot terminate on a
-    // disconnected graph — the `SimSpec::check` rule, at plan
-    // time so a sweep fails before any point runs.
-    with_topology!(topology, |g| objective.check_reachable(gspec, g))
-        .map_err(CampaignError::Invalid)?;
-    if n > 1 && with_topology!(topology, |g| g.degree(spec.start)) == 0 {
-        return Err(CampaignError::Invalid(format!(
-            "start vertex {} is isolated in {gspec} (degree 0, n = {n}); \
-             no process can spread from it",
-            spec.start
-        )));
-    }
-    // Objective-level termination checks (hit target in range, hit:far
-    // reachable, infection threshold in (0, 1]) — errors name the
-    // offending token and the graph it fails on.
-    with_topology!(topology, |g| objective.validate(g, &[spec.start]))
-        .map_err(|e| CampaignError::Invalid(format!("{e} (graph {gspec})")))
 }
 
 /// Plans and runs a sweep: cached points are served from the store,
@@ -360,8 +270,8 @@ pub fn run_sweep_with_progress(
 
 /// Job-level scheduling for custom experiment grids that don't fit the
 /// cover/hit sweep shape (duality probes, first-passage measurements,
-/// …): builds each case's graph once through a [`GraphCache`] (shared
-/// across cases that name the same spec) and dispatches one job per
+/// …): builds each distinct graph spec once as CSR (cases that name the
+/// same spec share one `Arc`) and dispatches one job per
 /// case across the worker pool, each worker owning a long-lived
 /// [`StepCtx`]. Output is ordered by case index for any thread count.
 ///
@@ -378,10 +288,10 @@ where
     T: Send,
     F: Fn(usize, &Graph, &mut StepCtx) -> T + Sync,
 {
-    let mut cache = GraphCache::new();
-    let graphs: Vec<Arc<Graph>> = specs
+    let mut memo = GraphMemo::new(Backend::Csr);
+    let graphs: Vec<BuiltTopology> = specs
         .iter()
-        .map(|s| cache.get_or_build(s, graph_build_seed(master_seed, s)))
+        .map(|s| memo.get(s, graph_build_seed(master_seed, s)))
         .collect::<Result<_, _>>()?;
     // Cases own their seeding, so the runner's per-index seed is unused.
     let config = RunConfig::new(specs.len(), master_seed).with_threads(threads);
@@ -389,7 +299,7 @@ where
     run_trials_with(
         config,
         StepCtx::new,
-        |ctx, _seed, i| exec(i, &graphs[i], ctx),
+        |ctx, _seed, i| exec(i, graphs[i].as_csr().expect("backend=csr builds CSR"), ctx),
         |case| out.push(case),
     );
     Ok(out)
@@ -731,6 +641,7 @@ fn drain<S: Subscriber + Clone + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn small_spec() -> SweepSpec {
         "cover; graph=cycle:{12..14}|complete:16; process=cobra:b2|rw; trials=5"
@@ -751,13 +662,13 @@ mod tests {
         assert!(plan.points.iter().all(|p| p.topology.is_implicit()));
 
         // Forced CSR: graph Arcs are shared between the two points of
-        // each graph through the cache.
+        // each graph through the plan memo.
         let csr = small_spec().with_backend(Backend::Csr);
         let plan = plan_sweep(&csr, &store, &default_cap).unwrap();
         assert_eq!(plan.distinct_graphs, 4);
         match (&plan.points[0].topology, &plan.points[1].topology) {
             (BuiltTopology::Csr(a), BuiltTopology::Csr(b)) => {
-                assert!(Arc::ptr_eq(a, b), "cache must share the CSR graph");
+                assert!(Arc::ptr_eq(a, b), "the plan must share the CSR graph");
             }
             other => panic!("backend=csr built {other:?}"),
         }
@@ -836,13 +747,13 @@ mod tests {
         // Implicit backends bypass the CSR cache entirely.
         let implicit = plan_sweep(&small_spec(), &Store::in_memory(), &default_cap).unwrap();
         assert_eq!(implicit.cache_stats, PlanCacheStats::default());
-        // Forced CSR: each distinct graph misses once (the plan memo —
-        // not the cache — serves the second point of each graph), and
-        // the built graphs stay resident.
+        // Forced CSR: each distinct graph is built once, the second
+        // point of each graph is a hit, and the built graphs stay
+        // resident.
         let csr = small_spec().with_backend(Backend::Csr);
         let plan = plan_sweep(&csr, &Store::in_memory(), &default_cap).unwrap();
         assert_eq!(plan.cache_stats.misses, 4);
-        assert_eq!(plan.cache_stats.evictions, 0);
+        assert_eq!(plan.cache_stats.hits, 4);
         assert!(plan.cache_stats.resident_bytes > 0);
         let out = run_sweep(&csr, &mut Store::in_memory(), 1, &default_cap).unwrap();
         assert_eq!(out.cache_stats.misses, 4, "run outcome carries the stats");

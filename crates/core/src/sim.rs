@@ -292,27 +292,12 @@ impl<'g> SimSpec<'g> {
             return Err(SimError::Invalid("trials must be >= 1".into()));
         }
         self.check_sharding()?;
-        for &v in &self.start {
-            if v as usize >= g.n() {
-                return Err(SimError::Invalid(format!(
-                    "start vertex {v} out of range for n = {}",
-                    g.n()
-                )));
-            }
-        }
-        if let GraphSource::Spec(spec) = &self.graph {
-            self.objective
-                .check_reachable(spec, g)
-                .map_err(SimError::Invalid)?;
-        }
-        if let Some(v) = self.start.iter().find(|&&v| g.n() > 1 && g.degree(v) == 0) {
-            return Err(SimError::Invalid(format!(
-                "start vertex {v} is isolated (degree 0, n = {}); no process can spread from it",
-                g.n()
-            )));
-        }
+        let spec = match &self.graph {
+            GraphSource::Spec(spec) => Some(spec),
+            GraphSource::Borrowed(_) => None,
+        };
         self.objective
-            .validate(g, &self.start)
+            .check_graph(spec, g, &self.start)
             .map_err(SimError::Invalid)
     }
 

@@ -29,7 +29,6 @@
 //!   RNG sampling are identical, so `backend=csr|implicit` is an
 //!   execution detail, never part of a result's identity.
 
-pub mod cache;
 pub mod csr;
 pub mod generators;
 pub mod ingest;
@@ -38,7 +37,6 @@ pub mod shard;
 pub mod spec;
 pub mod topology;
 
-pub use cache::GraphCache;
 pub use csr::{Graph, GraphError, VertexId};
 pub use ingest::{IngestError, IngestStats, MappedCsr};
 pub use shard::ShardMap;

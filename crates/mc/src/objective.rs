@@ -142,6 +142,43 @@ impl Objective {
         Ok(())
     }
 
+    /// The graph-dependent checks of one run or sweep point, in order:
+    /// every start vertex in range, a connected graph for the
+    /// full-reach objectives (when the graph's `spec` is known), no
+    /// isolated start, then [`Objective::validate`]. `SimSpec::check`
+    /// and the campaign planner both call this, so `run` and `sweep`
+    /// reject a bad point with the same text; every message names the
+    /// graph spec when one is given.
+    pub fn check_graph<T: Topology>(
+        &self,
+        spec: Option<&GraphSpec>,
+        g: &T,
+        start: &[VertexId],
+    ) -> Result<(), String> {
+        let n = g.n();
+        let named = |word: &str| spec.map_or(String::new(), |s| format!(" {word} {s}"));
+        if let Some(v) = start.iter().find(|&&v| v as usize >= n) {
+            return Err(format!(
+                "start vertex {v} out of range{} (n = {n})",
+                named("for")
+            ));
+        }
+        if let Some(spec) = spec {
+            self.check_reachable(spec, g)?;
+        }
+        if let Some(v) = start.iter().find(|&&v| n > 1 && g.degree(v) == 0) {
+            return Err(format!(
+                "start vertex {v} is isolated{} (degree 0, n = {n}); no process can \
+                 spread from it",
+                named("in")
+            ));
+        }
+        self.validate(g, start).map_err(|e| match spec {
+            Some(spec) => format!("{e} (graph {spec})"),
+            None => e,
+        })
+    }
+
     /// Checks the objective against a concrete graph and start set
     /// (any [`Topology`] backend); errors name the offending token and
     /// say why the estimand cannot terminate.

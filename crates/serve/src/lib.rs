@@ -47,11 +47,16 @@ pub use client::{get, post, stream_ndjson, HttpResponse};
 pub use daemon::{CampaignCounts, CampaignService, CampaignState, ServeConfig, SubmitReceipt};
 
 use crate::http::{respond, ChunkedResponse, Request};
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long one connection may block in a read or a write. A client
+/// that connects and sends nothing is dropped after this, so it cannot
+/// hold [`Server::run`] past shutdown.
+pub const CONNECTION_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The TCP front of a [`CampaignService`].
 pub struct Server {
@@ -75,8 +80,9 @@ impl Server {
 
     /// Serves until `shutdown` flips: accept, spawn a handler thread
     /// per connection (one request each), poll the flag between
-    /// accepts. Returns once the flag is observed; connection threads
-    /// finish their single request and exit on their own.
+    /// accepts. Returns once the flag is observed and every connection
+    /// thread has finished its request; an idle connection times out
+    /// after [`CONNECTION_IO_TIMEOUT`].
     pub fn run(&self, shutdown: &AtomicBool) -> std::io::Result<()> {
         std::thread::scope(|scope| {
             while !shutdown.load(Ordering::Acquire) {
@@ -102,6 +108,8 @@ fn handle_connection(stream: TcpStream, service: &CampaignService) {
     // Blocking I/O per connection; the listener's nonblocking flag is
     // inherited on some platforms, so reset it explicitly.
     let _ = stream.set_nonblocking(false);
+    let _ = stream.set_read_timeout(Some(CONNECTION_IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(CONNECTION_IO_TIMEOUT));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -110,6 +118,8 @@ fn handle_connection(stream: TcpStream, service: &CampaignService) {
     let request = match Request::read_from(&mut reader) {
         Ok(Some(request)) => request,
         Ok(None) => return,
+        // Idle past the timeout: nothing to answer.
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => return,
         Err(e) => {
             let _ = respond(&mut writer, 400, "text/plain", e.to_string().as_bytes());
             return;

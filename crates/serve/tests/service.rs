@@ -212,6 +212,32 @@ fn loadtest_duplicates_compute_exactly_once() {
 }
 
 #[test]
+fn an_idle_connection_does_not_block_shutdown() {
+    let service = Arc::new(CampaignService::new(ServeConfig::default()));
+    let server = Server::bind("127.0.0.1:0".parse().unwrap(), Arc::clone(&service)).unwrap();
+    let addr = server.local_addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (done, returned) = std::sync::mpsc::channel();
+    let flag = Arc::clone(&stop);
+    let daemon = std::thread::spawn(move || {
+        let _ = done.send(server.run(&flag).is_ok());
+    });
+    // Connect and send nothing. Connections are accepted in order, so
+    // once a later request is answered the idle one has its handler.
+    let idle = std::net::TcpStream::connect(addr).unwrap();
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    stop.store(true, Ordering::Release);
+    let limit = cobra_serve::CONNECTION_IO_TIMEOUT + std::time::Duration::from_secs(2);
+    let ok = returned
+        .recv_timeout(limit)
+        .expect("Server::run must return while a client sits idle");
+    assert!(ok);
+    daemon.join().unwrap();
+    drop(idle);
+    service.shutdown();
+}
+
+#[test]
 fn malformed_spec_and_unknown_campaign_fail_cleanly() {
     with_daemon(ServeConfig::default(), 1, |addr, _service| {
         let bad = client::post(addr, "/campaigns", b"not a sweep at all").unwrap();

@@ -217,3 +217,41 @@ fn custom_observer_runs_through_the_engine() {
         "coverage must pass n/2 at least once"
     );
 }
+
+#[test]
+fn run_and_sweep_reject_bad_points_with_one_text() {
+    use cobra_campaign::{default_cap, plan_sweep};
+    let dir = std::env::temp_dir().join(format!("cobra-one-rule-set-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let split = dir.join("two-triangles.txt");
+    std::fs::write(&split, "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n").unwrap();
+    let split = format!("file:{}", split.display());
+    // (graph, objective, start, a substring the shared text must carry)
+    let cases = [
+        ("cycle:12", "cover", 50, "out of range for cycle:12"),
+        ("gnp:100:0.001", "hit:1", 0, "is isolated in gnp:100:0.001"),
+        ("cycle:12", "hit:99", 0, "(graph cycle:12)"),
+        (split.as_str(), "cover", 0, "2 connected components"),
+    ];
+    for (graph, objective, start, want) in cases {
+        let run = SimSpec::parse(graph, "cobra:b2")
+            .unwrap()
+            .with_objective(objective.parse().unwrap())
+            .with_start(start)
+            .with_trials(2)
+            .resolve()
+            .expect_err(graph)
+            .to_string();
+        let sweep: SweepSpec =
+            format!("{objective}; graph={graph}; process=cobra:b2; trials=2; start={start}")
+                .parse()
+                .unwrap();
+        let sweep = plan_sweep(&sweep, &Store::in_memory(), &default_cap)
+            .expect_err(graph)
+            .to_string();
+        let run = run.strip_prefix("invalid sim spec: ").expect(&run);
+        let sweep = sweep.strip_prefix("invalid sweep: ").expect(&sweep);
+        assert_eq!(run, sweep, "{objective} on {graph}");
+        assert!(run.contains(want), "{objective} on {graph}: {run}");
+    }
+}
