@@ -878,12 +878,11 @@ fn serve_subcommand(args: &[String]) -> Outcome {
             None => "(in-memory)".to_string(),
         }
     ));
+    // `run` drains in-flight trials and cancels the rest before it returns.
     if let Err(e) = server.run(cobra_serve::signal::shutdown_flag()) {
-        service.shutdown();
         return Err(format!("accept loop failed: {e}").into());
     }
     out_line("shutdown requested — draining in-flight trials");
-    service.shutdown();
     let m = service.metrics();
     let count = |name: &str| m.counter_value(name).unwrap_or(0);
     out_line(&format!(

@@ -510,11 +510,20 @@ impl MappedCsr {
     }
 
     /// Materialises the mapped arrays into an owned [`Graph`]
-    /// (bit-identical to the graph that wrote the cache).
-    pub fn to_graph(&self) -> Graph {
+    /// (bit-identical to the graph that wrote the cache). The mmap path
+    /// of [`open`](Self::open) never reads the body, so a corrupt one
+    /// surfaces here: offsets that do not start at 0 or decrease, or a
+    /// neighbour id `>= n`, give `Err` rather than an invalid graph.
+    pub fn to_graph(&self) -> Result<Graph, String> {
         let offsets: Vec<usize> = (0..=self.n).map(|v| self.offset(v)).collect();
+        if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err("corrupt offsets".into());
+        }
         let neighbors: Vec<VertexId> = (0..2 * self.m).map(|i| self.neighbor_at(i)).collect();
-        Graph::from_csr_parts(offsets, neighbors, self.m)
+        if neighbors.iter().any(|&w| w as usize >= self.n) {
+            return Err("neighbour id out of range".into());
+        }
+        Ok(Graph::from_csr_parts(offsets, neighbors, self.m))
     }
 }
 
@@ -623,8 +632,8 @@ pub fn load_and_cache(
     let _lock = cobra_util::FileLock::acquire(&lock_path).ok();
     if _lock.is_some() {
         // Another loader may have populated the cache while we waited.
-        if let Some(mapped) = try_open_cached(source, digest, giant) {
-            let g = mapped.to_graph();
+        let warm = try_open_cached(source, digest, giant).and_then(|m| m.to_graph().ok());
+        if let Some(g) = warm {
             return Ok((g, IngestStats::default()));
         }
     }
@@ -729,7 +738,7 @@ mod tests {
         assert!(mapped.verify_checksums());
         #[cfg(target_os = "linux")]
         assert!(mapped.is_mapped());
-        assert_eq!(mapped.to_graph(), g);
+        assert_eq!(mapped.to_graph().unwrap(), g);
         // Topology surface matches the materialized graph exactly.
         assert_eq!(Topology::n(&mapped), Topology::n(&g));
         assert_eq!(Topology::m(&mapped), Topology::m(&g));
@@ -806,13 +815,13 @@ mod tests {
         let (g, _) = load_and_cache(&path, digest, false).unwrap();
         assert_eq!(Topology::n(&g), 5);
         let warm = try_open_cached(&path, digest, false).unwrap();
-        assert_eq!(warm.to_graph(), g);
+        assert_eq!(warm.to_graph().unwrap(), g);
 
         let (giant, _) = load_and_cache(&path, digest, true).unwrap();
         assert_eq!(Topology::n(&giant), 3);
         assert_eq!(Topology::m(&giant), 3);
         let warm = try_open_cached(&path, digest, true).unwrap();
-        assert_eq!(warm.to_graph(), giant);
+        assert_eq!(warm.to_graph().unwrap(), giant);
         // The two cache files are distinct.
         assert!(cache_path(&path, false).exists());
         assert!(cache_path(&path, true).exists());
@@ -845,6 +854,6 @@ mod tests {
         // The cache survived the stampede and is structurally valid.
         let warm = try_open_cached(&path, digest, false).unwrap();
         assert!(warm.verify_checksums());
-        assert_eq!(warm.to_graph(), graphs[0]);
+        assert_eq!(warm.to_graph().unwrap(), graphs[0]);
     }
 }

@@ -813,7 +813,9 @@ impl GraphSpec {
             // A warm binary cache materialises bit-identically to a
             // fresh text parse.
             GraphSpec::File { .. } => match self.build_topology(seed, Backend::Auto)? {
-                BuiltTopology::Mapped(mapped) => mapped.to_graph(),
+                BuiltTopology::Mapped(mapped) => mapped
+                    .to_graph()
+                    .map_err(|e| GraphSpecError::new(format!("{self}: binary cache: {e}")))?,
                 BuiltTopology::Csr(g) => Arc::unwrap_or_clone(g),
                 _ => unreachable!("file: specs build as CSR or mmap"),
             },

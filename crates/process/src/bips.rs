@@ -17,6 +17,15 @@
 //!   `p = 1 − (1 − q)(1 − ρq)` (eq. 33) or `1 − (1 − q)^b` (eq. 32);
 //!   `O(d(A_t))` per round, much faster while the infection is small.
 //!
+//! The Bernoulli draw is an integer compare. `random_bool(p)` tests
+//! `(x >> 11) · 2⁻⁵³ < p` for one RNG word `x`, which holds exactly when
+//! `x >> 11 < ⌈p · 2⁵³⌉`, so [`InfectionThresholds`] keeps that bound per
+//! `(d(u), d_A(u), u ∈ A_t)` and a candidate costs one table load and
+//! one `next_u64`. It decides as `random_bool(p)` would on every word
+//! and consumes the same words, so no sample differs from the
+//! floating-point draw (the `lollipop:12` golden rows pin several
+//! degree rows). The sharded kernel draws through the same table.
+//!
 //! The equivalence is property-tested in this module (KS test on
 //! infection trajectories) — it is the implementation detail the fast
 //! experiments lean on.
@@ -25,12 +34,11 @@
 //! the `d_A` counters, so steady-state rounds and trial resets perform
 //! no heap allocation.
 
-use crate::branching::{Branching, Laziness};
+use crate::branching::{Branching, InfectionThresholds, Laziness};
 use crate::state::{ProcessState, ProcessView, StepCtx};
 use cobra_graph::{Graph, Topology, VertexId};
 use cobra_util::BitSet;
 use rand::rngs::SmallRng;
-use rand::RngExt;
 
 /// Which round implementation a [`Bips`] instance uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +66,12 @@ pub struct Bips<'g, T: Topology = Graph> {
     transmissions: u64,
     /// Scratch: `d_A(u)` counters for the Bernoulli path.
     d_a: Vec<u32>,
-    /// Scratch: vertices with nonzero `d_a` this round.
-    touched: Vec<VertexId>,
+    /// Scratch: vertices with nonzero `d_a` this round, in first-arrival
+    /// order, as a prefix; one spare slot past `n` takes the writes of
+    /// repeat arrivals once every vertex is in.
+    touched_slots: Vec<VertexId>,
+    /// The Bernoulli path's exact draw thresholds, kept across resets.
+    thresholds: InfectionThresholds,
 }
 
 impl<'g, T: Topology> Bips<'g, T> {
@@ -84,7 +96,8 @@ impl<'g, T: Topology> Bips<'g, T> {
             rounds: 0,
             transmissions: 0,
             d_a: vec![0; g.n()],
-            touched: Vec::new(),
+            touched_slots: vec![0; g.n() + 1],
+            thresholds: InfectionThresholds::new(branching, laziness),
         };
         bips.reset(g, &[source]);
         bips
@@ -176,52 +189,53 @@ impl<'g, T: Topology> Bips<'g, T> {
         // enumerate in sorted order on every backend, so `touched`
         // order — and the Bernoulli draw order below — is
         // backend-invariant).
-        let (g, d_a, touched) = (self.g, &mut self.d_a, &mut self.touched);
+        let (g, d_a, slots) = (self.g, &mut self.d_a, &mut self.touched_slots);
+        let mut len = 0;
         for &w in &self.infected_list {
             g.for_each_neighbor(w, |u| {
-                if d_a[u as usize] == 0 {
-                    touched.push(u);
-                }
+                // Branch-free append: every arrival writes the next slot,
+                // only a first arrival keeps it.
+                slots[len] = u;
+                len += usize::from(d_a[u as usize] == 0);
                 d_a[u as usize] += 1;
             });
         }
+        let touched = &self.touched_slots[..len];
         let mut next = std::mem::replace(&mut self.next, BitSet::new(0));
         next.clear();
         next.insert(self.source as usize);
-        let lazy = self.laziness == Laziness::Half;
-        // Candidates: vertices with an infected neighbour; under
-        // laziness, currently infected vertices are candidates too (a
-        // self-pick can re-infect).
-        let touched = std::mem::take(&mut self.touched);
-        let lazy_extras = self
-            .infected_list
-            .iter()
-            // Infected vertices with an infected neighbour are already in
-            // `touched`; chaining them again would give a second draw and
-            // break the law.
-            .filter(|&&u| lazy && self.d_a[u as usize] == 0);
-        for &u in touched.iter().chain(lazy_extras) {
-            if u == self.source || next.contains(u as usize) {
+        // `touched` never repeats a vertex, so only the source is in
+        // `next` yet: each hit is ORed in without testing membership or
+        // branching on the coin.
+        let (g, d_a, infected) = (self.g, &self.d_a, &self.infected);
+        for &u in touched {
+            if u == self.source {
                 continue;
             }
-            let d = self.g.degree(u) as f64;
-            let frac = self.d_a[u as usize] as f64 / d;
-            let q = self
-                .laziness
-                .pick_infected_probability(frac, self.infected.contains(u as usize));
-            let p = self.branching.infection_probability(q);
-            if p > 0.0 && rng.random_bool(p) {
-                next.insert(u as usize);
+            let k = d_a[u as usize];
+            let hit = self
+                .thresholds
+                .draw(rng, g.degree(u), k, infected.contains(u as usize));
+            next.or_word(u as usize / 64, u64::from(hit) << (u % 64));
+        }
+        if self.laziness == Laziness::Half {
+            // A self-pick can re-infect, so an infected vertex is a
+            // candidate even with no infected neighbour. Those with one
+            // were drawn above; a second draw would break the law.
+            for &u in &self.infected_list {
+                if u == self.source || d_a[u as usize] > 0 {
+                    continue;
+                }
+                let hit = self.thresholds.draw(rng, g.degree(u), 0, true);
+                next.or_word(u as usize / 64, u64::from(hit) << (u % 64));
             }
         }
         // Bookkeeping: transmissions are what the *process* would send
         // (b picks per non-source vertex), independent of the shortcut.
         self.transmissions += ((n - 1) as f64 * self.branching.expected()).round() as u64;
-        for &u in &touched {
+        for &u in touched {
             self.d_a[u as usize] = 0;
         }
-        self.touched = touched;
-        self.touched.clear();
         self.commit(next);
     }
 
@@ -265,6 +279,7 @@ impl<'g, T: Topology> ProcessState<'g, T> for Bips<'g, T> {
             self.infected = BitSet::new(g.n());
             self.next = BitSet::new(g.n());
             self.d_a = vec![0; g.n()];
+            self.touched_slots = vec![0; g.n() + 1];
         } else {
             self.infected.clear();
             self.next.clear();
@@ -273,7 +288,6 @@ impl<'g, T: Topology> ProcessState<'g, T> for Bips<'g, T> {
         self.infected.insert(source as usize);
         self.infected_list.clear();
         self.infected_list.push(source);
-        self.touched.clear();
         self.rounds = 0;
         self.transmissions = 0;
     }

@@ -2,7 +2,7 @@
 
 use cobra_graph::{Topology, VertexId};
 use rand::rngs::SmallRng;
-use rand::RngExt;
+use rand::{Rng, RngExt};
 
 /// Branching factor `b` of the COBRA/BIPS processes.
 ///
@@ -116,6 +116,103 @@ impl Laziness {
     }
 }
 
+/// The BIPS per-candidate Bernoulli draw as an exact integer compare.
+///
+/// A candidate `u` of degree `d` with `k = d_A(u)` infected neighbours
+/// is infected with `p = infection_probability(pick_infected_probability(k / d, u ∈ A))`
+/// (equations (32)/(33)). The vendored `random_bool(p)` draws one word
+/// `x` and tests `(x >> 11) · 2⁻⁵³ < p`. Both sides are exact in `f64`
+/// (a 53-bit integer times a power of two), so the test holds exactly
+/// when the integer `x >> 11` is below `T = ⌈p · 2⁵³⌉`. This table holds
+/// `T` for every `(d, k, u ∈ A)`, computed through the same two calls,
+/// so [`draw`](Self::draw) makes the same decision as `random_bool(p)`
+/// for every word and consumes the same words: one `next_u64` when
+/// `p > 0` (exactly when `T > 0`), none otherwise. No sample can change.
+///
+/// A row depends only on `(branching, laziness, d)`, never on the graph.
+/// Rows fill the first time their degree is met and survive trial
+/// resets, so steady-state rounds allocate nothing. Nothing is
+/// precomputed up to the maximum degree, which would cost
+/// `O(d_max²)` on hub-heavy graphs.
+#[derive(Debug, Clone)]
+pub struct InfectionThresholds {
+    branching: Branching,
+    laziness: Laziness,
+    /// Start of degree `d`'s row in `thresholds`, or [`Self::UNFILLED`].
+    rows: Vec<usize>,
+    /// Row `d` holds `T` for `k = 0..=d`; lazy rows interleave the
+    /// `u ∉ A` and `u ∈ A` entries per `k`.
+    thresholds: Vec<u64>,
+}
+
+impl InfectionThresholds {
+    const UNFILLED: usize = usize::MAX;
+
+    /// An empty table for one process's `(branching, laziness)`.
+    pub fn new(branching: Branching, laziness: Laziness) -> InfectionThresholds {
+        InfectionThresholds {
+            branching,
+            laziness,
+            rows: Vec::new(),
+            thresholds: Vec::new(),
+        }
+    }
+
+    /// Entries per `k`: only a lazy pick can land on `u` itself.
+    fn stride(&self) -> usize {
+        match self.laziness {
+            Laziness::None => 1,
+            Laziness::Half => 2,
+        }
+    }
+
+    /// `T = ⌈p · 2⁵³⌉` for a vertex of degree `degree` with `k` infected
+    /// neighbours, `self_infected` saying whether it is in `A_t` itself.
+    #[inline]
+    fn threshold(&mut self, degree: usize, k: u32, self_infected: bool) -> u64 {
+        let row = match self.rows.get(degree) {
+            Some(&row) if row != Self::UNFILLED => row,
+            _ => self.fill(degree),
+        };
+        let stride = self.stride();
+        self.thresholds[row + k as usize * stride + (self_infected as usize & (stride - 1))]
+    }
+
+    /// One candidate's Bernoulli draw: `random_bool(p)` without the
+    /// floating point, and without a word when `p = 0`.
+    #[inline]
+    pub fn draw(&mut self, rng: &mut SmallRng, degree: usize, k: u32, self_infected: bool) -> bool {
+        let t = self.threshold(degree, k, self_infected);
+        t > 0 && (rng.next_u64() >> 11) < t
+    }
+
+    #[cold]
+    fn fill(&mut self, degree: usize) -> usize {
+        if self.rows.len() <= degree {
+            self.rows.resize(degree + 1, Self::UNFILLED);
+        }
+        let row = self.thresholds.len();
+        let flags: &[bool] = match self.laziness {
+            Laziness::None => &[false],
+            Laziness::Half => &[false, true],
+        };
+        for k in 0..=degree {
+            let frac = k as f64 / degree as f64;
+            for &self_infected in flags {
+                let q = self.laziness.pick_infected_probability(frac, self_infected);
+                let p = self.branching.infection_probability(q);
+                // Exact: scaling by 2⁵³ only moves the exponent. A NaN
+                // `p` (degree 0, `k / d = 0/0`) casts to 0 and is never
+                // drawn, like any `p` that is not `> 0`.
+                self.thresholds
+                    .push((p * (1u64 << 53) as f64).ceil() as u64);
+            }
+        }
+        self.rows[degree] = row;
+        row
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +294,90 @@ mod tests {
         for _ in 0..1000 {
             assert_ne!(Laziness::None.pick(&g, 2, &mut rng), 2);
         }
+    }
+
+    /// A generator that hands `random_bool` one chosen word.
+    struct Word(u64);
+
+    impl Rng for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn thresholds_decide_exactly_like_random_bool() {
+        let branchings = [
+            Branching::Fixed(1),
+            Branching::Fixed(2),
+            Branching::Fixed(3),
+            Branching::Fixed(4),
+            Branching::Expected(0.25),
+            Branching::Expected(0.5),
+            Branching::Expected(1.0),
+        ];
+        let mut words = SmallRng::seed_from_u64(4);
+        for branching in branchings {
+            for laziness in [Laziness::None, Laziness::Half] {
+                let mut table = InfectionThresholds::new(branching, laziness);
+                // Degree 0 has no row in use: a candidate has an
+                // infected neighbour, and the source is never drawn.
+                for d in 1..=64usize {
+                    let mut row = Vec::new();
+                    for k in 0..=d as u32 {
+                        for self_infected in [false, true] {
+                            let frac = k as f64 / d as f64;
+                            let q = laziness.pick_infected_probability(frac, self_infected);
+                            let p = branching.infection_probability(q);
+                            let t = table.threshold(d, k, self_infected);
+                            let at =
+                                format!("{branching:?} {laziness:?} d={d} k={k} {self_infected}");
+                            assert_eq!(t > 0, p > 0.0, "{at}");
+                            // The 53-bit values either side of the cut,
+                            // with random low bits.
+                            for m in [t.wrapping_sub(1), t, t + 1] {
+                                if m >= 1 << 53 {
+                                    continue;
+                                }
+                                let x = (m << 11) | (words.next_u64() & 0x7ff);
+                                assert_eq!(Word(x).random_bool(p), (x >> 11) < t, "{at} x={x:#x}");
+                            }
+                            row.push((k, self_infected, p));
+                        }
+                    }
+                    // `draw` against `p > 0 && random_bool(p)` on twin
+                    // streams: same decisions, same words consumed.
+                    let mut want = words.clone();
+                    let mut got = words.clone();
+                    for _ in 0..10_000 {
+                        let (k, self_infected, p) = row[words.random_range(0..row.len())];
+                        assert_eq!(
+                            p > 0.0 && want.random_bool(p),
+                            table.draw(&mut got, d, k, self_infected),
+                            "{branching:?} {laziness:?} d={d} k={k} {self_infected}"
+                        );
+                    }
+                    assert_eq!(
+                        want, got,
+                        "{branching:?} {laziness:?} d={d}: streams drifted"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_rows_fill_on_first_use_and_stay() {
+        let mut table = InfectionThresholds::new(Branching::B2, Laziness::Half);
+        assert_eq!(table.threshold(5, 0, false), 0);
+        // b = 2, lazy: q = 1 gives p = 1; q = 1/2 gives p = 3/4.
+        assert_eq!(table.threshold(5, 5, true), 1 << 53);
+        assert_eq!(table.threshold(5, 5, false), 3 << 51);
+        assert_eq!(table.threshold(3, 0, true), 3 << 51);
+        // Rows for degrees 3 and 5 only, two entries per `k`.
+        assert_eq!(table.thresholds.len(), 2 * (6 + 4));
+        table.threshold(5, 2, true);
+        assert_eq!(table.thresholds.len(), 2 * (6 + 4));
     }
 
     #[test]

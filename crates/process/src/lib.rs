@@ -54,7 +54,7 @@ pub mod state;
 pub mod walk;
 
 pub use bips::{Bips, BipsMode};
-pub use branching::{Branching, Laziness};
+pub use branching::{Branching, InfectionThresholds, Laziness};
 pub use coalescing::CoalescingWalks;
 pub use cobra::Cobra;
 pub use gossip::{Gossip, GossipMode, PushGossip};

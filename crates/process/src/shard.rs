@@ -48,7 +48,7 @@
 //! automatically), which keeps the single-shard path zero-alloc and
 //! bit-identical to every existing golden result.
 
-use crate::branching::{Branching, Laziness};
+use crate::branching::{Branching, InfectionThresholds, Laziness};
 use cobra_graph::{ShardMap, Topology, VertexId};
 use cobra_util::BitSet;
 use rand::rngs::SmallRng;
@@ -61,7 +61,9 @@ use std::ops::Range;
 ///
 /// BIPS always runs its Bernoulli law here — the law `exact` sampling
 /// is equivalent to, per the KS-tested equivalence in
-/// [`bips`](crate::bips).
+/// [`bips`](crate::bips) — and draws each candidate through the same
+/// exact [`InfectionThresholds`] table as the unsharded kernel, one per
+/// shard slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShardKernel {
     /// COBRA: every frontier vertex pushes `b` copies; arrivals
@@ -105,6 +107,8 @@ struct ShardSlot {
     d_a: Vec<u32>,
     /// BIPS scratch: local vertices with nonzero `d_a` this round.
     cand: BitSet,
+    /// BIPS: the exact draw thresholds, kept across resets.
+    thresholds: InfectionThresholds,
 }
 
 impl ShardKernel {
@@ -123,6 +127,14 @@ impl ShardSlot {
     fn new(index: usize, range: Range<usize>, shards: usize, kernel: ShardKernel) -> ShardSlot {
         let span = range.end - range.start;
         let (visited_len, d_a_len) = kernel.scratch_lens(span);
+        let (ShardKernel::Cobra {
+            branching,
+            laziness,
+        }
+        | ShardKernel::Bips {
+            branching,
+            laziness,
+        }) = kernel;
         ShardSlot {
             index,
             range,
@@ -135,6 +147,7 @@ impl ShardSlot {
             transmissions: 0,
             d_a: vec![0; d_a_len],
             cand: BitSet::new(d_a_len),
+            thresholds: InfectionThresholds::new(branching, laziness),
         }
     }
 }
@@ -593,7 +606,9 @@ fn bips_scatter<T: Topology>(slot: &mut ShardSlot, g: &T, map: &ShardMap, _branc
 }
 
 /// BIPS draw + commit: with all `d_A` contributions in, draw one
-/// Bernoulli per candidate (ascending local order), re-insert the
+/// Bernoulli per candidate (ascending local order) as an integer
+/// compare against the slot's [`InfectionThresholds`] — the same
+/// decision and the same words as `random_bool(p)` — re-insert the
 /// source, handle the lazy self-pick extras, and swap in the new
 /// infected set.
 fn bips_draw_and_commit<T: Topology>(
@@ -613,6 +628,7 @@ fn bips_draw_and_commit<T: Topology>(
         transmissions,
         d_a,
         cand,
+        thresholds,
         ..
     } = slot;
     let base = range.start;
@@ -621,32 +637,27 @@ fn bips_draw_and_commit<T: Topology>(
     if owns_source {
         next.insert(source_local);
     }
-    let lazy = laziness == Laziness::Half;
+    // `cand` never repeats a vertex and the lazy extras are disjoint
+    // from it, so only the source is in `next` yet: the hit is ORed in
+    // without testing membership or branching on the coin.
     for lu in cand.iter() {
-        if (owns_source && lu == source_local) || next.contains(lu) {
+        if owns_source && lu == source_local {
             continue;
         }
         let u = (base + lu) as VertexId;
-        let d = g.degree(u) as f64;
-        let frac = d_a[lu] as f64 / d;
-        let q = laziness.pick_infected_probability(frac, active.contains(lu));
-        let p = branching.infection_probability(q);
-        if p > 0.0 && rng.random_bool(p) {
-            next.insert(lu);
-        }
+        let hit = thresholds.draw(rng, g.degree(u), d_a[lu], active.contains(lu));
+        next.or_word(lu / 64, u64::from(hit) << (lu % 64));
     }
-    if lazy {
+    if laziness == Laziness::Half {
         // Infected vertices with no infected neighbour still get their
         // self-pick chance; those with d_a > 0 were drawn above.
         for lu in active.iter() {
             if d_a[lu] > 0 || (owns_source && lu == source_local) {
                 continue;
             }
-            let q = laziness.pick_infected_probability(0.0, true);
-            let p = branching.infection_probability(q);
-            if p > 0.0 && rng.random_bool(p) {
-                next.insert(lu);
-            }
+            let u = (base + lu) as VertexId;
+            let hit = thresholds.draw(rng, g.degree(u), 0, true);
+            next.or_word(lu / 64, u64::from(hit) << (lu % 64));
         }
     }
     // Transmission accounting matches the unsharded Bernoulli path —

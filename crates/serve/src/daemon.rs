@@ -372,7 +372,8 @@ impl CampaignService {
     /// Graceful shutdown: cancel queued and in-flight work, wait for
     /// workers to reach a trial boundary, emit `cancelled` for
     /// everything that never finished, and join the worker pool.
-    /// Everything already persisted stays.
+    /// Everything already persisted stays. [`Server::run`](crate::Server::run)
+    /// calls it on its way out; a second call does nothing.
     pub fn shutdown(&self) {
         self.scheduler.shutdown();
         let workers = std::mem::take(&mut *self.workers.lock().expect("worker table"));

@@ -34,8 +34,8 @@
 //! service.spawn_workers(0); // one per core
 //! let server = Server::bind("127.0.0.1:7070".parse().unwrap(), Arc::clone(&service)).unwrap();
 //! cobra_serve::signal::install_handlers();
+//! // Returns after shutting the service down.
 //! server.run(cobra_serve::signal::shutdown_flag()).unwrap();
-//! service.shutdown();
 //! ```
 
 pub mod client;
@@ -80,12 +80,18 @@ impl Server {
 
     /// Serves until `shutdown` flips: accept, spawn a handler thread
     /// per connection (one request each), poll the flag between
-    /// accepts. Returns once the flag is observed and every connection
-    /// thread has finished its request; an idle connection times out
-    /// after [`CONNECTION_IO_TIMEOUT`].
+    /// accepts. Once the flag is observed (or accepting fails), the
+    /// service is shut down ([`CampaignService::shutdown`]): every live
+    /// campaign is cancelled, so an open event stream reaches its `done`
+    /// line and ends. Returns once every connection thread has finished
+    /// its request; an idle connection times out after
+    /// [`CONNECTION_IO_TIMEOUT`].
     pub fn run(&self, shutdown: &AtomicBool) -> std::io::Result<()> {
         std::thread::scope(|scope| {
-            while !shutdown.load(Ordering::Acquire) {
+            let accepted = loop {
+                if shutdown.load(Ordering::Acquire) {
+                    break Ok(());
+                }
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
                         let service = Arc::clone(&self.service);
@@ -95,10 +101,13 @@ impl Server {
                         std::thread::sleep(Duration::from_millis(25));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
+                    Err(e) => break Err(e),
                 }
-            }
-            Ok(())
+            };
+            // Before the scope joins the handlers: a handler streaming an
+            // unfinished campaign only returns once that campaign is done.
+            self.service.shutdown();
+            accepted
         })
     }
 }

@@ -6,6 +6,7 @@
 use cobra_campaign::{default_cap, run_sweep, Store, SweepSpec};
 use cobra_serve::{client, CampaignService, ServeConfig, Server};
 use cobra_util::Json;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -235,6 +236,65 @@ fn an_idle_connection_does_not_block_shutdown() {
     daemon.join().unwrap();
     drop(idle);
     service.shutdown();
+}
+
+#[test]
+fn an_open_event_stream_does_not_block_shutdown() {
+    let service = Arc::new(CampaignService::new(ServeConfig::default()));
+    service.spawn_workers(1);
+    let server = Server::bind("127.0.0.1:0".parse().unwrap(), Arc::clone(&service)).unwrap();
+    let addr = server.local_addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (done, returned) = std::sync::mpsc::channel();
+    let flag = Arc::clone(&stop);
+    let daemon = std::thread::spawn(move || {
+        let _ = done.send(server.run(&flag).is_ok());
+    });
+    // A campaign that never finishes on its own.
+    let spec = "cover; graph=cycle:8; process=cobra:b2; trials=18446744073709551615; name=svc-open";
+    let receipt = client::post(addr, "/campaigns", spec.as_bytes()).unwrap();
+    assert_eq!(receipt.status, 200, "{}", receipt.text());
+    let id = receipt
+        .json()
+        .unwrap()
+        .get("campaign")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    // Stream its events by hand: the chunk carrying the `started` line
+    // shows the handler is now blocked waiting for more.
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write!(stream, "GET /campaigns/{id}/events HTTP/1.1\r\n\r\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut seen = String::new();
+    while !seen.contains("\"started\"") {
+        assert_ne!(
+            reader.read_line(&mut seen).unwrap(),
+            0,
+            "stream closed early: {seen}"
+        );
+    }
+    stop.store(true, Ordering::Release);
+    let limit = std::time::Duration::from_secs(30);
+    let ok = returned
+        .recv_timeout(limit)
+        .expect("Server::run must return while a client streams an unfinished campaign");
+    assert!(ok);
+    daemon.join().unwrap();
+    // The stream ended with the campaign's `done` line.
+    reader.read_to_string(&mut seen).unwrap();
+    let done = seen
+        .lines()
+        .find(|line| line.contains("\"type\":\"done\""))
+        .unwrap_or_else(|| panic!("no done line in {seen}"));
+    assert_eq!(
+        Json::parse(done)
+            .unwrap()
+            .get("cancelled")
+            .unwrap()
+            .as_usize(),
+        Some(1)
+    );
 }
 
 #[test]

@@ -12,6 +12,13 @@
 //! The two `cobra:b1` rows were added later, recorded at `1787fb8` on the
 //! batched COBRA kernel, before single-start `cobra:b1` moved to the
 //! random-walk kernel; they pin that move to the same samples.
+//!
+//! The three `lollipop:12` BIPS rows were added later too, recorded at
+//! `c532abc` with the per-candidate floating-point Bernoulli draw, before
+//! both BIPS kernels moved to the exact integer threshold table
+//! (`InfectionThresholds`). The older BIPS rows run on the 3-regular
+//! `petersen`, where every candidate reads the same degree row; the
+//! lollipop's degrees 1, 2, 7 and 8 pin every row of the table.
 #![allow(dead_code)]
 
 use cobra::SimSpec;
@@ -35,6 +42,9 @@ pub const GOLDEN: &[(&str, &str, [Golden; 4])] = &[
     ("bips:b2", "petersen", [(6, 10, 108), (5, 10, 90), (4, 10, 72), (8, 10, 144)]),
     ("bips:b2:exact", "petersen", [(5, 10, 90), (5, 10, 90), (8, 10, 144), (7, 10, 126)]),
     ("bips:rho0.4:lazy", "petersen", [(17, 10, 221), (12, 10, 156), (14, 10, 182), (16, 10, 208)]),
+    ("bips:b2", "lollipop:12", [(16, 12, 352), (8, 12, 176), (9, 12, 198), (12, 12, 264)]),
+    ("bips:b3:lazy", "lollipop:12", [(9, 12, 297), (8, 12, 264), (5, 12, 165), (10, 12, 330)]),
+    ("bips:rho0.4:lazy", "lollipop:12", [(22, 12, 330), (17, 12, 255), (25, 12, 375), (15, 12, 225)]),
     ("rw", "petersen", [(27, 10, 27), (38, 10, 38), (18, 10, 18), (17, 10, 17)]),
     ("rw:lazy", "petersen", [(49, 10, 49), (45, 10, 45), (28, 10, 28), (48, 10, 48)]),
     ("walks:4", "petersen", [(8, 10, 32), (3, 10, 12), (8, 10, 32), (6, 10, 24)]),

@@ -1,18 +1,22 @@
 //! Every parser that reads outside input — sweep specs (CLI and HTTP
-//! bodies), graph specs, JSON (store lines) and HTTP request heads —
-//! returns `Ok` or `Err` on arbitrary input and never panics.
+//! bodies), graph specs, JSON (store lines), HTTP request heads and
+//! `.csrbin` graph caches — returns `Ok` or `Err` on arbitrary input and
+//! never panics.
 //!
 //! Random bytes rarely get past a grammar's first token, so the spec
 //! parsers are fed strings drawn from a token alphabet of their own
 //! vocabulary; JSON and HTTP get both raw bytes and token strings.
 
 use cobra_campaign::SweepSpec;
+use cobra_graph::ingest::write_csrbin;
 use cobra_graph::spec::FAMILY_USAGES;
-use cobra_graph::GraphSpec;
+use cobra_graph::{generators, GraphSpec, MappedCsr};
 use cobra_serve::http::Request;
 use cobra_util::Json;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::OnceLock;
 
 #[rustfmt::skip]
 const SPEC_TOKENS: &[&str] = &[
@@ -155,5 +159,67 @@ proptest! {
     ) {
         let _ = Request::read_from(&mut bytes.as_slice());
         let _ = Request::read_from(&mut join(HTTP_TOKENS, &picks).as_bytes());
+    }
+}
+
+/// A per-test `.csrbin` path (tests run in parallel; cases within one
+/// test run in turn, so each test rewrites its own file).
+fn csrbin_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("cobra-robust-{}-{tag}.csrbin", std::process::id()))
+}
+
+/// The bytes of a valid cache for an irregular graph, written once.
+fn valid_csrbin() -> Vec<u8> {
+    static VALID: OnceLock<Vec<u8>> = OnceLock::new();
+    VALID
+        .get_or_init(|| {
+            let path = csrbin_path("valid");
+            write_csrbin(&path, &generators::lollipop(6, 3), 7, false).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            bytes
+        })
+        .clone()
+}
+
+/// Writes `bytes` as a cache file and opens it. An open that succeeds
+/// must still answer `verify_checksums` and `to_graph` without a panic.
+fn open_bytes(tag: &str, bytes: &[u8]) -> Result<bool, String> {
+    let path = csrbin_path(tag);
+    std::fs::write(&path, bytes).unwrap();
+    let opened = MappedCsr::open(&path, None, false);
+    let _ = std::fs::remove_file(&path);
+    let mapped = opened?;
+    let _ = mapped.to_graph();
+    Ok(mapped.verify_checksums())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn csrbin_open_rejects_random_bytes(bytes in vec(any::<u8>(), 0..512)) {
+        prop_assert!(open_bytes("random", &bytes).is_err());
+    }
+
+    #[test]
+    fn csrbin_open_rejects_a_truncated_cache(cut in 0usize..100_000) {
+        let bytes = valid_csrbin();
+        let cut = cut % bytes.len();
+        prop_assert!(open_bytes("truncated", &bytes[..cut]).is_err());
+    }
+
+    #[test]
+    fn csrbin_flipped_byte_is_caught_at_open_or_by_the_checksums(
+        at in 0usize..100_000,
+        mask in 1u32..256,
+    ) {
+        let mut bytes = valid_csrbin();
+        let at = at % bytes.len();
+        bytes[at] ^= mask as u8;
+        // The mmap path reads only the header at open; a body byte is
+        // then caught by the section checksums.
+        let opened = open_bytes("flipped", &bytes);
+        prop_assert!(opened != Ok(true), "byte {at} ^ {mask:#x} went unnoticed");
     }
 }
