@@ -207,9 +207,9 @@ impl Graph {
 
     /// The CSR position and length of `v`'s adjacency list, as
     /// `(offset, degree)`. Together with [`Graph::neighbor_flat`] this
-    /// lets batched samplers split "pick a neighbour index" from
-    /// "resolve it", which the hot simulation kernels exploit to keep
-    /// several independent memory accesses in flight.
+    /// lets a sampler read the range once per vertex and resolve each
+    /// drawn index with one flat-array load, prefetching the ranges of
+    /// vertices ahead to keep several memory accesses in flight.
     #[inline]
     pub fn neighbor_range(&self, v: VertexId) -> (usize, usize) {
         let v = v as usize;

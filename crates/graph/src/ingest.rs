@@ -16,13 +16,13 @@
 //!   self-loops are dropped and duplicate edges (SNAP lists both
 //!   directions) collapse, both counted in [`IngestStats`]. The result is
 //!   bit-identical to [`Graph::from_edges_dedup`] on the same edge list.
-//! * **O(1) reloads.** The first parse writes `<path>.csrbin` — a
+//! * **Parse-free reloads.** The first parse writes `<path>.csrbin` — a
 //!   versioned little-endian snapshot of the CSR arrays with FNV
 //!   checksums — and later loads map it with `mmap(2)` ([`MappedCsr`]),
-//!   so a multi-GB graph costs one page table, demand-pages only the
-//!   adjacency actually touched, and shares physical pages across every
-//!   worker process. Platforms without `mmap` read the file into a `Vec`
-//!   behind the same type.
+//!   so a multi-GB graph costs one page table and one sequential
+//!   structure check instead of a parse and a copy, and shares physical
+//!   pages across every worker process. Platforms without `mmap` read
+//!   the file into a `Vec` behind the same type.
 
 use crate::csr::{Graph, GraphError, VertexId};
 use crate::props;
@@ -408,10 +408,12 @@ pub struct MappedCsr {
 
 impl MappedCsr {
     /// Opens a `.csrbin`, validating magic, version, header checksum,
-    /// exact file length, the final offset, and — when given — the
-    /// expected source digest and giant flag. Body checksums are only
-    /// verified on the owned (non-mmap) path and via
-    /// [`MappedCsr::verify_checksums`], preserving demand paging.
+    /// exact file length, the final offset, the body's structure
+    /// (offsets nondecreasing from 0, every neighbour id below `n`) and
+    /// — when given — the expected source digest and giant flag. Body
+    /// checksums are only verified on the owned (non-mmap) path and via
+    /// [`MappedCsr::verify_checksums`]: the structure check is what
+    /// every [`Topology`] read relies on.
     /// `Err` carries the reason the caller should fall back to a text
     /// re-parse.
     pub fn open(
@@ -467,6 +469,7 @@ impl MappedCsr {
         if g.offset(n) != 2 * m {
             return Err("final offset != 2m".into());
         }
+        g.check_body()?;
         if !g.data.is_mapped() && !g.verify_checksums() {
             return Err("section checksum mismatch".into());
         }
@@ -509,21 +512,29 @@ impl MappedCsr {
         read_u32(self.data.bytes(), self.neighbors_base() + 4 * idx)
     }
 
-    /// Materialises the mapped arrays into an owned [`Graph`]
-    /// (bit-identical to the graph that wrote the cache). The mmap path
-    /// of [`open`](Self::open) never reads the body, so a corrupt one
-    /// surfaces here: offsets that do not start at 0 or decrease, or a
-    /// neighbour id `>= n`, give `Err` rather than an invalid graph.
-    pub fn to_graph(&self) -> Result<Graph, String> {
-        let offsets: Vec<usize> = (0..=self.n).map(|v| self.offset(v)).collect();
-        if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
+    /// The body checks [`open`](Self::open) makes on every path:
+    /// offsets start at 0 and never decrease (the final one is `2m`),
+    /// and every neighbour id is below `n`. Together they keep every
+    /// `neighbor_range` and `resolve_pick` in range, so a corrupt body
+    /// behind an intact header is an `Err` at open, not a panic
+    /// mid-trial.
+    fn check_body(&self) -> Result<(), String> {
+        if self.offset(0) != 0 || (0..self.n).any(|v| self.offset(v) > self.offset(v + 1)) {
             return Err("corrupt offsets".into());
         }
-        let neighbors: Vec<VertexId> = (0..2 * self.m).map(|i| self.neighbor_at(i)).collect();
-        if neighbors.iter().any(|&w| w as usize >= self.n) {
+        if (0..2 * self.m).any(|i| self.neighbor_at(i) as usize >= self.n) {
             return Err("neighbour id out of range".into());
         }
-        Ok(Graph::from_csr_parts(offsets, neighbors, self.m))
+        Ok(())
+    }
+
+    /// Materialises the mapped arrays into an owned [`Graph`]
+    /// (bit-identical to the graph that wrote the cache; the body was
+    /// checked at open).
+    pub fn to_graph(&self) -> Graph {
+        let offsets: Vec<usize> = (0..=self.n).map(|v| self.offset(v)).collect();
+        let neighbors: Vec<VertexId> = (0..2 * self.m).map(|i| self.neighbor_at(i)).collect();
+        Graph::from_csr_parts(offsets, neighbors, self.m)
     }
 }
 
@@ -557,11 +568,6 @@ impl Topology for MappedCsr {
     #[inline]
     fn resolve_pick(&self, pick: usize) -> VertexId {
         self.neighbor_at(pick)
-    }
-
-    #[inline]
-    fn pick_bound(&self) -> usize {
-        2 * self.m
     }
 
     fn max_degree(&self) -> usize {
@@ -632,9 +638,8 @@ pub fn load_and_cache(
     let _lock = cobra_util::FileLock::acquire(&lock_path).ok();
     if _lock.is_some() {
         // Another loader may have populated the cache while we waited.
-        let warm = try_open_cached(source, digest, giant).and_then(|m| m.to_graph().ok());
-        if let Some(g) = warm {
-            return Ok((g, IngestStats::default()));
+        if let Some(warm) = try_open_cached(source, digest, giant) {
+            return Ok((warm.to_graph(), IngestStats::default()));
         }
     }
     let (full, stats) = load_edge_list(source)?;
@@ -738,12 +743,11 @@ mod tests {
         assert!(mapped.verify_checksums());
         #[cfg(target_os = "linux")]
         assert!(mapped.is_mapped());
-        assert_eq!(mapped.to_graph().unwrap(), g);
+        assert_eq!(mapped.to_graph(), g);
         // Topology surface matches the materialized graph exactly.
         assert_eq!(Topology::n(&mapped), Topology::n(&g));
         assert_eq!(Topology::m(&mapped), Topology::m(&g));
         assert_eq!(Topology::max_degree(&mapped), Topology::max_degree(&g));
-        assert_eq!(mapped.pick_bound(), g.pick_bound());
         for v in 0..Topology::n(&g) as VertexId {
             assert_eq!(mapped.neighbor_range(v), g.neighbor_range(v));
             for i in 0..Topology::degree(&g, v) {
@@ -753,7 +757,7 @@ mod tests {
                 );
             }
         }
-        for pick in 0..g.pick_bound() {
+        for pick in 0..g.degree_sum() {
             assert_eq!(mapped.resolve_pick(pick), g.resolve_pick(pick));
         }
         // mmap backing reports O(1) resident bytes.
@@ -799,6 +803,19 @@ mod tests {
         if let Ok(m) = MappedCsr::open(&cache, Some(7), false) {
             assert!(!m.verify_checksums());
         }
+        // An out-of-range neighbour id (the last id's high byte) and a
+        // decreasing offset (vertex 1's) fail the structure check.
+        b[last] ^= 0xff;
+        fs::write(&cache, &b).unwrap();
+        assert!(MappedCsr::open(&cache, Some(7), false)
+            .unwrap_err()
+            .contains("neighbour id"));
+        let mut b = bytes.clone();
+        b[HEADER_LEN + 8 + 7] = 0xff;
+        fs::write(&cache, &b).unwrap();
+        assert!(MappedCsr::open(&cache, Some(7), false)
+            .unwrap_err()
+            .contains("offsets"));
         // Intact cache still opens.
         fs::write(&cache, &bytes).unwrap();
         assert!(MappedCsr::open(&cache, Some(7), false).is_ok());
@@ -815,13 +832,13 @@ mod tests {
         let (g, _) = load_and_cache(&path, digest, false).unwrap();
         assert_eq!(Topology::n(&g), 5);
         let warm = try_open_cached(&path, digest, false).unwrap();
-        assert_eq!(warm.to_graph().unwrap(), g);
+        assert_eq!(warm.to_graph(), g);
 
         let (giant, _) = load_and_cache(&path, digest, true).unwrap();
         assert_eq!(Topology::n(&giant), 3);
         assert_eq!(Topology::m(&giant), 3);
         let warm = try_open_cached(&path, digest, true).unwrap();
-        assert_eq!(warm.to_graph().unwrap(), giant);
+        assert_eq!(warm.to_graph(), giant);
         // The two cache files are distinct.
         assert!(cache_path(&path, false).exists());
         assert!(cache_path(&path, true).exists());
@@ -854,6 +871,6 @@ mod tests {
         // The cache survived the stampede and is structurally valid.
         let warm = try_open_cached(&path, digest, false).unwrap();
         assert!(warm.verify_checksums());
-        assert_eq!(warm.to_graph().unwrap(), graphs[0]);
+        assert_eq!(warm.to_graph(), graphs[0]);
     }
 }

@@ -813,9 +813,7 @@ impl GraphSpec {
             // A warm binary cache materialises bit-identically to a
             // fresh text parse.
             GraphSpec::File { .. } => match self.build_topology(seed, Backend::Auto)? {
-                BuiltTopology::Mapped(mapped) => mapped
-                    .to_graph()
-                    .map_err(|e| GraphSpecError::new(format!("{self}: binary cache: {e}")))?,
+                BuiltTopology::Mapped(mapped) => mapped.to_graph(),
                 BuiltTopology::Csr(g) => Arc::unwrap_or_clone(g),
                 _ => unreachable!("file: specs build as CSR or mmap"),
             },
@@ -1357,14 +1355,14 @@ mod tests {
         let csr = cold.as_csr().unwrap();
         crate::with_topology!(&warm, |t| {
             use crate::topology::Topology;
-            assert_eq!(t.pick_bound(), Topology::pick_bound(csr));
+            assert_eq!(t.degree_sum(), Topology::degree_sum(csr));
             for v in 0..t.n() as u32 {
                 assert_eq!(t.neighbor_range(v), Topology::neighbor_range(csr, v));
                 for i in 0..t.degree(v) {
                     assert_eq!(t.neighbor(v, i), Topology::neighbor(csr, v, i));
                 }
             }
-            for pick in 0..t.pick_bound() {
+            for pick in 0..t.degree_sum() {
                 assert_eq!(t.resolve_pick(pick), Topology::resolve_pick(csr, pick));
             }
         });

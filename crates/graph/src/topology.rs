@@ -22,11 +22,11 @@
 //!   backends: the processes draw `random_range(0..degree)` and resolve
 //!   the index, so equal orders mean equal trajectories.
 //! * `neighbor_range(v)` returns `(base, degree)` such that
-//!   `resolve_pick(base + i) == neighbor(v, i)` for `i < degree`, and
-//!   every valid pick token is `< pick_bound()`. The batched COBRA
-//!   kernel draws pick tokens in one pass and resolves them in a
-//!   second; CSR backs them with flat-array indices (plus software
-//!   prefetch), implicit backends with an arithmetic encoding.
+//!   `resolve_pick(base + i) == neighbor(v, i)` for `i < degree`. The
+//!   COBRA kernel reads `(base, degree)` once per active vertex and
+//!   resolves each pick token the moment it draws it; CSR backs the
+//!   tokens with flat-array indices (plus the software prefetch hooks),
+//!   implicit backends with an arithmetic encoding.
 //! * All methods are deterministic and `&self` — a topology can be
 //!   shared across worker threads freely.
 
@@ -63,12 +63,6 @@ pub trait Topology {
     /// Resolves an absolute pick token from [`Topology::neighbor_range`]
     /// to the vertex it denotes.
     fn resolve_pick(&self, pick: usize) -> VertexId;
-
-    /// Exclusive upper bound on valid pick tokens. Kernels that encode
-    /// out-of-band values (e.g. lazy self-picks) place them at
-    /// `usize::MAX - v`, so implementors must keep
-    /// `pick_bound() < usize::MAX - n()`.
-    fn pick_bound(&self) -> usize;
 
     /// Uniformly random neighbour of `v`. Draws exactly one
     /// `random_range(0..degree)` from `rng` — the same stream the CSR
@@ -198,11 +192,6 @@ impl Topology for Graph {
     }
 
     #[inline]
-    fn pick_bound(&self) -> usize {
-        self.neighbor_flat().len()
-    }
-
-    #[inline]
     fn sample_neighbor(&self, v: VertexId, rng: &mut SmallRng) -> VertexId {
         self.random_neighbor(v, rng)
     }
@@ -298,11 +287,6 @@ impl Topology for CompleteTopo {
     fn resolve_pick(&self, pick: usize) -> VertexId {
         let deg = self.n - 1;
         self.neighbor((pick / deg) as VertexId, pick % deg)
-    }
-
-    #[inline]
-    fn pick_bound(&self) -> usize {
-        self.n * (self.n - 1)
     }
 
     fn max_degree(&self) -> usize {
@@ -407,11 +391,6 @@ impl Topology for CirculantTopo {
     fn resolve_pick(&self, pick: usize) -> VertexId {
         let deg = self.deltas.len();
         self.neighbor((pick / deg) as VertexId, pick % deg)
-    }
-
-    #[inline]
-    fn pick_bound(&self) -> usize {
-        self.n * self.deltas.len()
     }
 
     fn max_degree(&self) -> usize {
@@ -531,11 +510,6 @@ impl Topology for HypercubeTopo {
     fn resolve_pick(&self, pick: usize) -> VertexId {
         let deg = self.d as usize;
         self.neighbor((pick / deg) as VertexId, pick % deg)
-    }
-
-    #[inline]
-    fn pick_bound(&self) -> usize {
-        (1usize << self.d) * self.d as usize
     }
 
     fn max_degree(&self) -> usize {
@@ -666,11 +640,6 @@ impl Topology for GridTopo {
     #[inline]
     fn resolve_pick(&self, pick: usize) -> VertexId {
         self.neighbor((pick / self.max_degree) as VertexId, pick % self.max_degree)
-    }
-
-    #[inline]
-    fn pick_bound(&self) -> usize {
-        self.lat.n * self.max_degree.max(1)
     }
 
     fn max_degree(&self) -> usize {
@@ -807,11 +776,6 @@ impl Topology for TorusTopo {
     #[inline]
     fn resolve_pick(&self, pick: usize) -> VertexId {
         self.neighbor((pick / self.degree) as VertexId, pick % self.degree)
-    }
-
-    #[inline]
-    fn pick_bound(&self) -> usize {
-        self.lat.n * self.degree.max(1)
     }
 
     fn max_degree(&self) -> usize {
@@ -993,11 +957,6 @@ mod tests {
             Topology::max_degree(csr),
             "{label}: max_degree"
         );
-        let bound = implicit.pick_bound();
-        assert!(
-            bound < usize::MAX - implicit.n(),
-            "{label}: pick bound collides with the self-pick encoding"
-        );
         for v in 0..csr.n() as VertexId {
             let want = csr.neighbors(v);
             assert_eq!(
@@ -1013,7 +972,6 @@ mod tests {
                     w,
                     "{label}: neighbor({v}, {i}) diverged from sorted CSR"
                 );
-                assert!(base + i < bound, "{label}: pick token above pick_bound");
                 assert_eq!(
                     implicit.resolve_pick(base + i),
                     w,

@@ -12,19 +12,23 @@ pub const PHASES: usize = 6;
 
 /// A timed slice of one simulation round.
 ///
-/// Unsharded rounds split into [`Draw`](Phase::Draw) (sampling pick
-/// tokens), [`Gather`](Phase::Gather) (resolving picks to neighbor
-/// ids), and [`Coalesce`](Phase::Coalesce) (dedup + frontier commit).
-/// Sharded rounds split into [`ShardGather`](Phase::ShardGather)
+/// Unsharded rounds (the COBRA and random-walk kernels) lap all three
+/// of [`Draw`](Phase::Draw), [`Gather`](Phase::Gather) and
+/// [`Coalesce`](Phase::Coalesce) every round. `Draw` times the single
+/// pass that samples, resolves and lands every pick; `Gather` follows
+/// it at once, so it holds only clock overhead (kept so every traced
+/// round reports the same three phases); `Coalesce` times the
+/// fold of the round's marks into the visited set and the frontier
+/// swap. Sharded rounds split into [`ShardGather`](Phase::ShardGather)
 /// (shard-local draw+route), [`Exchange`](Phase::Exchange) (the outbox
 /// barrier), and [`Commit`](Phase::Commit) (inbox drain + commit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Unsharded: sample pick tokens for the whole frontier.
+    /// Unsharded: the pass that samples, resolves and lands every pick.
     Draw,
-    /// Unsharded: resolve pick tokens to destination vertices.
+    /// Unsharded: clock overhead only (resolving is part of the pass).
     Gather,
-    /// Unsharded: deduplicate destinations and commit the next frontier.
+    /// Unsharded: fold the round's marks and commit the next frontier.
     Coalesce,
     /// Sharded: shard-local draw + route into outboxes.
     ShardGather,

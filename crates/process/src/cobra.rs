@@ -6,64 +6,66 @@
 //! *set* of chosen vertices (coalescing is implicit in the set union).
 //! `cover(u) = min{T : ∪_{t≤T} C_t = V}` with `C_0 = {u}`.
 //!
-//! # The batched round kernel
+//! # The round kernel: one pass
 //!
-//! A round is executed in three passes over the [`StepCtx`] scratch
-//! buffers, preserving the exact RNG draw order of the naive
-//! pick-mark-push loop (the draws never depend on the marks, so the
-//! trajectory is bit-identical):
+//! A round is one loop over `C_t` in active order. For each of a
+//! vertex's `b` picks it
 //!
-//! 1. **draw** — for every active vertex, sample its `b` neighbour
-//!    indices into the pick buffer (absolute pick tokens from
-//!    [`Topology::neighbor_range`]);
-//! 2. **resolve** — map pick tokens to destination vertices via
-//!    [`Topology::resolve_pick`]: a flat-array gather on the CSR
-//!    backend, pure arithmetic on the implicit backends;
-//! 3. **coalesce** — compact the destinations first-wins, in place and
-//!    without a data-dependent branch: every pick is stored at
-//!    `dests[len]` and `len` advances by the 0/1 result of
-//!    [`BitSet::test_and_set`] on the round's mark set, so the next
-//!    frontier `dests[..len]` comes out in first-arrival order, as the
-//!    fused loop built it. How `visited` is updated depends on the
-//!    round's density:
-//!    - a **dense** round (at least one pick per mark word,
-//!      `picks ≥ ⌈n/64⌉`) skips the per-pick `visited` update, folds
-//!      the mark in afterwards with one word-wise
-//!      [`BitSet::union_with`], and resets it with [`BitSet::clear`];
-//!    - a **sparse** round sets `visited` per pick and resets only the
-//!      marked bits ([`BitSet::clear_indices`] over the new frontier),
-//!      so its cost stays proportional to the picks, not to `n`.
+//! 1. **draws** the neighbour index with the same `random_range` call,
+//!    in the same order, as the naive pick-mark-push loop (after the
+//!    `random_bool(0.5)` coin, for a lazy process);
+//! 2. **resolves** it at once — [`Topology::resolve_pick`] on the
+//!    `(base, degree)` of [`Topology::neighbor_range`] the loop already
+//!    holds (a flat-array load on CSR, arithmetic on the implicit
+//!    backends), or `v` itself for a lazy self-pick;
+//! 3. **lands** it without a data-dependent branch: the pick is stored
+//!    at slot `len` of the scratch's `n + 1` slots and `len` advances by
+//!    the 0/1 result of [`BitSet::test_and_set`] on the round's mark
+//!    set, so the next frontier `slots[..len]` comes out in
+//!    first-arrival order, as the naive loop builds it (`len ≤ n` when
+//!    a slot is written, so `n + 1` slots always do).
 //!
-//!    The switch reads only the pick count of the round, the same
-//!    frontier-density test direction-optimizing BFS makes.
+//! Resolving consumes no randomness, so draw order, frontier order,
+//! `visited` and every trajectory are bit-identical to the naive loop.
+//! How `visited` is updated depends on the round's density, decided
+//! before the pass from the fewest picks it can make (`b·|C_t|` for
+//! `Fixed(b)`, `|C_t|` for `Expected(ρ)`); the switch affects cost,
+//! never results:
 //!
-//! Splitting the passes removes the unpredictable coalescing branch
-//! from the memory-bound sampling loop and lets software prefetch keep
-//! several independent CSR loads in flight — about twice the per-pick
-//! throughput of the fused loop on large graphs. On `hypercube:16`
-//! about 47% of picks coalesce, so a branch on the mark there is a coin
-//! flip; the branch-free compaction cut the coalesce phase there from
-//! about 52% of round time to about 29%. The kernel is
-//! monomorphized per backend, and the RNG draws depend only on degrees
-//! (identical across backends), so trajectories are bit-identical on
-//! CSR and implicit representations of the same graph.
+//! - a **dense** round (at least one pick per mark word) skips the
+//!   per-pick `visited` update, folds the mark in afterwards with one
+//!   word-wise [`BitSet::union_with`], and resets it with
+//!   [`BitSet::clear`];
+//! - a **sparse** round sets `visited` per pick and resets only the
+//!   marked bits ([`BitSet::clear_indices`] over the new frontier), so
+//!   its cost stays proportional to the picks, not to `n`.
+//!
+//! Software prefetch runs at two depths through the [`Topology`] hooks:
+//! the CSR offsets of the vertex 16 places ahead, and the first and last
+//! adjacency entry of the vertex 8 places ahead (a hub's list spans
+//! several cache lines).
+//!
+//! The kernel used to make three passes — draw every pick token into a
+//! buffer, resolve the buffer, then compact it. The split once took an
+//! unpredictable branch on the mark out of the sampling loop; the
+//! branch-free landing above removed that reason, and the two staging
+//! buffers then cost more than they saved. Fusing the passes raised
+//! `perfbench --workload dense-hypercube` (`cobra:b2` on
+//! `hypercube:16`) from a median of 3798 to 5267 rounds/s, +39%, and
+//! won 10 of 10 alternating 25 s pairs (2-vCPU host, one worker
+//! thread; per-pair gains 23–45%).
+//! The kernel is monomorphized per backend, and the RNG draws depend
+//! only on degrees (identical across backends), so trajectories are
+//! bit-identical on CSR and implicit representations of the same graph.
 
 use crate::branching::{Branching, Laziness};
 use crate::state::{ProcessState, ProcessView, StepCtx};
 use cobra_graph::{Graph, Topology, VertexId};
 use cobra_util::BitSet;
 
-/// Distance ahead of the current position the sampling loops prefetch.
+/// How far ahead of the current vertex the pass prefetches adjacency
+/// entries; offsets are prefetched twice as far ahead.
 const PREFETCH_AHEAD: usize = 8;
-
-/// Pick-buffer tag for a lazy self-pick of vertex `v`, encoded as
-/// `usize::MAX - v`. Valid pick tokens are bounded by
-/// [`Topology::pick_bound`], which every backend keeps far below
-/// `usize::MAX - n`, so the encodings cannot collide.
-#[inline]
-fn self_pick(v: VertexId) -> usize {
-    usize::MAX - v as usize
-}
 
 /// A running COBRA process, generic over the graph backend.
 #[derive(Debug, Clone)]
@@ -166,6 +168,7 @@ impl<'g, T: Topology> ProcessState<'g, T> for Cobra<'g, T> {
     }
 
     fn step(&mut self, ctx: &mut StepCtx) {
+        use rand::RngExt;
         debug_assert!(!self.active.is_empty(), "COBRA active set vanished");
         let g = self.g;
         let StepCtx {
@@ -176,98 +179,70 @@ impl<'g, T: Topology> ProcessState<'g, T> for Cobra<'g, T> {
         // Telemetry only: `None` (the default) never reads the clock.
         let mut clock = timers.as_deref_mut().map(cobra_obs::PhaseClock::start);
         let parts = scratch.parts(g.n());
-        let (next, picks, dests) = (parts.frontier, parts.picks, parts.dests);
-
-        // Phase 1: draw every pick of the round, in the same order the
-        // fused loop would (active order, `b` picks per vertex).
+        let (next, slots, mark) = (parts.frontier, parts.slots, parts.mark);
+        let (active, visited) = (&self.active, &mut self.visited);
+        // Dense: at least one pick per mark word, so folding the whole
+        // mark into `visited` and clearing it word by word is cheaper
+        // than touching both sets per pick. Decided before the pass from
+        // the fewest picks the round can make.
+        let min_picks = match self.branching {
+            Branching::Fixed(b) => active.len() * b as usize,
+            Branching::Expected(_) => active.len(),
+        };
+        let dense = min_picks >= mark.words().len();
+        // Coalesce in pick order, branch-free: every pick is stored at
+        // `slots[len]` and `len` advances only on the first arrival at
+        // its vertex (`len ≤ n`, so `n + 1` slots always suffice).
+        let mut len = 0;
+        let mut land = |w: VertexId| {
+            slots[len] = w;
+            if !dense {
+                visited.test_and_set(w as usize);
+            }
+            len += mark.test_and_set(w as usize) as usize;
+        };
+        // One pass in active order, `b` picks per vertex: the draw order
+        // of the naive loop, with each pick resolved and landed at once.
         match (self.branching, self.laziness) {
             (Branching::Fixed(b), Laziness::None) => {
-                use rand::RngExt;
-                for (i, &v) in self.active.iter().enumerate() {
-                    if let Some(&vp) = self.active.get(i + PREFETCH_AHEAD) {
-                        g.prefetch_neighbor_meta(vp);
-                    }
+                for (i, &v) in active.iter().enumerate() {
+                    prefetch_ahead(g, active, i);
                     let (base, deg) = g.neighbor_range(v);
                     assert!(deg > 0, "COBRA cannot push from isolated vertex {v}");
                     for _ in 0..b {
-                        picks.push(base + rng.random_range(0..deg));
+                        land(g.resolve_pick(base + rng.random_range(0..deg)));
                     }
                 }
-                self.transmissions += self.active.len() as u64 * b as u64;
+                self.transmissions += active.len() as u64 * b as u64;
             }
             _ => {
-                use rand::RngExt;
-                for &v in &self.active {
+                for (i, &v) in active.iter().enumerate() {
+                    prefetch_ahead(g, active, i);
                     let copies = self.branching.sample(rng);
                     self.transmissions += copies as u64;
                     let (base, deg) = g.neighbor_range(v);
                     for _ in 0..copies {
-                        match self.laziness {
-                            Laziness::None => {
-                                assert!(deg > 0, "COBRA cannot push from isolated vertex {v}");
-                                picks.push(base + rng.random_range(0..deg));
-                            }
-                            Laziness::Half => {
-                                if rng.random_bool(0.5) {
-                                    picks.push(self_pick(v));
-                                } else {
-                                    assert!(deg > 0, "COBRA cannot push from isolated vertex {v}");
-                                    picks.push(base + rng.random_range(0..deg));
-                                }
-                            }
-                        }
+                        let w = if self.laziness == Laziness::Half && rng.random_bool(0.5) {
+                            v
+                        } else {
+                            assert!(deg > 0, "COBRA cannot push from isolated vertex {v}");
+                            g.resolve_pick(base + rng.random_range(0..deg))
+                        };
+                        land(w);
                     }
                 }
             }
         }
         if let Some(c) = clock.as_mut() {
             c.lap(cobra_obs::Phase::Draw);
-        }
-
-        // Phase 2: resolve pick tokens to destinations — a flat-array
-        // gather (with prefetch) on CSR, pure arithmetic on the
-        // implicit backends.
-        let bound = g.pick_bound();
-        dests.reserve(picks.len());
-        for (i, &k) in picks.iter().enumerate() {
-            if let Some(&kp) = picks.get(i + PREFETCH_AHEAD) {
-                g.prefetch_pick(kp);
-            }
-            let w = if k < bound {
-                g.resolve_pick(k)
-            } else {
-                (usize::MAX - k) as VertexId
-            };
-            dests.push(w);
-        }
-        if let Some(c) = clock.as_mut() {
+            // Resolving is part of the pass: this lap is clock overhead.
             c.lap(cobra_obs::Phase::Gather);
         }
 
-        // Phase 3: coalesce in pick order — at most one particle
-        // survives per vertex. Branch-free first-wins compaction in
-        // place: every pick is stored at `dests[len]`, and `len`
-        // advances only when the pick was the first arrival at its
-        // vertex (`len ≤ i`, so no unread pick is overwritten).
-        let mark = parts.mark;
-        let visited = &mut self.visited;
-        // Dense: at least one pick per mark word, so folding the whole
-        // mark into `visited` and clearing it word by word is cheaper
-        // than touching both sets per pick.
-        let dense = dests.len() >= mark.words().len();
-        let mut len = 0;
-        for i in 0..dests.len() {
-            let w = dests[i];
-            dests[len] = w;
-            if !dense {
-                visited.test_and_set(w as usize);
-            }
-            len += mark.test_and_set(w as usize) as usize;
-        }
         // Within the frontier's reserved capacity n: no allocation.
-        next.extend_from_slice(&dests[..len]);
+        next.extend_from_slice(&slots[..len]);
         if dense {
-            visited.union_with(mark);
+            self.visited.union_with(mark);
             mark.clear();
         } else {
             // Cheaper than a full clear when |C_t| ≪ n.
@@ -278,6 +253,23 @@ impl<'g, T: Topology> ProcessState<'g, T> for Cobra<'g, T> {
         if let Some(c) = clock.as_mut() {
             c.lap(cobra_obs::Phase::Coalesce);
         }
+    }
+}
+
+/// The pass's two prefetch levels, issued as it samples `active[i]`:
+/// the CSR offsets of the vertex two strides ahead, and the first and
+/// last adjacency entries of the vertex one stride ahead (a list of
+/// more than 16 ids spans several cache lines). The hooks are no-ops on
+/// the implicit backends.
+#[inline(always)]
+fn prefetch_ahead<T: Topology>(g: &T, active: &[VertexId], i: usize) {
+    if let Some(&u) = active.get(i + 2 * PREFETCH_AHEAD) {
+        g.prefetch_neighbor_meta(u);
+    }
+    if let Some(&u) = active.get(i + PREFETCH_AHEAD) {
+        let (base, deg) = g.neighbor_range(u);
+        g.prefetch_pick(base);
+        g.prefetch_pick(base + deg.saturating_sub(1));
     }
 }
 
@@ -465,10 +457,10 @@ mod tests {
         assert!(c.run_to_completion(&mut ctx(2), 10_000).is_some());
     }
 
-    /// The fused pick-mark-push loop the batched kernel replaces: one
+    /// The naive pick-mark-push loop the one-pass kernel reproduces: one
     /// round of COBRA drawing from `rng` in the kernel's order. Returns
-    /// the number of picks, the input the kernel's dense/sparse switch
-    /// reads.
+    /// the number of picks, by which the test below classifies rounds as
+    /// dense or sparse.
     fn naive_round(
         g: &Graph,
         active: &mut Vec<VertexId>,

@@ -389,7 +389,7 @@ impl ProcessSpec {
     /// `T`.
     ///
     /// Single-start `cobra:b1` (either laziness) builds a [`RandomWalk`]:
-    /// it draws the same stream per round as the batched [`Cobra`]
+    /// it draws the same stream per round as the [`Cobra`]
     /// kernel, so the trajectory is the same at a fraction of the
     /// per-round cost. Multi-vertex starts and every other branching
     /// keep the COBRA kernel.

@@ -16,8 +16,8 @@
 //!
 //! All transient per-round storage lives in the [`StepCtx`] handed to
 //! [`ProcessState::step`]: the RNG, the double-buffered frontier
-//! vectors, the per-round coalescing mark [`BitSet`], and the
-//! pick-index/destination buffers the batched samplers use. One
+//! vectors, the per-round coalescing mark [`BitSet`], and the `n + 1`
+//! slots the COBRA pass compacts its next frontier into. One
 //! `StepCtx` per worker thread serves every trial and every round, so
 //! steady-state stepping performs **zero heap allocation** (pinned by
 //! `tests/zero_alloc.rs` with a counting allocator).
@@ -239,11 +239,9 @@ pub struct Scratch {
     /// Back buffer for the next frontier (double-buffered against the
     /// process's own frontier via `mem::swap`).
     frontier: Vec<VertexId>,
-    /// Absolute CSR pick indices (or self-pick tags) drawn in phase 1 of
-    /// the batched samplers.
-    picks: Vec<usize>,
-    /// Resolved pick destinations (phase 2).
-    dests: Vec<VertexId>,
+    /// `n + 1` slots the COBRA pass compacts the next frontier into
+    /// with plain indexed stores; resized only when `n` changes.
+    slots: Vec<VertexId>,
     /// Per-round coalescing marks; empty between rounds.
     mark: BitSet,
 }
@@ -252,8 +250,7 @@ impl Default for Scratch {
     fn default() -> Scratch {
         Scratch {
             frontier: Vec::new(),
-            picks: Vec::new(),
-            dests: Vec::new(),
+            slots: Vec::new(),
             mark: BitSet::new(0),
         }
     }
@@ -263,33 +260,31 @@ impl Default for Scratch {
 pub struct ScratchParts<'a> {
     /// Next-frontier back buffer (cleared).
     pub frontier: &'a mut Vec<VertexId>,
-    /// Pick-index buffer (cleared).
-    pub picks: &'a mut Vec<usize>,
-    /// Destination buffer (cleared).
-    pub dests: &'a mut Vec<VertexId>,
+    /// Exactly `n + 1` slots; contents unspecified.
+    pub slots: &'a mut [VertexId],
     /// Mark bit set over `0..n`, guaranteed empty.
     pub mark: &'a mut BitSet,
 }
 
 impl Scratch {
     /// Borrows all scratch buffers for a universe of `n` vertices. The
-    /// vectors come back cleared with their capacity intact; `mark` is
-    /// resized (only when the universe changes) and guaranteed empty.
+    /// frontier comes back cleared with its capacity intact; `mark` and
+    /// `slots` are resized (only when the universe changes) and `mark`
+    /// is guaranteed empty.
     pub fn parts(&mut self, n: usize) -> ScratchParts<'_> {
-        if self.mark.len() != n {
+        // `slots` and `mark` are only ever resized together.
+        if self.slots.len() != n + 1 {
             self.mark = BitSet::new(n);
+            self.slots = vec![0; n + 1];
         }
         debug_assert_eq!(self.mark.count(), 0, "mark left dirty by a prior step");
         self.frontier.clear();
-        self.picks.clear();
-        self.dests.clear();
         // The frontier is empty here, so this guarantees capacity ≥ n —
         // a frontier is duplicate-free and can never outgrow it.
         self.frontier.reserve(n);
         ScratchParts {
             frontier: &mut self.frontier,
-            picks: &mut self.picks,
-            dests: &mut self.dests,
+            slots: &mut self.slots,
             mark: &mut self.mark,
         }
     }
@@ -316,16 +311,15 @@ mod tests {
         let mut s = Scratch::default();
         {
             let p = s.parts(100);
+            assert_eq!((p.mark.len(), p.slots.len()), (100, 101));
             p.frontier.push(1);
-            p.picks.push(2);
-            p.dests.push(3);
+            p.slots[100] = 3;
             p.mark.insert(5);
             p.mark.remove(5);
-            assert_eq!(p.mark.len(), 100);
         }
         let p = s.parts(64);
-        assert_eq!(p.mark.len(), 64);
-        assert!(p.frontier.is_empty() && p.picks.is_empty() && p.dests.is_empty());
+        assert_eq!((p.mark.len(), p.slots.len()), (64, 65));
+        assert!(p.frontier.is_empty());
     }
 
     #[test]
@@ -334,13 +328,13 @@ mod tests {
         {
             let p = s.parts(32);
             for i in 0..1000 {
-                p.picks.push(i);
+                p.frontier.push(i);
             }
+            p.slots[7] = 9;
         }
-        let cap_before = {
-            let p = s.parts(32);
-            p.picks.capacity()
-        };
-        assert!(cap_before >= 1000, "capacity shrank: {cap_before}");
+        let p = s.parts(32);
+        assert!(p.frontier.capacity() >= 1000, "capacity shrank");
+        // Same universe: the slots are reused, not reallocated.
+        assert_eq!(p.slots[7], 9);
     }
 }

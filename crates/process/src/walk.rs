@@ -6,7 +6,7 @@
 //! walk literature [1, 3, 7] cited in the related work).
 //!
 //! [`RandomWalk`] is also the kernel of single-start `cobra:b1`:
-//! [`crate::ProcessSpec::build`] routes it here instead of to the batched
+//! [`crate::ProcessSpec::build`] routes it here instead of to the
 //! [`crate::Cobra`] kernel. Both draw the same stream per round (the
 //! lazy coin, then one `random_range(0..deg)`), so every trajectory is
 //! the same, and with timers on a walk round laps the same

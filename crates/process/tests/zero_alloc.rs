@@ -6,7 +6,9 @@
 //! counting global allocator, warms a state + context with one full
 //! trial (buffers grow to their high-water mark), then replays the
 //! identical trial and asserts the allocation counter does not move —
-//! for the batched COBRA kernel and for the BIPS double-buffered round.
+//! for both arms of the COBRA pass (`Fixed(b)` without laziness, and
+//! the general arm that samples copies and lazy self-picks) and for the
+//! BIPS double-buffered round.
 //!
 //! The file contains a single #[test] so no concurrent test can touch
 //! the global counter.
@@ -67,7 +69,7 @@ fn warmed_state_and_ctx_step_without_allocating() {
     let g = generators::hypercube(10);
     let mut ctx = StepCtx::new();
 
-    // --- COBRA (batched kernel, the satellite's named hot path) ---
+    // --- COBRA (the pass's `Fixed(b)`, non-lazy arm) ---
     let mut cobra = Cobra::new(&g, &[0], Branching::B2, Laziness::None);
     ctx.reseed(7);
     let warm = cobra
@@ -125,6 +127,32 @@ fn warmed_state_and_ctx_step_without_allocating() {
         delta, 0,
         "steady-state implicit COBRA trial performed {delta} heap allocations"
     );
+
+    // --- COBRA's general arm: lazy `Fixed(3)` and `Expected(0.5)` ---
+    // Sampled copy counts and self-picks go through the same slots and
+    // fold; a lazy b = 3 round lands up to 3|C_t| picks, more than n.
+    for (branching, laziness) in [
+        (Branching::Fixed(3), Laziness::Half),
+        (Branching::Expected(0.5), Laziness::None),
+    ] {
+        let mut general = Cobra::new(&g, &[0], branching, laziness);
+        ctx.reseed(11);
+        let warm = general
+            .run_to_completion(&mut ctx, 1_000_000)
+            .expect("general-arm warm-up covers");
+        general.reset(&g, &[0]);
+        ctx.reseed(11);
+        let before = allocs();
+        let replay = general
+            .run_to_completion(&mut ctx, 1_000_000)
+            .expect("general-arm replay covers");
+        let delta = allocs() - before;
+        assert_eq!(replay, warm, "{branching:?} {laziness:?}: replay diverged");
+        assert_eq!(
+            delta, 0,
+            "steady-state {branching:?} {laziness:?} COBRA trial performed {delta} heap allocations"
+        );
+    }
 
     // --- BIPS (double-buffered infected sets) ---
     // The sorted infected_list shrinks and regrows within its capacity;

@@ -19,6 +19,20 @@
 //! (`InfectionThresholds`). The older BIPS rows run on the 3-regular
 //! `petersen`, where every candidate reads the same degree row; the
 //! lollipop's degrees 1, 2, 7 and 8 pin every row of the table.
+//!
+//! The three `doublestar:150x150` COBRA rows were added later as well,
+//! recorded at `46f3129` on the three-pass list kernel (draw, resolve,
+//! compact), before the fused one-pass kernel. `petersen` and
+//! `torus:6x6` fit the coalescing mark in one word, so every round of
+//! the older rows takes the dense path. On the double star (n = 302,
+//! five mark words) leaves coalesce back into their hub, so the frontier
+//! stays a few vertices: `cobra:rho0.5` takes only sparse rounds,
+//! `cobra:b2` both kinds and the lazy `cobra:b3:lazy`, whose leaves
+//! linger, mostly dense ones. Each hub has 151 neighbours, an adjacency
+//! list of ten cache lines. A path or cycle part alone does not give
+//! sparse rounds when the start sits in a clique: the clique keeps at
+//! least one pick per mark word in every frontier (`cobra:b2` on
+//! `lollipop:24:4000` took 44 sparse rounds of 7926).
 #![allow(dead_code)]
 
 use cobra::SimSpec;
@@ -37,6 +51,9 @@ pub const GOLDEN: &[(&str, &str, [Golden; 4])] = &[
     ("cobra:b2", "torus:6x6", [(12, 36, 234), (12, 36, 230), (11, 36, 192), (15, 36, 220)]),
     ("cobra:b3:lazy", "petersen", [(4, 10, 39), (7, 10, 84), (6, 10, 75), (4, 10, 63)]),
     ("cobra:rho0.5", "petersen", [(4, 10, 18), (11, 10, 42), (8, 10, 26), (15, 10, 54)]),
+    ("cobra:b2", "doublestar:150x150", [(1509, 302, 8412), (1718, 302, 8276), (1298, 302, 6056), (1050, 302, 6146)]),
+    ("cobra:b3:lazy", "doublestar:150x150", [(484, 302, 35295), (650, 302, 44046), (577, 302, 39222), (918, 302, 61158)]),
+    ("cobra:rho0.5", "doublestar:150x150", [(1804, 302, 5662), (2410, 302, 5992), (3418, 302, 8490), (1528, 302, 4137)]),
     ("cobra:b1", "petersen", [(27, 10, 27), (38, 10, 38), (18, 10, 18), (17, 10, 17)]),
     ("cobra:b1:lazy", "petersen", [(49, 10, 49), (45, 10, 45), (28, 10, 28), (48, 10, 48)]),
     ("bips:b2", "petersen", [(6, 10, 108), (5, 10, 90), (4, 10, 72), (8, 10, 144)]),

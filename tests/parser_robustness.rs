@@ -10,6 +10,7 @@
 use cobra_campaign::SweepSpec;
 use cobra_graph::ingest::write_csrbin;
 use cobra_graph::spec::FAMILY_USAGES;
+use cobra_graph::topology::Topology;
 use cobra_graph::{generators, GraphSpec, MappedCsr};
 use cobra_serve::http::Request;
 use cobra_util::Json;
@@ -168,13 +169,18 @@ fn csrbin_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cobra-robust-{}-{tag}.csrbin", std::process::id()))
 }
 
+/// The graph behind [`valid_csrbin`]: irregular, n = 9, m = 18.
+fn cached_graph() -> cobra_graph::Graph {
+    generators::lollipop(6, 3)
+}
+
 /// The bytes of a valid cache for an irregular graph, written once.
 fn valid_csrbin() -> Vec<u8> {
     static VALID: OnceLock<Vec<u8>> = OnceLock::new();
     VALID
         .get_or_init(|| {
             let path = csrbin_path("valid");
-            write_csrbin(&path, &generators::lollipop(6, 3), 7, false).unwrap();
+            write_csrbin(&path, &cached_graph(), 7, false).unwrap();
             let bytes = std::fs::read(&path).unwrap();
             let _ = std::fs::remove_file(&path);
             bytes
@@ -221,5 +227,35 @@ proptest! {
         // then caught by the section checksums.
         let opened = open_bytes("flipped", &bytes);
         prop_assert!(opened != Ok(true), "byte {at} ^ {mask:#x} went unnoticed");
+    }
+
+    #[test]
+    fn csrbin_flipped_body_byte_fails_open_or_stays_in_range(
+        at in 0usize..100_000,
+        mask in 1u32..256,
+    ) {
+        // The body is the offsets (8 bytes per vertex, plus one) and the
+        // adjacency (4 bytes per directed edge) after the header.
+        let g = cached_graph();
+        let body = 8 * (g.n() + 1) + 8 * g.m();
+        let mut bytes = valid_csrbin();
+        let at = bytes.len() - body + at % body;
+        bytes[at] ^= mask as u8;
+        let path = csrbin_path("body");
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = MappedCsr::open(&path, None, false);
+        let _ = std::fs::remove_file(&path);
+        // Open checks the structure, not the checksums: a flip that
+        // keeps it valid gives another graph, never an unsafe one.
+        if let Ok(mapped) = opened {
+            for v in 0..mapped.n() as u32 {
+                let (base, deg) = mapped.neighbor_range(v);
+                prop_assert!(base + deg <= mapped.degree_sum(), "byte {at}: vertex {v} range");
+                for i in 0..deg {
+                    let w = mapped.resolve_pick(base + i);
+                    prop_assert!((w as usize) < mapped.n(), "byte {at}: neighbour {w}");
+                }
+            }
+        }
     }
 }
