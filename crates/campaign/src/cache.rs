@@ -4,8 +4,8 @@
 //! `cobra:b2` and `cobra:b3` on `hypercube:14` are three points over
 //! one (expensive) graph build. [`GraphMemo`] builds each graph once
 //! through [`GraphSpec::build_topology`] and hands every later request
-//! the same topology: one [`Arc`](std::sync::Arc) for CSR, one mapping
-//! for a warm `file:` spec. It never evicts: the points of a plan hold
+//! the same topology: one [`Arc`](std::sync::Arc) for every CSR graph,
+//! `file:` specs included. It never evicts: the points of a plan hold
 //! their graphs until the plan drops, so dropping a memo entry would
 //! free nothing.
 //!
@@ -126,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn file_specs_cache_by_content_and_map_at_resident_size() {
+    fn file_specs_cache_by_content_and_account_csr_bytes() {
         let dir = std::env::temp_dir().join(format!("cobra-memo-file-{}", std::process::id()));
         let (a, b) = (dir.join("a"), dir.join("b"));
         for d in [&a, &b] {
@@ -146,22 +146,16 @@ mod tests {
         assert_eq!(g.n(), 3);
         assert_eq!(cold.stats().resident_bytes, g.memory_bytes());
 
-        // Warm: a new memo serves the mapping, accounted at its resident
-        // size, far below the materialised CSR bytes.
+        // Warm: a new memo loads the cache into the same CSR graph,
+        // accounted at the same bytes as the cold build.
         let mut warm = GraphMemo::new(Backend::Auto);
-        let mapped = warm.get(&spec(&a), 0).unwrap();
-        assert_eq!(mapped.backend_name(), "mmap");
+        let loaded = csr(warm.get(&spec(&a), 0).unwrap());
+        assert_eq!(loaded, g);
         let resident = warm.stats().resident_bytes;
-        assert_eq!(resident, mapped.memory_bytes());
-        #[cfg(target_os = "linux")]
-        assert!(
-            resident < g.memory_bytes(),
-            "{resident} vs {}",
-            g.memory_bytes()
-        );
+        assert_eq!(resident, cold.stats().resident_bytes);
         // Repeats hit the entry without re-accounting.
-        let again = warm.get(&spec(&a), 0).unwrap();
-        assert_eq!(again.memory_bytes(), mapped.memory_bytes());
+        let again = csr(warm.get(&spec(&a), 0).unwrap());
+        assert!(Arc::ptr_eq(&loaded, &again));
         assert_eq!(warm.stats().hits, 1);
         assert_eq!(warm.stats().resident_bytes, resident, "no re-accounting");
 

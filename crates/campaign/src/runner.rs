@@ -54,9 +54,9 @@ pub fn default_cap(shape: GraphShape, _process: &ProcessSpec) -> usize {
 }
 
 /// One fully-resolved point plus its graph: a plan-shared CSR graph
-/// ([`BuiltTopology::Csr`], one `Arc` for every point on the graph), an
-/// mmap-backed `.csrbin` of a `file:` spec, or an implicit topology (a
-/// few bytes of parameters).
+/// ([`BuiltTopology::Csr`], one `Arc` for every point on the graph,
+/// `file:` specs included) or an implicit topology (a few bytes of
+/// parameters).
 #[derive(Debug, Clone)]
 pub struct PlannedPoint {
     pub point: SweepPoint,
@@ -85,13 +85,13 @@ pub struct Plan {
 
 /// The plan's graph accounting, surfaced so `--dry-run` and
 /// `--metrics` can show what graph construction cost instead of hiding
-/// it. Only CSR and mmap graphs count; implicit topologies are a few
-/// bytes of parameters.
+/// it. Only CSR graphs count; implicit topologies are a few bytes of
+/// parameters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Points served by a graph an earlier point already built.
     pub hits: usize,
-    /// Distinct graphs built (or mapped).
+    /// Distinct graphs built (or loaded from a `.csrbin`).
     pub misses: usize,
     /// Bytes of the built graphs, all held until the plan drops.
     pub resident_bytes: usize,
@@ -152,7 +152,7 @@ pub fn plan_sweep(
 ) -> Result<Plan, CampaignError> {
     let grid = spec.expand_axes()?;
     // One build per distinct graph: every point on it shares the same
-    // topology (one `Arc` for CSR, one mapping for a warm `file:`).
+    // topology (one `Arc` for every CSR graph, `file:` ones included).
     let mut memo = GraphMemo::new(spec.backend);
     let mut points = Vec::with_capacity(grid.len());
     let mut cached = Vec::new();
@@ -964,7 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn file_specs_plan_cold_csr_then_warm_mmap_bit_identically() {
+    fn file_specs_plan_cold_then_warm_csr_bit_identically() {
         let dir = std::env::temp_dir().join(format!("cobra-runner-file-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep-plan.txt");
@@ -975,39 +975,39 @@ mod tests {
         )
         .parse()
         .unwrap();
-        // Cold: no .csrbin yet — the plan materializes CSR (and the
-        // build writes the cache for next time).
+        // Cold: no .csrbin yet — the plan parses the text to CSR (and
+        // the build writes the cache for next time).
         let cold = plan_sweep(&spec, &Store::in_memory(), &default_cap).unwrap();
         assert!(
             matches!(cold.points[0].topology, BuiltTopology::Csr(_)),
             "cold file plans must parse to CSR"
         );
-        // Warm: the same spec now plans as the mmap, shared by both
-        // process points.
+        // Warm: the same spec now loads the cache into the same CSR
+        // graph, shared by both process points.
         let warm = plan_sweep(&spec, &Store::in_memory(), &default_cap).unwrap();
         for planned in &warm.points {
-            assert!(
-                matches!(planned.topology, BuiltTopology::Mapped(_)),
-                "warm file plans must serve the mmap"
-            );
+            assert_eq!(planned.topology.as_csr(), cold.points[0].topology.as_csr());
         }
         assert_eq!(warm.distinct_graphs, 1);
         // Same points, same keys, and bit-identical records either way.
         for (a, b) in cold.points.iter().zip(&warm.points) {
-            assert_eq!(a.point, b.point, "backend must not enter the key");
+            assert_eq!(a.point, b.point, "the load path must not enter the key");
             let mut ctx = StepCtx::new();
             let ra = run_point(&a.point, &a.topology, &mut ctx);
             let rb = run_point(&b.point, &b.topology, &mut ctx);
-            assert_eq!(ra, rb, "csr and mmap diverged on {}", a.point.process);
+            assert_eq!(ra, rb, "cold and warm diverged on {}", a.point.process);
         }
-        // Forced CSR still materializes even when the cache is warm.
+        // Forced CSR is the same graph.
         let forced = plan_sweep(
             &spec.clone().with_backend(Backend::Csr),
             &Store::in_memory(),
             &default_cap,
         )
         .unwrap();
-        assert!(matches!(forced.points[0].topology, BuiltTopology::Csr(_)));
+        assert_eq!(
+            forced.points[0].topology.as_csr(),
+            cold.points[0].topology.as_csr()
+        );
     }
 
     #[test]

@@ -615,7 +615,8 @@ pub struct ResolvedRun {
     pub n: usize,
     /// Undirected edges.
     pub m: usize,
-    /// `"csr"`, `"mmap"`, or `"implicit"`.
+    /// `"csr"` (generated families and every `file:` graph) or
+    /// `"implicit"`.
     pub backend: &'static str,
     /// Approximate resident bytes of the graph representation.
     pub graph_bytes: usize,

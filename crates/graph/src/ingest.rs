@@ -1,5 +1,5 @@
-//! Graph ingestion: edge-list/SNAP text loading and an mmap-backed
-//! binary CSR cache.
+//! Graph ingestion: edge-list/SNAP text loading and a binary CSR
+//! cache.
 //!
 //! Real-world cover-time workloads (SNAP social/web graphs, the
 //! adversarial shapes from the literature) arrive as whitespace-separated
@@ -18,21 +18,18 @@
 //!   bit-identical to [`Graph::from_edges_dedup`] on the same edge list.
 //! * **Parse-free reloads.** The first parse writes `<path>.csrbin` — a
 //!   versioned little-endian snapshot of the CSR arrays with FNV
-//!   checksums — and later loads map it with `mmap(2)` ([`MappedCsr`]),
-//!   so a multi-GB graph costs one page table and one sequential
-//!   structure check instead of a parse and a copy, and shares physical
-//!   pages across every worker process. Platforms without `mmap` read
-//!   the file into a `Vec` behind the same type.
+//!   checksums — and later loads read it back with [`read_csrbin`]: one
+//!   sequential pass straight into the same [`Graph`], with no text parse
+//!   and no id compaction, that checks every byte and rejects a corrupt
+//!   cache so the caller re-parses the text.
 
 use crate::csr::{Graph, GraphError, VertexId};
 use crate::props;
-use crate::topology::{prefetch_read, Topology};
 use cobra_util::hash::Fnv1a;
 use std::fmt;
 use std::fs;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// `.csrbin` container version; bumped on any layout change.
 pub const CSRBIN_VERSION: u32 = 1;
@@ -283,337 +280,120 @@ pub fn write_csrbin(path: &Path, g: &Graph, source_digest: u64, giant: bool) -> 
     fs::rename(&tmp, path)
 }
 
-// ---------------------------------------------------------------------------
-// Mapped backing
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-mod sys {
-    use std::os::raw::{c_int, c_void};
-
-    pub const PROT_READ: c_int = 0x1;
-    pub const MAP_SHARED: c_int = 0x1;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            length: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, length: usize) -> c_int;
+/// Loads a `.csrbin` into an owned [`Graph`]: the one reader behind
+/// every warm `file:` load. The file streams through a fixed buffer
+/// straight into the CSR arrays, so peak memory is one graph, and every
+/// load checks all of it: magic, version, header checksum, giant flag,
+/// the source digest (when given), exact length, both section checksums,
+/// and the body's structure (offsets start at 0, never decrease and end
+/// at `2m`; every neighbour id is below `n`). The structure checks keep
+/// a crafted file with valid checksums from reaching the kernels out of
+/// range. `Err` carries the reason the caller should fall back to a text
+/// re-parse.
+pub fn read_csrbin(
+    path: &Path,
+    expect_digest: Option<u64>,
+    expect_giant: bool,
+) -> Result<Graph, String> {
+    let mut file = fs::File::open(path).map_err(|e| format!("cannot open: {e}"))?;
+    let len = file
+        .metadata()
+        .map_err(|e| format!("cannot stat: {e}"))?
+        .len();
+    let mut b = [0u8; HEADER_LEN];
+    file.read_exact(&mut b)
+        .map_err(|_| format!("truncated header ({len} bytes)"))?;
+    if b[0..8] != MAGIC {
+        return Err("bad magic".into());
     }
+    let version = read_u32(&b, 8);
+    if version != CSRBIN_VERSION {
+        return Err(format!("version {version} != {CSRBIN_VERSION}"));
+    }
+    if read_u64(&b, 64) != cobra_util::fnv1a_64(&b[..64]) {
+        return Err("header checksum mismatch".into());
+    }
+    let flags = read_u32(&b, 12);
+    if (flags & FLAG_GIANT != 0) != expect_giant {
+        return Err("giant-component flag mismatch".into());
+    }
+    let digest = read_u64(&b, 16);
+    if let Some(want) = expect_digest {
+        if digest != want {
+            return Err(format!(
+                "stale cache: source digest {digest:016x} != {want:016x}"
+            ));
+        }
+    }
+    let n = read_u64(&b, 24) as usize;
+    let m = read_u64(&b, 32) as usize;
+    let want_len = (|| {
+        let off_bytes = 8usize.checked_mul(n.checked_add(1)?)?;
+        let nbr_bytes = 4usize.checked_mul(m.checked_mul(2)?)?;
+        HEADER_LEN.checked_add(off_bytes)?.checked_add(nbr_bytes)
+    })()
+    .ok_or("size overflow")?;
+    // Checked before the arrays are allocated, so a header cannot ask
+    // for more memory than the file holds.
+    if len != want_len as u64 {
+        return Err(format!("length {len} != expected {want_len}"));
+    }
+    let read_err = |e: io::Error| format!("cannot read: {e}");
+    let (offsets, off_sum) =
+        read_section(&mut file, n + 1, |w| u64::from_le_bytes(w) as usize).map_err(read_err)?;
+    let (neighbors, nbr_sum) =
+        read_section(&mut file, 2 * m, u32::from_le_bytes).map_err(read_err)?;
+    if off_sum != read_u64(&b, 48) || nbr_sum != read_u64(&b, 56) {
+        return Err("section checksum mismatch".into());
+    }
+    if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err("corrupt offsets".into());
+    }
+    if offsets[n] != 2 * m {
+        return Err("final offset != 2m".into());
+    }
+    if neighbors.iter().any(|&w| w as usize >= n) {
+        return Err("neighbour id out of range".into());
+    }
+    Ok(Graph::from_csr_parts(offsets, neighbors, m))
 }
 
-/// The bytes behind a [`MappedCsr`]: a read-only `mmap(2)` region on
-/// Linux, an owned `Vec` elsewhere (or when mapping fails).
-#[derive(Debug)]
-enum MapBacking {
-    Owned(Vec<u8>),
-    #[cfg(target_os = "linux")]
-    Mapped {
-        ptr: *mut u8,
-        len: usize,
-    },
-}
-
-// The mapped region is PROT_READ-only and owned until Drop, so shared
-// references to it are as safe as &[u8].
-unsafe impl Send for MapBacking {}
-unsafe impl Sync for MapBacking {}
-
-impl MapBacking {
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match self {
-            MapBacking::Owned(v) => v,
-            #[cfg(target_os = "linux")]
-            MapBacking::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-        }
+/// Reads `count` little-endian `W`-byte words through a fixed buffer,
+/// decoding each into the returned vector, and returns them with the
+/// FNV-1a checksum of their bytes.
+fn read_section<const W: usize, T>(
+    r: &mut impl Read,
+    count: usize,
+    decode: impl Fn([u8; W]) -> T,
+) -> io::Result<(Vec<T>, u64)> {
+    // A multiple of every word width, so no word straddles two reads.
+    let mut buf = [0u8; 1 << 16];
+    let mut out = Vec::with_capacity(count);
+    let mut sum = Fnv1a::new();
+    let mut left = count * W;
+    while left > 0 {
+        let k = left.min(buf.len());
+        r.read_exact(&mut buf[..k])?;
+        sum.update(&buf[..k]);
+        out.extend(
+            buf[..k]
+                .chunks_exact(W)
+                .map(|w| decode(w.try_into().unwrap())),
+        );
+        left -= k;
     }
-
-    fn is_mapped(&self) -> bool {
-        match self {
-            MapBacking::Owned(_) => false,
-            #[cfg(target_os = "linux")]
-            MapBacking::Mapped { .. } => true,
-        }
-    }
-}
-
-impl Drop for MapBacking {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let MapBacking::Mapped { ptr, len } = *self {
-            // Failure leaks the mapping; nothing useful to do in Drop.
-            unsafe { sys::munmap(ptr.cast(), len) };
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn map_file(path: &Path) -> io::Result<MapBacking> {
-    use std::os::unix::io::AsRawFd;
-    let file = fs::File::open(path)?;
-    let len = file.metadata()?.len();
-    if len == 0 || len > usize::MAX as u64 {
-        return Ok(MapBacking::Owned(fs::read(path)?));
-    }
-    let len = len as usize;
-    // MAP_SHARED read-only: pages come straight from the page cache, so
-    // every worker process maps the same physical memory.
-    let ptr = unsafe {
-        sys::mmap(
-            std::ptr::null_mut(),
-            len,
-            sys::PROT_READ,
-            sys::MAP_SHARED,
-            file.as_raw_fd(),
-            0,
-        )
-    };
-    if ptr as usize == usize::MAX {
-        // MAP_FAILED: fall back to a plain read.
-        return Ok(MapBacking::Owned(fs::read(path)?));
-    }
-    Ok(MapBacking::Mapped {
-        ptr: ptr.cast(),
-        len,
-    })
-}
-
-#[cfg(not(target_os = "linux"))]
-fn map_file(path: &Path) -> io::Result<MapBacking> {
-    Ok(MapBacking::Owned(fs::read(path)?))
-}
-
-// ---------------------------------------------------------------------------
-// MappedCsr
-// ---------------------------------------------------------------------------
-
-/// A CSR graph served directly from `.csrbin` bytes — mmap-backed on
-/// Linux, so opening is O(1) in resident memory regardless of graph
-/// size. Implements [`Topology`] with the exact pick encoding of
-/// [`Graph`] (flat-array indices), so trials are bit-identical to the
-/// materialized CSR under the RNG-stream contract.
-#[derive(Debug, Clone)]
-pub struct MappedCsr {
-    data: Arc<MapBacking>,
-    n: usize,
-    m: usize,
-    max_degree: usize,
-}
-
-impl MappedCsr {
-    /// Opens a `.csrbin`, validating magic, version, header checksum,
-    /// exact file length, the final offset, the body's structure
-    /// (offsets nondecreasing from 0, every neighbour id below `n`) and
-    /// — when given — the expected source digest and giant flag. Body
-    /// checksums are only verified on the owned (non-mmap) path and via
-    /// [`MappedCsr::verify_checksums`]: the structure check is what
-    /// every [`Topology`] read relies on.
-    /// `Err` carries the reason the caller should fall back to a text
-    /// re-parse.
-    pub fn open(
-        path: &Path,
-        expect_digest: Option<u64>,
-        expect_giant: bool,
-    ) -> Result<MappedCsr, String> {
-        let data = map_file(path).map_err(|e| format!("cannot open: {e}"))?;
-        let b = data.bytes();
-        if b.len() < HEADER_LEN {
-            return Err(format!("truncated header ({} bytes)", b.len()));
-        }
-        if b[0..8] != MAGIC {
-            return Err("bad magic".into());
-        }
-        let version = read_u32(b, 8);
-        if version != CSRBIN_VERSION {
-            return Err(format!("version {version} != {CSRBIN_VERSION}"));
-        }
-        if read_u64(b, 64) != cobra_util::fnv1a_64(&b[..64]) {
-            return Err("header checksum mismatch".into());
-        }
-        let flags = read_u32(b, 12);
-        if (flags & FLAG_GIANT != 0) != expect_giant {
-            return Err("giant-component flag mismatch".into());
-        }
-        let digest = read_u64(b, 16);
-        if let Some(want) = expect_digest {
-            if digest != want {
-                return Err(format!(
-                    "stale cache: source digest {digest:016x} != {want:016x}"
-                ));
-            }
-        }
-        let n = read_u64(b, 24) as usize;
-        let m = read_u64(b, 32) as usize;
-        let max_degree = read_u64(b, 40) as usize;
-        let want_len = (|| {
-            let off_bytes = 8usize.checked_mul(n.checked_add(1)?)?;
-            let nbr_bytes = 4usize.checked_mul(m.checked_mul(2)?)?;
-            HEADER_LEN.checked_add(off_bytes)?.checked_add(nbr_bytes)
-        })()
-        .ok_or("size overflow")?;
-        if b.len() != want_len {
-            return Err(format!("length {} != expected {want_len}", b.len()));
-        }
-        let g = MappedCsr {
-            data: Arc::new(data),
-            n,
-            m,
-            max_degree,
-        };
-        if g.offset(n) != 2 * m {
-            return Err("final offset != 2m".into());
-        }
-        g.check_body()?;
-        if !g.data.is_mapped() && !g.verify_checksums() {
-            return Err("section checksum mismatch".into());
-        }
-        Ok(g)
-    }
-
-    /// Whether this instance is backed by a live `mmap` region (as
-    /// opposed to the portable read-into-`Vec` fallback).
-    pub fn is_mapped(&self) -> bool {
-        self.data.is_mapped()
-    }
-
-    /// The source-file content digest recorded in the header.
-    pub fn source_digest(&self) -> u64 {
-        read_u64(self.data.bytes(), 16)
-    }
-
-    /// Recomputes both section checksums against the header. Touches
-    /// every page — used by tests and the owned fallback, not the mmap
-    /// fast path.
-    pub fn verify_checksums(&self) -> bool {
-        let b = self.data.bytes();
-        let off_end = HEADER_LEN + 8 * (self.n + 1);
-        cobra_util::fnv1a_64(&b[HEADER_LEN..off_end]) == read_u64(b, 48)
-            && cobra_util::fnv1a_64(&b[off_end..]) == read_u64(b, 56)
-    }
-
-    #[inline]
-    fn offset(&self, v: usize) -> usize {
-        read_u64(self.data.bytes(), HEADER_LEN + 8 * v) as usize
-    }
-
-    #[inline]
-    fn neighbors_base(&self) -> usize {
-        HEADER_LEN + 8 * (self.n + 1)
-    }
-
-    #[inline]
-    fn neighbor_at(&self, idx: usize) -> VertexId {
-        read_u32(self.data.bytes(), self.neighbors_base() + 4 * idx)
-    }
-
-    /// The body checks [`open`](Self::open) makes on every path:
-    /// offsets start at 0 and never decrease (the final one is `2m`),
-    /// and every neighbour id is below `n`. Together they keep every
-    /// `neighbor_range` and `resolve_pick` in range, so a corrupt body
-    /// behind an intact header is an `Err` at open, not a panic
-    /// mid-trial.
-    fn check_body(&self) -> Result<(), String> {
-        if self.offset(0) != 0 || (0..self.n).any(|v| self.offset(v) > self.offset(v + 1)) {
-            return Err("corrupt offsets".into());
-        }
-        if (0..2 * self.m).any(|i| self.neighbor_at(i) as usize >= self.n) {
-            return Err("neighbour id out of range".into());
-        }
-        Ok(())
-    }
-
-    /// Materialises the mapped arrays into an owned [`Graph`]
-    /// (bit-identical to the graph that wrote the cache; the body was
-    /// checked at open).
-    pub fn to_graph(&self) -> Graph {
-        let offsets: Vec<usize> = (0..=self.n).map(|v| self.offset(v)).collect();
-        let neighbors: Vec<VertexId> = (0..2 * self.m).map(|i| self.neighbor_at(i)).collect();
-        Graph::from_csr_parts(offsets, neighbors, self.m)
-    }
-}
-
-impl Topology for MappedCsr {
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn m(&self) -> usize {
-        self.m
-    }
-
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        self.offset(v as usize + 1) - self.offset(v as usize)
-    }
-
-    #[inline]
-    fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        self.neighbor_at(self.offset(v as usize) + i)
-    }
-
-    #[inline]
-    fn neighbor_range(&self, v: VertexId) -> (usize, usize) {
-        let base = self.offset(v as usize);
-        (base, self.offset(v as usize + 1) - base)
-    }
-
-    #[inline]
-    fn resolve_pick(&self, pick: usize) -> VertexId {
-        self.neighbor_at(pick)
-    }
-
-    fn max_degree(&self) -> usize {
-        self.max_degree
-    }
-
-    #[inline]
-    fn prefetch_neighbor_meta(&self, v: VertexId) {
-        let b = self.data.bytes();
-        prefetch_read(unsafe { b.as_ptr().add(HEADER_LEN + 8 * v as usize) });
-    }
-
-    #[inline]
-    fn prefetch_pick(&self, pick: usize) {
-        if pick < 2 * self.m {
-            let b = self.data.bytes();
-            prefetch_read(unsafe { b.as_ptr().add(self.neighbors_base() + 4 * pick) });
-        }
-    }
-
-    /// Resident bytes: the struct itself for an mmap backing (pages are
-    /// demand-paged and shared, not owned by this process), the full
-    /// buffer for the owned fallback.
-    fn memory_bytes(&self) -> usize {
-        let resident = match &*self.data {
-            MapBacking::Owned(v) => v.len(),
-            #[cfg(target_os = "linux")]
-            MapBacking::Mapped { .. } => 0,
-        };
-        std::mem::size_of::<Self>() + resident
-    }
+    Ok((out, sum.finish()))
 }
 
 // ---------------------------------------------------------------------------
 // Spec-facing entry points
 // ---------------------------------------------------------------------------
 
-/// Warm path: open the `.csrbin` for `source` if present, matching
-/// `digest`, and structurally valid. Any failure (missing, stale,
-/// corrupt) returns `None` and the caller re-parses the text.
-pub fn try_open_cached(source: &Path, digest: u64, giant: bool) -> Option<MappedCsr> {
-    let cache = cache_path(source, giant);
-    if !cache.exists() {
-        return None;
-    }
-    MappedCsr::open(&cache, Some(digest), giant).ok()
+/// Warm path: load the `.csrbin` for `source` through [`read_csrbin`]
+/// if present, matching `digest`, and intact. Any failure (missing,
+/// stale, corrupt) returns `None` and the caller re-parses the text.
+pub fn try_open_cached(source: &Path, digest: u64, giant: bool) -> Option<Graph> {
+    read_csrbin(&cache_path(source, giant), Some(digest), giant).ok()
 }
 
 /// Cold path: parse the text file, optionally restrict to the giant
@@ -639,7 +419,7 @@ pub fn load_and_cache(
     if _lock.is_some() {
         // Another loader may have populated the cache while we waited.
         if let Some(warm) = try_open_cached(source, digest, giant) {
-            return Ok((warm.to_graph(), IngestStats::default()));
+            return Ok((warm, IngestStats::default()));
         }
     }
     let (full, stats) = load_edge_list(source)?;
@@ -728,8 +508,20 @@ mod tests {
         assert_eq!(g, expect);
     }
 
+    /// Recomputes the section and header checksums of a hand-edited
+    /// cache, so only the structure checks can reject it.
+    fn reseal(b: &mut [u8], n: usize) {
+        let off_end = HEADER_LEN + 8 * (n + 1);
+        let off_sum = cobra_util::fnv1a_64(&b[HEADER_LEN..off_end]);
+        let nbr_sum = cobra_util::fnv1a_64(&b[off_end..]);
+        b[48..56].copy_from_slice(&off_sum.to_le_bytes());
+        b[56..64].copy_from_slice(&nbr_sum.to_le_bytes());
+        let head_sum = cobra_util::fnv1a_64(&b[..64]);
+        b[64..72].copy_from_slice(&head_sum.to_le_bytes());
+    }
+
     #[test]
-    fn csrbin_round_trips_and_maps() {
+    fn csrbin_round_trips() {
         let dir = scratch("csrbin");
         let path = dir.join("g.snap");
         fs::write(&path, SNAP).unwrap();
@@ -738,31 +530,11 @@ mod tests {
         let cache = cache_path(&path, false);
         write_csrbin(&cache, &g, digest, false).unwrap();
 
-        let mapped = MappedCsr::open(&cache, Some(digest), false).unwrap();
-        assert_eq!(mapped.source_digest(), digest);
-        assert!(mapped.verify_checksums());
-        #[cfg(target_os = "linux")]
-        assert!(mapped.is_mapped());
-        assert_eq!(mapped.to_graph(), g);
-        // Topology surface matches the materialized graph exactly.
-        assert_eq!(Topology::n(&mapped), Topology::n(&g));
-        assert_eq!(Topology::m(&mapped), Topology::m(&g));
-        assert_eq!(Topology::max_degree(&mapped), Topology::max_degree(&g));
-        for v in 0..Topology::n(&g) as VertexId {
-            assert_eq!(mapped.neighbor_range(v), g.neighbor_range(v));
-            for i in 0..Topology::degree(&g, v) {
-                assert_eq!(
-                    Topology::neighbor(&mapped, v, i),
-                    Topology::neighbor(&g, v, i)
-                );
-            }
-        }
-        for pick in 0..g.degree_sum() {
-            assert_eq!(mapped.resolve_pick(pick), g.resolve_pick(pick));
-        }
-        // mmap backing reports O(1) resident bytes.
-        #[cfg(target_os = "linux")]
-        assert!(mapped.memory_bytes() < 128, "{}", mapped.memory_bytes());
+        // Bit-identical to the graph that wrote it, with or without the
+        // digest check.
+        assert_eq!(read_csrbin(&cache, Some(digest), false).unwrap(), g);
+        assert_eq!(read_csrbin(&cache, None, false).unwrap(), g);
+        assert_eq!(try_open_cached(&path, digest, false).unwrap(), g);
     }
 
     #[test]
@@ -773,52 +545,52 @@ mod tests {
         let (g, _) = load_edge_list(&path).unwrap();
         let cache = cache_path(&path, false);
         write_csrbin(&cache, &g, 7, false).unwrap();
+        let read = || read_csrbin(&cache, Some(7), false);
 
+        // Missing cache.
+        assert!(try_open_cached(&dir.join("absent.snap"), 7, false).is_none());
         // Stale digest.
-        assert!(MappedCsr::open(&cache, Some(8), false).is_err());
+        assert!(read_csrbin(&cache, Some(8), false).is_err());
         assert!(try_open_cached(&path, 8, false).is_none());
         // Wrong giant flag.
-        assert!(MappedCsr::open(&cache, Some(7), true).is_err());
+        assert!(read_csrbin(&cache, Some(7), true).is_err());
         // Truncation.
         let bytes = fs::read(&cache).unwrap();
         fs::write(&cache, &bytes[..bytes.len() - 1]).unwrap();
-        assert!(MappedCsr::open(&cache, Some(7), false).is_err());
+        assert!(read().unwrap_err().contains("length"));
         // Header corruption (version field).
         let mut b = bytes.clone();
         b[9] ^= 0xff;
         fs::write(&cache, &b).unwrap();
-        assert!(MappedCsr::open(&cache, Some(7), false).is_err());
+        assert!(read().is_err());
         // Flipped header byte breaks the header checksum.
         let mut b = bytes.clone();
         b[30] ^= 0x01;
         fs::write(&cache, &b).unwrap();
-        assert!(MappedCsr::open(&cache, Some(7), false)
-            .unwrap_err()
-            .contains("checksum"));
-        // Body corruption is caught by verify_checksums.
+        assert!(read().unwrap_err().contains("checksum"));
+        // A body flip that keeps every id in range (the last id's low
+        // bit) fails the section checksums at load.
         let mut b = bytes.clone();
-        let last = b.len() - 1;
+        let last = b.len() - 4;
         b[last] ^= 0x01;
         fs::write(&cache, &b).unwrap();
-        if let Ok(m) = MappedCsr::open(&cache, Some(7), false) {
-            assert!(!m.verify_checksums());
-        }
-        // An out-of-range neighbour id (the last id's high byte) and a
-        // decreasing offset (vertex 1's) fail the structure check.
-        b[last] ^= 0xff;
+        assert!(read().unwrap_err().contains("section checksum"));
+        // With the checksums resealed, an out-of-range neighbour id (the
+        // last id's high byte) and a decreasing offset (vertex 1's) still
+        // fail the structure checks.
+        let mut b = bytes.clone();
+        b[bytes.len() - 1] = 0xff;
+        reseal(&mut b, g.n());
         fs::write(&cache, &b).unwrap();
-        assert!(MappedCsr::open(&cache, Some(7), false)
-            .unwrap_err()
-            .contains("neighbour id"));
+        assert!(read().unwrap_err().contains("neighbour id"));
         let mut b = bytes.clone();
         b[HEADER_LEN + 8 + 7] = 0xff;
+        reseal(&mut b, g.n());
         fs::write(&cache, &b).unwrap();
-        assert!(MappedCsr::open(&cache, Some(7), false)
-            .unwrap_err()
-            .contains("offsets"));
-        // Intact cache still opens.
+        assert!(read().unwrap_err().contains("offsets"));
+        // Intact cache still loads.
         fs::write(&cache, &bytes).unwrap();
-        assert!(MappedCsr::open(&cache, Some(7), false).is_ok());
+        assert_eq!(read().unwrap(), g);
     }
 
     #[test]
@@ -830,15 +602,13 @@ mod tests {
         let digest = digest_file(&path).unwrap();
 
         let (g, _) = load_and_cache(&path, digest, false).unwrap();
-        assert_eq!(Topology::n(&g), 5);
-        let warm = try_open_cached(&path, digest, false).unwrap();
-        assert_eq!(warm.to_graph(), g);
+        assert_eq!(g.n(), 5);
+        assert_eq!(try_open_cached(&path, digest, false).unwrap(), g);
 
         let (giant, _) = load_and_cache(&path, digest, true).unwrap();
-        assert_eq!(Topology::n(&giant), 3);
-        assert_eq!(Topology::m(&giant), 3);
-        let warm = try_open_cached(&path, digest, true).unwrap();
-        assert_eq!(warm.to_graph(), giant);
+        assert_eq!(giant.n(), 3);
+        assert_eq!(giant.m(), 3);
+        assert_eq!(try_open_cached(&path, digest, true).unwrap(), giant);
         // The two cache files are distinct.
         assert!(cache_path(&path, false).exists());
         assert!(cache_path(&path, true).exists());
@@ -868,9 +638,8 @@ mod tests {
         for g in &graphs {
             assert_eq!(g, &graphs[0]);
         }
-        // The cache survived the stampede and is structurally valid.
-        let warm = try_open_cached(&path, digest, false).unwrap();
-        assert!(warm.verify_checksums());
-        assert_eq!(warm.to_graph(), graphs[0]);
+        // The cache survived the stampede intact: it loads, checksums
+        // and all, as the same graph.
+        assert_eq!(try_open_cached(&path, digest, false).unwrap(), graphs[0]);
     }
 }

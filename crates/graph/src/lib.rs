@@ -14,9 +14,9 @@
 //!   degree statistics.
 //! * [`ingest`] — edge-list/SNAP file loading (`file:<path>` specs):
 //!   id compaction, duplicate/self-loop policy, content digests, and a
-//!   versioned binary CSR cache (`.csrbin`) served mmap-backed via
-//!   [`ingest::MappedCsr`] so multi-GB graphs load in O(1) resident
-//!   memory.
+//!   versioned binary CSR cache (`.csrbin`) that [`ingest::read_csrbin`]
+//!   loads back into the same [`Graph`] without a text parse, checking
+//!   every byte.
 //! * [`spec`] — [`GraphSpec`]: every family as a parseable/printable
 //!   value (`"hypercube:10"`, `"grid:32x32"`, `"gnp:2000:0.01"`, …), the
 //!   declarative entry point the `SimSpec` API builds on.
@@ -38,7 +38,7 @@ pub mod spec;
 pub mod topology;
 
 pub use csr::{Graph, GraphError, VertexId};
-pub use ingest::{IngestError, IngestStats, MappedCsr};
+pub use ingest::{IngestError, IngestStats};
 pub use shard::ShardMap;
 pub use spec::{GraphSpec, GraphSpecError, IMPLICIT_FAMILIES};
 pub use topology::{

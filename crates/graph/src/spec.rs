@@ -810,13 +810,24 @@ impl GraphSpec {
             GraphSpec::WattsStrogatz { n, k, beta } => {
                 generators::watts_strogatz(*n, *k, *beta, &mut rng)
             }
-            // A warm binary cache materialises bit-identically to a
-            // fresh text parse.
-            GraphSpec::File { .. } => match self.build_topology(seed, Backend::Auto)? {
-                BuiltTopology::Mapped(mapped) => mapped.to_graph(),
-                BuiltTopology::Csr(g) => Arc::unwrap_or_clone(g),
-                _ => unreachable!("file: specs build as CSR or mmap"),
-            },
+            // A warm binary cache loads bit-identically to a fresh text
+            // parse; a missing, stale or corrupt one is re-parsed (and
+            // rewritten for next time).
+            GraphSpec::File {
+                path,
+                digest,
+                giant,
+            } => {
+                let path = Path::new(path);
+                match crate::ingest::try_open_cached(path, *digest, *giant) {
+                    Some(g) => g,
+                    None => {
+                        crate::ingest::load_and_cache(path, *digest, *giant)
+                            .map_err(|e| GraphSpecError::new(e.to_string()))?
+                            .0
+                    }
+                }
+            }
         };
         Ok(g)
     }
@@ -908,30 +919,10 @@ impl GraphSpec {
         self.validate()?;
         match backend {
             Backend::Csr => Ok(BuiltTopology::Csr(Arc::new(self.build(seed)?))),
-            Backend::Auto => {
-                // Warm `file:` loads serve straight from the mmap-backed
-                // binary cache: O(1) resident memory, pages shared across
-                // workers. A cold load parses the text (and writes the
-                // cache for next time) via the ordinary build path.
-                if let GraphSpec::File {
-                    path,
-                    digest,
-                    giant,
-                } = self
-                {
-                    let path = Path::new(path);
-                    if let Some(mapped) = crate::ingest::try_open_cached(path, *digest, *giant) {
-                        return Ok(BuiltTopology::Mapped(mapped));
-                    }
-                    let (g, _) = crate::ingest::load_and_cache(path, *digest, *giant)
-                        .map_err(|e| GraphSpecError::new(e.to_string()))?;
-                    return Ok(BuiltTopology::Csr(Arc::new(g)));
-                }
-                match self.build_implicit() {
-                    Some(t) => Ok(t),
-                    None => Ok(BuiltTopology::Csr(Arc::new(self.build(seed)?))),
-                }
-            }
+            Backend::Auto => match self.build_implicit() {
+                Some(t) => Ok(t),
+                None => Ok(BuiltTopology::Csr(Arc::new(self.build(seed)?))),
+            },
             Backend::Implicit => self.build_implicit().ok_or_else(|| {
                 GraphSpecError::new(format!(
                     "{self} has no implicit backend (implicit families: {}, lattices up \
@@ -1348,27 +1339,14 @@ mod tests {
         let cold = spec.build_topology(0, Backend::Auto).unwrap();
         assert_eq!(cold.backend_name(), "csr");
         assert_eq!(cold.n(), 4);
-        // Warm build serves the mmap-backed cache, same graph.
+        // Warm build loads the binary cache into the same CSR graph.
         let warm = spec.build_topology(0, Backend::Auto).unwrap();
-        assert_eq!(warm.backend_name(), "mmap");
-        assert_eq!(warm.shape(), cold.shape());
-        let csr = cold.as_csr().unwrap();
-        crate::with_topology!(&warm, |t| {
-            use crate::topology::Topology;
-            assert_eq!(t.degree_sum(), Topology::degree_sum(csr));
-            for v in 0..t.n() as u32 {
-                assert_eq!(t.neighbor_range(v), Topology::neighbor_range(csr, v));
-                for i in 0..t.degree(v) {
-                    assert_eq!(t.neighbor(v, i), Topology::neighbor(csr, v, i));
-                }
-            }
-            for pick in 0..t.degree_sum() {
-                assert_eq!(t.resolve_pick(pick), Topology::resolve_pick(csr, pick));
-            }
-        });
-        // Forced CSR still materialises.
+        assert_eq!(warm.backend_name(), "csr");
+        assert_eq!(warm.as_csr(), cold.as_csr());
+        assert_eq!(spec.build(0).unwrap(), *cold.as_csr().unwrap());
+        // Forced CSR is the same graph.
         let forced = spec.build_topology(0, Backend::Csr).unwrap();
-        assert_eq!(forced.backend_name(), "csr");
+        assert_eq!(forced.as_csr(), cold.as_csr());
         // Implicit is refused by name.
         assert!(spec.build_topology(0, Backend::Implicit).is_err());
     }
@@ -1476,7 +1454,6 @@ mod tests {
         assert!(crate::props::is_connected(&g));
         // Warm reload of the giant variant agrees.
         let warm = giant.build_topology(0, Backend::Auto).unwrap();
-        assert_eq!(warm.backend_name(), "mmap");
-        assert_eq!(warm.n(), 3);
+        assert_eq!(warm.as_csr(), Some(&g));
     }
 }

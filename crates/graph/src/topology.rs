@@ -842,14 +842,12 @@ impl std::str::FromStr for Backend {
 #[derive(Debug, Clone)]
 pub enum BuiltTopology<'g> {
     /// Materialized CSR adjacency, shared (the campaign planner hands
-    /// one `Arc` to every point on the same graph).
+    /// one `Arc` to every point on the same graph). Every `file:` graph
+    /// lands here too, whether parsed from its text or loaded from its
+    /// `.csrbin` cache.
     Csr(Arc<Graph>),
     /// A caller-owned CSR graph (backend selection does not apply).
     Borrowed(&'g Graph),
-    /// CSR served from an mmap-backed `.csrbin` cache (warm `file:`
-    /// loads) — same pick encoding as [`BuiltTopology::Csr`], O(1)
-    /// resident memory.
-    Mapped(crate::ingest::MappedCsr),
     /// Implicit `K_n`.
     Complete(CompleteTopo),
     /// Implicit circulant (also `cycle` and `cyclepower`).
@@ -878,7 +876,6 @@ macro_rules! with_topology {
                 let $g: &$crate::csr::Graph = g;
                 $body
             }
-            $crate::topology::BuiltTopology::Mapped($g) => $body,
             $crate::topology::BuiltTopology::Complete($g) => $body,
             $crate::topology::BuiltTopology::Circulant($g) => $body,
             $crate::topology::BuiltTopology::Grid($g) => $body,
@@ -909,21 +906,18 @@ impl BuiltTopology<'_> {
         with_topology!(self, |g| g.memory_bytes())
     }
 
-    /// True for the arithmetic O(1)-memory backends (not CSR, and not
-    /// the mmap-backed CSR, which stores real adjacency on disk).
+    /// True for the arithmetic O(1)-memory backends (everything but
+    /// CSR).
     pub fn is_implicit(&self) -> bool {
-        !matches!(
-            self,
-            BuiltTopology::Csr(_) | BuiltTopology::Borrowed(_) | BuiltTopology::Mapped(_)
-        )
+        !matches!(self, BuiltTopology::Csr(_) | BuiltTopology::Borrowed(_))
     }
 
-    /// `"csr"`, `"mmap"`, or `"implicit"` — for logs and reports.
+    /// `"csr"` or `"implicit"` — for logs and reports.
     pub fn backend_name(&self) -> &'static str {
-        match self {
-            BuiltTopology::Csr(_) | BuiltTopology::Borrowed(_) => "csr",
-            BuiltTopology::Mapped(_) => "mmap",
-            _ => "implicit",
+        if self.is_implicit() {
+            "implicit"
+        } else {
+            "csr"
         }
     }
 

@@ -11,90 +11,6 @@ use crate::state::{ProcessState, ProcessView, StepCtx};
 use cobra_graph::{Graph, Topology, VertexId};
 use cobra_util::BitSet;
 
-/// A running PUSH process with configurable fanout, generic over the
-/// graph backend.
-#[derive(Debug, Clone)]
-pub struct PushGossip<'g, T: Topology = Graph> {
-    g: &'g T,
-    fanout: u32,
-    informed: BitSet,
-    informed_list: Vec<VertexId>,
-    rounds: usize,
-    transmissions: u64,
-}
-
-impl<'g, T: Topology> PushGossip<'g, T> {
-    /// Starts with a single informed vertex pushing `fanout ≥ 1` copies
-    /// per round.
-    pub fn new(g: &'g T, start: VertexId, fanout: u32) -> Self {
-        assert!(fanout >= 1, "fanout must be >= 1");
-        let mut gossip = PushGossip {
-            g,
-            fanout,
-            informed: BitSet::new(g.n()),
-            informed_list: Vec::new(),
-            rounds: 0,
-            transmissions: 0,
-        };
-        gossip.reset(g, &[start]);
-        gossip
-    }
-
-    /// Informed set.
-    pub fn informed(&self) -> &BitSet {
-        &self.informed
-    }
-}
-
-impl<T: Topology> ProcessView for PushGossip<'_, T> {
-    fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    fn reached(&self) -> &BitSet {
-        &self.informed
-    }
-
-    fn transmissions(&self) -> u64 {
-        self.transmissions
-    }
-}
-
-impl<'g, T: Topology> ProcessState<'g, T> for PushGossip<'g, T> {
-    fn reset(&mut self, g: &'g T, start: &[VertexId]) {
-        assert!(!start.is_empty(), "gossip needs a start vertex");
-        let start = start[0];
-        assert!((start as usize) < g.n(), "start vertex out of range");
-        self.g = g;
-        if self.informed.len() != g.n() {
-            self.informed = BitSet::new(g.n());
-        } else {
-            self.informed.clear();
-        }
-        self.informed.insert(start as usize);
-        self.informed_list.clear();
-        self.informed_list.push(start);
-        self.rounds = 0;
-        self.transmissions = 0;
-    }
-
-    fn step(&mut self, ctx: &mut StepCtx) {
-        let StepCtx { rng, scratch, .. } = ctx;
-        let newly = scratch.parts(self.g.n()).frontier;
-        for &v in &self.informed_list {
-            for _ in 0..self.fanout {
-                let w = self.g.sample_neighbor(v, rng);
-                self.transmissions += 1;
-                if self.informed.insert(w as usize) {
-                    newly.push(w);
-                }
-            }
-        }
-        self.informed_list.extend_from_slice(newly);
-        self.rounds += 1;
-    }
-}
-
 /// Which directions a [`Gossip`] round uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GossipMode {
@@ -174,14 +90,17 @@ impl<'g, T: Topology> ProcessState<'g, T> for Gossip<'g, T> {
 
     fn step(&mut self, ctx: &mut StepCtx) {
         let StepCtx { rng, scratch, .. } = ctx;
-        let newly = scratch.parts(self.g.n()).frontier;
+        let parts = scratch.parts(self.g.n());
+        // `mark` holds this round's newly informed vertices, so each
+        // joins `newly` once, in first-arrival order.
+        let (newly, mark) = (parts.frontier, parts.mark);
         let push = matches!(self.mode, GossipMode::Push | GossipMode::PushPull);
         let pull = matches!(self.mode, GossipMode::Pull | GossipMode::PushPull);
         if push {
             for &v in &self.informed_list {
                 let w = self.g.sample_neighbor(v, rng);
                 self.transmissions += 1;
-                if !self.informed.contains(w as usize) && !newly.contains(&w) {
+                if !self.informed.contains(w as usize) && mark.insert(w as usize) {
                     newly.push(w);
                 }
             }
@@ -193,11 +112,12 @@ impl<'g, T: Topology> ProcessState<'g, T> for Gossip<'g, T> {
                 }
                 let w = self.g.sample_neighbor(u, rng);
                 self.transmissions += 1;
-                if self.informed.contains(w as usize) && !newly.contains(&u) {
+                if self.informed.contains(w as usize) && mark.insert(u as usize) {
                     newly.push(u);
                 }
             }
         }
+        mark.clear_indices(newly);
         // Synchronous semantics: all of this round's infections use the
         // round-start informed set; commit afterwards.
         for &w in newly.iter() {
@@ -220,7 +140,7 @@ mod tests {
     #[test]
     fn informed_set_is_monotone() {
         let g = generators::torus(&[6, 6]);
-        let mut p = PushGossip::new(&g, 0, 1);
+        let mut p = Gossip::new(&g, 0, GossipMode::Push);
         let mut cx = ctx(1);
         let mut prev = 1;
         for _ in 0..100 {
@@ -233,7 +153,7 @@ mod tests {
     #[test]
     fn broadcasts_complete_graph_in_logarithmic_rounds() {
         let g = generators::complete(256);
-        let mut p = PushGossip::new(&g, 0, 1);
+        let mut p = Gossip::new(&g, 0, GossipMode::Push);
         let t = p.run_to_completion(&mut ctx(2), 10_000).unwrap();
         // Push on K_n: ~log2 n + ln n ≈ 13.5 expected; allow wide slack.
         assert!((8..60).contains(&t), "broadcast took {t}");
@@ -242,26 +162,26 @@ mod tests {
     #[test]
     fn transmissions_grow_with_informed_set() {
         let g = generators::complete(32);
-        let mut p = PushGossip::new(&g, 0, 2);
+        let mut p = Gossip::new(&g, 0, GossipMode::Push);
         let mut cx = ctx(3);
         p.step(&mut cx);
-        assert_eq!(p.transmissions(), 2);
+        assert_eq!(p.transmissions(), 1);
         let informed_now = p.reached_count() as u64;
         p.step(&mut cx);
-        assert_eq!(p.transmissions(), 2 + 2 * informed_now);
+        assert_eq!(p.transmissions(), 1 + informed_now);
     }
 
     #[test]
     fn gossip_eventually_informs_path() {
         let g = generators::path(40);
-        let mut p = PushGossip::new(&g, 0, 1);
+        let mut p = Gossip::new(&g, 0, GossipMode::Push);
         assert!(p.run_to_completion(&mut ctx(4), 100_000).is_some());
     }
 
     #[test]
     fn single_vertex_trivially_done() {
         let g = generators::path(1);
-        let p = PushGossip::new(&g, 0, 1);
+        let p = Gossip::new(&g, 0, GossipMode::Push);
         assert!(p.is_complete());
     }
 

@@ -57,7 +57,7 @@ pub use bips::{Bips, BipsMode};
 pub use branching::{Branching, InfectionThresholds, Laziness};
 pub use coalescing::CoalescingWalks;
 pub use cobra::Cobra;
-pub use gossip::{Gossip, GossipMode, PushGossip};
+pub use gossip::{Gossip, GossipMode};
 pub use serial::{SerialBips, StepRecord};
 pub use shard::{per_shard_state_bytes, ShardKernel, ShardedState};
 pub use spec::{ProcessSpec, ProcessSpecError};

@@ -10,7 +10,7 @@
 //!
 //! * [`FileLock::acquire`] — block until the lock is ours. Used by the
 //!   graph-cache cold path: the loser of a cold-load race waits for the
-//!   winner to finish writing `.csrbin`, then maps the winner's cache.
+//!   winner to finish writing `.csrbin`, then loads the winner's cache.
 //! * [`FileLock::try_acquire`] — return `Ok(None)` immediately if another
 //!   holder exists. Used by the campaign store to fail fast with a named
 //!   error when a second writer attaches to the same campaign directory.

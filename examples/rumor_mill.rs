@@ -13,8 +13,8 @@
 
 use cobra_graph::{generators, props};
 use cobra_process::{
-    Branching, Cobra, Laziness, MultiWalk, ProcessState, ProcessView, PushGossip, RandomWalk,
-    StepCtx,
+    Branching, Cobra, Gossip, GossipMode, Laziness, MultiWalk, ProcessState, ProcessView,
+    RandomWalk, StepCtx,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -67,7 +67,7 @@ fn main() {
         (r, p.transmissions())
     });
     race("PUSH gossip", &|ctx| {
-        let mut p = PushGossip::new(&g, 0, 1);
+        let mut p = Gossip::new(&g, 0, GossipMode::Push);
         let r = p.run_to_completion(ctx, cap).expect("broadcast");
         (r, p.transmissions())
     });

@@ -10,7 +10,8 @@
 //! to its input, and parallel tests must not race on one file.
 
 use cobra::{SimSpec, TrialOutcome};
-use cobra_graph::{ingest, Backend, GraphSpec};
+use cobra_graph::{ingest, Backend, Graph, GraphSpec};
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -33,6 +34,12 @@ fn scratch_fixture(tag: &str) -> PathBuf {
 
 fn file_spec(path: &Path) -> String {
     format!("file:{}", path.display())
+}
+
+/// The inode of `path`: a cache rewrite (temp file + rename) changes
+/// it, a read leaves it.
+fn inode(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().ino()
 }
 
 #[test]
@@ -65,20 +72,31 @@ fn fixture_cover_runs_bit_identically_cold_and_warm() {
     let cold = run();
     assert!(cold.iter().all(|o| o.rounds.is_some() && o.reached == 30));
 
-    // The cold run left a `.csrbin`; the warm run serves the mmap.
-    assert!(ingest::cache_path(&path, false).exists());
+    // The cold run left a `.csrbin`; the warm run loads it into the
+    // ordinary CSR graph instead of re-parsing the text, so the cache
+    // file is not rewritten.
+    let cache = ingest::cache_path(&path, false);
+    let cache_inode = inode(&cache);
+    let digest = ingest::digest_file(&path).unwrap();
+    assert!(ingest::try_open_cached(&path, digest, false).is_some());
     let resolved = SimSpec::parse(&spec, "cobra:b2")
         .unwrap()
         .resolve()
         .unwrap();
-    assert_eq!(resolved.backend, "mmap");
-    assert!(
-        resolved.graph_bytes < 128,
-        "mmap residency must be O(1), got {}",
-        resolved.graph_bytes
+    assert_eq!(resolved.backend, "csr");
+    let (n, m) = (resolved.n, resolved.m);
+    assert_eq!(
+        resolved.graph_bytes,
+        std::mem::size_of::<Graph>() + 8 * (n + 1) + 8 * m,
+        "one CSR graph: (n + 1) offsets and 2m neighbour ids"
     );
     let warm = run();
-    assert_eq!(cold, warm, "text parse and mmap cache diverged");
+    assert_eq!(cold, warm, "text parse and binary cache diverged");
+    assert_eq!(
+        inode(&cache),
+        cache_inode,
+        "a warm run must not rewrite the cache"
+    );
 
     // Forcing CSR materializes but still agrees bit for bit.
     let forced = SimSpec::parse(&spec, "cobra:b2")
@@ -90,9 +108,11 @@ fn fixture_cover_runs_bit_identically_cold_and_warm() {
     assert_eq!(cold, forced);
 }
 
-#[test]
-fn corrupted_cache_falls_back_to_the_text_parse() {
-    let path = scratch_fixture("corrupt");
+/// Runs the fixture cold, applies `flip` to its `.csrbin`, and checks
+/// that the flipped cache is refused, that the next run re-parses the
+/// text to the cold outcomes, and that the re-parse rewrote the cache.
+fn flipped_cache_is_reparsed_and_healed(tag: &str, flip: fn(&mut [u8])) {
+    let path = scratch_fixture(tag);
     let spec = file_spec(&path);
     let run = || {
         SimSpec::parse(&spec, "cobra:b2")
@@ -102,29 +122,40 @@ fn corrupted_cache_falls_back_to_the_text_parse() {
             .unwrap()
     };
     let cold = run();
+    let (cold_graph, _) = ingest::load_edge_list(&path).unwrap();
+    let digest = ingest::digest_file(&path).unwrap();
 
-    // Flip a byte in the cache header: the stale cache must be
-    // rejected, the run re-parses the text, identical results.
     let cache = ingest::cache_path(&path, false);
     let mut bytes = std::fs::read(&cache).unwrap();
-    bytes[9] ^= 0xFF;
+    flip(&mut bytes);
     std::fs::write(&cache, &bytes).unwrap();
-    let resolved = SimSpec::parse(&spec, "cobra:b2")
-        .unwrap()
-        .resolve()
-        .unwrap();
-    assert_eq!(resolved.backend, "csr", "corrupt cache must not be served");
+    assert!(
+        ingest::try_open_cached(&path, digest, false).is_none(),
+        "a flipped cache must not load"
+    );
     let reparsed = run();
     assert_eq!(cold, reparsed);
-    // And the rebuild healed the cache on disk.
+    // And the re-parse healed the cache on disk.
     assert_eq!(
-        SimSpec::parse(&spec, "cobra:b2")
-            .unwrap()
-            .resolve()
-            .unwrap()
-            .backend,
-        "mmap"
+        ingest::try_open_cached(&path, digest, false),
+        Some(cold_graph)
     );
+}
+
+#[test]
+fn corrupted_cache_falls_back_to_the_text_parse() {
+    // A header byte (the version field).
+    flipped_cache_is_reparsed_and_healed("corrupt", |b| b[9] ^= 0xFF);
+}
+
+#[test]
+fn in_range_body_flip_falls_back_to_the_text_parse() {
+    // Bit 0 of the last neighbour id: every id stays below n, so only
+    // the section checksums can tell this cache from another graph's.
+    flipped_cache_is_reparsed_and_healed("in-range", |b| {
+        let last = b.len() - 4;
+        b[last] ^= 1;
+    });
 }
 
 #[test]
