@@ -231,4 +231,28 @@ proptest! {
         let cut = cut % bytes.len();
         prop_assert!(read_bytes("truncated", &bytes[..cut]).is_err());
     }
+
+    #[test]
+    fn csrbin_flipped_body_byte_fails_open_or_stays_in_range(
+        at in 0usize..100_000,
+        mask in 1u32..256,
+    ) {
+        // The body is the offsets (8 bytes per vertex, plus one) and the
+        // adjacency (4 bytes per directed edge) after the header.
+        let g = cached_graph();
+        let body = 8 * (g.n() + 1) + 8 * g.m();
+        let mut bytes = valid_csrbin();
+        let at = bytes.len() - body + at % body;
+        bytes[at] ^= mask as u8;
+        // The load checks the structure and the section checksums; a
+        // flip that got past them could give another graph, never an
+        // unsafe one.
+        if let Ok(read) = read_bytes("body", &bytes) {
+            for v in 0..read.n() as u32 {
+                for &w in read.neighbors(v) {
+                    prop_assert!((w as usize) < read.n(), "byte {at}: vertex {v} neighbour {w}");
+                }
+            }
+        }
+    }
 }
