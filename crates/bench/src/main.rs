@@ -808,7 +808,8 @@ fn print_sweep_help() {
          \n\
          options: --objective AXIS (override the spec's objective axis)\n\
          \u{20}        --backend auto|csr|implicit (override the spec's backend= segment;\n\
-         \u{20}        never changes results — backends are bit-identical)\n\
+         \u{20}        auto: implicit for complete and hypercube; never changes results —\n\
+         \u{20}        backends are bit-identical)\n\
          \u{20}        --shards N (override the spec's shards= segment; unlike --backend\n\
          \u{20}        this is part of every point's content key — sharded points are\n\
          \u{20}        different points)\n\
@@ -933,7 +934,7 @@ fn print_run_help() {
          options: --objective O (cover)  --trials N (30)  --seed S\n\
          \u{20}        --threads T (auto)  --cap C (derived)\n\
          \u{20}        --start V (0)  --backend auto|csr|implicit (auto: implicit for\n\
-         \u{20}        structured families — hypercube:24 runs in O(1) graph memory)\n\
+         \u{20}        complete and hypercube — hypercube:24 runs in O(1) graph memory)\n\
          \u{20}        --shards N (1 = unsharded; partitions vertex state across N\n\
          \u{20}        worker shards — part of the result's identity, unlike --backend)\n\
          \u{20}        --dry-run (print the resolved backend, objective, stop\n\

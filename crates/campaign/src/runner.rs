@@ -649,6 +649,13 @@ mod tests {
             .unwrap()
     }
 
+    /// A grid of the two families with an implicit backend.
+    fn implicit_families_spec() -> SweepSpec {
+        "cover; graph=hypercube:{3..5}|complete:16; process=cobra:b2|rw; trials=5"
+            .parse()
+            .unwrap()
+    }
+
     #[test]
     fn plan_memoizes_graphs_and_partitions() {
         let store = Store::in_memory();
@@ -657,9 +664,12 @@ mod tests {
         assert_eq!(plan.distinct_graphs, 4, "2 processes share each graph");
         assert_eq!(plan.cached.len(), 0);
         assert_eq!(plan.missing.len(), 8);
-        // cycle/complete have implicit backends: auto bypasses the CSR
-        // cache entirely.
-        assert!(plan.points.iter().all(|p| p.topology.is_implicit()));
+        // Auto builds CSR for the cycles and the implicit backend for
+        // complete.
+        for p in &plan.points {
+            let complete = matches!(p.point.graph, cobra_graph::GraphSpec::Complete { .. });
+            assert_eq!(p.topology.is_implicit(), complete, "{}", p.point.graph);
+        }
 
         // Forced CSR: graph Arcs are shared between the two points of
         // each graph through the plan memo.
@@ -680,8 +690,8 @@ mod tests {
         // records, and the second backend is served entirely from the
         // first backend's store (backend is not part of the key).
         let mut store = Store::in_memory();
-        let csr = small_spec().with_backend(Backend::Csr);
-        let implicit = small_spec().with_backend(Backend::Implicit);
+        let csr = implicit_families_spec().with_backend(Backend::Csr);
+        let implicit = implicit_families_spec().with_backend(Backend::Implicit);
         assert_eq!(csr.name(), implicit.name(), "stores must be shared");
         let first = run_sweep(&csr, &mut store, 1, &default_cap).unwrap();
         assert_eq!((first.computed, first.cached), (8, 0));
@@ -745,7 +755,8 @@ mod tests {
     #[test]
     fn plans_surface_graph_cache_accounting() {
         // Implicit backends bypass the CSR cache entirely.
-        let implicit = plan_sweep(&small_spec(), &Store::in_memory(), &default_cap).unwrap();
+        let implicit =
+            plan_sweep(&implicit_families_spec(), &Store::in_memory(), &default_cap).unwrap();
         assert_eq!(implicit.cache_stats, PlanCacheStats::default());
         // Forced CSR: each distinct graph is built once, the second
         // point of each graph is a hit, and the built graphs stay

@@ -21,7 +21,7 @@
 //! | `cap` | explicit per-trial round cap | derived per point |
 //! | `name` | campaign name (store directory) | `sweep-<digest>` |
 //! | `shards` | worker shards per trial (`1` = unsharded engine) | 1 |
-//! | `backend` | graph backend `auto`\|`csr`\|`implicit` | `auto` |
+//! | `backend` | graph backend `auto`\|`csr`\|`implicit` (`auto`: implicit for `complete` and `hypercube`, CSR otherwise) | `auto` |
 //!
 //! The backend is an *execution* knob, not an identity one: backends
 //! produce bit-identical results, so it never enters a point's content
@@ -89,8 +89,8 @@ pub struct SweepSpec {
     /// shard count fixes the per-shard RNG streams, so different shard
     /// counts sample different (equally valid) trajectories.
     pub shards: usize,
-    /// Graph backend for every point (`auto` = implicit where
-    /// available). Excluded from point content keys: backends are
+    /// Graph backend for every point (`auto` = implicit for `complete`
+    /// and `hypercube`, CSR otherwise). Excluded from point content keys: backends are
     /// bit-identical, so the store is backend-agnostic.
     pub backend: Backend,
 }

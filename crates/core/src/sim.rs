@@ -156,9 +156,9 @@ pub struct SimSpec<'g> {
     /// Explicit per-trial round cap; `None` derives one from the
     /// paper's bounds via [`resolve_cap`].
     pub cap: Option<usize>,
-    /// Graph backend selection for spec-built graphs: implicit for the
-    /// structured families by default ([`Backend::Auto`]), overridable
-    /// to `csr` or `implicit`. Never changes results — backends are
+    /// Graph backend selection for spec-built graphs: implicit for
+    /// `complete` and `hypercube` by default ([`Backend::Auto`]), CSR for
+    /// every other family; overridable to `csr` or `implicit`. Never changes results — backends are
     /// bit-identical — only the memory/speed profile. Ignored for
     /// borrowed graphs (already CSR).
     pub backend: Backend,
@@ -248,8 +248,8 @@ impl<'g> SimSpec<'g> {
     }
 
     /// Overrides the graph backend (`auto`, `csr`, `implicit`).
-    /// Results never change; `implicit` errors on families without an
-    /// implicit representation.
+    /// Results never change; `implicit` errors on every family but
+    /// `complete` and `hypercube`.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -264,8 +264,8 @@ impl<'g> SimSpec<'g> {
 
     /// Materialises the backend-resolved topology every run path steps
     /// on: the borrowed CSR graph as-is, or the spec built under
-    /// [`SimSpec::backend`] (implicit by default for the structured
-    /// families — `hypercube:24` costs bytes, not gigabytes). Random
+    /// [`SimSpec::backend`] (implicit by default for `complete` and
+    /// `hypercube` — `hypercube:24` costs bytes, not gigabytes). Random
     /// families are seeded from the master seed, so a spec denotes one
     /// concrete graph.
     pub fn topology(&self) -> Result<BuiltTopology<'g>, SimError> {

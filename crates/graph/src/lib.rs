@@ -22,9 +22,8 @@
 //!   declarative entry point the `SimSpec` API builds on.
 //! * [`topology`] — the [`Topology`] trait every simulation kernel
 //!   reads its graph through, with two backend families: the CSR
-//!   [`Graph`] and **implicit** O(1)-memory structured families
-//!   (`complete`, `cycle`, `cyclepower`, `circulant`, `grid`, `torus`,
-//!   `hypercube`) that compute adjacency on the fly. Backends agree bit
+//!   [`Graph`] and **implicit** O(1)-memory `complete` and `hypercube`
+//!   graphs that compute adjacency on the fly. Backends agree bit
 //!   for bit: sorted neighbour enumeration, pick-token resolution, and
 //!   RNG sampling are identical, so `backend=csr|implicit` is an
 //!   execution detail, never part of a result's identity.
@@ -42,6 +41,5 @@ pub use ingest::{IngestError, IngestStats};
 pub use shard::ShardMap;
 pub use spec::{GraphSpec, GraphSpecError, IMPLICIT_FAMILIES};
 pub use topology::{
-    Backend, BuiltTopology, CirculantTopo, CompleteTopo, GraphShape, GridTopo, HypercubeTopo,
-    Topology, TorusTopo, BACKEND_CHOICES,
+    Backend, BuiltTopology, CompleteTopo, GraphShape, HypercubeTopo, Topology, BACKEND_CHOICES,
 };

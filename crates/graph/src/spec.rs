@@ -45,10 +45,7 @@
 
 use crate::csr::Graph;
 use crate::generators;
-use crate::topology::{
-    Backend, BuiltTopology, CirculantTopo, CompleteTopo, GridTopo, HypercubeTopo, TorusTopo,
-    MAX_LATTICE_DIMS,
-};
+use crate::topology::{Backend, BuiltTopology, CompleteTopo, HypercubeTopo};
 use cobra_util::hash::fnv1a_str;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -244,16 +241,10 @@ pub const FAMILY_USAGES: &[(&str, &str)] = &[
 ];
 
 /// The families with an implicit O(1)-memory backend (see
-/// [`crate::topology`]) — quoted by `backend=implicit` rejections.
-pub const IMPLICIT_FAMILIES: &[&str] = &[
-    "complete",
-    "cycle",
-    "cyclepower",
-    "circulant",
-    "grid",
-    "torus",
-    "hypercube",
-];
+/// [`crate::topology`]): the two whose CSR limits the size that runs.
+/// `backend=auto` picks implicit for exactly these; `backend=implicit`
+/// rejections quote them.
+pub const IMPLICIT_FAMILIES: &[&str] = &["complete", "hypercube"];
 
 fn family_list() -> String {
     let mut names: Vec<&str> = FAMILY_USAGES.iter().map(|(f, _)| *f).collect();
@@ -502,25 +493,17 @@ fn parse_graph_spec(s: &str) -> Result<GraphSpec, GraphSpecError> {
             }
             "regular" => {
                 expect_arity(&parts, 2, "regular:N:R")?;
-                let n: usize = parse_num(parts[1], "vertex count")?;
-                let r: usize = parse_num(parts[2], "degree")?;
-                if n == 0 || r >= n || !(n * r).is_multiple_of(2) {
-                    return Err(GraphSpecError::new(format!(
-                        "no simple {r}-regular graph on {n} vertices"
-                    )));
+                GraphSpec::RandomRegular {
+                    n: parse_num(parts[1], "vertex count")?,
+                    r: parse_num(parts[2], "degree")?,
                 }
-                GraphSpec::RandomRegular { n, r }
             }
             "rreg" => {
                 expect_arity(&parts, 2, "rreg:N:D")?;
-                let n: usize = parse_num(parts[1], "vertex count")?;
-                let d: usize = parse_num(parts[2], "degree")?;
-                if n == 0 || d >= n || !(n * d).is_multiple_of(2) {
-                    return Err(GraphSpecError::new(format!(
-                        "no simple {d}-regular graph on {n} vertices"
-                    )));
+                GraphSpec::RReg {
+                    n: parse_num(parts[1], "vertex count")?,
+                    d: parse_num(parts[2], "degree")?,
                 }
-                GraphSpec::RReg { n, d }
             }
             "ba" => {
                 expect_arity(&parts, 2, "ba:N:M")?;
@@ -550,11 +533,10 @@ fn parse_graph_spec(s: &str) -> Result<GraphSpec, GraphSpecError> {
             }
             other => {
                 return Err(GraphSpecError::new(format!(
-                    "unknown graph family {other:?} (valid families: {}; families {} \
-                     also offer backend={})",
+                    "unknown graph family {other:?} (valid families: {}; backend=auto \
+                     computes {} implicitly and builds CSR for the rest)",
                     family_list(),
-                    IMPLICIT_FAMILIES.join(", "),
-                    crate::topology::BACKEND_CHOICES.join("|"),
+                    IMPLICIT_FAMILIES.join(" and "),
                 )));
             }
         };
@@ -617,6 +599,7 @@ impl GraphSpec {
     /// construction. Every value accepted here builds: the bounds are
     /// the generators' own preconditions, so a spec that parses can
     /// never panic in [`GraphSpec::build`] or [`GraphSpec::build_topology`].
+    /// Vertex ids are `u32`, so no family may exceed `u32::MAX` vertices.
     pub fn validate(&self) -> Result<(), GraphSpecError> {
         let at_least = |v: usize, min: usize, what: &str| {
             if v < min {
@@ -651,15 +634,7 @@ impl GraphSpec {
                 if dims.is_empty() {
                     return Err(GraphSpecError::new("need at least one dimension"));
                 }
-                dims.iter().try_for_each(|&d| at_least(d, 1, "dimension"))?;
-                let n = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
-                if n.is_none_or(|n| n > u32::MAX as usize) {
-                    return Err(GraphSpecError::new(format!(
-                        "lattice {} has more than 2^32 - 1 vertices",
-                        join(dims, "x")
-                    )));
-                }
-                Ok(())
+                dims.iter().try_for_each(|&d| at_least(d, 1, "dimension"))
             }
             GraphSpec::KaryTree { k, n } => {
                 at_least(*k, 1, "arity")?;
@@ -708,7 +683,7 @@ impl GraphSpec {
                 Ok(())
             }
             GraphSpec::RandomRegular { n, r } | GraphSpec::RReg { n, d: r } => {
-                if *n == 0 || *r >= *n || (*n * *r) % 2 != 0 {
+                if *n == 0 || *r >= *n || n.checked_mul(*r).is_none_or(|nr| nr % 2 != 0) {
                     return Err(GraphSpecError::new(format!(
                         "no simple {r}-regular graph on {n} vertices"
                     )));
@@ -736,7 +711,51 @@ impl GraphSpec {
                 Ok(())
             }
             GraphSpec::File { .. } => Ok(()),
+        }?;
+        if self.vertex_count().is_none_or(|n| n > u32::MAX as usize) {
+            return Err(GraphSpecError::new(format!(
+                "{:?} has more than 2^32 - 1 vertices (vertex ids are u32)",
+                self.to_string()
+            )));
         }
+        Ok(())
+    }
+
+    /// The number of vertices the spec builds, or `None` when it
+    /// overflows `usize`. `file:` specs count 0 here: ingestion bounds
+    /// their ids.
+    fn vertex_count(&self) -> Option<usize> {
+        Some(match self {
+            GraphSpec::Complete { n }
+            | GraphSpec::Cycle { n }
+            | GraphSpec::Path { n }
+            | GraphSpec::Star { n }
+            | GraphSpec::Wheel { n }
+            | GraphSpec::KaryTree { n, .. }
+            | GraphSpec::CyclePower { n, .. }
+            | GraphSpec::Circulant { n, .. }
+            | GraphSpec::LollipopN { n }
+            | GraphSpec::BarbellN { n }
+            | GraphSpec::Gnp { n, .. }
+            | GraphSpec::RandomRegular { n, .. }
+            | GraphSpec::RReg { n, .. }
+            | GraphSpec::BarabasiAlbert { n, .. }
+            | GraphSpec::PrefAttach { n, .. }
+            | GraphSpec::WattsStrogatz { n, .. } => *n,
+            GraphSpec::Petersen => 10,
+            GraphSpec::CompleteBipartite { a, b } => a.checked_add(*b)?,
+            GraphSpec::DoubleStar { a, b } => a.checked_add(*b)?.checked_add(2)?,
+            GraphSpec::Grid { dims } | GraphSpec::Torus { dims } => {
+                dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))?
+            }
+            GraphSpec::Hypercube { d } => 1usize.checked_shl(*d)?,
+            GraphSpec::RingOfCliques { k, c } => k.checked_mul(*c)?,
+            GraphSpec::Barbell { c, p } | GraphSpec::TwoClique { c, p } => {
+                c.checked_mul(2)?.checked_add(*p)?
+            }
+            GraphSpec::Lollipop { c, p } => c.checked_add(*p)?,
+            GraphSpec::File { .. } => 0,
+        })
     }
 
     /// True for families whose [`GraphSpec::build`] consumes the seed.
@@ -857,51 +876,30 @@ impl GraphSpec {
     }
 
     /// True when this spec has an implicit O(1)-memory backend (see
-    /// [`crate::topology`]): the structured families `complete`,
-    /// `cycle`, `cyclepower`, `circulant`, `grid`, `torus`, and
-    /// `hypercube` (lattices up to [`MAX_LATTICE_DIMS`] non-trivial
-    /// dimensions).
+    /// [`crate::topology`]): `complete` and `hypercube`, the
+    /// [`IMPLICIT_FAMILIES`].
     pub fn has_implicit(&self) -> bool {
-        match self {
-            GraphSpec::Complete { .. }
-            | GraphSpec::Cycle { .. }
-            | GraphSpec::CyclePower { .. }
-            | GraphSpec::Circulant { .. }
-            | GraphSpec::Hypercube { .. } => true,
-            GraphSpec::Grid { dims } | GraphSpec::Torus { dims } => {
-                dims.iter().filter(|&&s| s >= 2).count() <= MAX_LATTICE_DIMS
-            }
-            _ => false,
-        }
+        matches!(
+            self,
+            GraphSpec::Complete { .. } | GraphSpec::Hypercube { .. }
+        )
     }
 
     /// The implicit backend for this spec, when one exists. Parameter
     /// contracts mirror the CSR generators exactly (same asserts), so
     /// the two backends accept the same spec set.
     fn build_implicit(&self) -> Option<BuiltTopology<'static>> {
-        if !self.has_implicit() {
-            return None;
+        match self {
+            GraphSpec::Complete { n } => Some(BuiltTopology::Complete(CompleteTopo::new(*n))),
+            GraphSpec::Hypercube { d } => Some(BuiltTopology::Hypercube(HypercubeTopo::new(*d))),
+            _ => None,
         }
-        Some(match self {
-            GraphSpec::Complete { n } => BuiltTopology::Complete(CompleteTopo::new(*n)),
-            GraphSpec::Cycle { n } => BuiltTopology::Circulant(CirculantTopo::cycle(*n)),
-            GraphSpec::CyclePower { n, k } => {
-                BuiltTopology::Circulant(CirculantTopo::cycle_power(*n, *k))
-            }
-            GraphSpec::Circulant { n, offsets } => {
-                BuiltTopology::Circulant(CirculantTopo::new(*n, offsets))
-            }
-            GraphSpec::Grid { dims } => BuiltTopology::Grid(GridTopo::new(dims)),
-            GraphSpec::Torus { dims } => BuiltTopology::Torus(TorusTopo::new(dims)),
-            GraphSpec::Hypercube { d } => BuiltTopology::Hypercube(HypercubeTopo::new(*d)),
-            _ => unreachable!("has_implicit covered the families"),
-        })
     }
 
     /// Materialises the graph behind the chosen [`Backend`]:
     ///
-    /// * [`Backend::Auto`] — implicit for the structured families that
-    ///   have one (zero edge storage), CSR otherwise;
+    /// * [`Backend::Auto`] — implicit for `complete` and `hypercube`
+    ///   (zero edge storage), CSR for every other family;
     /// * [`Backend::Csr`] — always the materialized adjacency;
     /// * [`Backend::Implicit`] — required implicit; families without
     ///   one are rejected with an error naming the supported set.
@@ -925,9 +923,8 @@ impl GraphSpec {
             },
             Backend::Implicit => self.build_implicit().ok_or_else(|| {
                 GraphSpecError::new(format!(
-                    "{self} has no implicit backend (implicit families: {}, lattices up \
-                     to {MAX_LATTICE_DIMS} non-trivial dimensions); use backend=csr or \
-                     backend=auto",
+                    "{self} has no implicit backend (implicit families: {}); use \
+                     backend=csr or backend=auto",
                     IMPLICIT_FAMILIES.join(", ")
                 ))
             }),
@@ -1086,7 +1083,8 @@ mod tests {
             spec.build_topology(1, Backend::Auto)
                 .unwrap_or_else(|e| panic!("{good}: {e}"));
         }
-        // Upper bounds, and every spec that once panicked after parsing.
+        // Upper bounds, and every spec that once panicked after parsing
+        // or aborted on a failed allocation (vertex ids are u32).
         for bad in [
             "hypercube:31",
             "grid:65536x65536",
@@ -1098,11 +1096,23 @@ mod tests {
             "circulant:1:1",
             "ringcliques:1:1",
             "ringcliques:2:1",
+            "complete:5000000000",
+            "cycle:5000000000",
+            "path:5000000000",
+            "star:5000000000",
+            "gnp:4294967296:0.1",
+            "tree:2:4294967296",
+            "bipartite:4294967295x1",
+            "doublestar:4294967294x1",
+            "ringcliques:65536:65536",
+            "barbell:2147483648:1",
+            "rreg:18446744073709551615:18446744073709551613",
         ] {
-            assert!(
-                bad.parse::<GraphSpec>().is_err(),
-                "{bad:?} should not parse"
-            );
+            let e = bad.parse::<GraphSpec>().expect_err(bad).to_string();
+            assert!(!e.contains('\n'), "{bad:?}: {e:?}");
+        }
+        for max in ["cycle:4294967295", "bipartite:4294967294x1"] {
+            max.parse::<GraphSpec>().expect(max);
         }
     }
 

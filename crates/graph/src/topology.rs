@@ -6,11 +6,13 @@
 //!
 //! * **CSR** — the materialized [`Graph`]: adjacency stored explicitly,
 //!   `O(n + m)` memory, any family.
-//! * **Implicit** — structured families whose adjacency is *computed*
-//!   instead of stored: [`CompleteTopo`], [`CirculantTopo`] (which also
-//!   serves `cycle` and `cyclepower`), [`GridTopo`], [`TorusTopo`], and
-//!   [`HypercubeTopo`]. Zero edge storage, so `hypercube:24` costs a
-//!   few bytes of parameters instead of ~1.6 GB of CSR.
+//! * **Implicit** — the two families whose adjacency is *computed*
+//!   instead of stored, because their CSR is what limits the size that
+//!   runs: [`CompleteTopo`] (CSR is quadratic in `n`) and
+//!   [`HypercubeTopo`] (`hypercube:24` costs a few bytes of parameters
+//!   instead of ~1.6 GB of CSR). Lattices and circulants use CSR: at
+//!   every size that covers in feasible time it is both small and
+//!   2–4× faster per pick than computing the neighbour.
 //!
 //! # The contract
 //!
@@ -298,110 +300,6 @@ impl Topology for CompleteTopo {
     }
 }
 
-/// Implicit circulant graph `C_n(S)` — also the implicit backend for
-/// `cycle:N` (`C_n({1})`) and `cyclepower:N:K` (`C_n({1..K})`).
-///
-/// Stores only the sorted distinct step set `D = {s, n−s : s ∈ S}`;
-/// the sorted neighbour list of `v` is `[(v + d) mod n]` with the
-/// wrapped entries (ascending) before the unwrapped ones (ascending).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CirculantTopo {
-    n: usize,
-    /// Sorted distinct deltas in `1..n`.
-    deltas: Vec<u32>,
-}
-
-impl CirculantTopo {
-    /// `C_n(S)` with the same parameter contract as the CSR generator:
-    /// `n ≥ 3`, offsets in `1..=n/2`.
-    pub fn new(n: usize, offsets: &[usize]) -> CirculantTopo {
-        assert!(n >= 3, "circulant needs n >= 3");
-        assert!(n <= u32::MAX as usize, "circulant too large for u32");
-        let mut deltas: Vec<u32> = Vec::with_capacity(2 * offsets.len());
-        for &s in offsets {
-            assert!(
-                s >= 1 && s <= n / 2,
-                "offset {s} out of range 1..={}",
-                n / 2
-            );
-            deltas.push(s as u32);
-            deltas.push((n - s) as u32);
-        }
-        deltas.sort_unstable();
-        deltas.dedup();
-        CirculantTopo { n, deltas }
-    }
-
-    /// The cycle `C_n` (`n ≥ 3`).
-    pub fn cycle(n: usize) -> CirculantTopo {
-        assert!(n >= 3, "cycle needs n >= 3, got {n}");
-        CirculantTopo::new(n, &[1])
-    }
-
-    /// The cycle power `C_n^k` (`k ≥ 1`, `n > 2k`).
-    pub fn cycle_power(n: usize, k: usize) -> CirculantTopo {
-        assert!(k >= 1, "cycle power needs k >= 1");
-        assert!(n > 2 * k, "cycle power needs n > 2k (got n={n}, k={k})");
-        let offsets: Vec<usize> = (1..=k).collect();
-        CirculantTopo::new(n, &offsets)
-    }
-}
-
-impl Topology for CirculantTopo {
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn m(&self) -> usize {
-        // Vertex-transitive: handshake gives n·deg/2 (always integral —
-        // odd degree requires the n/2 delta, hence even n).
-        self.n * self.deltas.len() / 2
-    }
-
-    #[inline]
-    fn degree(&self, _v: VertexId) -> usize {
-        self.deltas.len()
-    }
-
-    #[inline]
-    fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        debug_assert!(i < self.deltas.len(), "neighbor index {i} out of range");
-        let v = v as usize;
-        // Deltas below `n - v` don't wrap; the tail wraps. Wrapped
-        // values (all < v) come first in sorted order, ascending in
-        // delta; unwrapped (> v) follow, also ascending.
-        let unwrapped = self.deltas.partition_point(|&d| (d as usize) < self.n - v);
-        let wrapped = self.deltas.len() - unwrapped;
-        if i < wrapped {
-            (v + self.deltas[unwrapped + i] as usize - self.n) as VertexId
-        } else {
-            (v + self.deltas[i - wrapped] as usize) as VertexId
-        }
-    }
-
-    #[inline]
-    fn neighbor_range(&self, v: VertexId) -> (usize, usize) {
-        let deg = self.deltas.len();
-        (v as usize * deg, deg)
-    }
-
-    #[inline]
-    fn resolve_pick(&self, pick: usize) -> VertexId {
-        let deg = self.deltas.len();
-        self.neighbor((pick / deg) as VertexId, pick % deg)
-    }
-
-    fn max_degree(&self) -> usize {
-        self.deltas.len()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.deltas.len() * std::mem::size_of::<u32>()
-    }
-}
-
 /// Implicit hypercube `Q_d`: ids adjacent iff they differ in one bit.
 ///
 /// `neighbor(v, i)` runs without data-dependent branches or loops: a
@@ -521,280 +419,14 @@ impl Topology for HypercubeTopo {
     }
 }
 
-/// Active (side ≥ 2) dimension cap for the implicit lattice backends —
-/// bounds the on-stack neighbour buffer. Lattices beyond it use CSR.
-pub const MAX_LATTICE_DIMS: usize = 16;
-
-/// Shared mixed-radix bookkeeping of the lattice backends.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Lattice {
-    dims: Vec<usize>,
-    strides: Vec<usize>,
-    n: usize,
-}
-
-impl Lattice {
-    fn new(dims: &[usize]) -> Lattice {
-        assert!(!dims.is_empty(), "lattice needs at least one dimension");
-        assert!(dims.iter().all(|&s| s >= 1), "side lengths must be >= 1");
-        let active = dims.iter().filter(|&&s| s >= 2).count();
-        assert!(
-            active <= MAX_LATTICE_DIMS,
-            "implicit lattice supports at most {MAX_LATTICE_DIMS} non-trivial dimensions"
-        );
-        let n: usize = dims.iter().product();
-        assert!(n <= u32::MAX as usize, "lattice too large for u32 ids");
-        let mut strides = vec![1usize; dims.len()];
-        for d in 1..dims.len() {
-            strides[d] = strides[d - 1] * dims[d - 1];
-        }
-        Lattice {
-            dims: dims.to_vec(),
-            strides,
-            n,
-        }
-    }
-
-    #[inline]
-    fn coord(&self, v: usize, d: usize) -> usize {
-        (v / self.strides[d]) % self.dims[d]
-    }
-
-    fn memory_bytes(&self) -> usize {
-        2 * self.dims.len() * std::mem::size_of::<usize>()
-    }
-}
-
-/// Implicit D-dimensional grid (open boundaries), id layout identical
-/// to the CSR generator's mixed-radix encoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GridTopo {
-    lat: Lattice,
-    max_degree: usize,
-    m: usize,
-}
-
-impl GridTopo {
-    /// A grid with the given side lengths (each ≥ 1, at most
-    /// [`MAX_LATTICE_DIMS`] sides ≥ 2).
-    pub fn new(dims: &[usize]) -> GridTopo {
-        let lat = Lattice::new(dims);
-        let max_degree = dims.iter().map(|&s| (s - 1).min(2)).sum();
-        let m = dims.iter().map(|&s| (s - 1) * lat.n / s).sum();
-        GridTopo { lat, max_degree, m }
-    }
-}
-
-impl Topology for GridTopo {
-    #[inline]
-    fn n(&self) -> usize {
-        self.lat.n
-    }
-
-    #[inline]
-    fn m(&self) -> usize {
-        self.m
-    }
-
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        let v = v as usize;
-        let mut deg = 0;
-        for d in 0..self.lat.dims.len() {
-            let c = self.lat.coord(v, d);
-            deg += usize::from(c > 0) + usize::from(c + 1 < self.lat.dims[d]);
-        }
-        deg
-    }
-
-    #[inline]
-    fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        let vu = v as usize;
-        let mut k = i;
-        // Sorted order: −stride neighbours (descending dimension gives
-        // ascending ids, all < v), then +stride (ascending dimension).
-        for d in (0..self.lat.dims.len()).rev() {
-            if self.lat.coord(vu, d) > 0 {
-                if k == 0 {
-                    return (vu - self.lat.strides[d]) as VertexId;
-                }
-                k -= 1;
-            }
-        }
-        for d in 0..self.lat.dims.len() {
-            if self.lat.coord(vu, d) + 1 < self.lat.dims[d] {
-                if k == 0 {
-                    return (vu + self.lat.strides[d]) as VertexId;
-                }
-                k -= 1;
-            }
-        }
-        panic!("neighbor index {i} out of range for vertex {v}");
-    }
-
-    #[inline]
-    fn neighbor_range(&self, v: VertexId) -> (usize, usize) {
-        (v as usize * self.max_degree, self.degree(v))
-    }
-
-    #[inline]
-    fn resolve_pick(&self, pick: usize) -> VertexId {
-        self.neighbor((pick / self.max_degree) as VertexId, pick % self.max_degree)
-    }
-
-    fn max_degree(&self) -> usize {
-        self.max_degree
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.lat.memory_bytes()
-    }
-}
-
-/// Implicit D-dimensional torus (periodic boundaries); a side of
-/// length 2 contributes one neighbour (the wrap edge collapses onto the
-/// +1 edge), matching the CSR generator's simple-graph convention.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TorusTopo {
-    lat: Lattice,
-    degree: usize,
-    m: usize,
-}
-
-impl TorusTopo {
-    /// A torus with the given side lengths (each ≥ 1, at most
-    /// [`MAX_LATTICE_DIMS`] sides ≥ 2).
-    pub fn new(dims: &[usize]) -> TorusTopo {
-        let lat = Lattice::new(dims);
-        let degree = dims
-            .iter()
-            .map(|&s| match s {
-                1 => 0,
-                2 => 1,
-                _ => 2,
-            })
-            .sum();
-        let m = dims
-            .iter()
-            .map(|&s| match s {
-                1 => 0,
-                2 => lat.n / 2,
-                _ => lat.n,
-            })
-            .sum();
-        TorusTopo { lat, degree, m }
-    }
-
-    /// Writes the neighbours of `v` into `buf` sorted ascending,
-    /// returning the count. Wrap edges interleave across dimensions, so
-    /// the list is insertion-sorted (at most `2·MAX_LATTICE_DIMS`
-    /// entries).
-    #[inline]
-    fn fill_sorted_neighbors(&self, v: usize, buf: &mut [VertexId; 2 * MAX_LATTICE_DIMS]) -> usize {
-        let len = self.fill_neighbors(v, buf);
-        for a in 1..len {
-            let x = buf[a];
-            let mut b = a;
-            while b > 0 && buf[b - 1] > x {
-                buf[b] = buf[b - 1];
-                b -= 1;
-            }
-            buf[b] = x;
-        }
-        len
-    }
-
-    /// Writes the (unsorted) neighbours of `v` into `buf`, returning
-    /// the count.
-    #[inline]
-    fn fill_neighbors(&self, v: usize, buf: &mut [VertexId; 2 * MAX_LATTICE_DIMS]) -> usize {
-        let mut len = 0;
-        for d in 0..self.lat.dims.len() {
-            let side = self.lat.dims[d];
-            if side == 1 {
-                continue;
-            }
-            let st = self.lat.strides[d];
-            let c = self.lat.coord(v, d);
-            let up = if c + 1 < side {
-                v + st
-            } else {
-                v - (side - 1) * st
-            };
-            buf[len] = up as VertexId;
-            len += 1;
-            if side > 2 {
-                let down = if c > 0 { v - st } else { v + (side - 1) * st };
-                buf[len] = down as VertexId;
-                len += 1;
-            }
-        }
-        len
-    }
-}
-
-impl Topology for TorusTopo {
-    #[inline]
-    fn n(&self) -> usize {
-        self.lat.n
-    }
-
-    #[inline]
-    fn m(&self) -> usize {
-        self.m
-    }
-
-    #[inline]
-    fn degree(&self, _v: VertexId) -> usize {
-        self.degree
-    }
-
-    #[inline]
-    fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        let mut buf = [0 as VertexId; 2 * MAX_LATTICE_DIMS];
-        let len = self.fill_sorted_neighbors(v as usize, &mut buf);
-        debug_assert!(i < len, "neighbor index {i} out of range");
-        buf[i]
-    }
-
-    /// Full-enumeration override: one fill + sort per vertex instead of
-    /// one per neighbour index (the default would be O(deg²) here).
-    #[inline]
-    fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId)) {
-        let mut buf = [0 as VertexId; 2 * MAX_LATTICE_DIMS];
-        let len = self.fill_sorted_neighbors(v as usize, &mut buf);
-        for &w in &buf[..len] {
-            f(w);
-        }
-    }
-
-    #[inline]
-    fn neighbor_range(&self, v: VertexId) -> (usize, usize) {
-        (v as usize * self.degree, self.degree)
-    }
-
-    #[inline]
-    fn resolve_pick(&self, pick: usize) -> VertexId {
-        self.neighbor((pick / self.degree) as VertexId, pick % self.degree)
-    }
-
-    fn max_degree(&self) -> usize {
-        self.degree
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.lat.memory_bytes()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Backend selection
 
 /// Which backend a [`crate::GraphSpec`] materializes into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Implicit for the structured families that have one, CSR
-    /// otherwise.
+    /// Implicit for `complete` and `hypercube`, CSR for every other
+    /// family.
     #[default]
     Auto,
     /// Always materialize the CSR adjacency.
@@ -850,12 +482,6 @@ pub enum BuiltTopology<'g> {
     Borrowed(&'g Graph),
     /// Implicit `K_n`.
     Complete(CompleteTopo),
-    /// Implicit circulant (also `cycle` and `cyclepower`).
-    Circulant(CirculantTopo),
-    /// Implicit open grid.
-    Grid(GridTopo),
-    /// Implicit torus.
-    Torus(TorusTopo),
     /// Implicit hypercube.
     Hypercube(HypercubeTopo),
 }
@@ -877,9 +503,6 @@ macro_rules! with_topology {
                 $body
             }
             $crate::topology::BuiltTopology::Complete($g) => $body,
-            $crate::topology::BuiltTopology::Circulant($g) => $body,
-            $crate::topology::BuiltTopology::Grid($g) => $body,
-            $crate::topology::BuiltTopology::Torus($g) => $body,
             $crate::topology::BuiltTopology::Hypercube($g) => $body,
         }
     };
@@ -1006,31 +629,6 @@ mod tests {
             "complete:3",
             "complete:7",
             "complete:16",
-            "cycle:3",
-            "cycle:4",
-            "cycle:9",
-            "cycle:24",
-            "cyclepower:7:2",
-            "cyclepower:12:3",
-            "cyclepower:33:5",
-            "circulant:8:1+2",
-            "circulant:8:1+4",
-            "circulant:9:2+3",
-            "circulant:24:1+2+5",
-            "circulant:10:5",
-            "grid:5",
-            "grid:3x4",
-            "grid:2x2",
-            "grid:1x5x1",
-            "grid:3x3x3",
-            "grid:2x3x4x2",
-            "torus:7",
-            "torus:2x2",
-            "torus:2x3",
-            "torus:4x5",
-            "torus:6x6",
-            "torus:3x3x3",
-            "torus:2x3x4x2",
             "hypercube:1",
             "hypercube:2",
             "hypercube:5",
@@ -1057,6 +655,11 @@ mod tests {
             "star:9",
             "tree:2:15",
             "barbell:4:2",
+            "cycle:9",
+            "cyclepower:12:2",
+            "circulant:9:1+3",
+            "grid:4x4",
+            "torus:5x5",
         ] {
             let spec: GraphSpec = spec.parse().unwrap();
             let err = spec
@@ -1064,7 +667,9 @@ mod tests {
                 .unwrap_err()
                 .to_string();
             assert!(
-                err.contains("no implicit backend") && err.contains("hypercube"),
+                err.contains("no implicit backend")
+                    && err.contains("implicit families: complete, hypercube)")
+                    && !err.contains('\n'),
                 "{spec}: error must name the supported set, got {err:?}"
             );
             // Auto falls back to CSR instead.
@@ -1075,15 +680,7 @@ mod tests {
 
     #[test]
     fn auto_selects_implicit_for_structured_families() {
-        for spec in [
-            "complete:12",
-            "cycle:9",
-            "cyclepower:12:2",
-            "circulant:9:1+3",
-            "grid:4x4",
-            "torus:5x5",
-            "hypercube:6",
-        ] {
+        for spec in ["complete:12", "hypercube:6"] {
             let spec: GraphSpec = spec.parse().unwrap();
             let built = spec.build_topology(0, Backend::Auto).unwrap();
             assert!(built.is_implicit(), "{spec}: auto must choose implicit");
@@ -1225,66 +822,17 @@ mod tests {
         assert_eq!(q.degree(v), 24);
     }
 
-    #[test]
-    fn torus_rejects_too_many_active_dimensions() {
-        let dims = vec![2usize; MAX_LATTICE_DIMS + 1];
-        let spec = GraphSpec::Torus { dims };
-        let err = spec
-            .build_topology(0, Backend::Implicit)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("no implicit backend"), "{err:?}");
-        // Auto silently falls back to CSR.
-        let auto = spec.build_topology(0, Backend::Auto).unwrap();
-        assert!(!auto.is_implicit());
-    }
-
     proptest! {
         /// Randomized parameter sweep: every implicit family agrees with
         /// its CSR materialization element for element.
         #[test]
-        fn implicit_matches_csr_on_random_parameters(
-            n in 3usize..40,
-            k in 1usize..5,
-            d in 1u32..8,
-            dims in proptest::collection::vec(1usize..5, 1..4),
-            offsets in proptest::collection::vec(1usize..12, 1..4),
-        ) {
-            let cases = [
-                format!("complete:{n}"),
-                format!("cycle:{n}"),
-                format!("hypercube:{d}"),
-                format!(
-                    "grid:{}",
-                    dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x")
-                ),
-                format!(
-                    "torus:{}",
-                    dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x")
-                ),
-            ];
-            for case in &cases {
+        fn implicit_matches_csr_on_random_parameters(n in 3usize..40, d in 1u32..8) {
+            for case in [format!("complete:{n}"), format!("hypercube:{d}")] {
                 let spec: GraphSpec = case.parse().unwrap();
                 let csr = spec.build(0).unwrap();
                 let built = spec.build_topology(0, Backend::Implicit).unwrap();
-                with_topology!(&built, |g| assert_matches_csr(g, &csr, case));
+                with_topology!(&built, |g| assert_matches_csr(g, &csr, &case));
             }
-            if n > 2 * k {
-                let spec: GraphSpec = format!("cyclepower:{n}:{k}").parse().unwrap();
-                let csr = spec.build(0).unwrap();
-                let built = spec.build_topology(0, Backend::Implicit).unwrap();
-                with_topology!(&built, |g| assert_matches_csr(g, &csr, "cyclepower"));
-            }
-            let clamped: Vec<usize> =
-                offsets.iter().map(|&o| 1 + (o - 1) % (n / 2)).collect();
-            let circ = format!(
-                "circulant:{n}:{}",
-                clamped.iter().map(|o| o.to_string()).collect::<Vec<_>>().join("+")
-            );
-            let spec: GraphSpec = circ.parse().unwrap();
-            let csr = spec.build(0).unwrap();
-            let built = spec.build_topology(0, Backend::Implicit).unwrap();
-            with_topology!(&built, |g| assert_matches_csr(g, &csr, &circ));
         }
     }
 

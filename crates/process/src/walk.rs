@@ -214,7 +214,7 @@ impl<'g, T: Topology> ProcessState<'g, T> for MultiWalk<'g, T> {
 mod tests {
     use super::*;
     use crate::{Branching, Cobra};
-    use cobra_graph::{generators, HypercubeTopo, TorusTopo};
+    use cobra_graph::{generators, CompleteTopo, HypercubeTopo};
     use cobra_obs::PhaseTimers;
     use cobra_stats::Summary;
     use cobra_util::math::harmonic;
@@ -259,7 +259,7 @@ mod tests {
         assert_lockstep(&generators::petersen(), 0, false);
         assert_lockstep(&generators::lollipop(12, 12), 3, false);
         assert_lockstep(&generators::torus(&[5, 7]), 4, false);
-        assert_lockstep(&TorusTopo::new(&[5, 7]), 4, false);
+        assert_lockstep(&CompleteTopo::new(12), 4, false);
         assert_lockstep(&generators::hypercube(6), 9, false);
         assert_lockstep(&HypercubeTopo::new(6), 9, false);
         // Phase timing draws nothing extra.

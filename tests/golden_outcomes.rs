@@ -59,11 +59,13 @@ fn golden_outcomes_are_backend_invariant() {
     // already runs these rows implicitly in the test above; this pins
     // the forced-backend spellings against each other too.)
     use cobra_graph::Backend;
+    let mut compared = 0;
     for &(process, graph, want) in GOLDEN {
         let gspec: cobra_graph::GraphSpec = graph.parse().unwrap();
         if !gspec.has_implicit() {
             continue;
         }
+        compared += 1;
         let run = |backend: Backend| {
             spec(process, graph)
                 .with_backend(backend)
@@ -84,6 +86,10 @@ fn golden_outcomes_are_backend_invariant() {
             );
         }
     }
+    assert!(
+        compared > 0,
+        "no GOLDEN row has an implicit backend to compare"
+    );
 }
 
 #[test]
