@@ -818,8 +818,8 @@ fn print_sweep_help() {
          \u{20}        --progress (live stderr line: done/total, cached, points/s, ETA;\n\
          \u{20}        always ends with a final done/total line)\n\
          \u{20}        --watch (stream one NDJSON lifecycle event per point to stdout:\n\
-         \u{20}        cached/started/computed/deduped/cancelled — same schema as the\n\
-         \u{20}        cobra-serve event stream; combines with --progress)\n\
+         \u{20}        cached/started/computed/deduped/cancelled/failed — same schema as\n\
+         \u{20}        the cobra-serve event stream; combines with --progress)\n\
          \u{20}        --metrics (dump campaign + graph-cache counters to stderr)\n\
          \u{20}        --csv | --markdown  --plot\n\
          \n\
@@ -828,7 +828,9 @@ fn print_sweep_help() {
          (objective included); re-runs and killed runs only compute missing points.\n\
          Multi-objective grids render one table/CSV per objective.\n\
          SIGINT/SIGTERM drain in-flight trials gracefully: finished points are\n\
-         already flushed and the next run resumes where this one stopped."
+         already flushed and the next run resumes where this one stopped.\n\
+         A point whose run panics is reported failed; the other points still run,\n\
+         then the sweep exits 1 naming it."
     );
 }
 

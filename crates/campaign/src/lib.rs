@@ -59,8 +59,9 @@
 //! ([`cache::GraphMemo`]), so `cobra:b{1,2,3}` over one hypercube
 //! builds it once and every point holds the same graph until the plan
 //! is dropped. Every sweep
-//! is one submission to a [`Scheduler`] — the dedup queue the
-//! `cobra-serve` daemon shares across campaigns — see [`scheduler`].
+//! is one submission to a [`Scheduler`] — the one job table, with fair
+//! share across submissions, that the `cobra-serve` daemon shares
+//! across campaigns — see [`scheduler`].
 //!
 //! # Artifacts
 //!
@@ -90,7 +91,7 @@ pub use runner::{
     run_sweep_watched, run_sweep_with_progress, CapPolicy, Plan, PlanCacheStats, PlannedPoint,
     PointEvent, PointStatus, RunOutcome, SweepProgress, WatchOutcome,
 };
-pub use scheduler::{Scheduler, Submission, Subscriber};
+pub use scheduler::{JobError, QueueStats, Scheduler, Submission, Subscriber};
 pub use store::{PointRecord, PointTiming, SharedStore, Store};
 pub use sweep::{expand_pattern, validate_name, SweepSpec};
 
@@ -109,6 +110,8 @@ pub enum CampaignError {
     Io(String),
     /// A submission reached a [`Scheduler`] after its shutdown.
     Closed,
+    /// A point's run panicked (the point, then the panic message).
+    Failed(String),
 }
 
 impl fmt::Display for CampaignError {
@@ -120,6 +123,7 @@ impl fmt::Display for CampaignError {
             CampaignError::Invalid(m) => write!(f, "invalid sweep: {m}"),
             CampaignError::Io(m) => write!(f, "campaign store error: {m}"),
             CampaignError::Closed => write!(f, "the scheduler is shutting down"),
+            CampaignError::Failed(m) => write!(f, "point failed: {m}"),
         }
     }
 }

@@ -3,13 +3,13 @@
 //! A sweep run is a plan (every point resolved, graphs memoized, caps
 //! fixed, keys derived) submitted to a private [`Scheduler`] — the same
 //! dedup scheduler the `cobra-serve` daemon shares across campaigns —
-//! and drained by scoped workers under a cancel flag, with one
-//! lifecycle event per point. [`run_sweep`], [`run_sweep_with_progress`]
-//! and [`run_sweep_watched`] are views of that one submission. Each
-//! worker thread owns one long-lived [`StepCtx`] reused across every job
-//! it executes; within a job the process is built once and reset per
-//! trial, so the zero-allocation steady state of the engine extends
-//! across whole campaign points. Each finished record is appended (and
+//! and drained by scoped workers running [`Scheduler::work`] under a
+//! cancel flag, with one lifecycle event per point. [`run_sweep`],
+//! [`run_sweep_with_progress`] and [`run_sweep_watched`] are views of
+//! that one submission. Each worker thread owns one long-lived
+//! [`StepCtx`] reused across every job it executes; within a job the
+//! process is built once and reset per trial, so the zero-allocation
+//! steady state of the engine extends across whole campaign points. Each finished record is appended (and
 //! flushed) to the store immediately, which is what makes a killed
 //! campaign resumable.
 //!
@@ -22,12 +22,11 @@
 
 use crate::cache::GraphMemo;
 use crate::point::SweepPoint;
-use crate::scheduler::{Scheduler, Subscriber};
+use crate::scheduler::{JobError, Scheduler, Subscriber};
 use crate::store::{PointRecord, PointTiming, SharedStore, Store};
 use crate::sweep::SweepSpec;
 use crate::CampaignError;
 use cobra_graph::{with_topology, Backend, BuiltTopology, Graph, GraphShape, GraphSpec, Topology};
-use cobra_mc::queue::drain_with;
 use cobra_mc::{
     key_seed, resolve_threads, run_trials_with, CancelToken, Engine, RunConfig,
     StoppingAccumulator, TrialState,
@@ -37,7 +36,7 @@ use cobra_stats::streaming::StreamingSummary;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How a point with no explicit cap resolves one, given its graph's
 /// size parameters. The CLI injects the paper-bound policy from
@@ -397,6 +396,9 @@ pub enum PointStatus {
     /// Discarded before completion (shutdown or explicit cancel); the
     /// point stays missing and the next run recomputes it.
     Cancelled,
+    /// The run panicked. The event carries the panic message, nothing
+    /// is persisted, and the next run tries the point again.
+    Failed,
 }
 
 impl PointStatus {
@@ -408,13 +410,15 @@ impl PointStatus {
             PointStatus::Computed => "computed",
             PointStatus::Deduped => "deduped",
             PointStatus::Cancelled => "cancelled",
+            PointStatus::Failed => "failed",
         }
     }
 }
 
 /// One per-point lifecycle event. Terminal statuses (`cached`,
-/// `computed`, `deduped`) carry the finished record; `started` and
-/// `cancelled` carry `None`.
+/// `computed`, `deduped`) carry the finished record; `started`,
+/// `cancelled` and `failed` carry `None`, and `failed` carries its
+/// panic message in `error`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointEvent {
     /// Index into the expansion (stable for a given spec).
@@ -426,6 +430,7 @@ pub struct PointEvent {
     pub graph: String,
     pub process: String,
     pub record: Option<PointRecord>,
+    pub error: Option<String>,
 }
 
 impl PointEvent {
@@ -445,11 +450,13 @@ impl PointEvent {
             graph: planned.point.graph.to_string(),
             process: planned.point.process.to_string(),
             record,
+            error: None,
         }
     }
 
     /// The NDJSON encoding: the identity fields always, plus the
-    /// streamed summary for terminal statuses that carry a record.
+    /// streamed summary for terminal statuses that carry a record, or
+    /// the `error` of a `failed` one.
     /// Callers (the daemon) may append envelope fields — the value is a
     /// [`Json::Object`](cobra_util::Json::Object) with insertion-ordered
     /// keys.
@@ -478,6 +485,9 @@ impl PointEvent {
             ] {
                 fields.push((key.to_string(), value));
             }
+        }
+        if let (Json::Object(fields), Some(error)) = (&mut event, &self.error) {
+            fields.push(("error".to_string(), Json::Str(error.clone())));
         }
         event
     }
@@ -523,10 +533,12 @@ impl WatchOutcome {
 /// appended (and flushed) to the store before its `computed` event
 /// fires; an expansion twin of a computed point gets `deduped` with the
 /// same record, and one whose key the store already holds is `cached`.
-/// When `cancel` flips, the queue shuts down: queued points are
+/// When `cancel` flips, the scheduler shuts down: queued points are
 /// discarded, in-flight points stop at their next trial boundary, and
 /// everything already persisted stays — the run loses at most one trial
-/// per worker beyond the records it kept.
+/// per worker beyond the records it kept. A point whose run panics gets
+/// `failed`; the other points still run, and the sweep then returns
+/// [`CampaignError::Failed`] naming it.
 ///
 /// Results are bit-identical whatever the thread count or interruption
 /// history (point seeds derive from content keys, never from
@@ -555,7 +567,15 @@ fn sweep_with<S: Subscriber + Clone + Send + Sync>(
     cancel: &AtomicBool,
 ) -> Result<WatchOutcome, CampaignError> {
     let shared = SharedStore::new(std::mem::replace(store, Store::in_memory()));
-    let drained = drain(spec, &shared, threads, cap_policy, subscriber, cancel);
+    let run = || {
+        let scheduler = Scheduler::default();
+        let plan = |s: &Store| plan_sweep(spec, s, cap_policy);
+        let submission = scheduler.submit(&shared, plan, subscriber)?;
+        scheduler.close();
+        let threads = resolve_threads(threads).min(submission.scheduled.max(1));
+        drain(&scheduler, threads, cancel).map(|()| submission.plan)
+    };
+    let drained = run();
     *store = shared.into_inner();
     let plan = drained?;
     let records: Vec<Option<PointRecord>> = plan
@@ -584,58 +604,56 @@ fn sweep_with<S: Subscriber + Clone + Send + Sync>(
     })
 }
 
-/// Submits the sweep to a fresh scheduler and drains it under the
-/// interrupt relay; the plan comes back for counting.
+/// Drains a closed scheduler on `threads` workers (the calling thread
+/// is one) under the interrupt relay. Every point runs; the first
+/// failed point or store error comes back afterwards.
 fn drain<S: Subscriber + Clone + Send + Sync>(
-    spec: &SweepSpec,
-    store: &SharedStore,
+    scheduler: &Scheduler<S>,
     threads: usize,
-    cap_policy: CapPolicy<'_>,
-    subscriber: impl FnOnce(&Plan) -> S,
     cancel: &AtomicBool,
-) -> Result<Plan, CampaignError> {
-    let scheduler = Scheduler::default();
-    let submission = scheduler.submit(spec, store, cap_policy, subscriber)?;
-    let queue = scheduler.queue();
-    queue.close();
-    // A flag raised before the run cancels every point: shut the queue
+) -> Result<(), CampaignError> {
+    // A flag raised before the run cancels every point: shut down
     // before a worker can claim one, not when the relay first polls.
     if cancel.load(Ordering::Acquire) {
-        queue.shutdown();
+        scheduler.shutdown();
     }
-    let threads = resolve_threads(threads).min(submission.scheduled.max(1));
-    let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let drained = AtomicBool::new(false);
+    let first_error = Mutex::new(None);
+    let done = |point: &SweepPoint, result| {
+        let error = match result {
+            Ok(()) => return,
+            Err(JobError::Store(e)) => {
+                CampaignError::Io(format!("cannot append to result store: {e}"))
+            }
+            Err(JobError::Panicked(message)) => CampaignError::Failed(format!(
+                "{} × {} × {} (key {}): {message}",
+                point.objective,
+                point.graph,
+                point.process,
+                point.digest_hex()
+            )),
+        };
+        first_error.lock().expect("error slot").get_or_insert(error);
+    };
     std::thread::scope(|scope| {
-        // The interrupt relay: flag → queue shutdown. Polling (rather
-        // than a condvar) keeps the flag a plain AtomicBool a signal
-        // handler can set; the end of the drain unparks it at once.
-        let relay = scope.spawn(|| {
-            while !drained.load(Ordering::Acquire) {
+        // The interrupt relay: flag → shutdown. Polling keeps the flag a
+        // plain AtomicBool a signal handler can set. It waits on the job
+        // table, so it ends with the last job however the workers end.
+        scope.spawn(|| {
+            while !scheduler.wait_idle(Some(Duration::from_millis(10))) {
                 if cancel.load(Ordering::Acquire) {
-                    queue.shutdown();
-                    return;
+                    return scheduler.shutdown();
                 }
-                std::thread::park_timeout(std::time::Duration::from_millis(10));
             }
         });
-        drain_with(queue, threads, StepCtx::new, |ctx, key, token| {
-            if let Err(e) = scheduler.execute(&key, token, ctx) {
-                io_error.lock().expect("io error slot").get_or_insert(e);
-            }
-        });
-        drained.store(true, Ordering::Release);
-        relay.thread().unpark();
-        relay.join().expect("interrupt relay never panics");
+        for _ in 1..threads {
+            scope.spawn(|| scheduler.work(done));
+        }
+        scheduler.work(done);
     });
-    // Points the interrupt discarded before any worker claimed them.
-    scheduler.shutdown();
-    match io_error.into_inner().expect("io error slot") {
-        Some(e) => Err(CampaignError::Io(format!(
-            "cannot append to result store: {e}"
-        ))),
-        None => Ok(submission.plan),
-    }
+    first_error
+        .into_inner()
+        .expect("error slot")
+        .map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -1231,5 +1249,60 @@ mod tests {
         assert_eq!(a.records, b.records);
         // Both points saw the same concrete graph.
         assert_eq!(a.records[0].m, a.records[1].m);
+    }
+
+    #[test]
+    fn a_panicking_point_fails_alone_and_the_sweep_reports_it() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A helper thread, so a hung drain fails the test by timeout.
+        let handle = std::thread::spawn(move || {
+            let store = SharedStore::in_memory();
+            let events = Mutex::new(Vec::new());
+            let on_event = |e: &PointEvent| events.lock().unwrap().push(e.clone());
+            let scheduler = Scheduler::default();
+            let spec = "cover; graph=cycle:8; process=cobra:b2; trials=4"
+                .parse()
+                .unwrap();
+            let plan = |s: &Store| {
+                let mut plan = plan_sweep(&spec, s, &default_cap)?;
+                // plan_sweep rejects this start; enqueued anyway, it makes
+                // `Cobra::reset` assert inside the run.
+                let mut bad = plan.points[0].clone();
+                bad.point.start = 99;
+                plan.points.push(bad);
+                Ok(plan)
+            };
+            scheduler.submit(&store, plan, |_| &on_event).unwrap();
+            scheduler.close();
+            let drained = drain(&scheduler, 2, &AtomicBool::new(false));
+            let events = events.into_inner().unwrap();
+            let _ = tx.send((drained.map_err(|e| e.to_string()), events, store.len()));
+        });
+        let (drained, events, stored) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the sweep returns");
+        let error = drained.unwrap_err();
+        assert!(
+            error.contains("cycle:8") && error.contains("start vertex 99"),
+            "{error}"
+        );
+        let terminal = |index| {
+            let event = events
+                .iter()
+                .find(|e| e.index == index && e.status != PointStatus::Started);
+            event.expect("every point resolves")
+        };
+        assert_eq!(terminal(0).status, PointStatus::Computed);
+        let failed = terminal(1);
+        assert_eq!(failed.status, PointStatus::Failed);
+        assert!(failed.record.is_none());
+        let message = failed.error.as_deref().unwrap();
+        assert!(message.contains("out of range"), "{message}");
+        assert_eq!(
+            failed.to_json().get("error").and_then(|e| e.as_str()),
+            Some(message)
+        );
+        assert_eq!(stored, 1, "the failed point leaves the store alone");
+        handle.join().expect("the sweep thread returns");
     }
 }

@@ -28,7 +28,7 @@ use crate::props;
 use cobra_util::hash::Fnv1a;
 use std::fmt;
 use std::fs;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// `.csrbin` container version; bumped on any layout change.
@@ -103,42 +103,50 @@ pub struct IngestStats {
     pub compacted: bool,
 }
 
-/// What [`parse_edge_list`] yields: the compacted vertex count, the
-/// canonical deduplicated edge list, and the parse accounting.
+/// What [`parse_edge_list`] yields: the compacted vertex count, every
+/// edge that is not a self-loop in file order (duplicates kept), and
+/// the parse accounting.
 pub type ParsedEdges = (usize, Vec<(VertexId, VertexId)>, IngestStats);
 
-/// Parses SNAP-style edge-list text: one edge per line as two
-/// whitespace-separated integer ids (extra columns such as weights or
-/// timestamps are ignored), `#`/`%` comment lines and blank lines
-/// skipped. Returns `(n, canonical deduplicated edges, stats)` with ids
-/// compacted to `0..n` in sorted-by-original-id order.
-pub fn parse_edge_list(text: &str, path: &Path) -> Result<ParsedEdges, IngestError> {
+/// Parses SNAP-style edge-list text line by line: one edge per line as
+/// two whitespace-separated integer ids (extra columns such as weights
+/// or timestamps are ignored), `#`/`%` comment lines and blank lines
+/// skipped. Returns `(n, edges, stats)` with ids compacted to `0..n` in
+/// sorted-by-original-id order and self-loops dropped. Duplicates stay
+/// in `edges` for [`Graph::from_edges_dedup`] to collapse, so
+/// `stats.duplicates` is left 0 here; [`load_edge_list`] fills it in.
+pub fn parse_edge_list(mut reader: impl BufRead, path: &Path) -> Result<ParsedEdges, IngestError> {
     let mut stats = IngestStats::default();
     let mut raw: Vec<(u64, u64)> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let read = reader.read_line(&mut line).map_err(|err| IngestError::Io {
+            path: path.to_path_buf(),
+            err,
+        })?;
+        if read == 0 {
+            break;
+        }
         stats.lines += 1;
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
             stats.comments += 1;
             continue;
         }
+        let bad_line = |msg: String| IngestError::Parse {
+            path: path.to_path_buf(),
+            line: stats.lines,
+            msg,
+        };
         let mut tok = t.split_whitespace();
         let (a, b) = match (tok.next(), tok.next()) {
             (Some(a), Some(b)) => (a, b),
-            _ => {
-                return Err(IngestError::Parse {
-                    path: path.to_path_buf(),
-                    line: idx + 1,
-                    msg: format!("expected two vertex ids, got {t:?}"),
-                })
-            }
+            _ => return Err(bad_line(format!("expected two vertex ids, got {t:?}"))),
         };
         let parse = |s: &str| -> Result<u64, IngestError> {
-            s.parse::<u64>().map_err(|_| IngestError::Parse {
-                path: path.to_path_buf(),
-                line: idx + 1,
-                msg: format!("{s:?} is not a non-negative integer vertex id"),
-            })
+            s.parse::<u64>()
+                .map_err(|_| bad_line(format!("{s:?} is not a non-negative integer vertex id")))
         };
         raw.push((parse(a)?, parse(b)?));
     }
@@ -153,6 +161,7 @@ pub fn parse_edge_list(text: &str, path: &Path) -> Result<ParsedEdges, IngestErr
     let mut ids: Vec<u64> = raw.iter().flat_map(|&(u, v)| [u, v]).collect();
     ids.sort_unstable();
     ids.dedup();
+    ids.shrink_to_fit();
     if ids.len() > u32::MAX as usize {
         return Err(IngestError::Parse {
             path: path.to_path_buf(),
@@ -169,15 +178,10 @@ pub fn parse_edge_list(text: &str, path: &Path) -> Result<ParsedEdges, IngestErr
     for &(u, v) in &raw {
         if u == v {
             stats.self_loops += 1;
-            continue;
+        } else {
+            edges.push((lookup(u), lookup(v)));
         }
-        let (a, b) = (lookup(u), lookup(v));
-        edges.push((a.min(b), a.max(b)));
     }
-    edges.sort_unstable();
-    let before = edges.len();
-    edges.dedup();
-    stats.duplicates = before - edges.len();
     Ok((n, edges, stats))
 }
 
@@ -196,17 +200,19 @@ pub fn digest_file(path: &Path) -> io::Result<u64> {
     }
 }
 
-/// Parses an edge-list file into a CSR graph (cold path, no cache).
+/// Parses an edge-list file into a CSR graph (cold path, no cache),
+/// streaming the text: the whole file is never held.
 pub fn load_edge_list(path: &Path) -> Result<(Graph, IngestStats), IngestError> {
-    let text = fs::read_to_string(path).map_err(|err| IngestError::Io {
+    let file = fs::File::open(path).map_err(|err| IngestError::Io {
         path: path.to_path_buf(),
         err,
     })?;
-    let (n, edges, stats) = parse_edge_list(&text, path)?;
-    let g = Graph::from_edges(n, &edges).map_err(|err| IngestError::Graph {
+    let (n, edges, mut stats) = parse_edge_list(BufReader::new(file), path)?;
+    let g = Graph::from_edges_dedup(n, &edges).map_err(|err| IngestError::Graph {
         path: path.to_path_buf(),
         err,
     })?;
+    stats.duplicates = edges.len() - g.m();
     Ok((g, stats))
 }
 
@@ -467,10 +473,16 @@ mod tests {
     #[test]
     fn parser_policy_compacts_dedups_and_counts() {
         let p = Path::new("mem.snap");
-        let (n, edges, stats) = parse_edge_list(SNAP, p).unwrap();
-        // Distinct ids {1, 5, 7, 100} -> 0..4 sorted by original id.
+        let (n, edges, _) = parse_edge_list(SNAP.as_bytes(), p).unwrap();
+        // Distinct ids {1, 5, 7, 100} -> 0..4 sorted by original id; the
+        // self-loop is dropped, the duplicate left for the CSR build.
         assert_eq!(n, 4);
-        assert_eq!(edges, vec![(0, 2), (1, 2), (1, 3)]);
+        assert_eq!(edges, vec![(2, 0), (0, 2), (1, 2), (3, 1)]);
+        let dir = scratch("policy");
+        let path = dir.join("g.snap");
+        fs::write(&path, SNAP).unwrap();
+        let (g, stats) = load_edge_list(&path).unwrap();
+        assert_eq!(g.m(), 3);
         assert_eq!(
             stats,
             IngestStats {
@@ -486,13 +498,13 @@ mod tests {
     #[test]
     fn parser_rejects_bad_lines_with_line_numbers() {
         let p = Path::new("mem.snap");
-        let e = parse_edge_list("0 1\nnope\n", p).unwrap_err();
+        let e = parse_edge_list("0 1\nnope\n".as_bytes(), p).unwrap_err();
         assert!(matches!(e, IngestError::Parse { line: 2, .. }), "{e}");
-        let e = parse_edge_list("0 1\n3 x\n", p).unwrap_err();
+        let e = parse_edge_list("0 1\n3 x\n".as_bytes(), p).unwrap_err();
         assert!(e.to_string().contains("\"x\""), "{e}");
-        let e = parse_edge_list("# only comments\n", p).unwrap_err();
+        let e = parse_edge_list("# only comments\n".as_bytes(), p).unwrap_err();
         assert!(matches!(e, IngestError::Empty { .. }), "{e}");
-        let e = parse_edge_list("0 -1\n", p).unwrap_err();
+        let e = parse_edge_list("0 -1\n".as_bytes(), p).unwrap_err();
         assert!(matches!(e, IngestError::Parse { line: 1, .. }), "{e}");
     }
 

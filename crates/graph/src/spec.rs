@@ -758,6 +758,67 @@ impl GraphSpec {
         })
     }
 
+    /// Adjacency entries (twice the edge count) of the CSR graph a
+    /// family builds, known from its parameters alone; `None` for the
+    /// random families and `file:`. Exact, and free of overflow for
+    /// every spec [`GraphSpec::validate`] accepts.
+    fn adjacency_entries(&self) -> Option<u128> {
+        let n = self.vertex_count()? as u128;
+        let clique = |c: usize| c as u128 * (c as u128 - 1);
+        let barbell = |c: usize, p: usize| 2 * clique(c) + 2 * (p as u128 + 1);
+        let lollipop = |c: usize, p: usize| clique(c) + 2 * p as u128;
+        let lattice = |dims: &[usize], periodic: bool| {
+            let along = |side: u128| match (periodic, side) {
+                (true, 3..) => side,
+                (true, _) => side / 2,
+                (false, _) => side - 1,
+            };
+            dims.iter()
+                .map(|&d| 2 * along(d as u128) * (n / d as u128))
+                .sum()
+        };
+        Some(match self {
+            GraphSpec::Complete { n } => clique(*n),
+            GraphSpec::Cycle { .. } => 2 * n,
+            GraphSpec::Path { .. } | GraphSpec::Star { .. } | GraphSpec::KaryTree { .. } => {
+                2 * (n - 1)
+            }
+            GraphSpec::Wheel { .. } => 4 * (n - 1),
+            GraphSpec::Petersen => 30,
+            GraphSpec::CompleteBipartite { a, b } => 2 * *a as u128 * *b as u128,
+            GraphSpec::DoubleStar { .. } => 2 * (n - 1),
+            GraphSpec::Grid { dims } => lattice(dims, false),
+            GraphSpec::Torus { dims } => lattice(dims, true),
+            GraphSpec::Hypercube { d } => n * *d as u128,
+            GraphSpec::CyclePower { k, .. } => 2 * *k as u128 * n,
+            GraphSpec::Circulant { offsets, .. } => {
+                let mut distinct = offsets.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let per_vertex = |o: usize| if 2 * o as u128 == n { 1 } else { 2 };
+                distinct.iter().map(|&o| per_vertex(o) * n).sum()
+            }
+            GraphSpec::RingOfCliques { k, c } => *k as u128 * clique(*c),
+            GraphSpec::Barbell { c, p } | GraphSpec::TwoClique { c, p } => barbell(*c, *p),
+            GraphSpec::Lollipop { c, p } => lollipop(*c, *p),
+            GraphSpec::LollipopN { n } => {
+                let (c, p) = Self::lollipop_shape(*n);
+                lollipop(c, p)
+            }
+            GraphSpec::BarbellN { n } => {
+                let (c, p) = Self::barbell_shape(*n);
+                barbell(c, p)
+            }
+            GraphSpec::Gnp { .. }
+            | GraphSpec::RandomRegular { .. }
+            | GraphSpec::RReg { .. }
+            | GraphSpec::BarabasiAlbert { .. }
+            | GraphSpec::PrefAttach { .. }
+            | GraphSpec::WattsStrogatz { .. }
+            | GraphSpec::File { .. } => return None,
+        })
+    }
+
     /// True for families whose [`GraphSpec::build`] consumes the seed.
     pub fn is_random(&self) -> bool {
         matches!(
@@ -790,6 +851,15 @@ impl GraphSpec {
     /// `(spec, seed)` pairs build equal graphs.
     pub fn build(&self, seed: u64) -> Result<Graph, GraphSpecError> {
         self.validate()?;
+        // Checked before the generator allocates: its edge list alone
+        // would exhaust memory long before the CSR exists.
+        if let Some(entries) = self.adjacency_entries().filter(|&a| a > u32::MAX as u128) {
+            return Err(GraphSpecError::new(format!(
+                "{:?} needs {entries} adjacency entries, more than 2^32 - 1 (too large to \
+                 build as CSR)",
+                self.to_string()
+            )));
+        }
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = match self {
             GraphSpec::Complete { n } => generators::complete(*n),
@@ -1257,6 +1327,60 @@ mod tests {
         let g = spec.build(3).unwrap();
         assert_eq!(g.regularity(), Some(3));
         assert!(crate::props::is_connected(&g));
+    }
+
+    #[test]
+    fn adjacency_entries_are_exact_for_every_deterministic_family() {
+        for text in [
+            "complete:7",
+            "cycle:9",
+            "path:6",
+            "star:5",
+            "wheel:6",
+            "petersen",
+            "bipartite:3x4",
+            "doublestar:2x3",
+            "grid:3x4",
+            "grid:1x5x2",
+            "torus:3x4",
+            "torus:2x5",
+            "torus:1x2x3",
+            "hypercube:4",
+            "tree:3:13",
+            "cyclepower:9:2",
+            "circulant:10:5",
+            "circulant:10:1+3+5",
+            "circulant:9:2+2",
+            "ringcliques:3:4",
+            "barbell:4:2",
+            "barbell:10",
+            "lollipop:4:3",
+            "lollipop:10",
+            "twoclique:3:2",
+        ] {
+            let spec: GraphSpec = text.parse().expect(text);
+            let g = spec.build(0).expect(text);
+            assert_eq!(spec.adjacency_entries(), Some(2 * g.m() as u128), "{text}");
+        }
+        let random: GraphSpec = "gnp:20:0.5".parse().unwrap();
+        assert_eq!(random.adjacency_entries(), None);
+    }
+
+    #[test]
+    fn specs_too_large_for_csr_fail_before_allocating() {
+        // 3.6e9 vertices fit u32 ids, but 1.44e10 adjacency entries do not.
+        let torus: GraphSpec = "torus:60000x60000".parse().unwrap();
+        let err = torus.build_topology(0, Backend::Auto).unwrap_err();
+        assert!(
+            err.to_string().contains("14400000000 adjacency entries"),
+            "{err}"
+        );
+        // The implicit backends build no CSR, so they stay accepted.
+        for text in ["complete:1000000000", "hypercube:30"] {
+            let spec: GraphSpec = text.parse().unwrap();
+            assert!(spec.build_topology(0, Backend::Auto).is_ok(), "{text}");
+            assert!(spec.build_topology(0, Backend::Csr).is_err(), "{text}");
+        }
     }
 
     #[test]

@@ -38,7 +38,6 @@
 //! only `trial_seed(master_seed, i)` and the fold sees trials in index
 //! order, so results are identical across thread counts.
 
-use crate::queue::CancelToken;
 use crate::runner::{run_trials_with, RunConfig};
 use crate::seed::{shard_seed, trial_seed};
 use cobra_graph::{Topology, VertexId};
@@ -46,6 +45,32 @@ use cobra_obs::{
     NoProbe, Phase, PhaseTimers, Probe, RoundRecord, RoundSink, SinkProbe, TrialTotals, PHASES,
 };
 use cobra_process::{BoxedProcess, ProcessSpec, ProcessState, ProcessView, ShardedState, StepCtx};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// Cooperative cancellation flag, polled by [`Engine::run_sequential`]
+/// at trial boundaries (never inside a trial). Clones share the flag.
+#[derive(Debug, Clone, Default)]
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+}
+
+impl CancelToken {
+    /// A fresh, uncancelled token.
+    pub fn new() -> CancelToken {
+        CancelToken::default()
+    }
+
+    /// Requests cancellation. Idempotent; visible to all clones.
+    pub fn cancel(&self) {
+        self.flag.store(true, Ordering::Release);
+    }
+
+    /// True once any clone has called [`CancelToken::cancel`].
+    pub fn is_cancelled(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+}
 
 /// When a trial stops stepping (the round cap always applies on top).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,8 +14,9 @@
 //!   driving any [`cobra_process::ProcessState`] under a [`StopWhen`]
 //!   condition and a round cap, run in parallel over trials
 //!   ([`Engine::run`]) or in trial order on one reusable [`TrialState`]
-//!   ([`Engine::run_sequential`]), both folding each trial as it
-//!   finishes, with pluggable [`Observer`] hooks
+//!   ([`Engine::run_sequential`], which polls a [`CancelToken`] between
+//!   trials — the campaign scheduler's one cancel flag), both folding
+//!   each trial as it finishes, with pluggable [`Observer`] hooks
 //!   (cover detection, trajectories, transmission accounting, round
 //!   snapshots) reading through [`cobra_process::ProcessView`]. All
 //!   Monte-Carlo estimation in the workspace goes through it. Each
@@ -30,18 +31,16 @@
 
 pub mod engine;
 pub mod objective;
-pub mod queue;
 pub mod runner;
 pub mod seed;
 mod shard;
 
 pub use engine::{
-    run_trial, run_trial_probed, Completion, Engine, Observer, StopWhen, Trajectory, TrialOutcome,
-    TrialState,
+    run_trial, run_trial_probed, CancelToken, Completion, Engine, Observer, StopWhen, Trajectory,
+    TrialOutcome, TrialState,
 };
 pub use objective::{
     HitTarget, Objective, StoppingAccumulator, StoppingEstimate, OBJECTIVE_USAGES,
 };
-pub use queue::{CancelToken, Claimed, JobQueue, LaneId, QueueClosed, QueueStats};
 pub use runner::{resolve_threads, run_trials_with, RunConfig};
 pub use seed::{key_seed, shard_seed, trial_seed, SeedSequence};

@@ -7,17 +7,20 @@
 //! deficit-round-robin lane at cost = trial count, a point whose key is
 //! in the campaign's store is `cached`, one whose key is in flight
 //! (from any campaign) attaches to that job and gets `deduped`, and a
-//! computed record is persisted to every waiting campaign's store. The
-//! service adds the campaign table, one [`SharedStore`] per campaign
-//! name, the event logs, the metrics, the worker threads and HTTP.
+//! computed record is persisted to every waiting campaign's store. A
+//! point whose run panics sends `failed` to every waiting campaign; the
+//! workers keep serving. The service adds the campaign table, one
+//! [`SharedStore`] per campaign name, the event logs, the metrics, the
+//! worker threads (each running [`Scheduler::work`]) and HTTP.
 //! Lock order is service state → scheduler → store → campaign log.
 
 use cobra_campaign::{
-    default_cap, PointEvent, PointStatus, Scheduler, SharedStore, Subscriber, SweepSpec,
+    default_cap, plan_sweep, JobError, PointEvent, PointStatus, QueueStats, Scheduler, SharedStore,
+    Subscriber, SweepSpec,
 };
 use cobra_graph::GraphShape;
 use cobra_obs::SharedRegistry;
-use cobra_process::{ProcessSpec, StepCtx};
+use cobra_process::ProcessSpec;
 use cobra_util::json::obj;
 use cobra_util::Json;
 use std::collections::HashMap;
@@ -28,7 +31,7 @@ use std::thread::JoinHandle;
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads draining the shared queue (0 = one per core).
+    /// Worker threads draining the shared scheduler (0 = one per core).
     pub threads: usize,
     /// Root directory for per-campaign stores (`<root>/<name>/` — the
     /// same layout as `cobra-exps sweep --store`, so a daemon pointed
@@ -63,11 +66,12 @@ pub struct CampaignCounts {
     pub cached: usize,
     pub deduped: usize,
     pub cancelled: usize,
+    pub failed: usize,
 }
 
 impl CampaignCounts {
     fn resolved(&self) -> usize {
-        self.computed + self.cached + self.deduped + self.cancelled
+        self.computed + self.cached + self.deduped + self.cancelled + self.failed
     }
 }
 
@@ -139,6 +143,7 @@ impl CampaignState {
             PointStatus::Cached => (&mut counts.cached, "serve.points.cached"),
             PointStatus::Deduped => (&mut counts.deduped, "serve.points.deduped"),
             PointStatus::Cancelled => (&mut counts.cancelled, "serve.points.cancelled"),
+            PointStatus::Failed => (&mut counts.failed, "serve.points.failed"),
             PointStatus::Started => unreachable!("started is not terminal"),
         };
         *count += 1;
@@ -170,6 +175,7 @@ impl CampaignState {
             ("cached", Json::Int(counts.cached as i128)),
             ("deduped", Json::Int(counts.deduped as i128)),
             ("cancelled", Json::Int(counts.cancelled as i128)),
+            ("failed", Json::Int(counts.failed as i128)),
         ])
         .to_string()
     }
@@ -186,6 +192,7 @@ impl CampaignState {
             ("cached", Json::Int(counts.cached as i128)),
             ("deduped", Json::Int(counts.deduped as i128)),
             ("cancelled", Json::Int(counts.cancelled as i128)),
+            ("failed", Json::Int(counts.failed as i128)),
             ("done", Json::Bool(self.is_done())),
         ])
     }
@@ -275,8 +282,8 @@ impl CampaignService {
         &self.metrics
     }
 
-    /// Spawns `threads` workers (0 = config default) draining the
-    /// shared queue. Each worker owns one long-lived [`StepCtx`].
+    /// Spawns `threads` workers (0 = config default), each running the
+    /// scheduler's worker loop until shutdown.
     pub fn spawn_workers(self: &Arc<Self>, threads: usize) {
         let threads = if threads == 0 {
             self.config.resolved_threads()
@@ -287,18 +294,16 @@ impl CampaignService {
         for _ in 0..threads {
             let service = Arc::clone(self);
             workers.push(std::thread::spawn(move || {
-                let mut ctx = StepCtx::new();
-                while let Some(mut claim) = service.scheduler.queue().next() {
-                    let key = claim.take();
-                    if let Err(e) = service.scheduler.execute(&key, claim.token(), &mut ctx) {
-                        // Subscribers still got the record — it is
-                        // correct, just not durable.
+                service.scheduler.work(|point, result| {
+                    // Subscribers still got the record — it is correct,
+                    // just not durable. A panic was counted as `failed`.
+                    if let Err(JobError::Store(e)) = result {
                         service.metrics.counter("serve.store.append_errors", 1);
+                        let key = point.digest_hex();
                         cobra_obs::status::err_line(&format!("store append failed for {key}: {e}"));
                     }
-                    drop(claim);
                     service.publish_queue_gauges();
-                }
+                })
             }));
         }
     }
@@ -313,9 +318,9 @@ impl CampaignService {
             .cloned()
     }
 
-    /// Queue statistics (depth, in-flight, lanes, totals).
-    pub fn queue_stats(&self) -> cobra_mc::QueueStats {
-        self.scheduler.queue().stats()
+    /// Scheduler job counts (depth, in-flight, lanes).
+    pub fn queue_stats(&self) -> QueueStats {
+        self.scheduler.stats()
     }
 
     /// Accepts a campaign: parses the spec and submits it to the
@@ -338,9 +343,10 @@ impl CampaignService {
                 store
             }
         };
+        let plan = |s: &_| plan_sweep(&spec, s, &self.config.cap);
         let submission = self
             .scheduler
-            .submit(&spec, &store, &self.config.cap, |plan| {
+            .submit(&store, plan, |plan| {
                 state.next_id += 1;
                 let campaign = Arc::new(CampaignState {
                     id: state.next_id,
@@ -378,15 +384,17 @@ impl CampaignService {
         self.scheduler.shutdown();
         let workers = std::mem::take(&mut *self.workers.lock().expect("worker table"));
         for worker in workers {
-            worker.join().expect("worker never panics");
+            worker
+                .join()
+                .expect("the scheduler contains a point's panic");
         }
         self.publish_queue_gauges();
     }
 
-    /// Blocks until the queue is empty and no job is running — the
-    /// in-process equivalent of waiting for every campaign's `done`.
+    /// Blocks until no job is queued or running — the in-process
+    /// equivalent of waiting for every campaign's `done`.
     pub fn wait_idle(&self) {
-        self.scheduler.queue().wait_idle();
+        self.scheduler.wait_idle(None);
     }
 
     fn publish_queue_gauges(&self) {
@@ -585,6 +593,7 @@ mod tests {
                             graph: String::new(),
                             process: String::new(),
                             record: None,
+                            error: None,
                         });
                     });
                 }
@@ -628,6 +637,62 @@ mod tests {
             .expect("the small campaign completes and shutdown returns");
         assert_eq!(small.computed, 4);
         assert_eq!((huge.computed, huge.cancelled), (0, 1));
+        handle.join().expect("the service thread returns");
+    }
+
+    #[test]
+    fn a_panicking_point_fails_its_campaign_and_the_daemon_keeps_serving() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A helper thread, so a wedged worker or shutdown fails the test
+        // by timeout instead of hanging the suite.
+        let handle = std::thread::spawn(move || {
+            let svc = service();
+            let spec: SweepSpec = "cover; graph=cycle:8; process=cobra:b2; trials=2; name=bad"
+                .parse()
+                .unwrap();
+            let plan = |s: &_| {
+                let mut plan = plan_sweep(&spec, s, &default_cap)?;
+                // Out of range, so `Cobra::reset` asserts in the run;
+                // `submit` would have rejected the spec.
+                plan.points[0].point.start = 99;
+                Ok(plan)
+            };
+            let campaign = |plan: &cobra_campaign::Plan| {
+                Arc::new(CampaignState {
+                    id: 1,
+                    name: spec.name(),
+                    spec: spec.to_string(),
+                    total: plan.len(),
+                    log: Mutex::new(EventLog::default()),
+                    log_ready: Condvar::new(),
+                    metrics: svc.metrics.clone(),
+                })
+            };
+            let store = SharedStore::in_memory();
+            let bad = svc.scheduler.submit(&store, plan, campaign).unwrap();
+            svc.spawn_workers(2);
+            svc.wait_idle();
+            let (lines, done) = bad.subscriber.events_from(0);
+            let next = svc.submit(SPEC).unwrap();
+            svc.wait_idle();
+            let next_counts = next.campaign.counts();
+            let failed = svc.metrics().counter_value("serve.points.failed");
+            svc.shutdown();
+            let _ = tx.send((lines, done, bad.subscriber.counts(), next_counts, failed));
+        });
+        let (lines, done, counts, next, failed) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the campaigns finish and shutdown returns");
+        assert!(done);
+        assert_eq!(lines.len(), 3, "started, failed, done: {lines:#?}");
+        let event = Json::parse(&lines[1]).unwrap();
+        assert_eq!(event.get("status").unwrap().as_str(), Some("failed"));
+        let error = event.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("start vertex 99 out of range"), "{error}");
+        assert!(lines[2].contains("\"type\":\"done\"") && lines[2].contains("\"failed\":1"));
+        assert_eq!((counts.failed, counts.computed), (1, 0));
+        assert_eq!(failed, Some(1));
+        assert_eq!(next.computed, 4, "a follow-up campaign completes");
         handle.join().expect("the service thread returns");
     }
 

@@ -6,7 +6,8 @@
 //! campaigns, identical work is deduplicated across clients at two
 //! levels (content-addressed store + in-flight attachment), and every
 //! campaign's per-point lifecycle streams back as NDJSON over chunked
-//! HTTP.
+//! HTTP. A point whose run panics is reported `failed` to every
+//! campaign waiting on it, and the workers keep serving.
 //!
 //! # Endpoints
 //!
@@ -14,7 +15,7 @@
 //! |--------|-------------------------|-----------------|
 //! | POST   | `/campaigns`            | sweep-spec text → receipt JSON (`campaign`, `total`, `scheduled`, `cached`, `attached`, `events`) |
 //! | GET    | `/campaigns/<id>`       | status JSON (counters + `done`) |
-//! | GET    | `/campaigns/<id>/events`| chunked NDJSON: one `point` event per lifecycle edge, one final `done` event |
+//! | GET    | `/campaigns/<id>/events`| chunked NDJSON: one `point` event per lifecycle edge (`started`, `cached`, `computed`, `deduped`, `cancelled`, `failed`), one final `done` event |
 //! | GET    | `/metrics`              | plain-text metrics dump (counters, gauges, latency histograms) |
 //! | GET    | `/healthz`              | `ok` |
 //!

@@ -331,7 +331,7 @@ fn a_graph_the_generator_would_reject_answers_400_and_the_daemon_keeps_serving()
 fn back_to_back_campaigns_ride_separate_lanes_and_both_complete() {
     // Two campaigns submitted before any worker runs land on separate
     // DRR lanes (the deterministic alternation itself is pinned by the
-    // cobra-mc queue tests); here we verify the service plumbs each
+    // cobra-campaign scheduler tests); here we verify the service plumbs each
     // campaign onto its own lane and drains both to completion.
     let service = Arc::new(CampaignService::new(ServeConfig::default()));
     let a = service
