@@ -380,7 +380,7 @@ fn run_subcommand(args: &[String]) -> Outcome {
 }
 
 /// The observed measurement path behind `run --trace` / `run
-/// --metrics`: trials run sequentially through the probed engine —
+/// --metrics`: trials run sequentially through the traced engine —
 /// bit-identical to the untraced run — streaming per-round records to
 /// the trace file (subsampled by `every`) and, under `--metrics`,
 /// folding them into a registry dumped to stderr afterwards.

@@ -28,7 +28,7 @@ use crate::sweep::SweepSpec;
 use crate::CampaignError;
 use cobra_graph::{with_topology, Backend, BuiltTopology, Graph, GraphShape, GraphSpec, Topology};
 use cobra_mc::{
-    key_seed, resolve_threads, run_trials_with, CancelToken, Engine, RunConfig,
+    key_seed, resolve_threads, run_trials_with, CancelToken, Completion, Engine, RunConfig,
     StoppingAccumulator, TrialState,
 };
 use cobra_process::{ProcessSpec, StepCtx};
@@ -348,6 +348,7 @@ pub fn run_point_cancellable(
             stop,
             Some(token),
             None,
+            |_| Completion,
             |outcome| {
                 acc.push(&outcome);
                 let now = Instant::now();

@@ -29,9 +29,8 @@
 
 use crate::report::{fmt_f, Table};
 use cobra_graph::{Topology, VertexId};
-use cobra_mc::{Completion, Engine, Observer, StopWhen, TrialOutcome};
-use cobra_process::{BipsMode, Branching, Laziness, ProcessSpec, ProcessView};
-use cobra_util::BitSet;
+use cobra_mc::{Completion, Engine, Observer, RoundView, StopWhen, TrialOutcome};
+use cobra_process::{BipsMode, Branching, Laziness, ProcessSpec};
 
 /// Configuration of a duality check.
 #[derive(Debug, Clone)]
@@ -122,26 +121,27 @@ impl DualityReport {
 /// flag must be captured in-flight, per round).
 struct HorizonDisjoint<'a> {
     horizons: &'a [usize],
-    c_set: &'a BitSet,
+    c: &'a [VertexId],
     flags: Vec<bool>,
     round: usize,
     idx: usize,
 }
 
 impl<'a> HorizonDisjoint<'a> {
-    fn new(horizons: &'a [usize], c_set: &'a BitSet) -> Self {
+    fn new(horizons: &'a [usize], c: &'a [VertexId]) -> Self {
         HorizonDisjoint {
             horizons,
-            c_set,
+            c,
             flags: Vec::with_capacity(horizons.len()),
             round: 0,
             idx: 0,
         }
     }
 
-    fn capture(&mut self, p: &dyn ProcessView) {
+    fn capture(&mut self, view: &dyn RoundView) {
         while self.idx < self.horizons.len() && self.horizons[self.idx] == self.round {
-            self.flags.push(!self.c_set.intersects(p.reached()));
+            self.flags
+                .push(!self.c.iter().any(|&u| view.has_reached(u)));
             self.idx += 1;
         }
     }
@@ -149,14 +149,14 @@ impl<'a> HorizonDisjoint<'a> {
 
 impl Observer for HorizonDisjoint<'_> {
     type Output = Vec<bool>;
-    fn on_start(&mut self, p: &dyn ProcessView) {
-        self.capture(p);
+    fn on_start(&mut self, view: &dyn RoundView) {
+        self.capture(view);
     }
-    fn on_round(&mut self, p: &dyn ProcessView) {
+    fn on_round(&mut self, view: &dyn RoundView) {
         self.round += 1;
-        self.capture(p);
+        self.capture(view);
     }
-    fn finish(self, _outcome: TrialOutcome, _p: &dyn ProcessView) -> Vec<bool> {
+    fn finish(self, _outcome: TrialOutcome, _view: &dyn RoundView) -> Vec<bool> {
         debug_assert_eq!(self.flags.len(), self.horizons.len());
         self.flags
     }
@@ -199,7 +199,6 @@ pub fn duality_check<T: Topology + Sync>(
     cobra_engine.run_spec(g, &cobra_spec, c, hit, |_| Completion, count_not_hit);
 
     // BIPS side: run to the fixed horizon, snapshotting disjointness.
-    let c_set = BitSet::from_indices(g.n(), c);
     let bips_spec = ProcessSpec::Bips {
         branching: cfg.branching,
         laziness: Laziness::None,
@@ -208,7 +207,7 @@ pub fn duality_check<T: Topology + Sync>(
     let bips_engine =
         Engine::new(cfg.trials, cfg.master_seed ^ 0xB1B5_D0A1, max_t).with_threads(cfg.threads);
     let mut bips_disjoint = vec![0; cfg.horizons.len()];
-    let observer = |_| HorizonDisjoint::new(&cfg.horizons, &c_set);
+    let observer = |_| HorizonDisjoint::new(&cfg.horizons, c);
     bips_engine.run_spec(g, &bips_spec, &[v], StopWhen::AtCap, observer, |flags| {
         tally(&mut bips_disjoint, flags)
     });

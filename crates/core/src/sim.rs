@@ -50,7 +50,7 @@
 //! | `cover` | `Complete` | [`Completion`] | [`StoppingAccumulator`] (Welford + P²) |
 //! | `hit:V` / `hit:far` | `Reached(v)` (far = BFS-farthest from the start set) | `Completion` | `StoppingAccumulator` |
 //! | `infection:T` | `ReachedCount(⌈T·n⌉)` (`T = 1` ⇒ `Complete`) | `Completion` | `StoppingAccumulator` |
-//! | `duality:h{..}` | `AtCap` at the max horizon (both sides) | horizon-disjointness probe | per-horizon two-proportion z |
+//! | `duality:h{..}` | `AtCap` at the max horizon (both sides) | horizon-disjointness observer | per-horizon two-proportion z |
 //! | `trajectory` | `AtCap` | [`Trajectory`] (pre-reserved to the cap) | running per-round mean |
 //!
 //! Every objective folds its trials in trial order as they finish: the
@@ -168,7 +168,7 @@ pub struct SimSpec<'g> {
     /// identity** (unlike `backend`): a different shard count is a
     /// different — equally valid — sample path, bit-reproducible for a
     /// fixed count regardless of thread count. Only `cobra`/`bips`
-    /// processes and stopping objectives shard.
+    /// processes shard, under every objective but duality.
     pub shards: usize,
 }
 
@@ -303,7 +303,7 @@ impl<'g> SimSpec<'g> {
 
     /// Validates the shard configuration (graph-independent): positive
     /// count; for `shards > 1`, a shardable process, a single start
-    /// vertex, and a stopping objective.
+    /// vertex, and any objective but duality.
     fn check_sharding(&self) -> Result<(), SimError> {
         if self.shards == 0 {
             return Err(SimError::Invalid(
@@ -327,10 +327,10 @@ impl<'g> SimSpec<'g> {
                 self.start.len()
             )));
         }
-        if !self.objective.is_sweepable() {
+        if matches!(self.objective, Objective::Duality { .. }) {
             return Err(SimError::Invalid(format!(
-                "objective \"{}\" cannot run sharded — only the stopping \
-                 objectives (cover, hit:*, infection:*) do; use shards=1",
+                "objective \"{}\" cannot run sharded — the duality check runs \
+                 its own unsharded COBRA and BIPS engines; use shards=1",
                 self.objective
             )));
         }
@@ -338,15 +338,13 @@ impl<'g> SimSpec<'g> {
     }
 
     /// Runs the spec's stopping trials on an already-checked graph,
-    /// folding each outcome in trial order: over the engine's threads,
-    /// or through its sequential loop when sharded (the shards are the
-    /// parallelism) or traced (one `&mut` sink). Returns the cap and, with
-    /// `time_phases`, the aggregated phase timers.
+    /// folding each outcome in trial order (see [`SimSpec::run_trials`]).
+    /// Returns the cap and, with `trace`'s `time_phases`, the aggregated
+    /// phase timers.
     fn run_stopping<T: Topology + Sync>(
         &self,
         g: &T,
-        sink: Option<&mut dyn RoundSink>,
-        time_phases: bool,
+        trace: Option<(&mut dyn RoundSink, bool)>,
         fold: impl FnMut(TrialOutcome),
     ) -> Result<(usize, Option<Box<PhaseTimers>>), SimError> {
         let stop = self
@@ -354,9 +352,33 @@ impl<'g> SimSpec<'g> {
             .stop_when(g, &self.start)
             .map_err(SimError::Invalid)?;
         let engine = self.engine(g);
-        if self.shards == 1 && sink.is_none() {
-            engine.run_spec(g, &self.process, &self.start, stop, |_| Completion, fold);
-            return Ok((engine.cap, None));
+        let timers = self.run_trials(g, engine, stop, trace, |_| Completion, fold);
+        Ok((engine.cap, timers))
+    }
+
+    /// Runs `engine`'s trials of the spec's process on an already-checked
+    /// graph under one observer per trial, folding each output in trial
+    /// order: over the engine's threads, or through its sequential loop
+    /// when sharded (the shards are the parallelism) or traced (one
+    /// `&mut` sink, with phase timing when `trace.1` is set). Returns the
+    /// aggregated phase timers of a timed run.
+    fn run_trials<T, Ob, G>(
+        &self,
+        g: &T,
+        engine: Engine,
+        stop: StopWhen,
+        trace: Option<(&mut dyn RoundSink, bool)>,
+        make_observer: G,
+        fold: impl FnMut(Ob::Output),
+    ) -> Option<Box<PhaseTimers>>
+    where
+        T: Topology + Sync,
+        Ob: Observer,
+        G: Fn(usize) -> Ob + Sync,
+    {
+        if self.shards == 1 && trace.is_none() {
+            engine.run_spec(g, &self.process, &self.start, stop, make_observer, fold);
+            return None;
         }
         let mut ctx = StepCtx::new();
         let threads = resolve_threads(self.threads);
@@ -368,11 +390,12 @@ impl<'g> SimSpec<'g> {
             threads,
             &mut ctx,
         );
-        if sink.is_some() {
+        let sink = trace.map(|(sink, time_phases)| {
             state.instrument(time_phases);
-        }
-        engine.run_sequential(&mut state, stop, None, sink, fold);
-        Ok((engine.cap, state.timers().cloned().map(Box::new)))
+            sink
+        });
+        engine.run_sequential(&mut state, stop, None, sink, make_observer, fold);
+        state.timers().cloned().map(Box::new)
     }
 
     /// The engine this spec resolves to, given its materialised graph
@@ -404,7 +427,7 @@ impl<'g> SimSpec<'g> {
                 )));
             }
             let mut outcomes = Vec::new();
-            self.run_stopping(g, None, false, |o| outcomes.push(o))?;
+            self.run_stopping(g, None, |o| outcomes.push(o))?;
             Ok(outcomes)
         })
     }
@@ -427,7 +450,7 @@ impl<'g> SimSpec<'g> {
         match &self.objective {
             Objective::Cover | Objective::Hit(_) | Objective::Infection { .. } => {
                 let mut acc = StoppingAccumulator::new();
-                let (cap, _) = self.run_stopping(g, None, false, |o| acc.push(&o))?;
+                let (cap, _) = self.run_stopping(g, None, |o| acc.push(&o))?;
                 Ok(Measurement::Stopping(acc.finish(cap)))
             }
             Objective::Duality { horizons } => {
@@ -468,13 +491,24 @@ impl<'g> SimSpec<'g> {
                 )))
             }
             Objective::Trajectory => {
-                let rounds = self.cap.unwrap_or_else(|| {
-                    // A full derived cap makes an absurdly long curve;
-                    // default to something trajectory-sized instead.
-                    4 * g.n().max(2)
-                });
+                // A full derived cap makes an absurdly long curve; default
+                // to something trajectory-sized instead.
+                let rounds = self.cap.unwrap_or(4 * g.n().max(2));
+                // Entry `t` is the mean reached count after `t` rounds,
+                // summed in trial order.
+                let mut sums = vec![0.0; rounds + 1];
+                let add = |sizes: Vec<usize>| {
+                    for (sum, size) in sums.iter_mut().zip(sizes) {
+                        *sum += size as f64;
+                    }
+                };
+                let engine =
+                    Engine::new(self.trials, self.master_seed, rounds).with_threads(self.threads);
+                let observer = |_| Trajectory::with_capacity(rounds);
+                self.run_trials(g, engine, StopWhen::AtCap, None, observer, add);
+                let trials = self.trials.max(1) as f64;
                 Ok(Measurement::Trajectory(TrajectoryEstimate {
-                    mean_sizes: self.trajectory_with(g, rounds),
+                    mean_sizes: sums.into_iter().map(|sum| sum / trials).collect(),
                     trials: self.trials,
                 }))
             }
@@ -486,11 +520,12 @@ impl<'g> SimSpec<'g> {
     /// size, newly covered vertices, transmissions, coalesced picks,
     /// and — sharded — per-shard outbox traffic), followed by one
     /// totals record per trial. With `time_phases`, kernels also lap
-    /// their round phases into log2 histograms, surfaced per trial via
-    /// [`RoundSink::on_trial_phases`] and returned aggregated.
+    /// their round phases into per-phase nanosecond sums, surfaced per
+    /// trial via [`RoundSink::on_trial_phases`] and returned aggregated.
     ///
-    /// Probes are observe-only (they never draw from the trial RNG and
-    /// run after each `step` commits), so the returned [`Measurement`]
+    /// The records come from the engine's telemetry observer, which is
+    /// observe-only (it never draws from the trial RNG and runs after
+    /// each `step` commits), so the returned [`Measurement`]
     /// is **bit-identical** to [`SimSpec::measure`] — pinned across all
     /// golden families by `tests/probe_identity.rs`. Trials run
     /// sequentially (one dynamic sink), so tracing trades wall-clock
@@ -520,7 +555,8 @@ impl<'g> SimSpec<'g> {
             )));
         }
         let mut acc = StoppingAccumulator::new();
-        let (cap, timers) = self.run_stopping(g, Some(sink), time_phases, |o| acc.push(&o))?;
+        let trace = Some((sink, time_phases));
+        let (cap, timers) = self.run_stopping(g, trace, |o| acc.push(&o))?;
         Ok((Measurement::Stopping(acc.finish(cap)), timers))
     }
 
@@ -557,9 +593,8 @@ impl<'g> SimSpec<'g> {
     /// Runs with a custom per-trial [`Observer`] and an explicit stop
     /// condition — the escape hatch composite estimators (duality,
     /// trajectories) are built from. All trial-loop mechanics still
-    /// live in the engine. Observers read the unsharded
-    /// [`ProcessView`](cobra_process::ProcessView), so `shards > 1` is
-    /// rejected.
+    /// live in the engine, and observers read a
+    /// [`RoundView`](cobra_mc::RoundView), so sharded specs run them too.
     pub fn run_observed<Ob, G>(
         &self,
         stop: StopWhen,
@@ -568,42 +603,16 @@ impl<'g> SimSpec<'g> {
     where
         Ob: Observer,
         G: Fn(usize) -> Ob + Sync,
-        Ob::Output: Send,
     {
         let topo = self.topology()?;
         with_topology!(&topo, |g| {
             self.check(g)?;
-            if self.shards > 1 {
-                return Err(SimError::Invalid(format!(
-                    "custom observers run on the unsharded engine (got shards={}); \
-                     use shards=1",
-                    self.shards
-                )));
-            }
-            let (engine, mut outputs) = (self.engine(g), Vec::new());
-            engine.run_spec(g, &self.process, &self.start, stop, make_observer, |o| {
+            let mut outputs = Vec::new();
+            self.run_trials(g, self.engine(g), stop, None, make_observer, |o| {
                 outputs.push(o)
             });
             Ok(outputs)
         })
-    }
-
-    /// Mean reached-set-size trajectory over `rounds` rounds: entry `t`
-    /// is the Monte-Carlo mean of the reached count after `t` rounds,
-    /// summed in trial order.
-    fn trajectory_with<T: Topology + Sync>(&self, g: &T, rounds: usize) -> Vec<f64> {
-        let engine = Engine::new(self.trials, self.master_seed, rounds).with_threads(self.threads);
-        let observer = |_| Trajectory::with_capacity(rounds);
-        let mut sums = vec![0.0; rounds + 1];
-        let add = |sizes: Vec<usize>| {
-            for (sum, size) in sums.iter_mut().zip(sizes) {
-                *sum += size as f64;
-            }
-        };
-        let stop = StopWhen::AtCap;
-        engine.run_spec(g, &self.process, &self.start, stop, observer, add);
-        let trials = self.trials.max(1) as f64;
-        sums.into_iter().map(|sum| sum / trials).collect()
     }
 }
 
@@ -1111,7 +1120,7 @@ mod tests {
         let err = SimSpec::parse("cycle:16", "cobra:b2")
             .unwrap()
             .with_shards(2)
-            .with_objective(Objective::Trajectory)
+            .with_objective("duality:h{1,2}".parse().unwrap())
             .measure()
             .unwrap_err();
         assert!(err.to_string().contains("shards=1"), "{err}");
@@ -1124,18 +1133,60 @@ mod tests {
     }
 
     #[test]
-    fn run_observed_rejects_sharded_specs() {
-        // `check` accepts the sharded cover spec; the observer path must
-        // still refuse it rather than silently run unsharded.
+    fn run_observed_runs_sharded_specs() {
         let spec = SimSpec::parse("hypercube:6", "cobra:b2")
             .unwrap()
-            .with_trials(2)
-            .with_shards(4);
-        assert!(spec.outcomes().is_ok());
-        let err = spec
+            .with_trials(3)
+            .with_shards(2);
+        let observed = spec
             .run_observed(StopWhen::Complete, |_| Completion)
-            .unwrap_err();
-        assert!(err.to_string().contains("shards=1"), "{err}");
+            .unwrap();
+        assert_eq!(observed, spec.outcomes().unwrap());
+    }
+
+    #[test]
+    fn sharded_traces_and_trajectories_read_the_same_rounds() {
+        let spec = SimSpec::parse("hypercube:7", "bips:b2")
+            .unwrap()
+            .with_trials(3)
+            .with_seed(41)
+            .with_shards(2);
+        let mut sink = cobra_obs::MemorySink::default();
+        spec.measure_traced(&mut sink, false).unwrap();
+        let sizes = spec
+            .run_observed(StopWhen::Complete, |_| Trajectory::default())
+            .unwrap();
+        assert_eq!(sizes.len(), 3);
+        for (trial, sizes) in sizes.iter().enumerate() {
+            let reached: Vec<usize> = sink
+                .rounds
+                .iter()
+                .filter(|r| r.trial == trial)
+                .map(|r| r.reached)
+                .collect();
+            assert!(!reached.is_empty());
+            assert_eq!(sizes[0], 1, "round 0 is the start vertex");
+            assert_eq!(sizes[1..], reached[..], "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn sharded_trajectory_is_thread_invariant() {
+        let spec = SimSpec::parse("hypercube:8", "cobra:b2")
+            .unwrap()
+            .with_trials(4)
+            .with_shards(4)
+            .with_cap(30)
+            .with_objective(Objective::Trajectory);
+        let run = |threads| {
+            let spec = spec.clone().with_threads(threads);
+            spec.measure().unwrap().into_trajectory().unwrap()
+        };
+        let seq = run(1);
+        assert_eq!(seq, run(4), "thread count changed a sharded trajectory");
+        assert_eq!(seq.mean_sizes.len(), 31);
+        assert_eq!(seq.mean_sizes[0], 1.0);
+        assert_eq!(seq.mean_sizes[30], 256.0, "covered within 30 rounds");
     }
 
     #[test]

@@ -759,9 +759,11 @@ impl GraphSpec {
     }
 
     /// Adjacency entries (twice the edge count) of the CSR graph a
-    /// family builds, known from its parameters alone; `None` for the
-    /// random families and `file:`. Exact, and free of overflow for
-    /// every spec [`GraphSpec::validate`] accepts.
+    /// family builds, known from its parameters alone — also for the
+    /// random families whose size the parameters fix (`regular`/`rreg`,
+    /// `ba`/`pa`, `ws`). `None` for `gnp`, whose edge count is random,
+    /// and for `file:`, unknown until parsed. Exact, and free of overflow
+    /// for every spec [`GraphSpec::validate`] accepts.
     fn adjacency_entries(&self) -> Option<u128> {
         let n = self.vertex_count()? as u128;
         let clique = |c: usize| c as u128 * (c as u128 - 1);
@@ -809,13 +811,14 @@ impl GraphSpec {
                 let (c, p) = Self::barbell_shape(*n);
                 barbell(c, p)
             }
-            GraphSpec::Gnp { .. }
-            | GraphSpec::RandomRegular { .. }
-            | GraphSpec::RReg { .. }
-            | GraphSpec::BarabasiAlbert { .. }
-            | GraphSpec::PrefAttach { .. }
-            | GraphSpec::WattsStrogatz { .. }
-            | GraphSpec::File { .. } => return None,
+            GraphSpec::RandomRegular { r, .. } | GraphSpec::RReg { d: r, .. } => n * *r as u128,
+            // An (m + 1)-clique seed, then m edges per arriving vertex.
+            GraphSpec::BarabasiAlbert { m, .. } | GraphSpec::PrefAttach { m, .. } => {
+                clique(m + 1) + 2 * (n - (*m as u128 + 1)) * *m as u128
+            }
+            // The k-ring; rewiring swaps one edge for another.
+            GraphSpec::WattsStrogatz { k, .. } => 2 * n * *k as u128,
+            GraphSpec::Gnp { .. } | GraphSpec::File { .. } => return None,
         })
     }
 
@@ -1380,6 +1383,45 @@ mod tests {
             let spec: GraphSpec = text.parse().unwrap();
             assert!(spec.build_topology(0, Backend::Auto).is_ok(), "{text}");
             assert!(spec.build_topology(0, Backend::Csr).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn adjacency_entries_are_exact_for_the_sized_random_families() {
+        for text in [
+            "regular:20:3",
+            "rreg:16:4",
+            "ba:30:1",
+            "ba:40:3",
+            "pa:25:2",
+            "ws:20:1:0.5",
+            "ws:30:3:1",
+            "ws:12:2:0",
+        ] {
+            let spec: GraphSpec = text.parse().expect(text);
+            for seed in 0..4 {
+                let g = spec.build(seed).expect(text);
+                let want = Some(2 * g.m() as u128);
+                assert_eq!(spec.adjacency_entries(), want, "{text} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_specs_too_large_for_csr_fail_before_allocating() {
+        for (text, entries) in [
+            ("rreg:3000000000:3", "9000000000"),
+            ("regular:3000000000:3", "9000000000"),
+            ("pa:3000000000:2", "11999999994"),
+            ("ba:3000000000:2", "11999999994"),
+            ("ws:3000000000:1:0.1", "6000000000"),
+        ] {
+            let spec: GraphSpec = text.parse().unwrap();
+            let err = spec.build(0).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("{entries} adjacency entries")),
+                "{err}"
+            );
         }
     }
 

@@ -10,14 +10,18 @@
 //! * the per-trial round cap and the [`StopWhen`] condition decide when
 //!   a trial ends (completion, reaching a target vertex, or only at the
 //!   cap — the horizon-scan mode duality checks use);
-//! * an [`Observer`] sees the process after every round and distils each
-//!   trial into whatever output the estimator needs: nothing but the
-//!   outcome ([`Completion`]), a reached-count trajectory
-//!   ([`Trajectory`]), or any custom per-round probe.
+//! * an [`Observer`] — the loop's one per-round hook — reads the trial
+//!   through a [`RoundView`] after every round and distils it into
+//!   whatever output the estimator needs: nothing but the outcome
+//!   ([`Completion`]), a reached-count trajectory ([`Trajectory`]), or
+//!   any custom reading. Telemetry is one more observer: a traced
+//!   [`Engine::run_sequential`] wraps the trial's observer in one that
+//!   feeds a [`RoundSink`].
 //!
-//! The stop check, the cap, the probe deltas and the [`TrialOutcome`]
-//! live in one loop behind [`run_trial_probed`]; the sharded engine
-//! reaches the same loop through the crate-private `RoundState` trait.
+//! The stop check, the cap, the observer calls and the [`TrialOutcome`]
+//! live in one loop; [`run_trial`] runs it on a process, and the sharded
+//! engine reaches it through the crate-private `RoundState` trait, so
+//! every observer runs on both kernels.
 //!
 //! # Zero-allocation trial loop
 //!
@@ -41,9 +45,7 @@
 use crate::runner::{run_trials_with, RunConfig};
 use crate::seed::{shard_seed, trial_seed};
 use cobra_graph::{Topology, VertexId};
-use cobra_obs::{
-    NoProbe, Phase, PhaseTimers, Probe, RoundRecord, RoundSink, SinkProbe, TrialTotals, PHASES,
-};
+use cobra_obs::{Phase, PhaseTimers, RoundRecord, RoundSink, PHASES};
 use cobra_process::{BoxedProcess, ProcessSpec, ProcessState, ProcessView, ShardedState, StepCtx};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -87,39 +89,49 @@ pub enum StopWhen {
     AtCap,
 }
 
-/// What happened in one trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrialOutcome {
-    /// Rounds until the stop condition held, or `None` if the trial was
-    /// censored at the cap (for [`StopWhen::AtCap`] this is always
-    /// `None`: there is nothing to complete).
-    pub rounds: Option<usize>,
-    /// Rounds actually executed (equals the cap when censored).
-    pub executed: usize,
-    /// Vertices reached when the trial ended.
-    pub reached: usize,
-    /// Total transmissions sent.
-    pub transmissions: u64,
+/// What happened in one trial: the totals a traced run also hands its
+/// sink.
+pub type TrialOutcome = cobra_obs::TrialTotals;
+
+/// What an [`Observer`] reads of a trial: the unsharded (process,
+/// [`StepCtx`]) pair and the sharded (`ShardedState`, worker threads)
+/// pair both provide it, so one observer runs on either kernel.
+pub trait RoundView {
+    /// Rounds executed so far.
+    fn rounds(&self) -> usize;
+    /// True once every vertex is reached.
+    fn is_complete(&self) -> bool;
+    /// Vertices reached so far.
+    fn reached_count(&self) -> usize;
+    /// Whether `v` is reached.
+    fn has_reached(&self, v: VertexId) -> bool;
+    /// Total transmissions so far.
+    fn transmissions(&self) -> u64;
+    /// Current frontier size (see `ProcessView::frontier_len`).
+    fn frontier_len(&self) -> usize;
+    /// Per-sender outbox entries of the last round (empty unsharded, and
+    /// unless the sharded state is instrumented).
+    fn shard_traffic(&self) -> &[u64];
 }
 
-/// Per-trial hooks: sees the process after construction and after every
-/// round, then distils the trial into its output.
+/// Per-trial hooks: see the trial after its reset and after every
+/// round, then distil it into the trial's output.
 ///
-/// Hooks read through the object-safe [`ProcessView`] surface, so one
-/// observer type serves every process the (monomorphized) trial loop
-/// drives.
+/// Hooks run after `step` returns and read only the object-safe
+/// [`RoundView`]: they never draw from the trial RNG, so attaching an
+/// observer never changes a sample.
 pub trait Observer {
     type Output: Send;
 
-    /// Called once, before the first round (the process is in its
-    /// round-0 state).
-    fn on_start(&mut self, _process: &dyn ProcessView) {}
+    /// Called once, before the first round (the trial is in its round-0
+    /// state).
+    fn on_start(&mut self, _view: &dyn RoundView) {}
 
     /// Called after every executed round.
-    fn on_round(&mut self, _process: &dyn ProcessView) {}
+    fn on_round(&mut self, _view: &dyn RoundView) {}
 
     /// Called once when the trial ends.
-    fn finish(self, outcome: TrialOutcome, process: &dyn ProcessView) -> Self::Output;
+    fn finish(self, outcome: TrialOutcome, view: &dyn RoundView) -> Self::Output;
 }
 
 /// The no-op observer: a trial reduces to its [`TrialOutcome`].
@@ -128,7 +140,7 @@ pub struct Completion;
 
 impl Observer for Completion {
     type Output = TrialOutcome;
-    fn finish(self, outcome: TrialOutcome, _process: &dyn ProcessView) -> TrialOutcome {
+    fn finish(self, outcome: TrialOutcome, _view: &dyn RoundView) -> TrialOutcome {
         outcome
     }
 }
@@ -156,15 +168,64 @@ impl Trajectory {
 
 impl Observer for Trajectory {
     type Output = Vec<usize>;
-    fn on_start(&mut self, process: &dyn ProcessView) {
+    fn on_start(&mut self, view: &dyn RoundView) {
         self.sizes.reserve_exact(self.cap + 1);
-        self.sizes.push(process.reached_count());
+        self.sizes.push(view.reached_count());
     }
-    fn on_round(&mut self, process: &dyn ProcessView) {
-        self.sizes.push(process.reached_count());
+    fn on_round(&mut self, view: &dyn RoundView) {
+        self.sizes.push(view.reached_count());
     }
-    fn finish(self, _outcome: TrialOutcome, _process: &dyn ProcessView) -> Vec<usize> {
+    fn finish(self, _outcome: TrialOutcome, _view: &dyn RoundView) -> Vec<usize> {
         self.sizes
+    }
+}
+
+/// The telemetry observer a traced [`Engine::run_sequential`] wraps
+/// around each trial's observer: it keeps the totals of the previous
+/// round, so it can hand `sink` one [`RoundRecord`] of deltas per round
+/// and the trial's totals at the end. It is the only code that builds a
+/// `RoundRecord`.
+struct Telemetry<'s, Ob> {
+    inner: Ob,
+    trial: usize,
+    sink: &'s mut dyn RoundSink,
+    transmissions: u64,
+    reached: usize,
+}
+
+impl<Ob: Observer> Observer for Telemetry<'_, Ob> {
+    type Output = Ob::Output;
+
+    fn on_start(&mut self, view: &dyn RoundView) {
+        (self.transmissions, self.reached) = (view.transmissions(), view.reached_count());
+        self.inner.on_start(view);
+    }
+
+    fn on_round(&mut self, view: &dyn RoundView) {
+        let (total_transmissions, reached) = (view.transmissions(), view.reached_count());
+        // saturating: coalescing families report `rounds × particles`,
+        // which shrinks as particles merge.
+        let transmissions = total_transmissions.saturating_sub(self.transmissions);
+        let frontier = view.frontier_len();
+        let record = RoundRecord {
+            round: view.rounds(),
+            frontier,
+            // saturating: BIPS `reached` can shrink between rounds.
+            new_covered: reached.saturating_sub(self.reached),
+            reached,
+            transmissions,
+            total_transmissions,
+            coalesced: transmissions.saturating_sub(frontier as u64),
+            shard_traffic: view.shard_traffic(),
+        };
+        self.sink.on_round(self.trial, &record);
+        (self.transmissions, self.reached) = (total_transmissions, reached);
+        self.inner.on_round(view);
+    }
+
+    fn finish(self, outcome: TrialOutcome, view: &dyn RoundView) -> Ob::Output {
+        self.sink.on_trial_end(self.trial, &outcome);
+        self.inner.finish(outcome, view)
     }
 }
 
@@ -185,68 +246,26 @@ where
     P: ProcessState<'g, T>,
     Ob: Observer,
 {
-    run_trial_probed(process, ctx, stop, cap, observer, &mut NoProbe)
+    run_rounds::<T, _, _>(&mut (process, ctx), stop, cap, observer)
 }
 
-/// [`run_trial`] with a telemetry [`Probe`] attached.
-///
-/// Every instrumentation block is guarded by `if Pr::ENABLED`, an
-/// associated const: with [`NoProbe`] (what [`run_trial`] passes) the
-/// blocks are statically dead and this function compiles to exactly
-/// the unprobed loop — probes-off stays bit-identical and
-/// allocation-free by construction. With an enabled probe, each round
-/// is observed *after* `step` returns: the per-round record is built
-/// from view deltas (transmissions / reached snapshots taken just
-/// before the step) and the probe never touches the trial RNG, so the
-/// trajectory is identical with probes off and on.
-pub fn run_trial_probed<'g, T, P, Ob, Pr>(
-    process: &mut P,
-    ctx: &mut StepCtx,
-    stop: StopWhen,
-    cap: usize,
-    mut observer: Ob,
-    probe: &mut Pr,
-) -> Ob::Output
-where
-    T: Topology,
-    P: ProcessState<'g, T>,
-    Ob: Observer,
-    Pr: Probe,
-{
-    observer.on_start(process);
-    let outcome = run_rounds(&mut (&mut *process, ctx), stop, cap, probe, |(p, _)| {
-        observer.on_round(&**p)
-    });
-    observer.finish(outcome, process)
-}
-
-/// What the trial loop reads and drives, so one loop serves both
-/// engines: the unsharded (process, [`StepCtx`]) pair and the sharded
-/// (`ShardedState`, worker threads) pair.
-pub(crate) trait RoundState<T> {
-    fn is_complete(&self) -> bool;
-    fn has_reached(&self, v: VertexId) -> bool;
-    fn reached_count(&self) -> usize;
-    fn rounds(&self) -> usize;
-    fn transmissions(&self) -> u64;
-    fn frontier_len(&self) -> usize;
-    /// Per-sender outbox entries of the last round (empty unsharded).
-    fn shard_traffic(&self) -> &[u64];
+/// A [`RoundView`] the trial loop can also step.
+pub(crate) trait RoundState<T>: RoundView {
     fn step(&mut self);
 }
 
-impl<'g, T: Topology, P: ProcessState<'g, T>> RoundState<T> for (&mut P, &mut StepCtx) {
+impl<P: ProcessView> RoundView for (&mut P, &mut StepCtx) {
+    fn rounds(&self) -> usize {
+        self.0.rounds()
+    }
     fn is_complete(&self) -> bool {
         self.0.is_complete()
-    }
-    fn has_reached(&self, v: VertexId) -> bool {
-        self.0.has_reached(v)
     }
     fn reached_count(&self) -> usize {
         self.0.reached_count()
     }
-    fn rounds(&self) -> usize {
-        self.0.rounds()
+    fn has_reached(&self, v: VertexId) -> bool {
+        self.0.has_reached(v)
     }
     fn transmissions(&self) -> u64 {
         self.0.transmissions()
@@ -257,6 +276,9 @@ impl<'g, T: Topology, P: ProcessState<'g, T>> RoundState<T> for (&mut P, &mut St
     fn shard_traffic(&self) -> &[u64] {
         &[]
     }
+}
+
+impl<'g, T: Topology, P: ProcessState<'g, T>> RoundState<T> for (&mut P, &mut StepCtx) {
     fn step(&mut self) {
         self.0.step(self.1)
     }
@@ -264,14 +286,15 @@ impl<'g, T: Topology, P: ProcessState<'g, T>> RoundState<T> for (&mut P, &mut St
 
 /// The trial loop: steps `state` until `stop` holds (`rounds = Some`)
 /// or the cap censors it (`None`; always for [`StopWhen::AtCap`]),
-/// calling `on_round` after every round.
-fn run_rounds<T, S: RoundState<T>, Pr: Probe>(
+/// showing `observer` the trial before the first round and after every
+/// round.
+fn run_rounds<T, S: RoundState<T>, Ob: Observer>(
     state: &mut S,
     stop: StopWhen,
     cap: usize,
-    probe: &mut Pr,
-    mut on_round: impl FnMut(&S),
-) -> TrialOutcome {
+    mut observer: Ob,
+) -> Ob::Output {
+    observer.on_start(state);
     let rounds = loop {
         let stopped = match stop {
             StopWhen::Complete => state.is_complete(),
@@ -285,32 +308,8 @@ fn run_rounds<T, S: RoundState<T>, Pr: Probe>(
         if state.rounds() >= cap {
             break None;
         }
-        let (tx_before, reached_before) = if Pr::ENABLED {
-            (state.transmissions(), state.reached_count())
-        } else {
-            (0, 0)
-        };
         state.step();
-        if Pr::ENABLED {
-            let total_transmissions = state.transmissions();
-            // saturating: coalescing families report `rounds × particles`,
-            // which shrinks as particles merge.
-            let transmissions = total_transmissions.saturating_sub(tx_before);
-            let frontier = state.frontier_len();
-            let reached = state.reached_count();
-            probe.on_round(&RoundRecord {
-                round: state.rounds(),
-                frontier,
-                // saturating: BIPS `reached` can shrink between rounds.
-                new_covered: reached.saturating_sub(reached_before),
-                reached,
-                transmissions,
-                total_transmissions,
-                coalesced: transmissions.saturating_sub(frontier as u64),
-                shard_traffic: state.shard_traffic(),
-            });
-        }
-        on_round(state);
+        observer.on_round(state);
     };
     let outcome = TrialOutcome {
         rounds,
@@ -318,15 +317,7 @@ fn run_rounds<T, S: RoundState<T>, Pr: Probe>(
         reached: state.reached_count(),
         transmissions: state.transmissions(),
     };
-    if Pr::ENABLED {
-        probe.on_trial_end(&TrialTotals {
-            rounds: outcome.rounds,
-            executed: outcome.executed,
-            reached: outcome.reached,
-            transmissions: outcome.transmissions,
-        });
-    }
-    outcome
+    observer.finish(outcome, state)
 }
 
 /// The unified trial executor: trial count, master seed, worker
@@ -384,7 +375,6 @@ impl Engine {
         R: Fn(&mut P, usize, &mut StepCtx) + Sync,
         Ob: Observer,
         G: Fn(usize) -> Ob + Sync,
-        Ob::Output: Send,
     {
         let cap = self.cap;
         run_trials_with(
@@ -416,7 +406,6 @@ impl Engine {
         T: Topology + Sync,
         Ob: Observer,
         G: Fn(usize) -> Ob + Sync,
-        Ob::Output: Send,
     {
         self.run(
             stop,
@@ -427,40 +416,49 @@ impl Engine {
         )
     }
 
-    /// The sequential stopping-trial loop: runs the trials in trial order
-    /// on one reusable [`TrialState`] (ignoring `threads`) and hands each
-    /// outcome to `fold`. Trial `i` sees `trial_seed(master_seed, i)`, as
-    /// in [`Engine::run`], so unsharded outcomes match the parallel path.
+    /// The sequential loop: runs the trials in trial order on one
+    /// reusable [`TrialState`] (ignoring `threads`) and hands each
+    /// observer output to `fold`. Trial `i` sees `trial_seed(master_seed,
+    /// i)`, as in [`Engine::run`], so unsharded outputs match the
+    /// parallel path; sharded states run the same observers.
     ///
     /// `cancel` is polled before every trial; a cancelled batch returns
-    /// `false`. A `sink` receives every round and trial total, then the
+    /// `false`. A `sink` receives every round and trial total through the
+    /// telemetry observer wrapped around `make_observer(i)`, then the
     /// trial's phase-time split when the state carries timers.
-    pub fn run_sequential<T: Topology + Sync>(
+    pub fn run_sequential<T: Topology + Sync, Ob: Observer>(
         &self,
         state: &mut TrialState<'_, '_, T>,
         stop: StopWhen,
         cancel: Option<&CancelToken>,
         mut sink: Option<&mut dyn RoundSink>,
-        mut fold: impl FnMut(TrialOutcome),
+        make_observer: impl Fn(usize) -> Ob,
+        mut fold: impl FnMut(Ob::Output),
     ) -> bool {
         for i in 0..self.trials {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return false;
             }
             let seed = trial_seed(self.master_seed, i as u64);
-            let outcome = match sink.as_deref_mut() {
-                None => state.run_trial(seed, stop, self.cap, &mut NoProbe),
+            let output = match sink.as_deref_mut() {
+                None => state.run_trial(seed, stop, self.cap, make_observer(i)),
                 Some(sink) => {
                     let before = state.timers().map(PhaseTimers::sums);
-                    let outcome =
-                        state.run_trial(seed, stop, self.cap, &mut SinkProbe::new(i, &mut *sink));
+                    let telemetry = Telemetry {
+                        inner: make_observer(i),
+                        trial: i,
+                        sink: &mut *sink,
+                        transmissions: 0,
+                        reached: 0,
+                    };
+                    let output = state.run_trial(seed, stop, self.cap, telemetry);
                     if let (Some(before), Some(timers)) = (before, state.timers()) {
                         sink.on_trial_phases(i, &phase_deltas(before, timers));
                     }
-                    outcome
+                    output
                 }
             };
-            fold(outcome);
+            fold(output);
         }
         true
     }
@@ -536,15 +534,16 @@ impl<'c, 'g, T: Topology + Sync> TrialState<'c, 'g, T> {
         }
     }
 
-    /// One trial from `seed`: reseed → reset → run to `stop` or `cap`.
-    /// Shard `i` of a sharded state draws from `shard_seed(seed, i)`.
-    pub(crate) fn run_trial<Pr: Probe>(
+    /// One trial from `seed`: reseed → reset → run to `stop` or `cap`
+    /// under `observer`. Shard `i` of a sharded state draws from
+    /// `shard_seed(seed, i)`.
+    pub(crate) fn run_trial<Ob: Observer>(
         &mut self,
         seed: u64,
         stop: StopWhen,
         cap: usize,
-        probe: &mut Pr,
-    ) -> TrialOutcome {
+        observer: Ob,
+    ) -> Ob::Output {
         match self {
             TrialState::Process {
                 process,
@@ -554,7 +553,7 @@ impl<'c, 'g, T: Topology + Sync> TrialState<'c, 'g, T> {
             } => {
                 ctx.reseed(seed);
                 process.reset(graph, start);
-                run_trial_probed(process, ctx, stop, cap, Completion, probe)
+                run_trial(process, ctx, stop, cap, observer)
             }
             TrialState::Sharded {
                 state,
@@ -562,7 +561,7 @@ impl<'c, 'g, T: Topology + Sync> TrialState<'c, 'g, T> {
                 threads,
             } => {
                 state.reset(*start, |i| shard_seed(seed, i));
-                run_rounds(&mut (&mut *state, *threads), stop, cap, probe, |_| {})
+                run_rounds(&mut (&mut *state, *threads), stop, cap, observer)
             }
         }
     }

@@ -16,9 +16,10 @@
 //!   ([`Engine::run`]) or in trial order on one reusable [`TrialState`]
 //!   ([`Engine::run_sequential`], which polls a [`CancelToken`] between
 //!   trials — the campaign scheduler's one cancel flag), both folding
-//!   each trial as it finishes, with pluggable [`Observer`] hooks
-//!   (cover detection, trajectories, transmission accounting, round
-//!   snapshots) reading through [`cobra_process::ProcessView`]. All
+//!   each trial as it finishes, with one per-round hook, the
+//!   [`Observer`] (outcomes, trajectories, duality's horizon snapshots,
+//!   telemetry), reading through a [`RoundView`] that the unsharded and
+//!   the sharded kernel both provide. All
 //!   Monte-Carlo estimation in the workspace goes through it. Each
 //!   worker thread owns one reusable process state and one
 //!   [`cobra_process::StepCtx`] (RNG + scratch buffers), so
@@ -36,7 +37,7 @@ pub mod seed;
 mod shard;
 
 pub use engine::{
-    run_trial, run_trial_probed, CancelToken, Completion, Engine, Observer, StopWhen, Trajectory,
+    run_trial, CancelToken, Completion, Engine, Observer, RoundView, StopWhen, Trajectory,
     TrialOutcome, TrialState,
 };
 pub use objective::{

@@ -28,7 +28,7 @@
 //!   [`StopWhen`];
 //! * its **observer** — the stopping objectives reduce each trial to a
 //!   bare [`TrialOutcome`]; `trajectory` and `duality` need per-round
-//!   probes, which the `cobra` crate's `SimSpec::measure` wires up;
+//!   observers, which the `cobra` crate's `SimSpec::measure` wires up;
 //! * its **streaming reducer** — [`StoppingAccumulator`] folds trial
 //!   outcomes through Welford moments and P² quantile markers
 //!   ([`cobra_stats::streaming`]) in O(1) memory, so a sweep point

@@ -1,29 +1,29 @@
 //! The sharded engine's side of the trial loop: a [`ShardedState`]
-//! stepped on `threads` workers is a `RoundState`, so
-//! [`TrialState::Sharded`](crate::TrialState::Sharded) runs the same
-//! stop/cap/probe loop as the unsharded engine, and an
+//! stepped on `threads` workers is a [`RoundView`] and a `RoundState`,
+//! so [`TrialState::Sharded`](crate::TrialState::Sharded) runs the same
+//! stop/cap/observer loop as the unsharded engine, and every
+//! [`Observer`](crate::Observer) (trajectories, custom readings,
+//! telemetry) runs on it unchanged. An
 //! [`instrument`](ShardedState::instrument)ed state adds each round's
-//! per-sender outbox traffic to the probe record. Threads only change
+//! per-sender outbox traffic to the view. Threads only change
 //! wall-clock time: the trajectory is fixed by `(trial_seed, shards)`.
-//! Observers need the unsharded `ProcessView`, so only the stopping
-//! objectives run sharded (the `SimSpec` layer enforces that).
 
-use crate::engine::RoundState;
+use crate::engine::{RoundState, RoundView};
 use cobra_graph::{Topology, VertexId};
 use cobra_process::ShardedState;
 
-impl<T: Topology + Sync> RoundState<T> for (&mut ShardedState<'_, T>, usize) {
+impl<T: Topology + Sync> RoundView for (&mut ShardedState<'_, T>, usize) {
+    fn rounds(&self) -> usize {
+        self.0.rounds()
+    }
     fn is_complete(&self) -> bool {
         self.0.is_complete()
-    }
-    fn has_reached(&self, v: VertexId) -> bool {
-        self.0.has_reached(v)
     }
     fn reached_count(&self) -> usize {
         self.0.reached_count()
     }
-    fn rounds(&self) -> usize {
-        self.0.rounds()
+    fn has_reached(&self, v: VertexId) -> bool {
+        self.0.has_reached(v)
     }
     fn transmissions(&self) -> u64 {
         self.0.transmissions()
@@ -34,6 +34,9 @@ impl<T: Topology + Sync> RoundState<T> for (&mut ShardedState<'_, T>, usize) {
     fn shard_traffic(&self) -> &[u64] {
         self.0.last_outbox_traffic()
     }
+}
+
+impl<T: Topology + Sync> RoundState<T> for (&mut ShardedState<'_, T>, usize) {
     fn step(&mut self) {
         self.0.step(self.1)
     }
@@ -41,9 +44,8 @@ impl<T: Topology + Sync> RoundState<T> for (&mut ShardedState<'_, T>, usize) {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{Engine, StopWhen, TrialOutcome, TrialState};
+    use crate::engine::{Completion, Engine, StopWhen, TrialOutcome, TrialState};
     use cobra_graph::{generators, Graph};
-    use cobra_obs::NoProbe;
     use cobra_process::{ProcessSpec, StepCtx};
 
     /// A sharded state for `spec` on `g`, started at vertex 0.
@@ -67,8 +69,14 @@ mod tests {
         seed: u64,
     ) -> Vec<TrialOutcome> {
         let mut out = Vec::new();
-        Engine::new(trials, seed, 100_000)
-            .run_sequential(s, StopWhen::Complete, None, None, |o| out.push(o));
+        Engine::new(trials, seed, 100_000).run_sequential(
+            s,
+            StopWhen::Complete,
+            None,
+            None,
+            |_| Completion,
+            |o| out.push(o),
+        );
         out
     }
 
@@ -90,11 +98,11 @@ mod tests {
         let g = generators::path(64);
         let mut ctx = StepCtx::new();
         let mut s = sharded(&g, "cobra:b2", 2, 1, &mut ctx);
-        let o = s.run_trial(7, StopWhen::Complete, 3, &mut NoProbe);
+        let o = s.run_trial(7, StopWhen::Complete, 3, Completion);
         assert_eq!(o.rounds, None);
         assert_eq!(o.executed, 3);
         // AtCap runs to the cap exactly and never completes.
-        let o = s.run_trial(7, StopWhen::AtCap, 5, &mut NoProbe);
+        let o = s.run_trial(7, StopWhen::AtCap, 5, Completion);
         assert_eq!(o.rounds, None);
         assert_eq!(o.executed, 5);
     }
@@ -104,11 +112,11 @@ mod tests {
         let g = generators::cycle(24);
         let mut ctx = StepCtx::new();
         let mut s = sharded(&g, "cobra:b2", 3, 1, &mut ctx);
-        let o = s.run_trial(11, StopWhen::Reached(12), 100_000, &mut NoProbe);
+        let o = s.run_trial(11, StopWhen::Reached(12), 100_000, Completion);
         assert!(o.rounds.expect("must hit") >= 12, "beat the distance bound");
-        let o = s.run_trial(11, StopWhen::Reached(0), 100_000, &mut NoProbe);
+        let o = s.run_trial(11, StopWhen::Reached(0), 100_000, Completion);
         assert_eq!(o.rounds, Some(0), "start vertex hits instantly");
-        let o = s.run_trial(11, StopWhen::ReachedCount(1), 100_000, &mut NoProbe);
+        let o = s.run_trial(11, StopWhen::ReachedCount(1), 100_000, Completion);
         assert_eq!(o.rounds, Some(0));
     }
 

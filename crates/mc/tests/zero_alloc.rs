@@ -1,12 +1,12 @@
-//! Regression: the engine's `NoProbe` trial loop allocates nothing.
+//! Regression: the engine's untraced trial loop allocates nothing.
 //!
-//! `run_trial` is `run_trial_probed` under the default [`NoProbe`],
-//! whose `ENABLED = false` makes every `if Pr::ENABLED` block compile
-//! away — the telemetry layer must be invisible when off, in time *and*
-//! in allocation. This installs a counting global allocator (the same
-//! pattern as `cobra-process`'s `zero_alloc` suite), warms a state +
-//! context with one full trial through the engine, then replays the
-//! identical trial and asserts the counter does not move.
+//! An untraced `run_trial` runs only the caller's observer (here
+//! [`Completion`], whose per-round hook is empty), with no telemetry
+//! observer around it — the telemetry layer must be invisible when off,
+//! in time *and* in allocation. This installs a counting global
+//! allocator (the same pattern as `cobra-process`'s `zero_alloc` suite),
+//! warms a state + context with one full trial through the engine, then
+//! replays the identical trial and asserts the counter does not move.
 //!
 //! The file contains a single #[test] so no concurrent test can touch
 //! the global counter.
@@ -78,8 +78,8 @@ fn noprobe_engine_trials_are_allocation_free() {
     assert!(warm.rounds.is_some(), "warm-up trial covers");
 
     // Replay the identical trial through the engine loop: the stop
-    // checks, the NoProbe hooks, and the observer must all add zero
-    // allocations on top of the (already allocation-free) kernel.
+    // checks and the observer hooks must add zero allocations on top of
+    // the (already allocation-free) kernel.
     cobra.reset(&g, &[0]);
     ctx.reseed(7);
     let before = allocs();
@@ -94,7 +94,7 @@ fn noprobe_engine_trials_are_allocation_free() {
     assert_eq!(replay, warm, "replay diverged from warm-up");
     assert_eq!(
         delta, 0,
-        "steady-state NoProbe engine trial performed {delta} heap allocations"
+        "steady-state untraced engine trial performed {delta} heap allocations"
     );
 
     // A fresh seed stays allocation-free too (capacity is seeded by the

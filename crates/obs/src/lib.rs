@@ -1,45 +1,44 @@
-//! Telemetry for the COBRA stack: per-round probes, phase timers,
-//! trace sinks, and a metrics registry — always compiled, zero-cost
-//! when off.
+//! Telemetry for the COBRA stack: per-round records, phase timers,
+//! trace sinks, and a metrics registry — always compiled, free when
+//! off.
 //!
 //! The paper's cover-time story is really a story about frontier
 //! dynamics: how fast the COBRA frontier grows and how much coalescing
 //! eats the branching factor each round. This crate gives the engine
 //! eyes on those quantities without taxing the measurement path:
 //!
-//! - [`Probe`] is the monomorphized observation hook the trial loop
-//!   (`cobra_mc::run_trial_probed`, which the sharded engine shares) is
-//!   generic over. The default [`NoProbe`] sets `ENABLED = false`, so
-//!   every instrumentation block (`if Pr::ENABLED { .. }`) compiles to
-//!   nothing — the probes-off path is instruction-for-instruction the
-//!   uninstrumented loop, which is what keeps the golden bit-identity
-//!   and zero-allocation regressions trivially true.
-//! - **The probe contract is observe-only.** Probes run *after*
-//!   `step()` returns and compute every [`RoundRecord`] field from
-//!   [`ProcessView`]-style deltas; they never draw from the trial RNG
-//!   and never mutate process state, so the RNG stream — and therefore
-//!   every per-trial outcome — is identical with probes off and on.
+//! - [`RoundRecord`] and [`TrialTotals`] are what one round and one
+//!   trial look like from outside. The engine's one per-round hook, the
+//!   `cobra_mc::Observer`, builds them: a traced run wraps its observer
+//!   in an engine-private telemetry observer that keeps the previous
+//!   round's totals and hands each record to a [`RoundSink`]. An
+//!   untraced run attaches nothing, so its loop is the plain one — which
+//!   keeps the golden bit-identity and zero-allocation regressions true.
+//! - **The observer contract is observe-only.** Observers run *after*
+//!   `step()` returns and read the trial through a read-only view; they
+//!   never draw from the trial RNG and never mutate process state, so
+//!   the RNG stream — and therefore every per-trial outcome — is
+//!   identical with telemetry off and on.
 //! - [`RoundSink`] is the object-safe delivery side: [`TraceWriter`]
 //!   streams exact-round-trip JSONL (with `every=N` subsampling so
 //!   hypercube:20 traces stay bounded), [`MemorySink`] buffers records
 //!   for tests, [`RegistrySink`] folds them into a [`MetricsRegistry`].
 //! - [`PhaseTimers`] + [`PhaseClock`] split rounds into phases (draw /
 //!   gather / coalesce unsharded; shard-gather / exchange / commit
-//!   sharded) recorded into hand-rolled [`Log2Histogram`]s — no
+//!   sharded) and keep a lap count and a nanosecond sum per phase.
+//!   [`Log2Histogram`] is the registry's hand-rolled histogram — no
 //!   external histogram dependency.
 //! - [`status`] writes whole status lines in one `write` call each so
 //!   concurrent writers cannot interleave partial lines.
 //!
-//! `ProcessView` lives upstream in `cobra-process`; this crate is a
-//! leaf (it depends only on `cobra-util` for JSON) so every layer of
-//! the stack can use it.
+//! This crate is a leaf (it depends only on `cobra-util` for JSON) so
+//! every layer of the stack can use it.
 //!
 //! ```
-//! use cobra_obs::{MemorySink, Probe, RoundRecord, RoundSink, SinkProbe};
+//! use cobra_obs::{MemorySink, RoundRecord, RoundSink};
 //!
 //! let mut sink = MemorySink::default();
-//! let mut probe = SinkProbe::new(0, &mut sink);
-//! probe.on_round(&RoundRecord {
+//! sink.on_round(0, &RoundRecord {
 //!     round: 1,
 //!     frontier: 2,
 //!     new_covered: 2,
@@ -52,18 +51,15 @@
 //! assert_eq!(sink.rounds.len(), 1);
 //! assert_eq!(sink.rounds[0].coalesced, 2);
 //! ```
-//!
-//! [`ProcessView`]: https://docs.rs/cobra-process
 
 pub mod metrics;
-pub mod probe;
 pub mod sink;
 pub mod status;
 pub mod timer;
 
 pub use metrics::{MetricsRegistry, SharedRegistry};
-pub use probe::{NoProbe, Probe, RoundRecord, TrialTotals};
 pub use sink::{
-    MemorySink, NullSink, RecordedRound, RegistrySink, RoundSink, SinkProbe, TraceWriter,
+    MemorySink, NullSink, RecordedRound, RegistrySink, RoundRecord, RoundSink, TraceWriter,
+    TrialTotals,
 };
 pub use timer::{Log2Histogram, Phase, PhaseClock, PhaseTimers, PHASES};

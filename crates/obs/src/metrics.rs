@@ -11,12 +11,10 @@
 //! [`SharedRegistry`] — a mutex around the same registry, paying for
 //! synchronization only where a service actually needs it.
 
-use crate::timer::{Phase, PhaseTimers};
+use crate::timer::Log2Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-
-use crate::timer::Log2Histogram;
 
 /// Named counters, gauges, and log2-bucket histograms.
 #[derive(Debug, Clone, Default)]
@@ -55,18 +53,6 @@ impl MetricsRegistry {
     /// Current value of gauge `name`, if set.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
-    }
-
-    /// Merge each non-empty phase histogram of `timers` into
-    /// `"<prefix>.<phase>_ns"`.
-    pub fn record_timers(&mut self, prefix: &str, timers: &PhaseTimers) {
-        for phase in Phase::ALL {
-            let h = timers.histogram(phase);
-            if !h.is_empty() {
-                self.histogram(&format!("{prefix}.{}_ns", phase.name()))
-                    .merge(h);
-            }
-        }
     }
 
     /// True when nothing has been recorded.
@@ -200,20 +186,6 @@ mod tests {
         assert!(
             text.contains("hist    http.latency_ns: count=400"),
             "{text}"
-        );
-    }
-
-    #[test]
-    fn record_timers_namespaces_phases() {
-        let mut t = PhaseTimers::new();
-        t.record(Phase::Exchange, 1000);
-        let mut m = MetricsRegistry::new();
-        m.record_timers("phase", &t);
-        let text = m.render();
-        assert!(text.contains("phase.exchange_ns"), "{text}");
-        assert!(
-            !text.contains("phase.draw_ns"),
-            "empty phases skipped: {text}"
         );
     }
 }

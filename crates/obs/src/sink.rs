@@ -1,18 +1,62 @@
-//! Delivery side of the probe layer: object-safe sinks and the probe
-//! adapter that feeds them.
+//! Delivery side of telemetry: the per-round and per-trial records and
+//! the object-safe sinks that receive them.
 //!
-//! The engine monomorphizes over [`Probe`]; a *sink* is the dynamic,
-//! per-run destination behind it. [`SinkProbe`] is the bridge: an
-//! `ENABLED = true` probe holding `&mut dyn RoundSink`, so one traced
-//! code path serves files, memory buffers, and metric registries alike.
+//! The engine's telemetry observer builds a [`RoundRecord`] after each
+//! round and a [`TrialTotals`] at each trial's end and hands them to a
+//! `&mut dyn RoundSink`, so one traced code path serves files, memory
+//! buffers, and metric registries alike.
 
 use crate::metrics::MetricsRegistry;
-use crate::probe::{Probe, RoundRecord, TrialTotals};
 use crate::timer::Phase;
 use cobra_util::json::{obj, Json};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+
+/// One executed round, observed immediately after `step()` returned.
+///
+/// All quantities are *post-round*; the per-round deltas are taken
+/// against the totals the observer kept after the previous round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoundRecord<'a> {
+    /// 1-based index of the round that just executed.
+    pub round: usize,
+    /// Frontier size after the round (the active set for COBRA, the
+    /// walker or live-particle count for the walk families; falls back
+    /// to the reached count for processes without a distinct frontier).
+    pub frontier: usize,
+    /// Vertices covered for the first time during this round.
+    pub new_covered: usize,
+    /// Total vertices reached after the round.
+    pub reached: usize,
+    /// Transmissions performed during this round.
+    pub transmissions: u64,
+    /// Cumulative transmissions after the round.
+    pub total_transmissions: u64,
+    /// Picks that coalesced this round: transmissions that landed on a
+    /// destination another pick already claimed
+    /// (`transmissions − |frontier after|`, saturating).
+    pub coalesced: u64,
+    /// Inbound cross-shard exchange traffic per shard (vertex ids
+    /// received at the barrier). Empty for unsharded execution.
+    pub shard_traffic: &'a [u64],
+}
+
+/// Final totals of one trial — the engine's per-trial outcome
+/// (`cobra_mc::TrialOutcome` is this type).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrialTotals {
+    /// Rounds until the stop condition held, or `None` if the cap
+    /// censored the trial (always `None` for a fixed-horizon run: there
+    /// is nothing to complete).
+    pub rounds: Option<usize>,
+    /// Rounds actually executed (equals the cap when censored).
+    pub executed: usize,
+    /// Vertices reached when the trial ended.
+    pub reached: usize,
+    /// Total transmissions performed.
+    pub transmissions: u64,
+}
 
 /// Object-safe receiver of per-round records and per-trial totals.
 ///
@@ -29,35 +73,6 @@ pub trait RoundSink {
     /// trial). Only called when phase timing is enabled; defaults to a
     /// no-op.
     fn on_trial_phases(&mut self, _trial: usize, _phase_nanos: &[(Phase, u64)]) {}
-}
-
-/// Probe adapter delivering records of one trial to a dynamic sink.
-///
-/// `ENABLED = true`: the engine computes full [`RoundRecord`]s and this
-/// adapter stamps them with the trial index. Constructed per trial;
-/// tracing therefore runs trials sequentially (one `&mut` sink).
-pub struct SinkProbe<'a> {
-    trial: usize,
-    sink: &'a mut dyn RoundSink,
-}
-
-impl<'a> SinkProbe<'a> {
-    /// A probe feeding `sink`, stamping records with `trial`.
-    pub fn new(trial: usize, sink: &'a mut dyn RoundSink) -> Self {
-        SinkProbe { trial, sink }
-    }
-}
-
-impl Probe for SinkProbe<'_> {
-    const ENABLED: bool = true;
-
-    fn on_round(&mut self, record: &RoundRecord<'_>) {
-        self.sink.on_round(self.trial, record);
-    }
-
-    fn on_trial_end(&mut self, totals: &TrialTotals) {
-        self.sink.on_trial_end(self.trial, totals);
-    }
 }
 
 /// Sink that drops everything (placeholder when only totals matter).
@@ -238,21 +253,9 @@ impl<W: Write> RoundSink for TraceWriter<W> {
             ("trial", Json::Int(trial as i128)),
         ];
         for &(phase, nanos) in phase_nanos {
-            fields.push((phase_ns_key(phase), Json::Int(nanos as i128)));
+            fields.push((phase.ns_key(), Json::Int(nanos as i128)));
         }
         self.emit(&obj(fields));
-    }
-}
-
-/// `&'static str` key for a phase's nanosecond field.
-fn phase_ns_key(phase: Phase) -> &'static str {
-    match phase {
-        Phase::Draw => "draw_ns",
-        Phase::Gather => "gather_ns",
-        Phase::Coalesce => "coalesce_ns",
-        Phase::ShardGather => "shard_gather_ns",
-        Phase::Exchange => "exchange_ns",
-        Phase::Commit => "commit_ns",
     }
 }
 
@@ -307,7 +310,7 @@ impl RoundSink for RegistrySink<'_> {
 
     fn on_trial_phases(&mut self, trial: usize, phase_nanos: &[(Phase, u64)]) {
         for &(phase, nanos) in phase_nanos {
-            self.registry.histogram(phase_ns_key(phase)).record(nanos);
+            self.registry.histogram(phase.ns_key()).record(nanos);
         }
         self.inner.on_trial_phases(trial, phase_nanos);
     }
@@ -369,18 +372,18 @@ mod tests {
     }
 
     #[test]
-    fn sink_probe_stamps_trials_and_memory_sink_buffers() {
+    fn memory_sink_stamps_trials_and_buffers() {
         let mut sink = MemorySink::default();
-        {
-            let mut probe = SinkProbe::new(3, &mut sink);
-            probe.on_round(&record(1));
-            probe.on_trial_end(&TrialTotals {
+        sink.on_round(3, &record(1));
+        sink.on_trial_end(
+            3,
+            &TrialTotals {
                 rounds: None,
                 executed: 9,
                 reached: 3,
                 transmissions: 36,
-            });
-        }
+            },
+        );
         assert_eq!(sink.rounds.len(), 1);
         assert_eq!(sink.rounds[0].trial, 3);
         assert_eq!(

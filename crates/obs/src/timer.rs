@@ -1,9 +1,9 @@
-//! Phase timers: hand-rolled log2-bucket histograms over nanoseconds.
+//! Phase timers (a lap count and a nanosecond sum per phase) and the
+//! hand-rolled log2-bucket histogram the metrics registry keeps.
 //!
 //! The build environment is offline, so there is no external histogram
 //! crate; [`Log2Histogram`] is 65 fixed buckets (`[u64; 65]`) plus
-//! count/sum/min/max — `Clone` + `Debug` so it can ride inside
-//! `StepCtx` scratch state.
+//! count/sum/min/max.
 
 use std::time::Instant;
 
@@ -49,20 +49,17 @@ impl Phase {
         Phase::Commit,
     ];
 
-    /// Stable snake_case name used in traces and metric keys.
-    pub fn name(self) -> &'static str {
+    /// Stable key of the phase's nanosecond field in traces and metric
+    /// names (`draw_ns`, …).
+    pub fn ns_key(self) -> &'static str {
         match self {
-            Phase::Draw => "draw",
-            Phase::Gather => "gather",
-            Phase::Coalesce => "coalesce",
-            Phase::ShardGather => "shard_gather",
-            Phase::Exchange => "exchange",
-            Phase::Commit => "commit",
+            Phase::Draw => "draw_ns",
+            Phase::Gather => "gather_ns",
+            Phase::Coalesce => "coalesce_ns",
+            Phase::ShardGather => "shard_gather_ns",
+            Phase::Exchange => "exchange_ns",
+            Phase::Commit => "commit_ns",
         }
-    }
-
-    fn index(self) -> usize {
-        self as usize
     }
 }
 
@@ -117,11 +114,6 @@ impl Log2Histogram {
         self.count
     }
 
-    /// Sum of all recorded samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Smallest recorded sample (0 when empty).
     pub fn min(&self) -> u64 {
         if self.count == 0 {
@@ -139,11 +131,6 @@ impl Log2Histogram {
     /// Arithmetic mean of recorded samples (0 when empty).
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Lower bound of the bucket holding the `q`-quantile sample,
@@ -166,15 +153,6 @@ impl Log2Histogram {
         self.max
     }
 
-    /// Non-empty buckets as `(lower_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << (i - 1) }, c))
-    }
-
     /// Fold another histogram into this one.
     pub fn merge(&mut self, other: &Log2Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -189,13 +167,14 @@ impl Log2Histogram {
     }
 }
 
-/// One [`Log2Histogram`] of nanosecond laps per [`Phase`].
+/// Lap count and nanosecond sum per [`Phase`].
 ///
 /// `Clone` + `Debug` because it travels inside `StepCtx` (which derives
 /// both); a boxed `Option` there keeps the uninstrumented context small.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseTimers {
-    hists: [Log2Histogram; PHASES],
+    laps: [u64; PHASES],
+    nanos: [u64; PHASES],
 }
 
 impl PhaseTimers {
@@ -206,32 +185,31 @@ impl PhaseTimers {
 
     /// Record one lap of `phase`, in nanoseconds.
     pub fn record(&mut self, phase: Phase, nanos: u64) {
-        self.hists[phase.index()].record(nanos);
+        let i = phase as usize;
+        self.laps[i] += 1;
+        self.nanos[i] = self.nanos[i].saturating_add(nanos);
     }
 
-    /// The histogram for one phase.
-    pub fn histogram(&self, phase: Phase) -> &Log2Histogram {
-        &self.hists[phase.index()]
+    /// Laps recorded for one phase.
+    pub fn laps(&self, phase: Phase) -> u64 {
+        self.laps[phase as usize]
     }
 
     /// Total recorded nanoseconds per phase, indexed like [`Phase::ALL`].
     pub fn sums(&self) -> [u64; PHASES] {
-        let mut out = [0u64; PHASES];
-        for (o, h) in out.iter_mut().zip(self.hists.iter()) {
-            *o = h.sum();
-        }
-        out
+        self.nanos
     }
 
-    /// True if no phase has any samples.
+    /// True if no phase has any laps.
     pub fn is_empty(&self) -> bool {
-        self.hists.iter().all(Log2Histogram::is_empty)
+        self.laps.iter().all(|&n| n == 0)
     }
 
     /// Fold another set of timers into this one.
     pub fn merge(&mut self, other: &PhaseTimers) {
-        for (h, o) in self.hists.iter_mut().zip(other.hists.iter()) {
-            h.merge(o);
+        for i in 0..PHASES {
+            self.laps[i] += other.laps[i];
+            self.nanos[i] = self.nanos[i].saturating_add(other.nanos[i]);
         }
     }
 }
@@ -278,21 +256,12 @@ mod tests {
         assert_eq!(h.count(), 10);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), u64::MAX);
-        let buckets: Vec<(u64, u64)> = h.nonzero_buckets().collect();
+        // The k-th sample's bucket, read back as a quantile of rank k:
         // 0 | 1 | [2,4) ×2 | [4,8) ×2 | [8,16) | [512,1024) | [1024,2048) | top
-        assert_eq!(
-            buckets,
-            vec![
-                (0, 1),
-                (1, 1),
-                (2, 2),
-                (4, 2),
-                (8, 1),
-                (512, 1),
-                (1024, 1),
-                (1u64 << 63, 1),
-            ]
-        );
+        let buckets: Vec<u64> = (1..=10u32)
+            .map(|k| h.approx_quantile(f64::from(2 * k - 1) / 20.0))
+            .collect();
+        assert_eq!(buckets, vec![0, 1, 2, 2, 4, 4, 8, 512, 1024, 1u64 << 63]);
     }
 
     #[test]
@@ -333,7 +302,7 @@ mod tests {
         t.record(Phase::Draw, 100);
         t.record(Phase::Draw, 50);
         t.record(Phase::Commit, 7);
-        assert_eq!(t.histogram(Phase::Draw).count(), 2);
+        assert_eq!(t.laps(Phase::Draw), 2);
         let sums = t.sums();
         assert_eq!(sums[0], 150);
         assert_eq!(sums[5], 7);
@@ -350,8 +319,8 @@ mod tests {
         clock.lap(Phase::Exchange);
         clock.lap(Phase::Commit);
         for p in [Phase::ShardGather, Phase::Exchange, Phase::Commit] {
-            assert_eq!(t.histogram(p).count(), 1, "phase {} missing", p.name());
+            assert_eq!(t.laps(p), 1, "phase {} missing", p.ns_key());
         }
-        assert_eq!(t.histogram(Phase::Draw).count(), 0);
+        assert_eq!(t.laps(Phase::Draw), 0);
     }
 }

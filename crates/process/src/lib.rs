@@ -28,8 +28,8 @@
 //! * **State** — a long-lived [`ProcessState`]: `reset(g, start)`
 //!   restores round 0 without reallocating, `step(&mut StepCtx)`
 //!   advances one round drawing randomness and scratch buffers from the
-//!   per-worker [`StepCtx`]. Observers and stop conditions read through
-//!   the object-safe [`ProcessView`] surface.
+//!   per-worker [`StepCtx`]. The engine's stop conditions and observers
+//!   read through the object-safe [`ProcessView`] surface.
 //!
 //! The Monte-Carlo engine in `cobra-mc` monomorphizes its trial loop
 //! over `P: ProcessState`; [`ProcessSpec::build`] returns the

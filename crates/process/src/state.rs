@@ -39,10 +39,11 @@ use cobra_util::BitSet;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// The read surface of a running process: what observers and stop
-/// conditions may inspect. Object-safe and lifetime-free, so the
-/// Monte-Carlo engine's hooks take `&dyn ProcessView` regardless of the
-/// concrete process the (monomorphized) trial loop drives.
+/// The read surface of a running process: what the Monte-Carlo
+/// engine's stop conditions and observers inspect (the engine's
+/// `RoundView` of an unsharded trial reads through it). Object-safe and
+/// lifetime-free, so it serves every concrete process the
+/// (monomorphized) trial loop drives.
 pub trait ProcessView {
     /// Rounds executed so far.
     fn rounds(&self) -> usize;

@@ -247,7 +247,7 @@ mod tests {
                 }
                 if let Some(timers) = &wx.timers {
                     for phase in [Phase::Draw, Phase::Gather, Phase::Coalesce] {
-                        assert_eq!(timers.histogram(phase).count(), 400, "{phase:?}");
+                        assert_eq!(timers.laps(phase), 400, "{phase:?}");
                     }
                 }
             }

@@ -41,7 +41,7 @@ pub mod prelude {
     pub use cobra_graph::{
         generators, props, Backend, BuiltTopology, Graph, GraphShape, GraphSpec, Topology, VertexId,
     };
-    pub use cobra_mc::{Engine, Observer, StopWhen};
+    pub use cobra_mc::{Engine, Observer, RoundView, StopWhen};
     pub use cobra_process::{ProcessSpec, ProcessState, ProcessView, StepCtx};
     pub use cobra_util::BitSet;
 }

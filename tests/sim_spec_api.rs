@@ -196,12 +196,12 @@ fn custom_observer_runs_through_the_engine() {
     }
     impl Observer for BigFrontier {
         type Output = usize;
-        fn on_round(&mut self, p: &dyn ProcessView) {
-            if p.reached_count() * 2 > self.n {
+        fn on_round(&mut self, view: &dyn RoundView) {
+            if view.reached_count() * 2 > self.n {
                 self.hits += 1;
             }
         }
-        fn finish(self, _outcome: cobra_mc::TrialOutcome, _p: &dyn ProcessView) -> usize {
+        fn finish(self, _outcome: cobra_mc::TrialOutcome, _view: &dyn RoundView) -> usize {
             self.hits
         }
     }
