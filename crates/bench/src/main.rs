@@ -456,6 +456,8 @@ fn print_resolved_run(spec: &SimSpec<'_>, graph: &str, process: &str) -> Result<
         resolved.cap,
         if resolved.explicit_cap {
             "explicit"
+        } else if matches!(spec.objective, cobra::Objective::Trajectory) {
+            "trajectory default, 4n"
         } else {
             "derived from the paper's bounds"
         }

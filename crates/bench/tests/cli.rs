@@ -219,6 +219,33 @@ fn run_tables_are_pinned() {
 }
 
 #[test]
+fn trajectory_dry_run_reports_the_stop_and_budget_it_runs() {
+    // Cumulative processes stop at cover and pad; BIPS runs to the cap.
+    for (process, stop) in [("cobra:b2", "Complete"), ("bips:b2", "AtCap")] {
+        let out = cobra_exps(&[
+            "run",
+            "--process",
+            process,
+            "--graph",
+            "hypercube:6",
+            "--objective",
+            "trajectory",
+            "--dry-run",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{process}");
+        let stdout = text(&out.stdout);
+        assert!(
+            stdout.contains(&format!("  stop when: {stop}\n")),
+            "{stdout}"
+        );
+        assert!(
+            stdout.contains("  cap:       256 rounds/trial (trajectory default, 4n)\n"),
+            "{stdout}"
+        );
+    }
+}
+
+#[test]
 fn single_particle_cobra_tables_are_pinned() {
     // Recorded on the batched COBRA kernel; single-start `cobra:b1` now
     // runs on the random-walk kernel and must print the same tables.

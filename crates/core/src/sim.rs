@@ -51,7 +51,7 @@
 //! | `hit:V` / `hit:far` | `Reached(v)` (far = BFS-farthest from the start set) | `Completion` | `StoppingAccumulator` |
 //! | `infection:T` | `ReachedCount(⌈T·n⌉)` (`T = 1` ⇒ `Complete`) | `Completion` | `StoppingAccumulator` |
 //! | `duality:h{..}` | `AtCap` at the max horizon (both sides) | horizon-disjointness observer | per-horizon two-proportion z |
-//! | `trajectory` | `AtCap` | [`Trajectory`] (pre-reserved to the cap) | running per-round mean |
+//! | `trajectory` | `AtCap` (BIPS), else `Complete`, curve padded to the cap | [`Trajectory`] (pre-reserved to the cap) | running per-round mean |
 //!
 //! Every objective folds its trials in trial order as they finish: the
 //! stopping objectives through [`StoppingAccumulator`], duality through
@@ -491,21 +491,23 @@ impl<'g> SimSpec<'g> {
                 )))
             }
             Objective::Trajectory => {
-                // A full derived cap makes an absurdly long curve; default
-                // to something trajectory-sized instead.
-                let rounds = self.cap.unwrap_or(4 * g.n().max(2));
+                let (stop, rounds) = self.trajectory_plan(g);
                 // Entry `t` is the mean reached count after `t` rounds,
-                // summed in trial order.
+                // summed in trial order. A run stopped at cover pads its
+                // curve with its last value: the sums a run to the cap
+                // would add, in the same order.
                 let mut sums = vec![0.0; rounds + 1];
                 let add = |sizes: Vec<usize>| {
-                    for (sum, size) in sums.iter_mut().zip(sizes) {
+                    let last = *sizes.last().expect("round 0 is always recorded");
+                    let padded = sizes.iter().chain(std::iter::repeat(&last));
+                    for (sum, &size) in sums.iter_mut().zip(padded) {
                         *sum += size as f64;
                     }
                 };
                 let engine =
                     Engine::new(self.trials, self.master_seed, rounds).with_threads(self.threads);
                 let observer = |_| Trajectory::with_capacity(rounds);
-                self.run_trials(g, engine, StopWhen::AtCap, None, observer, add);
+                self.run_trials(g, engine, stop, None, observer, add);
                 let trials = self.trials.max(1) as f64;
                 Ok(Measurement::Trajectory(TrajectoryEstimate {
                     mean_sizes: sums.into_iter().map(|sum| sum / trials).collect(),
@@ -513,6 +515,20 @@ impl<'g> SimSpec<'g> {
                 }))
             }
         }
+    }
+
+    /// The `trajectory` objective's stop condition and round budget.
+    fn trajectory_plan<T: Topology>(&self, g: &T) -> (StopWhen, usize) {
+        // A full derived cap makes an absurdly long curve; default to
+        // something trajectory-sized instead.
+        let rounds = self.cap.unwrap_or(4 * g.n().max(2));
+        // Every process but BIPS has a cumulative reached set, so its
+        // curve stays at `n` once covered: stop it there.
+        let stop = match self.process {
+            ProcessSpec::Bips { .. } => StopWhen::AtCap,
+            _ => StopWhen::Complete,
+        };
+        (stop, rounds)
     }
 
     /// [`SimSpec::measure`] with telemetry attached: every executed
@@ -569,17 +585,22 @@ impl<'g> SimSpec<'g> {
         let topo = self.topology()?;
         with_topology!(&topo, |g| {
             self.check(g)?;
-            let stop = self
-                .objective
-                .stop_when(g, &self.start)
-                .map_err(SimError::Invalid)?;
+            let (stop, cap) = match self.objective {
+                Objective::Trajectory => self.trajectory_plan(g),
+                _ => (
+                    self.objective
+                        .stop_when(g, &self.start)
+                        .map_err(SimError::Invalid)?,
+                    resolve_cap(g, &self.process, self.cap),
+                ),
+            };
             Ok(ResolvedRun {
                 n: g.n(),
                 m: g.m(),
                 backend: topo.backend_name(),
                 graph_bytes: g.memory_bytes(),
                 stop,
-                cap: resolve_cap(g, &self.process, self.cap),
+                cap,
                 explicit_cap: self.cap.is_some(),
                 shards: self.shards,
                 shard_state_bytes: self
@@ -1034,6 +1055,47 @@ mod tests {
             .collect();
         assert_eq!(traj.mean_sizes, by_hand);
         assert_eq!(traj.mean_sizes[0], 1.0);
+    }
+
+    #[test]
+    fn trajectories_stopped_at_cover_equal_the_curve_run_to_the_cap() {
+        // BIPS's infected set is not cumulative, so it alone still runs
+        // to the cap; the others stop at cover and pad.
+        let cases = [
+            ("cobra:b2", 1),
+            ("cobra:b2", 2),
+            ("rw", 1),
+            ("gossip:push", 1),
+            ("coalescing:4", 1),
+            ("bips:b2", 1),
+            ("bips:b2", 2),
+        ];
+        let cap = 300;
+        for (process, shards) in cases {
+            let spec = SimSpec::parse("hypercube:5", process)
+                .unwrap()
+                .with_trials(6)
+                .with_cap(cap)
+                .with_shards(shards)
+                .with_objective(Objective::Trajectory);
+            let traj = spec.measure().unwrap().into_trajectory().unwrap();
+            let curves = spec
+                .run_observed(StopWhen::AtCap, |_| Trajectory::with_capacity(cap))
+                .unwrap();
+            let mut at_cap = vec![0.0; cap + 1];
+            for curve in &curves {
+                assert_eq!(curve.len(), cap + 1, "{process}: AtCap runs to the cap");
+                for (sum, &size) in at_cap.iter_mut().zip(curve) {
+                    *sum += size as f64;
+                }
+            }
+            let at_cap: Vec<f64> = at_cap.into_iter().map(|sum| sum / 6.0).collect();
+            assert_eq!(traj.mean_sizes, at_cap, "{process} at shards={shards}");
+            assert_eq!(
+                traj.mean_sizes[cap], 32.0,
+                "{process}: every trial covers Q_5"
+            );
+        }
     }
 
     #[test]

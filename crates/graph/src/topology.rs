@@ -14,6 +14,17 @@
 //!   every size that covers in feasible time it is both small and
 //!   2–4× faster per pick than computing the neighbour.
 //!
+//! The hypercube's `neighbor(v, i)` is a bit select: flip the bit of
+//! the right rank among `v`'s set (or unset) bits. It has two arms that
+//! return the same vertex. Where the CPU has a fast BMI2 `pdep`, one
+//! `pdep` does the select; [`HypercubeTopo::new`] checks the CPU once
+//! and stores the answer. Everywhere else — non-x86 targets, x86 CPUs
+//! without BMI2, and AMD Zen 1/2 (family 17h, and Hygon's family 18h
+//! derivative), which run `pdep` in microcode at tens of cycles — a
+//! portable SWAR select does it. The SWAR arm stays because those hosts
+//! still run the hypercube, and it is the reference the `pdep` arm is
+//! tested against.
+//!
 //! # The contract
 //!
 //! For a fixed graph, every backend must agree **exactly**:
@@ -28,7 +39,8 @@
 //!   COBRA kernel reads `(base, degree)` once per active vertex and
 //!   resolves each pick token the moment it draws it; CSR backs the
 //!   tokens with flat-array indices (plus the software prefetch hooks),
-//!   implicit backends with an arithmetic encoding.
+//!   implicit backends with a division-free bit packing of `(v, i)`
+//!   (tokens need not be dense, only `base + i` for `i < degree`).
 //! * All methods are deterministic and `&self` — a topology can be
 //!   shared across worker threads freely.
 
@@ -279,16 +291,15 @@ impl Topology for CompleteTopo {
         }
     }
 
+    /// Token `(v << 32) | i`: `n ≤ u32::MAX` keeps `i` in the low word.
     #[inline]
     fn neighbor_range(&self, v: VertexId) -> (usize, usize) {
-        let deg = self.n - 1;
-        (v as usize * deg, deg)
+        ((v as usize) << 32, self.n - 1)
     }
 
     #[inline]
     fn resolve_pick(&self, pick: usize) -> VertexId {
-        let deg = self.n - 1;
-        self.neighbor((pick / deg) as VertexId, pick % deg)
+        self.neighbor((pick >> 32) as VertexId, pick & 0xffff_ffff)
     }
 
     fn max_degree(&self) -> usize {
@@ -304,11 +315,27 @@ impl Topology for CompleteTopo {
 ///
 /// `neighbor(v, i)` runs without data-dependent branches or loops: a
 /// sign mask picks the arm (clear one of `v`'s set bits, or set one of
-/// its unset bits — both are `v ^ (1 << pos)`), and `nth_set_bit`
-/// finds `pos` with SWAR byte counts and a select-in-byte table.
+/// its unset bits — both are `v ^ (1 << pos)`), and a select finds
+/// `pos`. The select has two arms, chosen once in [`HypercubeTopo::new`]:
+///
+/// * **`pdep`** — when the CPU has BMI2 and POPCNT and is not an AMD
+///   Zen 1/2 (or Hygon) part, one non-inlined
+///   `#[target_feature(enable = "bmi2,popcnt")]` call deposits the
+///   rank's bit into `v`'s mask (`pdep_select_is_fast`).
+/// * **SWAR** — everywhere else: per-byte popcounts, a multiply into
+///   prefix counts and a select-in-byte table (`nth_set_bit`). Zen 1/2
+///   run `pdep` in microcode, where it loses to this path.
+///
+/// Both arms return the same vertex, so the choice never moves a
+/// sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HypercubeTopo {
-    d: u32,
+    /// `u8` keeps the struct at two bytes with the arm flag.
+    d: u8,
+    /// `neighbor` takes the `pdep` arm; set only where
+    /// `pdep_select_is_fast` found BMI2 and POPCNT on this CPU.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pdep: bool,
 }
 
 impl HypercubeTopo {
@@ -318,12 +345,15 @@ impl HypercubeTopo {
             (1..31).contains(&d),
             "hypercube dimension out of supported range"
         );
-        HypercubeTopo { d }
+        HypercubeTopo {
+            d: d as u8,
+            pdep: host_has_fast_pdep(),
+        }
     }
 
     /// The dimension `d`.
     pub fn dimension(&self) -> u32 {
-        self.d
+        self.d.into()
     }
 }
 
@@ -369,6 +399,80 @@ fn nth_set_bit(v: u32, j: u32) -> u32 {
     8 * k + SELECT_IN_BYTE[byte as usize][((j - below) & 7) as usize] as u32
 }
 
+/// Whether this CPU runs the `pdep` select fast: BMI2 and POPCNT
+/// present, and not an AMD Zen 1/2 (or Hygon) part.
+fn host_has_fast_pdep() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::__cpuid;
+        let leaf0 = __cpuid(0);
+        let mut vendor = [0u8; 12];
+        for (chunk, reg) in vendor.chunks_mut(4).zip([leaf0.ebx, leaf0.edx, leaf0.ecx]) {
+            chunk.copy_from_slice(&reg.to_le_bytes());
+        }
+        pdep_select_is_fast(
+            &vendor,
+            display_family(__cpuid(1).eax),
+            is_x86_feature_detected!("bmi2"),
+            is_x86_feature_detected!("popcnt"),
+        )
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The display family of a CPUID leaf-1 `eax` signature: the base
+/// family, plus the extended family when the base reads 0xf.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn display_family(eax: u32) -> u32 {
+    let base = (eax >> 8) & 0xf;
+    if base == 0xf {
+        base + ((eax >> 20) & 0xff)
+    } else {
+        base
+    }
+}
+
+/// The CPU check behind [`HypercubeTopo`]'s `pdep` arm, as a pure
+/// function of the CPUID vendor string, the display family and the two
+/// feature bits. AMD family 17h (Zen 1/2) and its Hygon derivative
+/// (family 18h) implement `pdep` in microcode, with a latency that
+/// grows with the mask's popcount; Intel (Haswell on) and AMD family
+/// 19h on (Zen 3+) run it in 3 cycles.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn pdep_select_is_fast(vendor: &[u8; 12], family: u32, bmi2: bool, popcnt: bool) -> bool {
+    let microcoded = matches!(
+        (vendor, family),
+        (b"AuthenticAMD", 0x17) | (b"HygonGenuine", 0x18)
+    );
+    bmi2 && popcnt && !microcoded
+}
+
+/// `neighbor(v, i)` of the hypercube on the BMI2 select: `_pdep_u32(1
+/// << r, mask)` is the `r`-th set bit of `mask`, with the same sign-mask
+/// arm choice as the SWAR path. Callers must have found BMI2 and POPCNT
+/// on the running CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2,popcnt")]
+fn neighbor_pdep(v: u32, i: u32) -> u32 {
+    let rank = v.count_ones().wrapping_sub(1).wrapping_sub(i);
+    let flip = ((rank as i32) >> 31) as u32;
+    v ^ core::arch::x86_64::_pdep_u32(1 << (rank ^ flip), v ^ flip)
+}
+
+/// `neighbor(v, i)` of the hypercube on the portable SWAR select.
+#[inline]
+fn neighbor_swar(v: u32, i: u32) -> u32 {
+    // Sorted order lists the ids below `v` first: cleared set bits,
+    // highest bit first (rank `set − 1 − i` among the set bits of `v`);
+    // then the ids above: set unset bits, lowest first (rank `i − set`
+    // among the set bits of `!v`). `flip` is all ones exactly in the
+    // second case, and `!(set − 1 − i) == i − set`.
+    let rank = v.count_ones().wrapping_sub(1).wrapping_sub(i);
+    let flip = ((rank as i32) >> 31) as u32;
+    v ^ (1 << nth_set_bit(v ^ flip, rank ^ flip))
+}
+
 impl Topology for HypercubeTopo {
     #[inline]
     fn n(&self) -> usize {
@@ -388,26 +492,43 @@ impl Topology for HypercubeTopo {
     #[inline]
     fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
         debug_assert!(i < self.d as usize, "neighbor index {i} out of range");
-        // Sorted order lists the ids below `v` first: cleared set bits,
-        // highest bit first (rank `set − 1 − i` among the set bits of
-        // `v`); then the ids above: set unset bits, lowest first (rank
-        // `i − set` among the set bits of `!v`). `flip` is all ones
-        // exactly in the second case, and `!(set − 1 − i) == i − set`.
-        let rank = v.count_ones().wrapping_sub(1).wrapping_sub(i as u32);
-        let flip = ((rank as i32) >> 31) as u32;
-        v ^ (1 << nth_set_bit(v ^ flip, rank ^ flip))
+        #[cfg(target_arch = "x86_64")]
+        if self.pdep {
+            // SAFETY: `pdep` is true only when `new()` found BMI2 and
+            // POPCNT on this CPU (`host_has_fast_pdep`), the two
+            // features `neighbor_pdep` is compiled for.
+            return unsafe { neighbor_pdep(v, i as u32) };
+        }
+        neighbor_swar(v, i as u32)
     }
 
+    /// Token `(v << 5) | i`: `d ≤ 30` keeps `i` in the low five bits.
     #[inline]
     fn neighbor_range(&self, v: VertexId) -> (usize, usize) {
-        let deg = self.d as usize;
-        (v as usize * deg, deg)
+        ((v as usize) << 5, self.d as usize)
     }
 
     #[inline]
     fn resolve_pick(&self, pick: usize) -> VertexId {
-        let deg = self.d as usize;
-        self.neighbor((pick / deg) as VertexId, pick % deg)
+        self.neighbor((pick >> 5) as VertexId, pick & 31)
+    }
+
+    /// The sorted order without a select per neighbour: clear `v`'s set
+    /// bits from the highest down (the ids below `v`), then set its
+    /// unset bits below `d` from the lowest up (the ids above).
+    #[inline]
+    fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId)) {
+        let mut set = v;
+        while set != 0 {
+            let top = 1 << (31 - set.leading_zeros());
+            f(v ^ top);
+            set ^= top;
+        }
+        let mut unset = !v & ((1 << self.d) - 1);
+        while unset != 0 {
+            f(v | (unset & unset.wrapping_neg()));
+            unset &= unset - 1;
+        }
     }
 
     fn max_degree(&self) -> usize {
@@ -747,16 +868,122 @@ mod tests {
         }
     }
 
+    /// `Q_d` on every select arm this CPU can run: SWAR always, forced
+    /// through the private field, and `pdep` where BMI2 is present
+    /// (whether or not `new()` chose it).
+    fn select_arms(d: u32) -> Vec<HypercubeTopo> {
+        let swar = HypercubeTopo {
+            pdep: false,
+            ..HypercubeTopo::new(d)
+        };
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("bmi2") && is_x86_feature_detected!("popcnt") {
+            return vec![swar, HypercubeTopo { pdep: true, ..swar }];
+        }
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        NOTE.call_once(|| eprintln!("note: no BMI2 on this CPU; the pdep select arm is untested"));
+        vec![swar]
+    }
+
     /// Asserts `neighbor(v, i)` of `Q_d` equals the reference for every
-    /// `i < d`.
+    /// `i < d`, on every select arm.
     fn assert_hypercube_matches_loop(d: u32, v: u32) {
-        let q = HypercubeTopo::new(d);
-        for i in 0..d {
-            assert_eq!(
-                q.neighbor(v, i as usize),
-                hypercube_neighbor_loop(v, i),
-                "hypercube:{d}: neighbor({v:#x}, {i})"
-            );
+        for q in select_arms(d) {
+            for i in 0..d {
+                assert_eq!(
+                    q.neighbor(v, i as usize),
+                    hypercube_neighbor_loop(v, i),
+                    "hypercube:{d} ({q:?}): neighbor({v:#x}, {i})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn both_select_arms_match_loop_reference_on_every_16_bit_word() {
+        // Each word as a vertex of Q_16, and shifted into the top of
+        // Q_30, so the select meets every byte pattern in all four bytes.
+        let (q16, q30) = (select_arms(16), select_arms(30));
+        for w in 0..=u16::MAX as u32 {
+            for (arms, d, v) in [(&q16, 16, w), (&q30, 30, w << 14)] {
+                for i in 0..d {
+                    let want = hypercube_neighbor_loop(v, i);
+                    for q in arms {
+                        assert_eq!(
+                            q.neighbor(v, i as usize),
+                            want,
+                            "{q:?}: neighbor({v:#x}, {i})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pdep_check_admits_intel_and_zen3_and_excludes_zen1_and_zen2() {
+        let (intel, amd, hygon) = (b"GenuineIntel", b"AuthenticAMD", b"HygonGenuine");
+        // Intel (Haswell on is family 6) and AMD Zen 3+ (19h, 1Ah).
+        for (vendor, family) in [(intel, 6), (amd, 0x19), (amd, 0x1a)] {
+            assert!(pdep_select_is_fast(vendor, family, true, true));
+            assert!(!pdep_select_is_fast(vendor, family, false, true));
+            assert!(!pdep_select_is_fast(vendor, family, true, false));
+        }
+        // Zen 1/2 and its Hygon derivative run pdep in microcode.
+        assert!(!pdep_select_is_fast(amd, 0x17, true, true));
+        assert!(!pdep_select_is_fast(hygon, 0x18, true, true));
+        // Leaf-1 signatures: Skylake, Zen 2 (Rome), Zen 3 (Milan).
+        for (eax, family) in [(0x0005_06e3, 6), (0x0083_0f10, 0x17), (0x00a0_0f11, 0x19)] {
+            assert_eq!(display_family(eax), family, "{eax:#x}");
+        }
+    }
+
+    /// Asserts `for_each_neighbor(v)` lists `neighbor(v, 0..d)`.
+    fn assert_for_each_matches_neighbor(q: &HypercubeTopo, v: u32) {
+        let mut listed = Vec::with_capacity(q.d as usize);
+        q.for_each_neighbor(v, |w| listed.push(w));
+        let want: Vec<u32> = (0..q.d as usize).map(|i| q.neighbor(v, i)).collect();
+        assert_eq!(listed, want, "hypercube:{}: for_each_neighbor({v:#x})", q.d);
+    }
+
+    #[test]
+    fn hypercube_for_each_neighbor_matches_neighbor_on_all_of_q12() {
+        let q = HypercubeTopo::new(12);
+        for v in 0..1 << 12 {
+            assert_for_each_matches_neighbor(&q, v);
+        }
+    }
+
+    #[test]
+    fn pick_tokens_round_trip_on_both_implicit_backends() {
+        // Complete at the largest n: implicit, so nothing is allocated.
+        for n in [2, 3, 1000, u32::MAX as usize] {
+            let k = CompleteTopo::new(n);
+            let last = (n - 1) as VertexId;
+            for v in [0, 1 % n as VertexId, last / 2, last] {
+                let (base, deg) = k.neighbor_range(v);
+                assert_eq!(deg, n - 1);
+                for i in [0, 1 % deg, deg / 2, deg - 1] {
+                    assert_eq!(
+                        k.resolve_pick(base + i),
+                        k.neighbor(v, i),
+                        "complete:{n}: ({v}, {i})"
+                    );
+                }
+            }
+        }
+        for q in select_arms(30) {
+            for v in [0, 1, 0x2aaa_aaaa, (1 << 30) - 1] {
+                let (base, deg) = q.neighbor_range(v);
+                assert_eq!(deg, 30);
+                for i in 0..deg {
+                    assert_eq!(
+                        q.resolve_pick(base + i),
+                        q.neighbor(v, i),
+                        "{q:?}: ({v:#x}, {i})"
+                    );
+                }
+            }
         }
     }
 
@@ -800,6 +1027,11 @@ mod tests {
             for d in 1..=30u32 {
                 assert_hypercube_matches_loop(d, raw & ((1 << d) - 1));
             }
+        }
+
+        #[test]
+        fn hypercube_for_each_neighbor_matches_neighbor_on_q30(raw in any::<u32>()) {
+            assert_for_each_matches_neighbor(&HypercubeTopo::new(30), raw & ((1 << 30) - 1));
         }
 
         #[test]

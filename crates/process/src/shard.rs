@@ -494,9 +494,7 @@ fn cobra_gather<T: Topology>(
     } = slot;
     let base = range.start;
     // `neighbor(v, i)` is contractually `resolve_pick(neighbor_range(v).0
-    // + i)`, but skips the pick-token divide the implicit backends pay
-    // to invert a flat token — the single hottest instruction in the
-    // fused loop.
+    // + i)`, but skips packing and unpacking the pick token.
     match (branching, laziness) {
         (Branching::Fixed(b), Laziness::None) => {
             // The saturated-frontier fast path: walk the frontier words
