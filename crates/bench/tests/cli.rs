@@ -220,8 +220,8 @@ fn run_tables_are_pinned() {
 
 #[test]
 fn trajectory_dry_run_reports_the_stop_and_budget_it_runs() {
-    // Cumulative processes stop at cover and pad; BIPS runs to the cap.
-    for (process, stop) in [("cobra:b2", "Complete"), ("bips:b2", "AtCap")] {
+    // Every process stops at cover and pads, BIPS included.
+    for process in ["cobra:b2", "bips:b2"] {
         let out = cobra_exps(&[
             "run",
             "--process",
@@ -234,10 +234,7 @@ fn trajectory_dry_run_reports_the_stop_and_budget_it_runs() {
         ]);
         assert_eq!(out.status.code(), Some(0), "{process}");
         let stdout = text(&out.stdout);
-        assert!(
-            stdout.contains(&format!("  stop when: {stop}\n")),
-            "{stdout}"
-        );
+        assert!(stdout.contains("  stop when: Complete\n"), "{stdout}");
         assert!(
             stdout.contains("  cap:       256 rounds/trial (trajectory default, 4n)\n"),
             "{stdout}"

@@ -51,7 +51,7 @@
 //! | `hit:V` / `hit:far` | `Reached(v)` (far = BFS-farthest from the start set) | `Completion` | `StoppingAccumulator` |
 //! | `infection:T` | `ReachedCount(⌈T·n⌉)` (`T = 1` ⇒ `Complete`) | `Completion` | `StoppingAccumulator` |
 //! | `duality:h{..}` | `AtCap` at the max horizon (both sides) | horizon-disjointness observer | per-horizon two-proportion z |
-//! | `trajectory` | `AtCap` (BIPS), else `Complete`, curve padded to the cap | [`Trajectory`] (pre-reserved to the cap) | running per-round mean |
+//! | `trajectory` | `Complete`, curve padded to the cap | [`Trajectory`] (pre-reserved to the cap) | running per-round mean |
 //!
 //! Every objective folds its trials in trial order as they finish: the
 //! stopping objectives through [`StoppingAccumulator`], duality through
@@ -491,7 +491,11 @@ impl<'g> SimSpec<'g> {
                 )))
             }
             Objective::Trajectory => {
-                let (stop, rounds) = self.trajectory_plan(g);
+                let stop = self
+                    .objective
+                    .stop_when(g, &self.start)
+                    .map_err(SimError::Invalid)?;
+                let rounds = self.trajectory_rounds(g);
                 // Entry `t` is the mean reached count after `t` rounds,
                 // summed in trial order. A run stopped at cover pads its
                 // curve with its last value: the sums a run to the cap
@@ -517,18 +521,11 @@ impl<'g> SimSpec<'g> {
         }
     }
 
-    /// The `trajectory` objective's stop condition and round budget.
-    fn trajectory_plan<T: Topology>(&self, g: &T) -> (StopWhen, usize) {
-        // A full derived cap makes an absurdly long curve; default to
-        // something trajectory-sized instead.
-        let rounds = self.cap.unwrap_or(4 * g.n().max(2));
-        // Every process but BIPS has a cumulative reached set, so its
-        // curve stays at `n` once covered: stop it there.
-        let stop = match self.process {
-            ProcessSpec::Bips { .. } => StopWhen::AtCap,
-            _ => StopWhen::Complete,
-        };
-        (stop, rounds)
+    /// The `trajectory` objective's round budget: a full derived cap
+    /// makes an absurdly long curve, so default to something
+    /// trajectory-sized instead.
+    fn trajectory_rounds<T: Topology>(&self, g: &T) -> usize {
+        self.cap.unwrap_or(4 * g.n().max(2))
     }
 
     /// [`SimSpec::measure`] with telemetry attached: every executed
@@ -585,14 +582,13 @@ impl<'g> SimSpec<'g> {
         let topo = self.topology()?;
         with_topology!(&topo, |g| {
             self.check(g)?;
-            let (stop, cap) = match self.objective {
-                Objective::Trajectory => self.trajectory_plan(g),
-                _ => (
-                    self.objective
-                        .stop_when(g, &self.start)
-                        .map_err(SimError::Invalid)?,
-                    resolve_cap(g, &self.process, self.cap),
-                ),
+            let stop = self
+                .objective
+                .stop_when(g, &self.start)
+                .map_err(SimError::Invalid)?;
+            let cap = match self.objective {
+                Objective::Trajectory => self.trajectory_rounds(g),
+                _ => resolve_cap(g, &self.process, self.cap),
             };
             Ok(ResolvedRun {
                 n: g.n(),
@@ -1059,8 +1055,8 @@ mod tests {
 
     #[test]
     fn trajectories_stopped_at_cover_equal_the_curve_run_to_the_cap() {
-        // BIPS's infected set is not cumulative, so it alone still runs
-        // to the cap; the others stop at cover and pad.
+        // BIPS's infected set is not cumulative, but `A_t = V` is
+        // absorbing, so it stops at cover and pads like the others.
         let cases = [
             ("cobra:b2", 1),
             ("cobra:b2", 2),

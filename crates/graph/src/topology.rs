@@ -264,6 +264,14 @@ impl CompleteTopo {
     }
 }
 
+// The implicit backends pack `(v, i)` into one `usize` pick token
+// (`(v << 32) | i` for `CompleteTopo`, `(v << 5) | i` for
+// `HypercubeTopo` up to `v < 2^30`), which needs a 64-bit `usize`.
+const _: () = assert!(
+    usize::BITS == 64,
+    "implicit pick tokens need a 64-bit usize"
+);
+
 impl Topology for CompleteTopo {
     #[inline]
     fn n(&self) -> usize {
@@ -291,7 +299,8 @@ impl Topology for CompleteTopo {
         }
     }
 
-    /// Token `(v << 32) | i`: `n ≤ u32::MAX` keeps `i` in the low word.
+    /// Token `(v << 32) | i`: `n ≤ u32::MAX` keeps `i` in the low word
+    /// (`usize` is asserted to be 64 bits wide).
     #[inline]
     fn neighbor_range(&self, v: VertexId) -> (usize, usize) {
         ((v as usize) << 32, self.n - 1)
@@ -330,8 +339,7 @@ impl Topology for CompleteTopo {
 /// sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HypercubeTopo {
-    /// `u8` keeps the struct at two bytes with the arm flag.
-    d: u8,
+    d: u32,
     /// `neighbor` takes the `pdep` arm; set only where
     /// `pdep_select_is_fast` found BMI2 and POPCNT on this CPU.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
@@ -346,14 +354,14 @@ impl HypercubeTopo {
             "hypercube dimension out of supported range"
         );
         HypercubeTopo {
-            d: d as u8,
+            d,
             pdep: host_has_fast_pdep(),
         }
     }
 
     /// The dimension `d`.
     pub fn dimension(&self) -> u32 {
-        self.d.into()
+        self.d
     }
 }
 
@@ -438,7 +446,10 @@ fn display_family(eax: u32) -> u32 {
 /// feature bits. AMD family 17h (Zen 1/2) and its Hygon derivative
 /// (family 18h) implement `pdep` in microcode, with a latency that
 /// grows with the mask's popcount; Intel (Haswell on) and AMD family
-/// 19h on (Zen 3+) run it in 3 cycles.
+/// 19h on (Zen 3+) run it in 3 cycles. Source: Agner Fog's
+/// "Instruction tables" (the AMD Zen 1/2 and Zen 3 sections) and the
+/// `PDEP` rows of uops.info. The exclusion follows those tables; it has
+/// not been measured on a Zen 1/2 host.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 fn pdep_select_is_fast(vendor: &[u8; 12], family: u32, bmi2: bool, popcnt: bool) -> bool {
     let microcoded = matches!(

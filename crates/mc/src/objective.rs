@@ -222,7 +222,11 @@ impl Objective {
                 validate_horizons(horizons)?;
                 Ok(StopWhen::AtCap)
             }
-            Objective::Trajectory => Ok(StopWhen::AtCap),
+            // Every process's reached set stays `V` once complete (the
+            // walks' visited sets are cumulative; for BIPS, with `A_t =
+            // V` every pick lands in `A_t`), so the curve is padded with
+            // `n` from there to the cap.
+            Objective::Trajectory => Ok(StopWhen::Complete),
         }
     }
 
@@ -595,7 +599,7 @@ mod tests {
         );
         assert_eq!(
             Objective::Trajectory.stop_when(&g, &start),
-            Ok(StopWhen::AtCap)
+            Ok(StopWhen::Complete)
         );
     }
 
