@@ -361,7 +361,7 @@ pub fn read_csrbin(
     if neighbors.iter().any(|&w| w as usize >= n) {
         return Err("neighbour id out of range".into());
     }
-    Ok(Graph::from_csr_parts(offsets, neighbors, m))
+    Ok(Graph::from_csr_parts(offsets, neighbors))
 }
 
 /// Reads `count` little-endian `W`-byte words through a fixed buffer,
@@ -547,6 +547,14 @@ mod tests {
         assert_eq!(read_csrbin(&cache, Some(digest), false).unwrap(), g);
         assert_eq!(read_csrbin(&cache, None, false).unwrap(), g);
         assert_eq!(try_open_cached(&path, digest, false).unwrap(), g);
+
+        // A regular graph keeps its arithmetic adjacency spans on a warm load.
+        let torus = crate::generators::torus(&[16, 16]);
+        let cache = dir.join("torus.csrbin");
+        write_csrbin(&cache, &torus, digest, false).unwrap();
+        let warm = read_csrbin(&cache, Some(digest), false).unwrap();
+        assert!(warm.has_arithmetic_spans());
+        assert_eq!(warm, torus);
     }
 
     #[test]

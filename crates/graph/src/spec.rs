@@ -822,6 +822,22 @@ impl GraphSpec {
         })
     }
 
+    /// The adjacency entries [`GraphSpec::build`] checks against the CSR
+    /// limit of 2^32 − 1: [`GraphSpec::adjacency_entries`] where the
+    /// parameters fix them, and for `gnp` the *expected* count `p·n(n−1)`,
+    /// rounded up (exact at `p ∈ {0, 1}`). A `gnp` sample can land on
+    /// either side of its expectation, so for `gnp` this bounds the
+    /// expected size, not the built one.
+    fn checked_entries(&self) -> Option<u128> {
+        match self {
+            GraphSpec::Gnp { n, p } => {
+                let pairs = *n as u128 * (*n as u128).saturating_sub(1);
+                Some((pairs as f64 * p).ceil() as u128)
+            }
+            _ => self.adjacency_entries(),
+        }
+    }
+
     /// True for families whose [`GraphSpec::build`] consumes the seed.
     pub fn is_random(&self) -> bool {
         matches!(
@@ -856,7 +872,7 @@ impl GraphSpec {
         self.validate()?;
         // Checked before the generator allocates: its edge list alone
         // would exhaust memory long before the CSR exists.
-        if let Some(entries) = self.adjacency_entries().filter(|&a| a > u32::MAX as u128) {
+        if let Some(entries) = self.checked_entries().filter(|&a| a > u32::MAX as u128) {
             return Err(GraphSpecError::new(format!(
                 "{:?} needs {entries} adjacency entries, more than 2^32 - 1 (too large to \
                  build as CSR)",
@@ -1422,6 +1438,30 @@ mod tests {
                 err.contains(&format!("{entries} adjacency entries")),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn gnp_over_the_csr_limit_in_expectation_fails_before_allocating() {
+        // The expected adjacency p·n(n−1) is checked, the same way as the
+        // exact sizes of the other families.
+        for (text, entries) in [
+            ("gnp:200000:0.5", "19999900000"),
+            ("gnp:65537:1", "4295032832"),
+        ] {
+            let spec: GraphSpec = text.parse().unwrap();
+            let err = spec.build(0).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("{entries} adjacency entries, more than 2^32 - 1")),
+                "{err}"
+            );
+        }
+        // Exact at p ∈ {0, 1}; K_65536 stays just under the limit.
+        let entries = |text: &str| text.parse::<GraphSpec>().unwrap().checked_entries();
+        assert_eq!(entries("gnp:65536:1"), Some(65536 * 65535));
+        for text in ["gnp:12:1", "gnp:12:0", "gnp:200000:0"] {
+            let g = text.parse::<GraphSpec>().unwrap().build(0).unwrap();
+            assert_eq!(entries(text), Some(2 * g.m() as u128), "{text}");
         }
     }
 

@@ -118,7 +118,7 @@ pub trait Topology {
 
     /// Best-effort prefetch of `v`'s adjacency metadata, issued a few
     /// vertices ahead of the sampling loop. No-op for implicit backends
-    /// (there is nothing to fetch).
+    /// and regular CSR graphs (there is nothing to fetch).
     #[inline]
     fn prefetch_neighbor_meta(&self, _v: VertexId) {}
 
@@ -225,9 +225,13 @@ impl Topology for Graph {
         Graph::set_degree(self, vertices)
     }
 
+    /// Prefetches `v`'s `offsets` entry; a no-op on a regular graph,
+    /// whose [`Graph::neighbor_range`] is arithmetic and reads none.
     #[inline]
     fn prefetch_neighbor_meta(&self, v: VertexId) {
-        prefetch_read(self.neighbor_range_ptr(v));
+        if !self.has_arithmetic_spans() {
+            prefetch_read(self.neighbor_range_ptr(v));
+        }
     }
 
     #[inline]

@@ -43,7 +43,9 @@
 //! Software prefetch runs at two depths through the [`Topology`] hooks:
 //! the CSR offsets of the vertex 16 places ahead, and the first and last
 //! adjacency entry of the vertex 8 places ahead (a hub's list spans
-//! several cache lines).
+//! several cache lines). Only an irregular CSR graph has offsets to
+//! fetch: on a regular one `neighbor_range` is `(v·d, d)`, computed with
+//! no load, so each active vertex costs one adjacency miss, not two.
 //!
 //! The kernel used to make three passes — draw every pick token into a
 //! buffer, resolve the buffer, then compact it. The split once took an
@@ -257,10 +259,10 @@ impl<'g, T: Topology> ProcessState<'g, T> for Cobra<'g, T> {
 }
 
 /// The pass's two prefetch levels, issued as it samples `active[i]`:
-/// the CSR offsets of the vertex two strides ahead, and the first and
-/// last adjacency entries of the vertex one stride ahead (a list of
-/// more than 16 ids spans several cache lines). The hooks are no-ops on
-/// the implicit backends.
+/// the CSR offsets of the vertex two strides ahead (irregular graphs
+/// only), and the first and last adjacency entries of the vertex one
+/// stride ahead (a list of more than 16 ids spans several cache lines).
+/// The hooks are no-ops on the implicit backends.
 #[inline(always)]
 fn prefetch_ahead<T: Topology>(g: &T, active: &[VertexId], i: usize) {
     if let Some(&u) = active.get(i + 2 * PREFETCH_AHEAD) {
