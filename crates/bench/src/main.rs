@@ -8,7 +8,7 @@
 //! cobra-exps --quick all        # fast presets (what CI runs)
 //! cobra-exps f6 t1              # a subset
 //! cobra-exps --csv f4           # CSV to stdout
-//! cobra-exps --markdown all     # markdown (EXPERIMENTS.md input)
+//! cobra-exps --markdown all     # markdown: the reproduction record (not committed yet)
 //! cobra-exps --plot f1          # append an ASCII figure to the table
 //! cobra-exps --list             # available ids
 //!

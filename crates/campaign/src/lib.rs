@@ -93,7 +93,7 @@ pub use runner::{
 };
 pub use scheduler::{JobError, QueueStats, Scheduler, Submission, Subscriber};
 pub use store::{PointRecord, PointTiming, SharedStore, Store};
-pub use sweep::{expand_pattern, validate_name, SweepSpec};
+pub use sweep::SweepSpec;
 
 /// Why a campaign could not be parsed, planned, or run.
 #[derive(Debug)]

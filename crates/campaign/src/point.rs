@@ -3,7 +3,7 @@
 //! A [`SweepPoint`] is one fully-resolved cell of a sweep grid: a
 //! concrete objective × graph spec × process spec, with the trial
 //! count, round cap, and RNG seed pinned. Its identity is the
-//! [`SweepPoint::spec_key`] string — every parameter that can change
+//! `spec_key` string — every parameter that can change
 //! the result, spelled out — and the result store addresses records by
 //! a stable hash of that key plus the seed and [`CODE_VERSION`].
 //!
@@ -93,7 +93,7 @@ impl SweepPoint {
     /// identical for every generated family, but `file:` specs key by
     /// their content digest, so moving or renaming an edge-list file
     /// never orphans (or wrongly revives) its stored records.
-    pub fn spec_key(&self) -> String {
+    fn spec_key(&self) -> String {
         let shards = if self.shards > 1 {
             format!("shards={};", self.shards)
         } else {

@@ -517,7 +517,7 @@ pub struct WatchOutcome {
 impl WatchOutcome {
     /// The records of a run that was *not* interrupted, in expansion
     /// order. Panics on an interrupted outcome.
-    pub fn complete_records(self) -> Vec<PointRecord> {
+    fn complete_records(self) -> Vec<PointRecord> {
         self.records
             .into_iter()
             .map(|r| r.expect("complete run has every record"))

@@ -256,7 +256,7 @@ impl PointRecord {
     /// Decodes one JSONL line; `None` when any field is missing or
     /// ill-typed (the loader skips such lines — including every record
     /// written by a pre-`cobra-campaign/2` store).
-    pub fn from_json(v: &Json) -> Option<PointRecord> {
+    fn from_json(v: &Json) -> Option<PointRecord> {
         let s = |k: &str| v.get(k)?.as_str().map(str::to_string);
         let u = |k: &str| v.get(k)?.as_usize();
         let f = |k: &str| v.get(k)?.as_f64();
@@ -426,7 +426,7 @@ impl Store {
 
     /// Indexes freshly computed records (call once per batch, after the
     /// parallel section).
-    pub fn absorb(&mut self, recs: impl IntoIterator<Item = PointRecord>) {
+    fn absorb(&mut self, recs: impl IntoIterator<Item = PointRecord>) {
         for rec in recs {
             self.records.insert(rec.key.clone(), rec);
         }
@@ -507,10 +507,16 @@ impl SharedStore {
 }
 
 /// Indexes every readable JSONL record at `path` (absent file = empty).
+/// Lines are decoded one by one, so a line that is not UTF-8 (a torn
+/// append can cut a multi-byte character) is skipped like any other
+/// unreadable line.
 fn read_records(path: &Path) -> HashMap<String, PointRecord> {
     let mut records = HashMap::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        for line in text.lines() {
+    if let Ok(bytes) = std::fs::read(path) {
+        for line in bytes.split(|&b| b == b'\n') {
+            let Ok(line) = std::str::from_utf8(line) else {
+                continue;
+            };
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -684,7 +690,10 @@ mod tests {
         newer.mean = 9.0;
         text.push_str(&newer.to_json().to_string_compact());
         text.push('\n');
-        std::fs::write(dir.join("results.jsonl"), text).unwrap();
+        // A torn append that cut "é" (0xC3 0xA9) after its first byte.
+        let mut bytes = text.into_bytes();
+        bytes.extend_from_slice(b"{\"graph\": \"file:caf\xc3\n");
+        std::fs::write(dir.join("results.jsonl"), bytes).unwrap();
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.get("aaaa", &newer.spec).unwrap().mean, 9.0);

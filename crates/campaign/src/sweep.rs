@@ -57,12 +57,12 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Default trials per point.
-pub const DEFAULT_TRIALS: usize = 32;
+const DEFAULT_TRIALS: usize = 32;
 /// Default campaign master seed (shared with `SimSpec` for familiarity).
-pub const DEFAULT_SEED: u64 = 0xC0B7A;
+const DEFAULT_SEED: u64 = 0xC0B7A;
 /// Ceiling on points per sweep — a typo guard (`{1..9999999}`), not a
 /// capacity limit.
-pub const MAX_POINTS: usize = 100_000;
+const MAX_POINTS: usize = 100_000;
 
 /// A declarative sweep: objective axis × graph axis × process axis ×
 /// (trials, start, seed, cap, name).
@@ -151,18 +151,6 @@ impl SweepSpec {
     /// Sets an explicit per-trial round cap for every point.
     pub fn with_cap(mut self, cap: usize) -> Self {
         self.cap = Some(cap);
-        self
-    }
-
-    /// Sets the campaign name (the store directory under `campaigns/`).
-    /// Panics on a name that is unsafe as a directory component — the
-    /// same rule the parser enforces for `name=` segments.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        let name = name.into();
-        if let Err(e) = validate_name(&name) {
-            panic!("{e}");
-        }
-        self.name = Some(name);
         self
     }
 
@@ -403,11 +391,11 @@ impl FromStr for SweepSpec {
 }
 
 /// A campaign name names a directory under the store root: non-empty
-/// `[A-Za-z0-9._-]` and not a path-traversal component. Shared by the
-/// parser and [`SweepSpec::with_name`], so every construction path
-/// keeps `store_root.join(name)` inside the store root and the
+/// `[A-Za-z0-9._-]` and not a path-traversal component. The parser
+/// checks every `name=` segment with it, so a parsed spec keeps
+/// `store_root.join(name)` inside the store root and the
 /// `FromStr`/`Display` round trip intact.
-pub fn validate_name(name: &str) -> Result<(), String> {
+fn validate_name(name: &str) -> Result<(), String> {
     if name.is_empty()
         || name == "."
         || name == ".."
@@ -441,11 +429,11 @@ fn split_axis(value: &str, what: &str) -> Result<Vec<String>, CampaignError> {
 /// the cross product of groups, checked before anything materializes,
 /// so a typo'd `{1..1000}x{1..1000}x{1..1000}` errors cleanly instead
 /// of exhausting memory.
-pub const MAX_PATTERN_EXPANSIONS: usize = 4096;
+const MAX_PATTERN_EXPANSIONS: usize = 4096;
 
 /// Brace expansion: `{a..b}` inclusive integer ranges, `{x,y,z}` lists,
 /// cross-producting left to right. No nesting.
-pub fn expand_pattern(pattern: &str) -> Result<Vec<String>, String> {
+fn expand_pattern(pattern: &str) -> Result<Vec<String>, String> {
     let Some(open) = pattern.find('{') else {
         if pattern.contains('}') {
             return Err(format!("'}}' without '{{' in pattern {pattern:?}"));
@@ -751,14 +739,6 @@ mod tests {
             .parse()
             .unwrap();
         assert_ne!(a.name(), d.name());
-    }
-
-    #[test]
-    #[should_panic(expected = "campaign name")]
-    fn with_name_rejects_path_traversal() {
-        let _ = SweepSpec::new(&["cover"], &["cycle:8"], &["rw"])
-            .unwrap()
-            .with_name("../elsewhere");
     }
 
     #[test]

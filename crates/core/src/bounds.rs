@@ -13,23 +13,12 @@ pub fn thm_1_1(n: usize, m: usize, dmax: usize) -> f64 {
     m as f64 + (dmax * dmax) as f64 * ln_usize(n)
 }
 
-/// The `O(n² log n)` corollary of Theorem 1.1 (worst case over graphs).
-pub fn thm_1_1_worst_case(n: usize) -> f64 {
-    (n * n) as f64 * ln_usize(n)
-}
-
 /// Theorem 1.2 (this paper): COBRA b=2 cover time on a connected
 /// `r`-regular graph with eigenvalue gap `gap = 1 − λ` is
 /// `O((r/(1−λ) + r²) log n)`.
 pub fn thm_1_2(n: usize, r: usize, gap: f64) -> f64 {
     assert!(gap > 0.0, "Theorem 1.2 needs a positive eigenvalue gap");
     (r as f64 / gap + (r * r) as f64) * ln_usize(n)
-}
-
-/// The gap condition of Theorems 1.2/1.5: `1 − λ > C·sqrt(log n / n)`
-/// (evaluated with C = 1; callers report the margin).
-pub fn thm_1_2_gap_condition(n: usize, gap: f64) -> bool {
-    gap > (ln_usize(n) / n as f64).sqrt()
 }
 
 /// Cooper–Radzik–Rivera PODC 2016: `O((1/(1−λ))³ log n)` for regular
@@ -39,29 +28,10 @@ pub fn podc16(n: usize, gap: f64) -> f64 {
     ln_usize(n) / (gap * gap * gap)
 }
 
-/// Mitzenmacher–Rajaraman–Roche SPAA 2016: `O((r⁴/φ²) log² n)` for
-/// `r`-regular graphs with conductance φ.
-pub fn spaa16_regular(n: usize, r: usize, phi: f64) -> f64 {
-    assert!(phi > 0.0, "SPAA16 bound needs positive conductance");
-    (r as f64).powi(4) / (phi * phi) * ln_usize(n).powi(2)
-}
-
-/// SPAA 2016 general-graph bound: `O(n^{11/4} log n)` — the bound
-/// Theorem 1.1 improves.
-pub fn spaa16_general(n: usize) -> f64 {
-    (n as f64).powf(11.0 / 4.0) * ln_usize(n)
-}
-
 /// SPAA 2016 grid bound: `O(D² n^{1/D})` for the D-dimensional grid.
 pub fn spaa16_grid(n: usize, d: u32) -> f64 {
     assert!(d >= 1);
     (d * d) as f64 * (n as f64).powf(1.0 / d as f64)
-}
-
-/// Dutta et al. SPAA 2013 grid bound shape: `Õ(n^{1/D})` (poly-log
-/// factor suppressed — evaluated as `n^{1/D}·log n`).
-pub fn spaa13_grid(n: usize, d: u32) -> f64 {
-    (n as f64).powf(1.0 / d as f64) * ln_usize(n)
 }
 
 /// Lower bound (§1): COBRA with b=2 needs at least
@@ -70,17 +40,12 @@ pub fn lower_bound(n: usize, diam: u32) -> f64 {
     ((n as f64).log2()).max(diam as f64)
 }
 
-/// §6: for branching factor `b = 1+ρ`, every bound above is multiplied
-/// by `1/ρ²`.
-pub fn rho_scaling(base_bound: f64, rho: f64) -> f64 {
-    assert!(rho > 0.0 && rho <= 1.0, "rho in (0, 1]");
-    base_bound / (rho * rho)
-}
-
 /// The paper's hypercube ladder (introduction): bound shapes for `Q_d`
 /// (`n = 2^d`, `r = log₂ n = d`, lazy gap `1/d`, conductance `Θ(1/d)`).
 /// Returns `(spaa16, podc16, this_paper)` evaluated shapes —
-/// `O(log⁸ n)`, `O(log⁴ n)`, `O(log³ n)`.
+/// `O(log⁸ n)`, `O(log⁴ n)`, `O(log³ n)`. The first is
+/// Mitzenmacher–Rajaraman–Roche SPAA 2016's `O((r⁴/φ²) log² n)` for
+/// `r`-regular graphs with conductance φ.
 pub fn hypercube_ladder(d: u32) -> (f64, f64, f64) {
     let dd = d as f64;
     let ln_n = dd * std::f64::consts::LN_2;
@@ -102,17 +67,6 @@ pub fn srw_complete_graph_cover(n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn thm_1_1_dominated_by_worst_case() {
-        // For any graph, m ≤ n²/2 and dmax ≤ n, so the specific bound is
-        // within a constant of the n² log n worst case.
-        for n in [8usize, 64, 512] {
-            let worst = thm_1_1_worst_case(n);
-            let specific = thm_1_1(n, n * (n - 1) / 2, n - 1);
-            assert!(specific <= 2.0 * worst);
-        }
-    }
 
     #[test]
     fn thm_1_2_beats_podc16_for_small_gap() {
@@ -159,31 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn gap_condition_examples() {
-        // Expanders (constant gap) satisfy the condition at any size.
-        assert!(thm_1_2_gap_condition(1024, 0.3));
-        // A vanishing gap below sqrt(log n / n) fails it.
-        assert!(!thm_1_2_gap_condition(1024, 0.01));
-    }
-
-    #[test]
     fn lower_bound_switches_regimes() {
         // Complete graph: log2 n dominates (diam = 1).
         assert_eq!(lower_bound(1024, 1), 10.0);
         // Path: diameter dominates.
         assert_eq!(lower_bound(1024, 1023), 1023.0);
-    }
-
-    #[test]
-    fn rho_scaling_quarters() {
-        assert_eq!(rho_scaling(100.0, 0.5), 400.0);
-        assert_eq!(rho_scaling(100.0, 1.0), 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rho")]
-    fn rho_scaling_rejects_zero() {
-        rho_scaling(1.0, 0.0);
     }
 
     #[test]
@@ -197,6 +131,5 @@ mod tests {
         let n = 1 << 12;
         // 2D: n^{1/2}; SPAA16 adds D² = 4.
         assert!((spaa16_grid(n, 2) - 4.0 * 64.0).abs() < 1e-9);
-        assert!(spaa13_grid(n, 2) > 64.0, "poly-log factor present");
     }
 }

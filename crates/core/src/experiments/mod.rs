@@ -3,8 +3,9 @@
 //!
 //! The paper publishes no numbered figures or tables (it is a theory
 //! paper), so each experiment regenerates one of its quantitative
-//! claims; the table below names the claim each one tests, and the
-//! recorded outcomes live in EXPERIMENTS.md.
+//! claims; the table below names the claim each one tests. The record
+//! of their outcomes is what `cobra-exps --markdown all` prints; it is
+//! not committed yet (see ROADMAP.md).
 //!
 //! | id  | claim |
 //! |-----|-------|
@@ -27,7 +28,8 @@
 //! | F16 | ablation: lazy vs plain COBRA on bipartite graphs |
 //!
 //! Every experiment has two presets: `quick` (seconds; used by tests and
-//! CI) and `full` (the EXPERIMENTS.md fidelity).
+//! CI) and `full` (the fidelity of the `cobra-exps --markdown all`
+//! record).
 
 pub mod f1;
 pub mod f10;

@@ -713,7 +713,7 @@ pub struct TrajectoryEstimate {
 
 /// The graph-construction seed for a master seed (kept distinct from
 /// trial seeds so graph sampling never correlates with trial noise).
-pub fn graph_seed(master_seed: u64) -> u64 {
+fn graph_seed(master_seed: u64) -> u64 {
     master_seed ^ 0x6AF5_EED0_6AF5_EED0
 }
 

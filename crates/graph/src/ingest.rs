@@ -32,7 +32,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// `.csrbin` container version; bumped on any layout change.
-pub const CSRBIN_VERSION: u32 = 1;
+const CSRBIN_VERSION: u32 = 1;
 
 const MAGIC: [u8; 8] = *b"COBRCSR\x01";
 /// Fixed header: magic, version, flags, source digest, n, m, max_degree,
@@ -106,7 +106,7 @@ pub struct IngestStats {
 /// What [`parse_edge_list`] yields: the compacted vertex count, every
 /// edge that is not a self-loop in file order (duplicates kept), and
 /// the parse accounting.
-pub type ParsedEdges = (usize, Vec<(VertexId, VertexId)>, IngestStats);
+type ParsedEdges = (usize, Vec<(VertexId, VertexId)>, IngestStats);
 
 /// Parses SNAP-style edge-list text line by line: one edge per line as
 /// two whitespace-separated integer ids (extra columns such as weights
@@ -115,7 +115,7 @@ pub type ParsedEdges = (usize, Vec<(VertexId, VertexId)>, IngestStats);
 /// sorted-by-original-id order and self-loops dropped. Duplicates stay
 /// in `edges` for [`Graph::from_edges_dedup`] to collapse, so
 /// `stats.duplicates` is left 0 here; [`load_edge_list`] fills it in.
-pub fn parse_edge_list(mut reader: impl BufRead, path: &Path) -> Result<ParsedEdges, IngestError> {
+fn parse_edge_list(mut reader: impl BufRead, path: &Path) -> Result<ParsedEdges, IngestError> {
     let mut stats = IngestStats::default();
     let mut raw: Vec<(u64, u64)> = Vec::new();
     let mut line = String::new();

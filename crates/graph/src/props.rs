@@ -11,9 +11,9 @@ use cobra_util::BitSet;
 use std::collections::VecDeque;
 
 /// Marker for unreachable vertices in distance arrays.
-pub const UNREACHABLE: u32 = u32::MAX;
+const UNREACHABLE: u32 = u32::MAX;
 
-/// BFS distances from `src`; `UNREACHABLE` for vertices in other
+/// BFS distances from `src`; `u32::MAX` for vertices in other
 /// components. Generic over the graph backend, so `hit:far` resolution
 /// and diameter probes run on implicit topologies without materializing
 /// any adjacency.
@@ -37,7 +37,7 @@ pub fn bfs_distances<T: Topology>(g: &T, src: VertexId) -> Vec<u32> {
 
 /// Multi-source BFS distances: entry `v` is the hop distance from the
 /// nearest source, `UNREACHABLE` outside the sources' components.
-pub fn bfs_distances_multi<T: Topology>(g: &T, sources: &[VertexId]) -> Vec<u32> {
+fn bfs_distances_multi<T: Topology>(g: &T, sources: &[VertexId]) -> Vec<u32> {
     assert!(!sources.is_empty(), "bfs needs at least one source");
     let mut dist = vec![UNREACHABLE; g.n()];
     let mut queue = VecDeque::new();
@@ -90,7 +90,7 @@ pub fn is_connected<T: Topology>(g: &T) -> bool {
 }
 
 /// Component label (smallest vertex id in the component) for each vertex.
-pub fn connected_components(g: &Graph) -> Vec<VertexId> {
+fn connected_components(g: &Graph) -> Vec<VertexId> {
     let mut label = vec![VertexId::MAX; g.n()];
     let mut queue = VecDeque::new();
     for s in 0..g.n() as VertexId {
@@ -246,10 +246,7 @@ pub fn eccentricity<T: Topology>(g: &T, src: VertexId) -> Option<u32> {
 
 /// Exact diameter by all-source BFS: `O(n·m)`. `None` for disconnected
 /// graphs; `Some(0)` for trivial graphs.
-///
-/// Fine up to a few thousand vertices; larger experiments use
-/// [`diameter_double_sweep`] which is exact on trees and a lower bound in
-/// general.
+/// Fine up to a few thousand vertices.
 pub fn diameter(g: &Graph) -> Option<u32> {
     if g.n() == 0 {
         return Some(0);
@@ -259,49 +256,6 @@ pub fn diameter(g: &Graph) -> Option<u32> {
         best = best.max(eccentricity(g, v)?);
     }
     Some(best)
-}
-
-/// Double-sweep diameter lower bound: BFS from `src`, then BFS from the
-/// farthest vertex found. Exact on trees; a (usually tight) lower bound
-/// otherwise. `None` for disconnected graphs.
-pub fn diameter_double_sweep(g: &Graph, src: VertexId) -> Option<u32> {
-    if g.n() == 0 {
-        return Some(0);
-    }
-    let d1 = bfs_distances(g, src);
-    let (far, d) = d1
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &d)| d)
-        .expect("nonempty");
-    if *d == UNREACHABLE {
-        return None;
-    }
-    eccentricity(g, far as VertexId)
-}
-
-/// Degree statistics bundle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    pub min: usize,
-    pub max: usize,
-    pub mean: f64,
-}
-
-/// Computes min/max/mean degree in one pass.
-pub fn degree_stats(g: &Graph) -> DegreeStats {
-    if g.n() == 0 {
-        return DegreeStats {
-            min: 0,
-            max: 0,
-            mean: 0.0,
-        };
-    }
-    DegreeStats {
-        min: g.min_degree(),
-        max: g.max_degree(),
-        mean: g.degree_sum() as f64 / g.n() as f64,
-    }
 }
 
 /// Vertices reachable from `set` in one hop: `N(S) = ∪_{u∈S} N(u)`
@@ -438,30 +392,6 @@ mod tests {
         assert_eq!(diameter(&generators::star(20)), Some(2));
         let disconnected = Graph::from_edges(3, &[(0, 1)]).unwrap();
         assert_eq!(diameter(&disconnected), None);
-    }
-
-    #[test]
-    fn double_sweep_exact_on_trees_and_lower_bound_generally() {
-        let t = generators::k_ary_tree(31, 2);
-        assert_eq!(diameter_double_sweep(&t, 0), diameter(&t));
-        for g in [
-            generators::cycle(12),
-            generators::petersen(),
-            generators::barbell(4, 3),
-        ] {
-            let ds = diameter_double_sweep(&g, 0).unwrap();
-            let ex = diameter(&g).unwrap();
-            assert!(ds <= ex);
-            assert!(ds * 2 >= ex, "double sweep is a 2-approximation");
-        }
-    }
-
-    #[test]
-    fn degree_stats_star() {
-        let s = degree_stats(&generators::star(5));
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 4);
-        assert!((s.mean - 8.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl CancelToken {
     }
 
     /// True once any clone has called [`CancelToken::cancel`].
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 }

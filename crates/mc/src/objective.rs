@@ -97,7 +97,7 @@ impl Objective {
     /// must reach everything. Loaded real-world graphs are routinely
     /// disconnected, so spec resolution checks these up front and points
     /// at `?component=giant` instead of censoring every trial.
-    pub fn requires_full_reach(&self) -> bool {
+    fn requires_full_reach(&self) -> bool {
         matches!(self, Objective::Cover | Objective::Hit(HitTarget::Far))
     }
 
@@ -116,7 +116,7 @@ impl Objective {
     /// families that are not connected by construction pay the
     /// O(n + m) scan: loaded `file:` graphs (fix: `?component=giant`),
     /// `gnp` and Watts–Strogatz samples.
-    pub fn check_reachable<T: Topology>(&self, spec: &GraphSpec, g: &T) -> Result<(), String> {
+    fn check_reachable<T: Topology>(&self, spec: &GraphSpec, g: &T) -> Result<(), String> {
         let fix = match spec {
             GraphSpec::File { giant: false, .. } => {
                 "append ?component=giant to the file: spec to restrict to the giant component"

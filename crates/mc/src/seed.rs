@@ -63,7 +63,7 @@ impl SeedSequence {
     }
 
     /// Next seed in the stream.
-    pub fn next_seed(&mut self) -> u64 {
+    fn next_seed(&mut self) -> u64 {
         splitmix64(&mut self.state)
     }
 }

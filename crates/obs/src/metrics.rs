@@ -51,7 +51,7 @@ impl MetricsRegistry {
     }
 
     /// Current value of gauge `name`, if set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
+    fn gauge_value(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
     }
 

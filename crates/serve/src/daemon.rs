@@ -109,7 +109,7 @@ impl CampaignState {
     }
 
     /// True once every point has resolved and the done event is logged.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.log.lock().expect("campaign log").done
     }
 

@@ -1,8 +1,6 @@
 //! Closed-form spectra for the graph families with known eigenvalues.
 //!
-//! These serve two roles: oracles for testing the numerical solvers, and
-//! fast paths for experiments on families where computing λ numerically
-//! would dominate the runtime (e.g. hypercube sweeps).
+//! They are the oracles that test the numerical solvers.
 
 use std::f64::consts::PI;
 

@@ -159,7 +159,7 @@ fn fresh_vector(
 /// diag.len()`), by bisection with Sturm-sequence counts.
 ///
 /// Robust for the `k ≤ 160` matrices Lanczos produces; `O(k² log(1/ε))`.
-pub fn symmetric_tridiagonal_eigenvalues(diag: &[f64], offdiag: &[f64]) -> Vec<f64> {
+fn symmetric_tridiagonal_eigenvalues(diag: &[f64], offdiag: &[f64]) -> Vec<f64> {
     let k = diag.len();
     assert!(k > 0, "empty tridiagonal matrix");
     assert_eq!(offdiag.len() + 1, k, "off-diagonal length mismatch");
@@ -384,17 +384,22 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_power_iteration_on_random_regular() {
+    fn agrees_with_power_iteration_on_regular_and_irregular_graphs() {
         let mut rng = SmallRng::seed_from_u64(33);
-        let g = generators::random_regular(60, 4, true, &mut rng).unwrap();
-        let s = spec(&g);
-        let p = crate::power::second_eigenvalue_abs(&g, crate::power::PowerOptions::default());
-        assert!(
-            (s.lambda_abs() - p.lambda_abs).abs() < 1e-5,
-            "lanczos {} vs power {}",
-            s.lambda_abs(),
-            p.lambda_abs
-        );
+        let regular = generators::random_regular(60, 4, true, &mut rng).unwrap();
+        // A K_8 with a 6-vertex tail.
+        let irregular = generators::lollipop(8, 6);
+        assert_eq!(irregular.regularity(), None);
+        for g in [regular, irregular] {
+            let s = spec(&g);
+            let p = crate::power::second_eigenvalue_abs(&g, crate::power::PowerOptions::default());
+            assert!(
+                (s.lambda_abs() - p.lambda_abs).abs() < 1e-5,
+                "lanczos {} vs power {}",
+                s.lambda_abs(),
+                p.lambda_abs
+            );
+        }
     }
 
     #[test]

@@ -10,36 +10,22 @@
 //! * [`operator`] — matrix-free application of `P` (and of the lazy chain
 //!   `(I+P)/2`), stationary-distribution inner products.
 //! * [`power`] — power iteration with π-orthogonal deflation of the top
-//!   eigenvector; returns `max_{i≥2} |λ_i|`.
+//!   eigenvector; returns `max_{i≥2} |λ_i|`. It checks Lanczos on graphs
+//!   with no closed-form spectrum.
 //! * [`lanczos`] — Lanczos tridiagonalisation (full reorthogonalisation)
 //!   of the symmetric normalised adjacency, plus a bisection eigensolver;
 //!   returns the *signed* second-largest and smallest eigenvalues.
 //! * [`closed_form`] — exact spectra for the families with known
 //!   eigenvalues (complete, cycle, hypercube, …): the test oracles.
-//! * [`conductance`] — cut conductance, spectral sweep cuts and Cheeger
-//!   bounds (the paper invokes `1 − λ ≥ φ²/2` to compare against the
-//!   SPAA '16 conductance-based bound).
 
 pub mod closed_form;
-pub mod conductance;
 pub mod lanczos;
 pub mod operator;
 pub mod power;
 
 pub use lanczos::{lanczos_edge_spectrum, EdgeSpectrum};
-pub use power::{second_eigenvalue_abs, PowerResult};
 
 use cobra_graph::Graph;
-
-/// The paper's λ for graph `g`: `max_{i≥2} |λ_i(P)|`, computed by Lanczos
-/// (accurate for the graph sizes in this workspace).
-///
-/// Returns 1.0 (gap 0) for disconnected or bipartite graphs, as theory
-/// dictates; callers wanting the bipartite-safe variant should use
-/// [`lazy_lambda`].
-pub fn lambda(g: &Graph) -> f64 {
-    lanczos_edge_spectrum(g, 0).lambda_abs()
-}
 
 /// λ of the lazy chain `P' = (I + P)/2`, whose eigenvalues are
 /// `(1 + λ_i)/2 ∈ [0, 1]`: the second-largest is `(1 + λ₂)/2`, so the
@@ -50,11 +36,6 @@ pub fn lambda(g: &Graph) -> f64 {
 pub fn lazy_lambda(g: &Graph) -> f64 {
     let s = lanczos_edge_spectrum(g, 0);
     (1.0 + s.lambda2) / 2.0
-}
-
-/// Eigenvalue gap `1 − λ` (possibly 0 for bipartite/disconnected graphs).
-pub fn eigenvalue_gap(g: &Graph) -> f64 {
-    (1.0 - lambda(g)).max(0.0)
 }
 
 /// Gap of the lazy chain, strictly positive for any connected graph.

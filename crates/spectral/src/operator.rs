@@ -80,7 +80,7 @@ pub fn stationary(g: &Graph) -> Vec<f64> {
 }
 
 /// π-weighted inner product `Σ π(u) x(u) y(u)`.
-pub fn dot_pi(pi: &[f64], x: &[f64], y: &[f64]) -> f64 {
+fn dot_pi(pi: &[f64], x: &[f64], y: &[f64]) -> f64 {
     pi.iter()
         .zip(x)
         .zip(y)

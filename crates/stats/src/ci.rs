@@ -33,14 +33,14 @@ impl ConfidenceInterval {
 /// Two-sided standard-normal quantile for the given confidence level,
 /// via Acklam's rational approximation of the inverse normal CDF
 /// (absolute error < 1.15e-9 — far below Monte-Carlo noise).
-pub fn z_for_level(level: f64) -> f64 {
+fn z_for_level(level: f64) -> f64 {
     assert!((0.0..1.0).contains(&level), "confidence level in (0,1)");
     let p = 0.5 + level / 2.0;
     inverse_normal_cdf(p)
 }
 
 /// Inverse standard normal CDF (quantile function) for `p ∈ (0, 1)`.
-pub fn inverse_normal_cdf(p: f64) -> f64 {
+fn inverse_normal_cdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "quantile argument in (0,1)");
     // Acklam's algorithm.
     const A: [f64; 6] = [

@@ -8,13 +8,13 @@
 
 /// An empirical CDF over a finite sample.
 #[derive(Debug, Clone)]
-pub struct Ecdf {
+struct Ecdf {
     sorted: Vec<f64>,
 }
 
 impl Ecdf {
     /// Builds an ECDF. Panics on empty or non-finite input.
-    pub fn new(samples: &[f64]) -> Ecdf {
+    fn new(samples: &[f64]) -> Ecdf {
         assert!(!samples.is_empty(), "ECDF of empty sample");
         assert!(
             samples.iter().all(|x| x.is_finite()),
@@ -26,7 +26,7 @@ impl Ecdf {
     }
 
     /// `F(x) = P(X ≤ x)` under the empirical measure.
-    pub fn eval(&self, x: f64) -> f64 {
+    fn eval(&self, x: f64) -> f64 {
         // partition_point returns the count of elements ≤ x when the
         // predicate is `v <= x` on sorted data.
         let count = self.sorted.partition_point(|&v| v <= x);
@@ -34,18 +34,12 @@ impl Ecdf {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.sorted.len()
     }
 
-    /// Always false (construction rejects empty samples); included for
-    /// API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// The underlying sorted sample.
-    pub fn sorted_samples(&self) -> &[f64] {
+    fn sorted_samples(&self) -> &[f64] {
         &self.sorted
     }
 }

@@ -27,7 +27,7 @@ pub mod streaming;
 pub mod summary;
 
 pub use ci::{bootstrap_mean_ci, normal_mean_ci, ConfidenceInterval};
-pub use ks::{ks_two_sample, Ecdf, KsResult};
+pub use ks::{ks_two_sample, KsResult};
 pub use regression::{fit_line, fit_power_law, LineFit};
 pub use report::{fmt_f, Table};
 pub use streaming::{P2Quantile, StreamingSummary};

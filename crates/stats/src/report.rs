@@ -10,8 +10,9 @@ use std::fmt;
 
 /// A rendered experiment result: headers, string rows, free-form notes.
 ///
-/// Tables are the artefacts EXPERIMENTS.md records; they render as
-/// aligned plain text (default), GitHub markdown, or CSV.
+/// Tables are the record that `cobra-exps --markdown all` prints (not
+/// committed yet, see ROADMAP.md); they render as aligned plain text
+/// (default), GitHub markdown, or CSV.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment id, e.g. `"F4"`.

@@ -177,9 +177,7 @@ impl BitSet {
     }
 
     /// True if `self` and `other` share at least one set bit.
-    ///
-    /// Universes must match. Used by the duality checker to test
-    /// `C ∩ A_T = ∅` without materialising the intersection.
+    /// Universes must match.
     pub fn intersects(&self, other: &BitSet) -> bool {
         assert_eq!(self.len, other.len, "BitSet universe mismatch");
         self.words

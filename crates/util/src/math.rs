@@ -62,12 +62,6 @@ pub fn ln_usize(n: usize) -> f64 {
     (n as f64).ln()
 }
 
-/// Integer power with overflow panic (used for grid sizing: side^dim).
-pub fn checked_pow(base: usize, exp: u32) -> usize {
-    base.checked_pow(exp)
-        .expect("integer overflow in checked_pow")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
