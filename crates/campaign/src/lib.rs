@@ -87,9 +87,9 @@ pub use cobra_graph::Backend;
 pub use cobra_mc::{HitTarget, Objective};
 pub use point::{SweepPoint, CODE_VERSION};
 pub use runner::{
-    default_cap, plan_sweep, run_graph_jobs, run_point, run_point_cancellable, run_sweep,
-    run_sweep_watched, run_sweep_with_progress, CapPolicy, Plan, PlanCacheStats, PlannedPoint,
-    PointEvent, PointStatus, RunOutcome, SweepProgress, WatchOutcome,
+    default_cap, plan_sweep, run_point, run_point_cancellable, run_sweep, run_sweep_watched,
+    run_sweep_with_progress, CapPolicy, Plan, PlanCacheStats, PlannedPoint, PointEvent,
+    PointStatus, RunOutcome, SweepProgress, WatchOutcome,
 };
 pub use scheduler::{JobError, QueueStats, Scheduler, Submission, Subscriber};
 pub use store::{PointRecord, PointTiming, SharedStore, Store};

@@ -26,10 +26,9 @@ use crate::scheduler::{JobError, Scheduler, Subscriber};
 use crate::store::{PointRecord, PointTiming, SharedStore, Store};
 use crate::sweep::SweepSpec;
 use crate::CampaignError;
-use cobra_graph::{with_topology, Backend, BuiltTopology, Graph, GraphShape, GraphSpec, Topology};
+use cobra_graph::{with_topology, BuiltTopology, GraphShape, GraphSpec, Topology};
 use cobra_mc::{
-    key_seed, resolve_threads, run_trials_with, CancelToken, Completion, Engine, RunConfig,
-    StoppingAccumulator, TrialState,
+    key_seed, resolve_threads, CancelToken, Completion, Engine, StoppingAccumulator, TrialState,
 };
 use cobra_process::{ProcessSpec, StepCtx};
 use cobra_stats::streaming::StreamingSummary;
@@ -161,14 +160,10 @@ pub fn plan_sweep(
     for (index, (objective, gspec, pspec)) in grid.into_iter().enumerate() {
         let topology = memo.get(&gspec, graph_build_seed(spec.seed, &gspec))?;
         let (named, start) = (Some(&gspec), [spec.start]);
-        with_topology!(&topology, |g| objective.check_graph(named, g, &start))
+        objective
+            .check_sharding(&pspec, &start, spec.shards)
+            .and_then(|()| with_topology!(&topology, |g| objective.check_graph(named, g, &start)))
             .map_err(CampaignError::Invalid)?;
-        if spec.shards > 1 && pspec.shard_kernel().is_none() {
-            return Err(CampaignError::Invalid(format!(
-                "process {pspec} cannot run sharded (shardable processes: cobra, bips); \
-                 use shards=1"
-            )));
-        }
         let cap = spec
             .cap
             .unwrap_or_else(|| cap_policy(topology.shape(), &pspec));
@@ -265,43 +260,6 @@ pub fn run_sweep_with_progress(
         cache_stats: outcome.cache_stats,
         records: outcome.complete_records(),
     })
-}
-
-/// Job-level scheduling for custom experiment grids that don't fit the
-/// cover/hit sweep shape (duality probes, first-passage measurements,
-/// …): builds each distinct graph spec once as CSR (cases that name the
-/// same spec share one `Arc`) and dispatches one job per
-/// case across the worker pool, each worker owning a long-lived
-/// [`StepCtx`]. Output is ordered by case index for any thread count.
-///
-/// This is the entry point the migrated experiments (F6, F9) ride; a
-/// full sweep goes through [`run_sweep`], which layers the
-/// content-addressed store on top of the same machinery.
-pub fn run_graph_jobs<T, F>(
-    specs: &[GraphSpec],
-    master_seed: u64,
-    threads: usize,
-    exec: F,
-) -> Result<Vec<T>, CampaignError>
-where
-    T: Send,
-    F: Fn(usize, &Graph, &mut StepCtx) -> T + Sync,
-{
-    let mut memo = GraphMemo::new(Backend::Csr);
-    let graphs: Vec<BuiltTopology> = specs
-        .iter()
-        .map(|s| memo.get(s, graph_build_seed(master_seed, s)))
-        .collect::<Result<_, _>>()?;
-    // Cases own their seeding, so the runner's per-index seed is unused.
-    let config = RunConfig::new(specs.len(), master_seed).with_threads(threads);
-    let mut out = Vec::with_capacity(specs.len());
-    run_trials_with(
-        config,
-        StepCtx::new,
-        |ctx, _seed, i| exec(i, graphs[i].as_csr().expect("backend=csr builds CSR"), ctx),
-        |case| out.push(case),
-    );
-    Ok(out)
 }
 
 /// Runs every trial of one point on the worker's context, reducing
@@ -660,6 +618,7 @@ fn drain<S: Subscriber + Clone + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobra_graph::Backend;
     use std::sync::Arc;
 
     fn small_spec() -> SweepSpec {
@@ -1084,16 +1043,6 @@ mod tests {
                 .to_string();
             assert!(err.contains(want), "{objective}: {err}");
         }
-    }
-
-    #[test]
-    fn graph_jobs_are_index_ordered_and_share_graphs() {
-        let specs: Vec<cobra_graph::GraphSpec> = ["cycle:8", "cycle:12", "cycle:8"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let out = run_graph_jobs(&specs, 1, 4, |i, g, _ctx| (i, g.n())).unwrap();
-        assert_eq!(out, vec![(0, 8), (1, 12), (2, 8)]);
     }
 
     #[test]

@@ -6,17 +6,13 @@
 //! z-tests. The theorem needs no connectivity of spectra assumptions and
 //! holds for every `b` — rows include bipartite graphs and `b = 1+ρ`.
 //!
-//! Runs on the campaign scheduling layer: each case names its graph as
-//! a `GraphSpec` string, graphs materialise once through the campaign
-//! graph cache, and the cases dispatch as *jobs* across the worker pool
-//! (`cobra_campaign::run_graph_jobs`) with the per-case duality engines
-//! pinned to one thread — parallelism moved from inside each case to
-//! across cases, with bit-identical values (the engine is
-//! thread-invariant and seeds are unchanged).
+//! Each case names its graph as a `GraphSpec` string of a deterministic
+//! family, and the cases run in order. The parallelism is inside each
+//! case: both sides of the duality check spread their trials over every
+//! core, with values identical for any thread count.
 
 use crate::duality::{duality_check, DualityConfig};
 use crate::report::{fmt_f, Table};
-use cobra_campaign::run_graph_jobs;
 use cobra_graph::{GraphSpec, VertexId};
 use cobra_process::Branching;
 
@@ -79,24 +75,23 @@ fn cases() -> Vec<Case> {
 pub fn run(quick: bool) -> Table {
     let trials = if quick { 800 } else { 8000 };
     let cases = cases();
-    let specs: Vec<GraphSpec> = cases
+    let reports: Vec<_> = cases
         .iter()
-        .map(|c| c.graph.parse().expect("static case spec"))
+        .enumerate()
+        .map(|(i, case)| {
+            let spec: GraphSpec = case.graph.parse().expect("static case spec");
+            // Deterministic families ignore the build seed.
+            let g = spec.build(0).expect("static case specs build");
+            let cfg = DualityConfig {
+                branching: case.branching,
+                trials,
+                horizons: vec![0, 1, 2, 3, 4, 6, 8, 12],
+                master_seed: 0xF6_00 + i as u64,
+                threads: 0,
+            };
+            (g.n(), duality_check(&g, case.source, &case.start_set, &cfg))
+        })
         .collect();
-    // One job per case; the inner two-sided engines run sequentially so
-    // the worker pool is spent across cases, not within them.
-    let reports = run_graph_jobs(&specs, 0, 0, |i, g, _ctx| {
-        let case = &cases[i];
-        let cfg = DualityConfig {
-            branching: case.branching,
-            trials,
-            horizons: vec![0, 1, 2, 3, 4, 6, 8, 12],
-            master_seed: 0xF6_00 + i as u64,
-            threads: 1,
-        };
-        (g.n(), duality_check(g, case.source, &case.start_set, &cfg))
-    })
-    .expect("static case specs build");
     let mut table = Table::new(
         "F6",
         "Duality (Thm 1.3): max deviation between the COBRA and BIPS sides",

@@ -7,19 +7,16 @@
 //! of `t` versus `k` is the sharp part of the claim (4k dominates once
 //! `k ≫ dmax² log n`), so the fitted slope is reported per graph.
 //!
-//! Runs on the campaign scheduling layer: each graph case is a
-//! `GraphSpec`-named job dispatched through
-//! `cobra_campaign::run_graph_jobs`, the worker's long-lived `StepCtx`
-//! is reseeded per trial, and the BIPS state is built once per job and
-//! reset per trial — the same per-worker reuse the sweep runner gives
-//! every campaign point, with values bit-identical to the pre-migration
-//! per-trial constructions (reset ≡ fresh build, reseed ≡ fresh
-//! context; both pinned by the process-crate tests).
+//! Each graph case is a `GraphSpec` string of a deterministic family,
+//! and the cases run in order on one long-lived `StepCtx`, reseeded per
+//! trial. The BIPS state is built once per case and reset per trial,
+//! with values bit-identical to per-trial constructions (reset ≡ fresh
+//! build, reseed ≡ fresh context; both pinned by the process-crate
+//! tests).
 
 use crate::report::{fmt_f, Table};
-use cobra_campaign::run_graph_jobs;
 use cobra_graph::GraphSpec;
-use cobra_process::{Bips, BipsMode, Branching, Laziness, ProcessState, ProcessView};
+use cobra_process::{Bips, BipsMode, Branching, Laziness, ProcessState, ProcessView, StepCtx};
 use cobra_stats::fit_line;
 use cobra_util::math::ln_usize;
 
@@ -44,11 +41,11 @@ pub fn run(quick: bool) -> Table {
     let trials = if quick { 5 } else { 15 };
     let fractions = [0.25f64, 0.5, 0.75, 1.0];
     let cases = cases(quick);
-    let specs: Vec<GraphSpec> = cases
-        .iter()
-        .map(|(_, s)| s.parse().expect("static case spec"))
-        .collect();
-    let results = run_graph_jobs(&specs, 0, 0, |_case, g, ctx| {
+    let mut ctx = StepCtx::new();
+    let mut run_case = |spec: &str| {
+        let spec: GraphSpec = spec.parse().expect("static case spec");
+        // Deterministic families ignore the build seed.
+        let g = &spec.build(0).expect("static case specs build");
         let source = 0u32;
         let d_v = g.degree(source);
         let two_m = g.degree_sum();
@@ -59,7 +56,7 @@ pub fn run(quick: bool) -> Table {
             .map(|f| (((two_m - d_v) as f64) * f).round() as usize)
             .collect();
         // Per-trial first-passage rounds for each target; one BIPS
-        // state per job, reset per trial on the worker's context.
+        // state per case, reset per trial on the shared context.
         let mut p = Bips::new(
             g,
             source,
@@ -74,7 +71,7 @@ pub fn run(quick: bool) -> Table {
             let mut reached = vec![None; targets.len()];
             let cap = 100 * two_m + 100_000;
             while reached.iter().any(Option::is_none) && p.rounds() < cap {
-                p.step(ctx);
+                p.step(&mut ctx);
                 let d_now = p.infected_degree();
                 for (i, &k) in targets.iter().enumerate() {
                     if reached[i].is_none() && d_now >= d_v + k {
@@ -100,8 +97,8 @@ pub fn run(quick: bool) -> Table {
             rows,
             slope: fit_line(&ks, &ts).slope,
         }
-    })
-    .expect("static case specs build");
+    };
+    let results: Vec<CaseResult> = cases.iter().map(|(_, spec)| run_case(spec)).collect();
     let mut table = Table::new(
         "F9",
         "Lemma 3.1: rounds until d(A_t) ≥ d(v)+k vs t(k) = 4k + dmax²·ln n",

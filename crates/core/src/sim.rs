@@ -279,6 +279,7 @@ impl<'g> SimSpec<'g> {
 
     /// Validates the spec against its materialised graph (any
     /// backend): at least one trial, a non-empty in-range start set, a
+    /// shard setting the engine can run ([`Objective::check_sharding`]), a
     /// connected graph for the full-reach objectives, no isolated start
     /// vertex, then the objective's own termination checks (`hit:`
     /// target in range, `hit:far` reachable, threshold in range). Every
@@ -291,50 +292,14 @@ impl<'g> SimSpec<'g> {
         if self.trials == 0 {
             return Err(SimError::Invalid("trials must be >= 1".into()));
         }
-        self.check_sharding()?;
         let spec = match &self.graph {
             GraphSource::Spec(spec) => Some(spec),
             GraphSource::Borrowed(_) => None,
         };
         self.objective
-            .check_graph(spec, g, &self.start)
+            .check_sharding(&self.process, &self.start, self.shards)
+            .and_then(|()| self.objective.check_graph(spec, g, &self.start))
             .map_err(SimError::Invalid)
-    }
-
-    /// Validates the shard configuration (graph-independent): positive
-    /// count; for `shards > 1`, a shardable process, a single start
-    /// vertex, and any objective but duality.
-    fn check_sharding(&self) -> Result<(), SimError> {
-        if self.shards == 0 {
-            return Err(SimError::Invalid(
-                "shards must be >= 1 (1 = the unsharded engine)".into(),
-            ));
-        }
-        if self.shards == 1 {
-            return Ok(());
-        }
-        if !self.process.is_shardable() {
-            return Err(SimError::Invalid(format!(
-                "process \"{}\" does not shard — the sharded engine partitions \
-                 set-valued vertex state (shardable processes: cobra, bips); \
-                 drop shards= or use shards=1",
-                self.process
-            )));
-        }
-        if self.start.len() != 1 {
-            return Err(SimError::Invalid(format!(
-                "sharded runs take a single start vertex (got {} starts)",
-                self.start.len()
-            )));
-        }
-        if matches!(self.objective, Objective::Duality { .. }) {
-            return Err(SimError::Invalid(format!(
-                "objective \"{}\" cannot run sharded — the duality check runs \
-                 its own unsharded COBRA and BIPS engines; use shards=1",
-                self.objective
-            )));
-        }
-        Ok(())
     }
 
     /// Runs the spec's stopping trials on an already-checked graph,

@@ -89,26 +89,35 @@ pub fn is_connected<T: Topology>(g: &T) -> bool {
     bfs_distances(g, 0).iter().all(|&d| d != UNREACHABLE)
 }
 
-/// Component label (smallest vertex id in the component) for each vertex.
-fn connected_components(g: &Graph) -> Vec<VertexId> {
+/// Labels every vertex with the index of its connected component,
+/// components numbered in order of their lowest vertex id, and returns
+/// the labels with each component's vertex count. Generic over the
+/// graph backend; the one component traversal behind
+/// [`component_summary`] and [`largest_component`].
+fn component_labels<T: Topology>(g: &T) -> (Vec<VertexId>, Vec<usize>) {
     let mut label = vec![VertexId::MAX; g.n()];
+    let mut sizes = Vec::new();
     let mut queue = VecDeque::new();
     for s in 0..g.n() as VertexId {
         if label[s as usize] != VertexId::MAX {
             continue;
         }
-        label[s as usize] = s;
+        let c = sizes.len() as VertexId;
+        label[s as usize] = c;
         queue.push_back(s);
+        let mut size = 0usize;
         while let Some(u) = queue.pop_front() {
-            for &w in g.neighbors(u) {
+            size += 1;
+            g.for_each_neighbor(u, |w| {
                 if label[w as usize] == VertexId::MAX {
-                    label[w as usize] = s;
+                    label[w as usize] = c;
                     queue.push_back(w);
                 }
-            }
+            });
         }
+        sizes.push(size);
     }
-    label
+    (label, sizes)
 }
 
 /// Connectivity structure in one pass: component count and giant-component
@@ -135,38 +144,13 @@ impl ComponentSummary {
     }
 }
 
-/// Computes the [`ComponentSummary`] of any topology via repeated BFS.
+/// Computes the [`ComponentSummary`] of any topology.
 pub fn component_summary<T: Topology>(g: &T) -> ComponentSummary {
-    let n = g.n();
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    let mut components = 0usize;
-    let mut giant_size = 0usize;
-    for s in 0..n as VertexId {
-        if seen[s as usize] {
-            continue;
-        }
-        components += 1;
-        let mut size = 0usize;
-        seen[s as usize] = true;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            size += 1;
-            let (_, deg) = g.neighbor_range(u);
-            for i in 0..deg {
-                let w = g.neighbor(u, i);
-                if !seen[w as usize] {
-                    seen[w as usize] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-        giant_size = giant_size.max(size);
-    }
+    let (_, sizes) = component_labels(g);
     ComponentSummary {
-        components,
-        giant_size,
-        n,
+        components: sizes.len(),
+        giant_size: sizes.iter().copied().max().unwrap_or(0),
+        n: g.n(),
     }
 }
 
@@ -180,15 +164,11 @@ pub fn largest_component(g: &Graph) -> (Graph, Vec<VertexId>) {
     if g.n() == 0 {
         return (Graph::from_edges(0, &[]).expect("empty"), Vec::new());
     }
-    let labels = connected_components(g);
-    let mut counts: std::collections::HashMap<VertexId, usize> = std::collections::HashMap::new();
-    for &l in &labels {
-        *counts.entry(l).or_insert(0) += 1;
-    }
-    let (&best, _) = counts
-        .iter()
-        .max_by_key(|&(&l, &c)| (c, std::cmp::Reverse(l)))
-        .expect("nonempty");
+    let (labels, sizes) = component_labels(g);
+    // Ties go to the component with the lowest vertex id.
+    let best = (0..sizes.len())
+        .max_by_key(|&c| (sizes[c], std::cmp::Reverse(c)))
+        .expect("nonempty") as VertexId;
     let mut old_of_new: Vec<VertexId> = Vec::new();
     let mut new_of_old = vec![VertexId::MAX; g.n()];
     for v in 0..g.n() as VertexId {
@@ -348,12 +328,16 @@ mod tests {
     #[test]
     fn components_and_largest() {
         let g = Graph::from_edges(7, &[(0, 1), (1, 2), (3, 4), (5, 6)]).unwrap();
-        let labels = connected_components(&g);
-        assert_eq!(labels, vec![0, 0, 0, 3, 3, 5, 5]);
+        let (labels, sizes) = component_labels(&g);
+        assert_eq!(labels, vec![0, 0, 0, 1, 1, 2, 2]);
+        assert_eq!(sizes, vec![3, 2, 2]);
         let (sub, mapping) = largest_component(&g);
         assert_eq!(sub.n(), 3);
         assert_eq!(sub.m(), 2);
         assert_eq!(mapping, vec![0, 1, 2]);
+        // Equal sizes: the component holding the lowest vertex id wins.
+        let tie = Graph::from_edges(5, &[(3, 4), (1, 2)]).unwrap();
+        assert_eq!(largest_component(&tie).1, vec![1, 2]);
     }
 
     #[test]
@@ -422,7 +406,8 @@ mod tests {
             }
             prop_assert_eq!(is_connected(&g), uf.components() == 1);
             // Component labels partition consistently with union-find.
-            let labels = connected_components(&g);
+            let (labels, sizes) = component_labels(&g);
+            prop_assert_eq!(sizes.len(), uf.components());
             for a in 0..n {
                 for b in 0..n {
                     prop_assert_eq!(labels[a] == labels[b], uf.connected(a, b));

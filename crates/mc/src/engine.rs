@@ -1,10 +1,12 @@
 //! The unified Monte-Carlo engine: one trial loop for every process.
 //!
 //! One per-trial step (reseed → reset → run) and two loops over it:
-//! [`Engine::run`] spreads trials over threads; [`Engine::run_sequential`]
-//! runs them in order on one reusable [`TrialState`] (traced runs,
-//! sharded runs, campaign points). Both hand each trial's output to a
-//! caller fold in trial order and return no per-trial vector:
+//! [`Engine::run_spec`] spreads a [`ProcessSpec`]'s trials over threads;
+//! [`Engine::run_sequential`] runs them in order on one reusable
+//! [`TrialState`] (traced runs, sharded runs, campaign points). These
+//! two are the only batch runners in the workspace. Both hand each
+//! trial's output to a caller fold in trial order and return no
+//! per-trial vector:
 //!
 //! * trials, master seed, and thread count live in the engine;
 //! * the per-trial round cap and the [`StopWhen`] condition decide when
@@ -25,24 +27,20 @@
 //!
 //! # Zero-allocation trial loop
 //!
-//! The trial loop is generic over `P:`[`ProcessState`], so with a
+//! [`run_trial`] is generic over `P:`[`ProcessState`], so with a
 //! concrete process type stepping and stop checks monomorphize (no
-//! virtual dispatch per round). Each worker thread builds **one** process
-//! state and **one** [`StepCtx`] via [`run_trials_with`]; every trial
-//! reseeds the context and [`ProcessState::reset`]s the state, so
-//! steady-state trials perform no heap allocation at all.
+//! virtual dispatch per round). [`Engine::run_spec`] steps a
+//! [`BoxedProcess`], itself a `ProcessState`: each worker thread builds
+//! **one** box and **one** [`StepCtx`], and every trial reseeds the
+//! context and resets the process, so steady-state trials perform no
+//! heap allocation at all. Each round makes three virtual calls through
+//! the box: the stop check, `rounds` and `step`.
 //!
-//! Every string-spec run (`SimSpec`, and through it `run`, `sweep` and
-//! `serve`) steps a [`cobra_process::BoxedProcess`] instead, which is
-//! itself a `ProcessState`. The `Box` is built once per worker, not once
-//! per trial, but each round makes three virtual calls through it: the
-//! stop check, `rounds` and `step`.
-//!
-//! Determinism is inherited from [`run_trials_with`]: trial `i` sees
-//! only `trial_seed(master_seed, i)` and the fold sees trials in index
-//! order, so results are identical across thread counts.
+//! Determinism: trial `i` sees only `trial_seed(master_seed, i)` and the
+//! fold sees trials in index order (the crate-private parallel runner
+//! reorders them), so results are identical across thread counts.
 
-use crate::runner::{run_trials_with, RunConfig};
+use crate::runner::run_trials_with;
 use crate::seed::{shard_seed, trial_seed};
 use cobra_graph::{Topology, VertexId};
 use cobra_obs::{Phase, PhaseTimers, RoundRecord, RoundSink, PHASES};
@@ -230,7 +228,7 @@ impl<Ob: Observer> Observer for Telemetry<'_, Ob> {
 }
 
 /// Drives one trial of an already-reset process to its stop condition:
-/// the trial loop [`Engine::run`] and [`Engine::run_sequential`] share.
+/// the trial loop [`Engine::run_spec`] and [`Engine::run_sequential`] share.
 /// The caller reseeds `ctx` and resets `process` beforehand; given the
 /// same post-reset state and seed, the outcome is identical whichever
 /// layer invokes it.
@@ -352,51 +350,17 @@ impl Engine {
         self
     }
 
-    /// Runs the trials over a reusable process state per worker.
-    ///
-    /// `make_state` builds the worker's process state (once per worker
-    /// thread); `reset` restores it to round 0 for a trial — it receives
-    /// the trial index and the freshly reseeded [`StepCtx`] and may draw
-    /// from `ctx.rng` (e.g. for random start sets) before stepping
-    /// begins. `make_observer` builds the per-trial observer, and `fold`
-    /// receives each trial's output on the calling thread in trial-index
-    /// order, identical for any thread count (see [`run_trials_with`]).
-    pub fn run<'g, T, P, F, R, Ob, G>(
-        &self,
-        stop: StopWhen,
-        make_state: F,
-        reset: R,
-        make_observer: G,
-        fold: impl FnMut(Ob::Output),
-    ) where
-        T: Topology,
-        P: ProcessState<'g, T>,
-        F: Fn() -> P + Sync,
-        R: Fn(&mut P, usize, &mut StepCtx) + Sync,
-        Ob: Observer,
-        G: Fn(usize) -> Ob + Sync,
-    {
-        let cap = self.cap;
-        run_trials_with(
-            RunConfig::new(self.trials, self.master_seed).with_threads(self.threads),
-            || (make_state(), StepCtx::new()),
-            |(process, ctx), seed, index| {
-                ctx.reseed(seed);
-                reset(process, index, ctx);
-                run_trial(process, ctx, stop, cap, make_observer(index))
-            },
-            fold,
-        )
-    }
-
-    /// [`Engine::run`] for a parsed [`ProcessSpec`] — the type-erased
-    /// path string-driven entry points (CLI, config files) use. The
-    /// [`BoxedProcess`] is built once per worker and reset per trial.
-    /// Generic over the graph backend: CSR graphs and implicit
+    /// Runs the trials of a parsed [`ProcessSpec`] from `start`, spread
+    /// over the worker threads. Each worker builds one
+    /// [`BoxedProcess`] and one [`StepCtx`]; every trial reseeds the
+    /// context and resets the process. `make_observer` builds the
+    /// per-trial observer, and `fold` receives each trial's output on
+    /// the calling thread in trial-index order, identical for any thread
+    /// count. Generic over the graph backend: CSR graphs and implicit
     /// topologies run through the same loop, bit-identically.
-    pub fn run_spec<'g, T, Ob, G>(
+    pub fn run_spec<T, Ob, G>(
         &self,
-        g: &'g T,
+        g: &T,
         spec: &ProcessSpec,
         start: &[VertexId],
         stop: StopWhen,
@@ -407,11 +371,15 @@ impl Engine {
         Ob: Observer,
         G: Fn(usize) -> Ob + Sync,
     {
-        self.run(
-            stop,
-            || spec.build(g, start),
-            |p: &mut BoxedProcess<'g, T>, _, _| p.reset(g, start),
-            make_observer,
+        let cap = self.cap;
+        run_trials_with(
+            self,
+            || (spec.build(g, start), StepCtx::new()),
+            |(process, ctx), seed, index| {
+                ctx.reseed(seed);
+                process.reset(g, start);
+                run_trial(process, ctx, stop, cap, make_observer(index))
+            },
             fold,
         )
     }
@@ -419,7 +387,7 @@ impl Engine {
     /// The sequential loop: runs the trials in trial order on one
     /// reusable [`TrialState`] (ignoring `threads`) and hands each
     /// observer output to `fold`. Trial `i` sees `trial_seed(master_seed,
-    /// i)`, as in [`Engine::run`], so unsharded outputs match the
+    /// i)`, as in [`Engine::run_spec`], so unsharded outputs match the
     /// parallel path; sharded states run the same observers.
     ///
     /// `cancel` is polled before every trial; a cancelled batch returns
@@ -584,53 +552,27 @@ fn phase_deltas(before: [u64; PHASES], timers: &PhaseTimers) -> Vec<(Phase, u64)
 mod tests {
     use super::*;
     use cobra_graph::{generators, Graph};
-    use cobra_process::{Branching, Cobra, Laziness};
+    use cobra_process::Cobra;
 
-    fn k16_cobra(trials: usize, cap: usize) -> (Engine, Graph) {
-        (Engine::new(trials, 0xE6E, cap), generators::complete(16))
-    }
-
-    /// Every output of `engine.run`, collected through its fold.
-    fn outputs<'g, P, Ob>(
+    /// Every output of `engine.run_spec` for `process` from vertex 0,
+    /// collected through its fold.
+    fn outputs<Ob: Observer>(
         engine: Engine,
+        g: &Graph,
+        process: &str,
         stop: StopWhen,
-        make: impl Fn() -> P + Sync,
-        reset: impl Fn(&mut P, usize, &mut StepCtx) + Sync,
         observer: impl Fn(usize) -> Ob + Sync,
-    ) -> Vec<Ob::Output>
-    where
-        P: ProcessState<'g, Graph>,
-        Ob: Observer,
-    {
+    ) -> Vec<Ob::Output> {
+        let spec: ProcessSpec = process.parse().unwrap();
         let mut out = Vec::new();
-        engine.run(stop, make, reset, observer, |o| out.push(o));
-        out
-    }
-
-    /// Every outcome of `engine.run_spec` from vertex 0 to completion.
-    fn spec_outcomes(engine: Engine, g: &Graph, spec: &ProcessSpec) -> Vec<TrialOutcome> {
-        let mut out = Vec::new();
-        engine.run_spec(
-            g,
-            spec,
-            &[0],
-            StopWhen::Complete,
-            |_| Completion,
-            |o| out.push(o),
-        );
+        engine.run_spec(g, &spec, &[0], stop, observer, |o| out.push(o));
         out
     }
 
     #[test]
     fn completes_and_orders_outcomes() {
-        let (engine, g) = k16_cobra(12, 10_000);
-        let outcomes = outputs(
-            engine,
-            StopWhen::Complete,
-            || Cobra::b2(&g, 0),
-            |p, _, _| p.reset(&g, &[0]),
-            |_| Completion,
-        );
+        let (engine, g) = (Engine::new(12, 0xE6E, 10_000), generators::complete(16));
+        let outcomes = outputs(engine, &g, "cobra:b2", StopWhen::Complete, |_| Completion);
         assert_eq!(outcomes.len(), 12);
         for o in &outcomes {
             assert!(o.rounds.is_some());
@@ -641,36 +583,19 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let (engine, g) = k16_cobra(16, 10_000);
-        let seq = outputs(
-            engine.with_threads(1),
-            StopWhen::Complete,
-            || Cobra::b2(&g, 0),
-            |p, _, _| p.reset(&g, &[0]),
-            |_| Completion,
-        );
-        let par = outputs(
-            engine.with_threads(8),
-            StopWhen::Complete,
-            || Cobra::b2(&g, 0),
-            |p, _, _| p.reset(&g, &[0]),
-            |_| Completion,
-        );
-        assert_eq!(seq, par);
+        let (engine, g) = (Engine::new(16, 0xE6E, 10_000), generators::complete(16));
+        let run = |threads| {
+            let engine = engine.with_threads(threads);
+            outputs(engine, &g, "cobra:b2", StopWhen::Complete, |_| Completion)
+        };
+        assert_eq!(run(1), run(8));
     }
 
     #[test]
     fn cap_censors_with_executed_rounds() {
         let engine = Engine::new(5, 1, 3);
         let g = generators::path(64);
-        let outcomes = outputs(
-            engine,
-            StopWhen::Complete,
-            || Cobra::b2(&g, 0),
-            |p, _, _| p.reset(&g, &[0]),
-            |_| Completion,
-        );
-        for o in outcomes {
+        for o in outputs(engine, &g, "cobra:b2", StopWhen::Complete, |_| Completion) {
             assert_eq!(o.rounds, None);
             assert_eq!(o.executed, 3);
         }
@@ -680,44 +605,21 @@ mod tests {
     fn reached_stop_is_hitting_time() {
         let engine = Engine::new(10, 2, 100_000);
         let g = generators::cycle(24);
-        let make = || Cobra::new(&g, &[0], Branching::B2, Laziness::None);
-        let outcomes = outputs(
-            engine,
-            StopWhen::Reached(12),
-            make,
-            |p, _, _| p.reset(&g, &[0]),
-            |_| Completion,
-        );
-        for o in &outcomes {
-            let hit = o.rounds.expect("must hit within cap");
+        let hit = |v| outputs(engine, &g, "cobra:b2", StopWhen::Reached(v), |_| Completion);
+        for o in &hit(12) {
+            let rounds = o.rounds.expect("must hit within cap");
             // Vertex 12 is 12 hops away; spreading one hop per round.
-            assert!(hit >= 12, "hit {hit} beats the distance bound");
+            assert!(rounds >= 12, "hit {rounds} beats the distance bound");
         }
         // Hitting the start vertex takes zero rounds.
-        let zero = outputs(
-            engine,
-            StopWhen::Reached(0),
-            make,
-            |p, _, _| p.reset(&g, &[0]),
-            |_| Completion,
-        );
-        assert!(zero.iter().all(|o| o.rounds == Some(0)));
+        assert!(hit(0).iter().all(|o| o.rounds == Some(0)));
     }
 
     #[test]
     fn reached_count_stop_is_threshold_first_passage() {
         let engine = Engine::new(8, 6, 100_000);
         let g = generators::complete(32);
-        let make = || Cobra::b2(&g, 0);
-        let run = |stop| {
-            outputs(
-                engine,
-                stop,
-                make,
-                |p, _, _| p.reset(&g, &[0]),
-                |_| Completion,
-            )
-        };
+        let run = |stop| outputs(engine, &g, "cobra:b2", stop, |_| Completion);
         let half = run(StopWhen::ReachedCount(16));
         let full = run(StopWhen::Complete);
         for (h, f) in half.iter().zip(&full) {
@@ -740,13 +642,7 @@ mod tests {
         let engine = Engine::new(4, 11, 25);
         let g = generators::cycle(16);
         let run = |make_ob: fn() -> Trajectory| {
-            outputs(
-                engine,
-                StopWhen::AtCap,
-                || Cobra::b2(&g, 0),
-                |p, _, _| p.reset(&g, &[0]),
-                |_| make_ob(),
-            )
+            outputs(engine, &g, "cobra:b2", StopWhen::AtCap, |_| make_ob())
         };
         let reserved = run(|| Trajectory::with_capacity(25));
         let lazy = run(Trajectory::default);
@@ -760,14 +656,7 @@ mod tests {
     fn at_cap_runs_exactly_cap_rounds() {
         let engine = Engine::new(4, 3, 7);
         let g = generators::complete(8);
-        let outcomes = outputs(
-            engine,
-            StopWhen::AtCap,
-            || Cobra::b2(&g, 0),
-            |p, _, _| p.reset(&g, &[0]),
-            |_| Completion,
-        );
-        for o in outcomes {
+        for o in outputs(engine, &g, "cobra:b2", StopWhen::AtCap, |_| Completion) {
             assert_eq!(o.rounds, None);
             assert_eq!(o.executed, 7, "AtCap must run to the cap exactly");
         }
@@ -777,13 +666,9 @@ mod tests {
     fn trajectory_observer_records_every_round() {
         let engine = Engine::new(6, 4, 10_000);
         let g = generators::complete(32);
-        let trajectories = outputs(
-            engine,
-            StopWhen::Complete,
-            || Cobra::b2(&g, 0),
-            |p, _, _| p.reset(&g, &[0]),
-            |_| Trajectory::default(),
-        );
+        let trajectories = outputs(engine, &g, "cobra:b2", StopWhen::Complete, |_| {
+            Trajectory::default()
+        });
         for t in trajectories {
             assert_eq!(t[0], 1, "round 0 state is the start set");
             assert_eq!(*t.last().unwrap(), 32, "last entry is full coverage");
@@ -795,48 +680,36 @@ mod tests {
     }
 
     #[test]
-    fn trial_index_can_vary_the_reset() {
-        // Per-trial start vertices through the reset hook: hitting
-        // vertex 0 takes zero rounds only for the trial starting there.
-        let engine = Engine::new(6, 5, 100_000);
-        let g = generators::cycle(12);
-        let outcomes = outputs(
-            engine,
-            StopWhen::Reached(0),
-            || Cobra::b2(&g, 0),
-            |p, i, _| p.reset(&g, &[(i as u32 % 12)]),
-            |_| Completion,
-        );
-        assert_eq!(outcomes[0].rounds, Some(0));
-        for o in &outcomes[1..] {
-            assert!(o.rounds.unwrap() > 0, "non-zero start hit instantly");
-        }
-    }
-
-    #[test]
     fn spec_path_runs_through_the_engine() {
         // The ProcessSpec path hands the engine a BoxedProcess.
         let engine = Engine::new(5, 5, 100_000);
         let g = generators::petersen();
-        let spec: ProcessSpec = "bips:b2".parse().unwrap();
-        let outcomes = spec_outcomes(engine, &g, &spec);
+        let outcomes = outputs(engine, &g, "bips:b2", StopWhen::Complete, |_| Completion);
         assert!(outcomes.iter().all(|o| o.rounds.is_some()));
     }
 
     #[test]
     fn spec_path_matches_monomorphic_path_exactly() {
-        // Boxed-and-reset must be bit-identical to concrete-and-reset.
+        // Boxed-and-reset must be bit-identical to a hand loop over a
+        // concrete process reset per trial under the engine's seeds.
         let engine = Engine::new(8, 9, 100_000);
         let g = generators::torus(&[5, 5]);
-        let spec: ProcessSpec = "cobra:b2".parse().unwrap();
-        let boxed = spec_outcomes(engine, &g, &spec);
-        let concrete = outputs(
-            engine,
-            StopWhen::Complete,
-            || Cobra::b2(&g, 0),
-            |p, _, _| p.reset(&g, &[0]),
-            |_| Completion,
-        );
+        let boxed = outputs(engine, &g, "cobra:b2", StopWhen::Complete, |_| Completion);
+        let mut cobra = Cobra::b2(&g, 0);
+        let mut ctx = StepCtx::new();
+        let concrete: Vec<TrialOutcome> = (0..engine.trials)
+            .map(|i| {
+                ctx.reseed(trial_seed(engine.master_seed, i as u64));
+                cobra.reset(&g, &[0]);
+                run_trial(
+                    &mut cobra,
+                    &mut ctx,
+                    StopWhen::Complete,
+                    engine.cap,
+                    Completion,
+                )
+            })
+            .collect();
         assert_eq!(boxed, concrete);
     }
 }

@@ -36,6 +36,7 @@
 
 use crate::engine::{StopWhen, TrialOutcome};
 use cobra_graph::{props, GraphSpec, Topology, VertexId};
+use cobra_process::ProcessSpec;
 use cobra_stats::streaming::StreamingSummary;
 use std::fmt;
 use std::str::FromStr;
@@ -137,6 +138,45 @@ impl Objective {
                 cc.components,
                 100.0 * cc.giant_fraction(),
                 cc.n
+            ));
+        }
+        Ok(())
+    }
+
+    /// The graph-independent shard admission rule of one run or sweep
+    /// point: a positive shard count and, for `shards > 1`, a shardable
+    /// process, a single start vertex, and any objective but duality.
+    /// `SimSpec::check` and the campaign planner both call this, so `run`
+    /// and `sweep` reject a bad shard setting with the same text.
+    pub fn check_sharding(
+        &self,
+        process: &ProcessSpec,
+        start: &[VertexId],
+        shards: usize,
+    ) -> Result<(), String> {
+        if shards == 0 {
+            return Err("shards must be >= 1 (1 = the unsharded engine)".into());
+        }
+        if shards == 1 {
+            return Ok(());
+        }
+        if !process.is_shardable() {
+            return Err(format!(
+                "process \"{process}\" does not shard — the sharded engine partitions \
+                 set-valued vertex state (shardable processes: cobra, bips); \
+                 drop shards= or use shards=1"
+            ));
+        }
+        if start.len() != 1 {
+            return Err(format!(
+                "sharded runs take a single start vertex (got {} starts)",
+                start.len()
+            ));
+        }
+        if matches!(self, Objective::Duality { .. }) {
+            return Err(format!(
+                "objective \"{self}\" cannot run sharded — the duality check runs \
+                 its own unsharded COBRA and BIPS engines; use shards=1"
             ));
         }
         Ok(())

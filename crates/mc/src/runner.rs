@@ -1,40 +1,10 @@
-//! Parallel trial execution folded in trial-index order.
+//! Parallel trial execution folded in trial-index order: the loop
+//! under [`Engine::run_spec`].
 
+use crate::engine::Engine;
 use crate::seed::trial_seed;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-
-/// Configuration for a batch of Monte-Carlo trials.
-#[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Master seed; trial `i` receives `trial_seed(master_seed, i)`.
-    pub master_seed: u64,
-    /// Worker threads; 0 means "one per available core".
-    pub threads: usize,
-}
-
-impl RunConfig {
-    /// `trials` trials under `master_seed` with automatic thread count.
-    pub fn new(trials: usize, master_seed: u64) -> RunConfig {
-        RunConfig {
-            trials,
-            master_seed,
-            threads: 0,
-        }
-    }
-
-    /// Overrides the thread count (1 = sequential).
-    pub fn with_threads(mut self, threads: usize) -> RunConfig {
-        self.threads = threads;
-        self
-    }
-
-    fn effective_threads(&self) -> usize {
-        resolve_threads(self.threads).min(self.trials.max(1))
-    }
-}
 
 /// How many trials per worker [`run_trials_with`] may run ahead of its
 /// fold: a batch holds at most `threads × FOLD_WINDOW + 1` outputs at
@@ -50,10 +20,11 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs `config.trials` independent trials of `f(state, seed, index)`
-/// and hands each output to `fold` on the calling thread, in trial-index
-/// order, so the fold (float sums included) is bit-identical for any
-/// thread count.
+/// Runs `engine.trials` independent trials of `f(state, seed, index)`
+/// on up to `engine.threads` workers and hands each output to `fold` on
+/// the calling thread, in trial-index order, so the fold (float sums
+/// included) is bit-identical for any thread count. The engine's cap is
+/// `f`'s business.
 ///
 /// `init` builds one state per worker thread, threaded through every
 /// trial it runs (the engine keeps a process state and a `StepCtx` there).
@@ -62,17 +33,18 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// up, at most `threads × FOLD_WINDOW` past the next one to fold. A panic
 /// in a trial or in `init` is re-raised on the caller once every worker
 /// has stopped; a panic in `fold` stops the workers too.
-pub fn run_trials_with<S, T, I, F>(config: RunConfig, init: I, f: F, mut fold: impl FnMut(T))
+pub(crate) fn run_trials_with<S, T, I, F>(engine: &Engine, init: I, f: F, mut fold: impl FnMut(T))
 where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, u64, usize) -> T + Sync,
 {
-    let trial = |state: &mut S, i: usize| f(state, trial_seed(config.master_seed, i as u64), i);
-    let threads = config.effective_threads();
+    let trials = engine.trials;
+    let trial = |state: &mut S, i: usize| f(state, trial_seed(engine.master_seed, i as u64), i);
+    let threads = resolve_threads(engine.threads).min(trials.max(1));
     if threads <= 1 {
         let mut state = init();
-        for i in 0..config.trials {
+        for i in 0..trials {
             fold(trial(&mut state, i));
         }
         return;
@@ -97,9 +69,9 @@ where
             let _stop = StopOnPanic(&window, &moved);
             let mut state = init();
             loop {
-                let mut w = wait_until(&|w| w.claimed == config.trials || w.pending.len() < span);
+                let mut w = wait_until(&|w| w.claimed == trials || w.pending.len() < span);
                 let i = w.claimed;
-                if w.stopped || i == config.trials {
+                if w.stopped || i == trials {
                     return;
                 }
                 w.claimed += 1;
@@ -117,7 +89,7 @@ where
         };
         let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
         let _stop = StopOnPanic(&window, &moved);
-        for _ in 0..config.trials {
+        for _ in 0..trials {
             let mut w = wait_until(&|w| matches!(w.pending.front(), Some(Some(_))));
             let was_full = w.pending.len() == span;
             let Some(Some(output)) = w.pending.pop_front() else {
@@ -167,23 +139,23 @@ mod tests {
     use std::time::{Duration, Instant};
 
     /// The outputs of `f(seed, index)` in the order the fold saw them.
-    fn collect<T: Send>(config: RunConfig, f: impl Fn(u64, usize) -> T + Sync) -> Vec<T> {
+    fn collect<T: Send>(engine: Engine, f: impl Fn(u64, usize) -> T + Sync) -> Vec<T> {
         let mut out = Vec::new();
-        run_trials_with(config, || (), |(), seed, i| f(seed, i), |t| out.push(t));
+        run_trials_with(&engine, || (), |(), seed, i| f(seed, i), |t| out.push(t));
         out
     }
 
     #[test]
     fn zero_trials_is_empty() {
-        let out: Vec<u64> = collect(RunConfig::new(0, 1), |s, _| s);
+        let out: Vec<u64> = collect(Engine::new(0, 1, 0), |s, _| s);
         assert!(out.is_empty());
-        let out: Vec<u64> = collect(RunConfig::new(0, 1).with_threads(4), |s, _| s);
+        let out: Vec<u64> = collect(Engine::new(0, 1, 0).with_threads(4), |s, _| s);
         assert!(out.is_empty());
     }
 
     #[test]
     fn output_is_index_ordered() {
-        let out: Vec<usize> = collect(RunConfig::new(500, 9), |_, i| i);
+        let out: Vec<usize> = collect(Engine::new(500, 9, 0), |_, i| i);
         let want: Vec<usize> = (0..500).collect();
         assert_eq!(out, want);
     }
@@ -192,7 +164,7 @@ mod tests {
     fn uneven_trials_fold_in_index_order() {
         // Every third trial sleeps, so workers finish out of order.
         for threads in [1, 2, 8] {
-            let out: Vec<usize> = collect(RunConfig::new(90, 4).with_threads(threads), |_, i| {
+            let out: Vec<usize> = collect(Engine::new(90, 4, 0).with_threads(threads), |_, i| {
                 if i % 3 == 0 {
                     std::thread::sleep(Duration::from_micros(300 * (i % 7) as u64));
                 }
@@ -213,9 +185,9 @@ mod tests {
             }
             acc
         };
-        let seq: Vec<u64> = collect(RunConfig::new(300, 77).with_threads(1), work);
-        let par: Vec<u64> = collect(RunConfig::new(300, 77).with_threads(8), work);
-        let auto: Vec<u64> = collect(RunConfig::new(300, 77), work);
+        let seq: Vec<u64> = collect(Engine::new(300, 77, 0).with_threads(1), work);
+        let par: Vec<u64> = collect(Engine::new(300, 77, 0).with_threads(8), work);
+        let auto: Vec<u64> = collect(Engine::new(300, 77, 0), work);
         assert_eq!(seq, par);
         assert_eq!(seq, auto);
     }
@@ -223,7 +195,7 @@ mod tests {
     #[test]
     fn every_trial_runs_exactly_once() {
         let ran = AtomicU64::new(0);
-        let out: Vec<()> = collect(RunConfig::new(123, 5).with_threads(4), |_, _| {
+        let out: Vec<()> = collect(Engine::new(123, 5, 0).with_threads(4), |_, _| {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(out.len(), 123);
@@ -232,7 +204,7 @@ mod tests {
 
     #[test]
     fn seeds_are_the_documented_derivation() {
-        let out: Vec<u64> = collect(RunConfig::new(10, 2024).with_threads(3), |s, _| s);
+        let out: Vec<u64> = collect(Engine::new(10, 2024, 0).with_threads(3), |s, _| s);
         let want: Vec<u64> = (0..10).map(|i| crate::seed::trial_seed(2024, i)).collect();
         assert_eq!(out, want);
     }
@@ -243,7 +215,7 @@ mod tests {
         let inits = AtomicU64::new(0);
         let mut out = Vec::new();
         run_trials_with(
-            RunConfig::new(10, 3).with_threads(1),
+            &Engine::new(10, 3, 0).with_threads(1),
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0u64
@@ -261,7 +233,7 @@ mod tests {
         let inits = AtomicU64::new(0);
         let mut out = Vec::new();
         run_trials_with(
-            RunConfig::new(64, 3).with_threads(4),
+            &Engine::new(64, 3, 0).with_threads(4),
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
             },
@@ -274,7 +246,7 @@ mod tests {
 
     #[test]
     fn thread_count_larger_than_trials_is_fine() {
-        let out: Vec<usize> = collect(RunConfig::new(3, 0).with_threads(64), |_, i| i);
+        let out: Vec<usize> = collect(Engine::new(3, 0, 0).with_threads(64), |_, i| i);
         assert_eq!(out, vec![0, 1, 2]);
     }
 
@@ -304,7 +276,7 @@ mod tests {
         let bound = threads * FOLD_WINDOW + 1;
         let mut folded = 0usize;
         run_trials_with(
-            RunConfig::new(10_000, 8).with_threads(threads),
+            &Engine::new(10_000, 8, 0).with_threads(threads),
             || (),
             |(), _, i| (i, Live::new(&live, &peak)),
             |(i, guard)| {
@@ -332,7 +304,7 @@ mod tests {
             let mut folded = Vec::new();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_trials_with(
-                    RunConfig::new(100_000, 1).with_threads(threads),
+                    &Engine::new(100_000, 1, 0).with_threads(threads),
                     || (),
                     |(), _, i| {
                         if i == 37 {
@@ -360,7 +332,7 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_trials_with(
-                RunConfig::new(usize::MAX, 1).with_threads(2),
+                &Engine::new(usize::MAX, 1, 0).with_threads(2),
                 || (),
                 |(), _, i| {
                     ran.fetch_add(1, Ordering::Relaxed);

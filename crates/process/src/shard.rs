@@ -18,14 +18,16 @@
 //!    trait (implicit backends need no shared graph at all).
 //!    Destinations the shard owns are applied directly; remotely-owned
 //!    activations are appended to a per-destination outbox.
-//! 2. **exchange + apply** — outboxes are handed over wholesale (a
-//!    `mem::take` swap, no channel machinery), then every shard drains
-//!    the inboxes addressed to it — in sender order — and commits its
-//!    next frontier.
+//! 2. **exchange + apply** — the outboxes live in one sender-major
+//!    table beside the slots (no channel machinery, no per-round
+//!    buffers), so every shard drains the entries addressed to it — in
+//!    sender order — straight from the table and commits its next
+//!    frontier.
 //!
 //! Phases run the slots either sequentially or on scoped worker
-//! threads; each closure touches exactly one slot and reads the shared
-//! inbox snapshot, so the trajectory is **bit-identical for a fixed
+//! threads; each closure touches exactly one slot (and, gathering, its
+//! own outbox row) and reads the outbox table only once gathering is
+//! done, so the trajectory is **bit-identical for a fixed
 //! shard count regardless of thread count**. The shard count itself
 //! *does* change which RNG stream serves which vertex, so `shards=` is
 //! part of a result's identity (unlike `backend=`).
@@ -93,10 +95,6 @@ struct ShardSlot {
     active: BitSet,
     /// Next round's frontier, assembled during gather + drain.
     next: BitSet,
-    /// Outgoing activations, one buffer per destination shard. Entries
-    /// are *receiver-local* ids — senders pay the ownership split once
-    /// so receivers drain with bare bit-sets.
-    outbox: Vec<Vec<VertexId>>,
     /// This shard's private RNG stream.
     rng: SmallRng,
     /// COBRA: cumulative local visited count (kept incrementally so
@@ -124,7 +122,7 @@ impl ShardKernel {
 }
 
 impl ShardSlot {
-    fn new(index: usize, range: Range<usize>, shards: usize, kernel: ShardKernel) -> ShardSlot {
+    fn new(index: usize, range: Range<usize>, kernel: ShardKernel) -> ShardSlot {
         let span = range.end - range.start;
         let (visited_len, d_a_len) = kernel.scratch_lens(span);
         let (ShardKernel::Cobra {
@@ -141,7 +139,6 @@ impl ShardSlot {
             visited: BitSet::new(visited_len),
             active: BitSet::new(span),
             next: BitSet::new(span),
-            outbox: (0..shards).map(|_| Vec::new()).collect(),
             rng: SmallRng::seed_from_u64(0),
             reached: 0,
             transmissions: 0,
@@ -152,32 +149,28 @@ impl ShardSlot {
     }
 }
 
-/// Runs `f` over every slot, sequentially (`threads <= 1`) or on scoped
-/// worker threads. Each invocation owns exactly one slot, so the
-/// results are identical either way — the parallel path only changes
-/// wall-clock time.
-fn for_each_slot<F>(threads: usize, slots: &mut [ShardSlot], f: F)
-where
-    F: Fn(&mut ShardSlot) + Sync,
-{
-    if threads <= 1 || slots.len() <= 1 {
-        for slot in slots.iter_mut() {
-            f(slot);
-        }
-    } else {
-        let workers = threads.min(slots.len());
-        let chunk = slots.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for chunk_slots in slots.chunks_mut(chunk) {
-                let f = &f;
-                scope.spawn(move || {
-                    for slot in chunk_slots {
-                        f(slot);
-                    }
-                });
-            }
-        });
+/// Runs `f` over every slot (with, gathering, its outbox row),
+/// sequentially (`threads <= 1`) or on scoped worker threads. Each
+/// invocation owns exactly one slot, so the results are identical
+/// either way — the parallel path only changes wall-clock time.
+fn for_each_slot<S: Send>(
+    threads: usize,
+    mut slots: impl ExactSizeIterator<Item = S>,
+    f: impl Fn(S) + Sync,
+) {
+    let len = slots.len();
+    if threads <= 1 || len <= 1 {
+        slots.for_each(f);
+        return;
     }
+    let chunk = len.div_ceil(threads.min(len));
+    std::thread::scope(|scope| {
+        let f = &f;
+        for _ in 0..len.div_ceil(chunk) {
+            let mine: Vec<S> = slots.by_ref().take(chunk).collect();
+            scope.spawn(move || mine.into_iter().for_each(f));
+        }
+    });
 }
 
 /// Heap bytes of one shard's resident vertex state under `kernel`: the
@@ -205,6 +198,12 @@ pub struct ShardedState<'g, T: Topology> {
     map: ShardMap,
     kernel: ShardKernel,
     slots: Vec<ShardSlot>,
+    /// Outgoing activations, sender-major: `outboxes[s][d]` holds what
+    /// shard `s` sends shard `d` this round. Entries are
+    /// *receiver-local* ids — senders pay the ownership split once so
+    /// receivers drain with bare bit-sets. Kept beside `slots` so the
+    /// commit phase reads every row while it mutates the slots.
+    outboxes: Vec<Vec<Vec<VertexId>>>,
     rounds: usize,
     source: VertexId,
     /// Telemetry switch (see [`instrument`](Self::instrument)); off by
@@ -229,13 +228,14 @@ impl<'g, T: Topology + Sync> ShardedState<'g, T> {
         }
         let map = g.shard_map(shards);
         let slots = (0..shards)
-            .map(|i| ShardSlot::new(i, map.range(i), shards, kernel))
+            .map(|i| ShardSlot::new(i, map.range(i), kernel))
             .collect();
         ShardedState {
             g,
             map,
             kernel,
             slots,
+            outboxes: vec![vec![Vec::new(); shards]; shards],
             rounds: 0,
             source: 0,
             instrument: false,
@@ -298,9 +298,6 @@ impl<'g, T: Topology + Sync> ShardedState<'g, T> {
             slot.d_a.fill(0);
             slot.reached = 0;
             slot.transmissions = 0;
-            for buf in &mut slot.outbox {
-                buf.clear();
-            }
         }
         let owner = self.map.owner(start as usize);
         let local = self.map.local(start as usize);
@@ -357,37 +354,37 @@ impl<'g, T: Topology + Sync> ShardedState<'g, T> {
         let mut timers = self.timers.take();
         let mut clock = timers.as_deref_mut().map(cobra_obs::PhaseClock::start);
         // Phase 1: shard-local gather. Locally-owned destinations are
-        // applied directly; remote ones queue in per-shard outboxes.
-        for_each_slot(threads, &mut self.slots, |slot| match kernel {
-            ShardKernel::Cobra {
-                branching,
-                laziness,
-            } => cobra_gather(slot, g, &map, branching, laziness),
-            ShardKernel::Bips { branching, .. } => bips_scatter(slot, g, &map, branching),
+        // applied directly; remote ones queue in the slot's outbox row,
+        // emptied of last round's entries first.
+        let gather = self.slots.iter_mut().zip(self.outboxes.iter_mut());
+        for_each_slot(threads, gather, |(slot, outbox)| {
+            outbox.iter_mut().for_each(Vec::clear);
+            match kernel {
+                ShardKernel::Cobra {
+                    branching,
+                    laziness,
+                } => cobra_gather(slot, outbox, g, &map, branching, laziness),
+                ShardKernel::Bips { .. } => bips_scatter(slot, outbox, g, &map),
+            }
         });
         if let Some(c) = clock.as_mut() {
             c.lap(cobra_obs::Phase::ShardGather);
         }
-        // Barrier: take every outbox so the apply phase can read all of
-        // them immutably while slots mutate their own state.
-        let inboxes: Vec<Vec<Vec<VertexId>>> = self
-            .slots
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.outbox))
-            .collect();
+        // Barrier: from here on the outboxes are read-only.
+        let outboxes = &self.outboxes;
         if self.instrument {
-            for (traffic, sent) in self.last_traffic.iter_mut().zip(inboxes.iter()) {
+            for (traffic, sent) in self.last_traffic.iter_mut().zip(outboxes) {
                 *traffic = sent.iter().map(|buf| buf.len() as u64).sum();
             }
         }
         if let Some(c) = clock.as_mut() {
             c.lap(cobra_obs::Phase::Exchange);
         }
-        // Phase 2: drain inboxes (in sender order) and commit.
-        let inboxes_ref = &inboxes;
-        for_each_slot(threads, &mut self.slots, |slot| match kernel {
+        // Phase 2: drain the entries addressed to each slot (in sender
+        // order) and commit.
+        for_each_slot(threads, self.slots.iter_mut(), |slot| match kernel {
             ShardKernel::Cobra { .. } => {
-                for sender in inboxes_ref {
+                for sender in outboxes {
                     for &w in &sender[slot.index] {
                         slot.next.set_uncounted(w as usize);
                     }
@@ -398,7 +395,7 @@ impl<'g, T: Topology + Sync> ShardedState<'g, T> {
                 branching,
                 laziness,
             } => {
-                for sender in inboxes_ref {
+                for sender in outboxes {
                     for &w in &sender[slot.index] {
                         slot.cand.set_uncounted(w as usize);
                         slot.d_a[w as usize] += 1;
@@ -407,13 +404,6 @@ impl<'g, T: Topology + Sync> ShardedState<'g, T> {
                 bips_draw_and_commit(slot, g, &map, branching, laziness, source);
             }
         });
-        // Return the (cleared) buffers to their slots for reuse.
-        for (slot, mut inbox) in self.slots.iter_mut().zip(inboxes) {
-            for buf in &mut inbox {
-                buf.clear();
-            }
-            slot.outbox = inbox;
-        }
         self.rounds += 1;
         if let Some(c) = clock.as_mut() {
             c.lap(cobra_obs::Phase::Commit);
@@ -477,6 +467,7 @@ fn route_cobra(
 /// which keeps each shard's working set to its own span.
 fn cobra_gather<T: Topology>(
     slot: &mut ShardSlot,
+    outbox: &mut [Vec<VertexId>],
     g: &T,
     map: &ShardMap,
     branching: Branching,
@@ -487,7 +478,6 @@ fn cobra_gather<T: Topology>(
         range,
         active,
         next,
-        outbox,
         rng,
         transmissions,
         ..
@@ -578,12 +568,16 @@ fn cobra_commit(slot: &mut ShardSlot) {
 /// BIPS scatter: every local infected vertex contributes +1 to each
 /// neighbour's `d_A` — locally when owned, via the outbox otherwise
 /// (outbox entries carry multiplicity, one receiver-local id per edge).
-fn bips_scatter<T: Topology>(slot: &mut ShardSlot, g: &T, map: &ShardMap, _branching: Branching) {
+fn bips_scatter<T: Topology>(
+    slot: &mut ShardSlot,
+    outbox: &mut [Vec<VertexId>],
+    g: &T,
+    map: &ShardMap,
+) {
     let ShardSlot {
         index,
         range,
         active,
-        outbox,
         d_a,
         cand,
         ..

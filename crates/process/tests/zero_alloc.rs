@@ -7,14 +7,17 @@
 //! trial (buffers grow to their high-water mark), then replays the
 //! identical trial and asserts the allocation counter does not move —
 //! for both arms of the COBRA pass (`Fixed(b)` without laziness, and
-//! the general arm that samples copies and lazy self-picks) and for the
-//! BIPS double-buffered round.
+//! the general arm that samples copies and lazy self-picks), for the
+//! BIPS double-buffered round, and for both kernels of the sharded
+//! engine, whose outbox exchange reuses one sender-major table.
 //!
 //! The file contains a single #[test] so no concurrent test can touch
 //! the global counter.
 
 use cobra_graph::{generators, HypercubeTopo};
-use cobra_process::{Bips, BipsMode, Branching, Cobra, Laziness, ProcessState, StepCtx};
+use cobra_process::{
+    Bips, BipsMode, Branching, Cobra, Laziness, ProcessState, ShardKernel, ShardedState, StepCtx,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,4 +177,37 @@ fn warmed_state_and_ctx_step_without_allocating() {
         delta, 0,
         "steady-state BIPS trial performed {delta} heap allocations"
     );
+
+    // --- Sharded COBRA and BIPS (sequential slots) ---
+    // The outboxes grow to their high-water mark in the warm-up trial;
+    // replaying it must not allocate, not even one exchange per round.
+    for kernel in [
+        ShardKernel::Cobra {
+            branching: Branching::B2,
+            laziness: Laziness::None,
+        },
+        ShardKernel::Bips {
+            branching: Branching::B2,
+            laziness: Laziness::None,
+        },
+    ] {
+        let mut sharded = ShardedState::new(&q, kernel, 4);
+        let trial = |sharded: &mut ShardedState<'_, HypercubeTopo>| {
+            sharded.reset(0, |i| 13 + i as u64);
+            while !sharded.is_complete() && sharded.rounds() < 1_000_000 {
+                sharded.step(1);
+            }
+            (sharded.rounds(), sharded.transmissions())
+        };
+        let warm = trial(&mut sharded);
+        assert!(sharded.is_complete(), "{kernel:?}: warm-up never completed");
+        let before = allocs();
+        let replay = trial(&mut sharded);
+        let delta = allocs() - before;
+        assert_eq!(replay, warm, "{kernel:?}: replay diverged");
+        assert_eq!(
+            delta, 0,
+            "steady-state sharded {kernel:?} trial performed {delta} heap allocations"
+        );
+    }
 }

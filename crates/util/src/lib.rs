@@ -5,8 +5,8 @@
 //!
 //! * [`BitSet`] — a fixed-capacity bit set used for vertex membership
 //!   (visited sets, infected sets, coalescing marks).
-//! * [`UnionFind`] — disjoint sets, used by graph generators and
-//!   connectivity checks.
+//! * [`UnionFind`] — disjoint sets, the independent reference the
+//!   graph crate's component-labelling property test checks against.
 //! * [`math`] — tiny numeric helpers (integer logs, harmonic numbers,
 //!   approximate float comparison).
 //! * [`hash`] — stable FNV-1a content hashing (campaign result keys,

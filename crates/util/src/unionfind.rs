@@ -1,7 +1,7 @@
 //! Disjoint-set forest with union by rank and path halving.
 //!
-//! Used by graph generators (e.g. checking a configuration-model sample is
-//! connected) and by property tests that cross-check BFS connectivity.
+//! Its one reader is the property test in `cobra_graph::props` that
+//! cross-checks the BFS component labelling against it.
 
 /// Union-find over `0..len`.
 #[derive(Clone, Debug)]
