@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_walk_agrees_with_exact_cover() {
-        use cobra_process::{Laziness, ProcessState, RandomWalk, StepCtx};
+        use cobra_process::{Laziness, ProcessState, RandomWalk, StepCtx, StopWhen};
         let g = generators::lollipop(4, 3);
         let exact = srw_cover_time(&g, 0);
         let trials = 3000u64;
@@ -286,7 +286,9 @@ mod tests {
         for i in 0..trials {
             let mut ctx = StepCtx::seeded(90_000 + i);
             let mut w = RandomWalk::new(&g, 0, Laziness::None);
-            total += w.run_to_completion(&mut ctx, 10_000_000).unwrap() as f64;
+            total += w
+                .run_until(StopWhen::Complete, &mut ctx, 10_000_000)
+                .unwrap() as f64;
         }
         let mc = total / trials as f64;
         assert!((mc - exact).abs() < 0.1 * exact, "MC {mc} vs exact {exact}");

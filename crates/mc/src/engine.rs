@@ -33,8 +33,13 @@
 //! [`BoxedProcess`], itself a `ProcessState`: each worker thread builds
 //! **one** box and **one** [`StepCtx`], and every trial reseeds the
 //! context and resets the process, so steady-state trials perform no
-//! heap allocation at all. Each round makes three virtual calls through
-//! the box: the stop check, `rounds` and `step`.
+//! heap allocation at all. Under an observer that reads no round
+//! ([`Completion`], what estimation and campaign points use) a trial
+//! makes one virtual call through the box, to
+//! [`ProcessState::run_until`], whose stop/cap/step loop is compiled
+//! once per kernel; reading the totals adds three more per trial.
+//! An observer that reads every round (trajectories, telemetry) pays
+//! the stop check, `rounds`, `step` and its reads per round instead.
 //!
 //! Determinism: trial `i` sees only `trial_seed(master_seed, i)` and the
 //! fold sees trials in index order (the crate-private parallel runner
@@ -44,6 +49,7 @@ use crate::runner::run_trials_with;
 use crate::seed::{shard_seed, trial_seed};
 use cobra_graph::{Topology, VertexId};
 use cobra_obs::{Phase, PhaseTimers, RoundRecord, RoundSink, PHASES};
+pub use cobra_process::StopWhen;
 use cobra_process::{BoxedProcess, ProcessSpec, ProcessState, ProcessView, ShardedState, StepCtx};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -70,21 +76,6 @@ impl CancelToken {
     fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
-}
-
-/// When a trial stops stepping (the round cap always applies on top).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopWhen {
-    /// Every vertex reached — cover time, full-infection time,
-    /// broadcast time.
-    Complete,
-    /// A specific vertex reached — hitting time.
-    Reached(VertexId),
-    /// At least this many vertices reached — partial-infection
-    /// (threshold) first-passage times.
-    ReachedCount(usize),
-    /// Only the cap stops the trial — fixed-horizon scans.
-    AtCap,
 }
 
 /// What happened in one trial: the totals a traced run also hands its
@@ -121,6 +112,11 @@ pub trait RoundView {
 pub trait Observer {
     type Output: Send;
 
+    /// False for an observer whose `on_start` and `on_round` do nothing:
+    /// [`run_trial`] then hands the whole stop/cap/step loop to
+    /// [`ProcessState::run_until`] and calls only `finish`.
+    const READS_ROUNDS: bool = true;
+
     /// Called once, before the first round (the trial is in its round-0
     /// state).
     fn on_start(&mut self, _view: &dyn RoundView) {}
@@ -138,6 +134,7 @@ pub struct Completion;
 
 impl Observer for Completion {
     type Output = TrialOutcome;
+    const READS_ROUNDS: bool = false;
     fn finish(self, outcome: TrialOutcome, _view: &dyn RoundView) -> TrialOutcome {
         outcome
     }
@@ -231,7 +228,10 @@ impl<Ob: Observer> Observer for Telemetry<'_, Ob> {
 /// the trial loop [`Engine::run_spec`] and [`Engine::run_sequential`] share.
 /// The caller reseeds `ctx` and resets `process` beforehand; given the
 /// same post-reset state and seed, the outcome is identical whichever
-/// layer invokes it.
+/// layer invokes it. An observer that reads no round runs the trial in
+/// one [`ProcessState::run_until`] call; the others step round by round
+/// through the shared loop. Both make the same `step` calls in the same
+/// order, so the outcome does not depend on which path ran.
 pub fn run_trial<'g, T, P, Ob>(
     process: &mut P,
     ctx: &mut StepCtx,
@@ -244,7 +244,22 @@ where
     P: ProcessState<'g, T>,
     Ob: Observer,
 {
+    if !Ob::READS_ROUNDS {
+        let rounds = process.run_until(stop, ctx, cap);
+        let state = (process, ctx);
+        return observer.finish(outcome(&state, rounds), &state);
+    }
     run_rounds::<T, _, _>(&mut (process, ctx), stop, cap, observer)
+}
+
+/// The trial's totals once it has stopped after `rounds`.
+fn outcome(state: &dyn RoundView, rounds: Option<usize>) -> TrialOutcome {
+    TrialOutcome {
+        rounds,
+        executed: state.rounds(),
+        reached: state.reached_count(),
+        transmissions: state.transmissions(),
+    }
 }
 
 /// A [`RoundView`] the trial loop can also step.
@@ -309,13 +324,7 @@ fn run_rounds<T, S: RoundState<T>, Ob: Observer>(
         state.step();
         observer.on_round(state);
     };
-    let outcome = TrialOutcome {
-        rounds,
-        executed: state.rounds(),
-        reached: state.reached_count(),
-        transmissions: state.transmissions(),
-    };
-    observer.finish(outcome, state)
+    observer.finish(outcome(state, rounds), state)
 }
 
 /// The unified trial executor: trial count, master seed, worker

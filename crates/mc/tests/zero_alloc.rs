@@ -6,14 +6,17 @@
 //! in time *and* in allocation. This installs a counting global
 //! allocator (the same pattern as `cobra-process`'s `zero_alloc` suite),
 //! warms a state + context with one full trial through the engine, then
-//! replays the identical trial and asserts the counter does not move.
+//! replays the identical trial and asserts the counter does not move:
+//! for a concrete `Cobra`, and for `ProcessSpec::build` boxes of the walk
+//! kernel, the COBRA list kernel and the BIPS Bernoulli round, whose
+//! `Completion` trials run as one `run_until` call through the box.
 //!
 //! The file contains a single #[test] so no concurrent test can touch
 //! the global counter.
 
-use cobra_graph::generators;
+use cobra_graph::{generators, Graph};
 use cobra_mc::{run_trial, Completion, StopWhen};
-use cobra_process::{Branching, Cobra, Laziness, ProcessState, StepCtx};
+use cobra_process::{Branching, Cobra, Laziness, ProcessSpec, ProcessState, StepCtx};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,4 +114,43 @@ fn noprobe_engine_trials_are_allocation_free() {
     );
     assert!(fresh.rounds.is_some(), "fresh-seed trial covers");
     assert_eq!(allocs() - before, 0, "fresh-seed engine trial allocated");
+
+    // Boxed processes, as `Engine::run_spec` and campaign points build
+    // them: under `Completion` the whole trial is one `run_until` call
+    // through the box. A regular and an irregular graph, so BIPS runs
+    // on a shared threshold row and on per-vertex rows.
+    let grid = generators::grid(&[16, 16]);
+    for graph in [&g, &grid] {
+        for spec in ["cobra:b1", "cobra:b2", "bips:b2", "bips:b2:lazy"] {
+            for stop in [StopWhen::Complete, StopWhen::Reached(graph.n() as u32 - 1)] {
+                boxed_replay_is_allocation_free(graph, spec, stop);
+            }
+        }
+    }
+}
+
+/// Warms a `ProcessSpec::build` box with one trial, then replays it and
+/// asserts the replay allocates nothing.
+fn boxed_replay_is_allocation_free(g: &Graph, spec: &str, stop: StopWhen) {
+    let spec: ProcessSpec = spec.parse().unwrap();
+    let mut process = spec.build(g, &[0]);
+    let mut ctx = StepCtx::new();
+    ctx.reseed(11);
+    let warm = run_trial(&mut process, &mut ctx, stop, 1_000_000, Completion);
+    assert!(
+        warm.rounds.is_some(),
+        "{spec} {stop:?}: warm-up trial stops"
+    );
+    process.reset(g, &[0]);
+    ctx.reseed(11);
+    let before = allocs();
+    let replay = run_trial(&mut process, &mut ctx, stop, 1_000_000, Completion);
+    let delta = allocs() - before;
+    assert_eq!(replay, warm, "{spec} {stop:?}: replay diverged");
+    assert_eq!(
+        delta,
+        0,
+        "{spec} {stop:?} on n = {}: boxed trial performed {delta} heap allocations",
+        g.n()
+    );
 }

@@ -20,19 +20,29 @@
 //! The Bernoulli draw is an integer compare. `random_bool(p)` tests
 //! `(x >> 11) · 2⁻⁵³ < p` for one RNG word `x`, which holds exactly when
 //! `x >> 11 < ⌈p · 2⁵³⌉`, so [`InfectionThresholds`] keeps that bound per
-//! `(d(u), d_A(u), u ∈ A_t)` and a candidate costs one table load and
-//! one `next_u64`. It decides as `random_bool(p)` would on every word
-//! and consumes the same words, so no sample differs from the
+//! `(d(u), d_A(u), u ∈ A_t)`. It decides as `random_bool(p)` would on
+//! every word and consumes the same words, so no sample differs from the
 //! floating-point draw (the `lollipop:12` golden rows pin several
 //! degree rows). The sharded kernel draws through the same table.
 //!
 //! The equivalence is property-tested in this module (KS test on
-//! infection trajectories) — it is the implementation detail the fast
+//! infection trajectories, and a round-by-round replay against a naive
+//! `random_bool` round) — it is the implementation detail the fast
 //! experiments lean on.
 //!
-//! The state owns a double-buffered pair of infected-set bit sets plus
-//! the `d_A` counters, so steady-state rounds and trial resets perform
-//! no heap allocation.
+//! # State and cost
+//!
+//! The state owns a double-buffered pair of infected-set bit sets, the
+//! `d_A` counters, the first-arrival slots and each vertex's threshold
+//! row, so steady-state rounds and trial resets perform no heap
+//! allocation. There is no vertex list of `A_t`: a round walks the
+//! infected set's words in ascending order, which is the order a sorted
+//! list would give. The rows are resolved once per graph (at the reset
+//! onto it): one shared row when every vertex has the same degree, else
+//! one row start per vertex. A plain candidate then costs one threshold
+//! load and one RNG word, with no degree, row or membership lookup; its
+//! `d_A` counter is cleared in the same loop. A lazy candidate adds one
+//! membership test.
 
 use crate::branching::{Branching, InfectionThresholds, Laziness};
 use crate::state::{ProcessState, ProcessView, StepCtx};
@@ -60,8 +70,6 @@ pub struct Bips<'g, T: Topology = Graph> {
     infected: BitSet,
     /// Back buffer for the next infected set (double-buffered).
     next: BitSet,
-    /// `A_t` as a sorted duplicate-free list (kept in sync with the set).
-    infected_list: Vec<VertexId>,
     rounds: usize,
     transmissions: u64,
     /// Scratch: `d_A(u)` counters for the Bernoulli path.
@@ -72,6 +80,20 @@ pub struct Bips<'g, T: Topology = Graph> {
     touched_slots: Vec<VertexId>,
     /// The Bernoulli path's exact draw thresholds, kept across resets.
     thresholds: InfectionThresholds,
+    /// Where each vertex's threshold row starts, for the graph the
+    /// Bernoulli path last reset onto.
+    rows: ThresholdRows,
+}
+
+/// Each vertex's row in the [`InfectionThresholds`] table.
+#[derive(Debug, Clone)]
+enum ThresholdRows {
+    /// Not resolved for the current graph.
+    Unresolved,
+    /// Every vertex has the same degree, so it shares this row.
+    Shared(usize),
+    /// Row start per vertex.
+    PerVertex(Vec<u32>),
 }
 
 impl<'g, T: Topology> Bips<'g, T> {
@@ -92,12 +114,12 @@ impl<'g, T: Topology> Bips<'g, T> {
             mode,
             infected: BitSet::new(g.n()),
             next: BitSet::new(g.n()),
-            infected_list: Vec::new(),
             rounds: 0,
             transmissions: 0,
             d_a: vec![0; g.n()],
             touched_slots: vec![0; g.n() + 1],
             thresholds: InfectionThresholds::new(branching, laziness),
+            rows: ThresholdRows::Unresolved,
         };
         bips.reset(g, &[source]);
         bips
@@ -119,11 +141,6 @@ impl<'g, T: Topology> Bips<'g, T> {
         &self.infected
     }
 
-    /// Current infected set as a sorted list.
-    pub fn infected_list(&self) -> &[VertexId] {
-        &self.infected_list
-    }
-
     /// `|A_t|`.
     pub fn infected_count(&self) -> usize {
         self.infected.count()
@@ -132,7 +149,10 @@ impl<'g, T: Topology> Bips<'g, T> {
     /// `d(A_t) = Σ_{u∈A_t} d(u)` — the quantity Theorem 1.4's analysis
     /// tracks.
     pub fn infected_degree(&self) -> usize {
-        self.g.set_degree(&self.infected_list)
+        self.infected
+            .iter()
+            .map(|u| self.g.degree(u as VertexId))
+            .sum()
     }
 
     /// True iff `u ∈ A_t`.
@@ -156,9 +176,6 @@ impl<'g, T: Topology> Bips<'g, T> {
             assert!((u as usize) < self.g.n(), "vertex {u} out of range");
             self.infected.insert(u as usize);
         }
-        self.infected_list.clear();
-        self.infected_list
-            .extend(self.infected.iter().map(|u| u as VertexId));
     }
 
     fn step_exact(&mut self, rng: &mut SmallRng) {
@@ -185,13 +202,13 @@ impl<'g, T: Topology> Bips<'g, T> {
 
     fn step_bernoulli(&mut self, rng: &mut SmallRng) {
         let n = self.g.n();
-        // d_A(u) for every u adjacent to the infected set (neighbours
-        // enumerate in sorted order on every backend, so `touched`
-        // order — and the Bernoulli draw order below — is
-        // backend-invariant).
+        // d_A(u) for every u adjacent to the infected set, scattered from
+        // the infected vertices in ascending order (neighbours enumerate
+        // in sorted order on every backend, so `touched` order — and the
+        // Bernoulli draw order below — is backend-invariant).
         let (g, d_a, slots) = (self.g, &mut self.d_a, &mut self.touched_slots);
         let mut len = 0;
-        for &w in &self.infected_list {
+        for_each_member(&self.infected, |w| {
             g.for_each_neighbor(w, |u| {
                 // Branch-free append: every arrival writes the next slot,
                 // only a first arrival keeps it.
@@ -199,43 +216,27 @@ impl<'g, T: Topology> Bips<'g, T> {
                 len += usize::from(d_a[u as usize] == 0);
                 d_a[u as usize] += 1;
             });
-        }
-        let touched = &self.touched_slots[..len];
+        });
         let mut next = std::mem::replace(&mut self.next, BitSet::new(0));
         next.clear();
         next.insert(self.source as usize);
-        // `touched` never repeats a vertex, so only the source is in
-        // `next` yet: each hit is ORed in without testing membership or
-        // branching on the coin.
-        let (g, d_a, infected) = (self.g, &self.d_a, &self.infected);
-        for &u in touched {
-            if u == self.source {
-                continue;
+        let round = Draws {
+            touched: &self.touched_slots[..len],
+            infected: &self.infected,
+            table: self.thresholds.table(),
+            source: self.source,
+            lazy: self.laziness == Laziness::Half,
+        };
+        match &self.rows {
+            ThresholdRows::Shared(row) => round.run(rng, &mut self.d_a, &mut next, |_| *row),
+            ThresholdRows::PerVertex(rows) => {
+                round.run(rng, &mut self.d_a, &mut next, |u| rows[u as usize] as usize)
             }
-            let k = d_a[u as usize];
-            let hit = self
-                .thresholds
-                .draw(rng, g.degree(u), k, infected.contains(u as usize));
-            next.or_word(u as usize / 64, u64::from(hit) << (u % 64));
-        }
-        if self.laziness == Laziness::Half {
-            // A self-pick can re-infect, so an infected vertex is a
-            // candidate even with no infected neighbour. Those with one
-            // were drawn above; a second draw would break the law.
-            for &u in &self.infected_list {
-                if u == self.source || d_a[u as usize] > 0 {
-                    continue;
-                }
-                let hit = self.thresholds.draw(rng, g.degree(u), 0, true);
-                next.or_word(u as usize / 64, u64::from(hit) << (u % 64));
-            }
+            ThresholdRows::Unresolved => unreachable!("reset resolves the threshold rows"),
         }
         // Bookkeeping: transmissions are what the *process* would send
         // (b picks per non-source vertex), independent of the shortcut.
         self.transmissions += ((n - 1) as f64 * self.branching.expected()).round() as u64;
-        for &u in touched {
-            self.d_a[u as usize] = 0;
-        }
         self.commit(next);
     }
 
@@ -243,10 +244,101 @@ impl<'g, T: Topology> Bips<'g, T> {
     /// round's back buffer.
     fn commit(&mut self, next: BitSet) {
         self.next = std::mem::replace(&mut self.infected, next);
-        self.infected_list.clear();
-        self.infected_list
-            .extend(self.infected.iter().map(|u| u as VertexId));
         self.rounds += 1;
+    }
+
+    /// Resolves every vertex's threshold row on `g`: one shared row
+    /// when `g` is regular, else one row start per vertex.
+    fn resolve_rows(&mut self, g: &T) {
+        let (d0, thresholds) = (g.degree(0), &mut self.thresholds);
+        self.rows = if (1..g.n() as VertexId).all(|v| g.degree(v) == d0) {
+            ThresholdRows::Shared(thresholds.row(d0))
+        } else {
+            ThresholdRows::PerVertex(
+                (0..g.n() as VertexId)
+                    .map(|v| {
+                        let row = thresholds.row(g.degree(v));
+                        u32::try_from(row).expect("threshold table over u32 entries")
+                    })
+                    .collect(),
+            )
+        };
+    }
+}
+
+/// The candidate draws of one Bernoulli round, after the scatter.
+struct Draws<'a> {
+    /// Candidates in first-arrival order.
+    touched: &'a [VertexId],
+    infected: &'a BitSet,
+    table: &'a [u64],
+    source: VertexId,
+    lazy: bool,
+}
+
+impl Draws<'_> {
+    /// Draws every candidate in `touched` order, then (lazy) every
+    /// infected vertex without an infected neighbour in ascending order,
+    /// ORing hits into `next` and leaving `d_a` all zero. `row(u)` is
+    /// the start of `u`'s threshold row; monomorphized per row layout.
+    #[inline(always)]
+    fn run(
+        &self,
+        rng: &mut SmallRng,
+        d_a: &mut [u32],
+        next: &mut BitSet,
+        row: impl Fn(VertexId) -> usize,
+    ) {
+        // `touched` never repeats a vertex, so only the source is in
+        // `next` yet: each hit is ORed in without testing membership or
+        // branching on the coin.
+        let mut infect = |u: VertexId, t: u64| {
+            let hit = InfectionThresholds::decide(rng, t);
+            next.or_word(u as usize / 64, u64::from(hit) << (u % 64));
+        };
+        for &u in self.touched {
+            let k = d_a[u as usize] as usize;
+            if self.lazy {
+                // A lazy pick can land on `u` itself. Infected candidates
+                // keep a mark for the pass below, which clears it.
+                let self_infected = self.infected.contains(u as usize);
+                d_a[u as usize] = u32::from(self_infected);
+                if u != self.source {
+                    infect(u, self.table[row(u) + 2 * k + usize::from(self_infected)]);
+                }
+            } else {
+                d_a[u as usize] = 0;
+                if u != self.source {
+                    infect(u, self.table[row(u) + k]);
+                }
+            }
+        }
+        if self.lazy {
+            // A self-pick can re-infect, so an infected vertex is a
+            // candidate even with no infected neighbour. Those with one
+            // were drawn above (and marked); a second draw would break
+            // the law.
+            for_each_member(self.infected, |u| {
+                if d_a[u as usize] != 0 {
+                    d_a[u as usize] = 0;
+                } else if u != self.source {
+                    infect(u, self.table[row(u) + 1]);
+                }
+            });
+        }
+    }
+}
+
+/// Calls `f` for every member of `set` in ascending order, straight from
+/// its words.
+#[inline]
+fn for_each_member(set: &BitSet, mut f: impl FnMut(VertexId)) {
+    for (wi, &word) in set.words().iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f((wi * 64) as VertexId + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
     }
 }
 
@@ -273,6 +365,9 @@ impl<'g, T: Topology> ProcessState<'g, T> for Bips<'g, T> {
             g.n() == 1 || g.degree(source) > 0,
             "source must not be isolated"
         );
+        if !std::ptr::eq(self.g, g) {
+            self.rows = ThresholdRows::Unresolved;
+        }
         self.g = g;
         self.source = source;
         if self.infected.len() != g.n() {
@@ -286,8 +381,9 @@ impl<'g, T: Topology> ProcessState<'g, T> for Bips<'g, T> {
             debug_assert!(self.d_a.iter().all(|&c| c == 0), "d_a left dirty");
         }
         self.infected.insert(source as usize);
-        self.infected_list.clear();
-        self.infected_list.push(source);
+        if self.mode == BipsMode::Bernoulli && matches!(self.rows, ThresholdRows::Unresolved) {
+            self.resolve_rows(g);
+        }
         self.rounds = 0;
         self.transmissions = 0;
     }
@@ -303,6 +399,7 @@ impl<'g, T: Topology> ProcessState<'g, T> for Bips<'g, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StopWhen;
     use cobra_graph::generators;
     use proptest::prelude::*;
 
@@ -354,21 +451,10 @@ mod tests {
         let g = generators::complete(64);
         for mode in [BipsMode::ExactSampling, BipsMode::Bernoulli] {
             let mut b = Bips::new(&g, 0, Branching::B2, Laziness::None, mode);
-            let t = b.run_to_completion(&mut ctx(3), 10_000).expect("infects");
+            let t = b
+                .run_until(StopWhen::Complete, &mut ctx(3), 10_000)
+                .expect("infects");
             assert!(t < 100, "{mode:?}: K_64 infection took {t}");
-        }
-    }
-
-    #[test]
-    fn infected_list_matches_set() {
-        let g = generators::torus(&[5, 5]);
-        let mut b = Bips::b2(&g, 0);
-        let mut cx = ctx(4);
-        for _ in 0..30 {
-            b.step(&mut cx);
-            let from_set: Vec<u32> = b.infected().to_vec();
-            assert_eq!(b.infected_list(), from_set.as_slice());
-            assert_eq!(b.infected_count(), from_set.len());
         }
     }
 
@@ -466,7 +552,7 @@ mod tests {
     fn censoring_reports_none() {
         let g = generators::path(256);
         let mut b = Bips::b2(&g, 0);
-        assert_eq!(b.run_to_completion(&mut ctx(6), 5), None);
+        assert_eq!(b.run_until(StopWhen::Complete, &mut ctx(6), 5), None);
         assert_eq!(b.rounds(), 5);
     }
 
@@ -474,8 +560,8 @@ mod tests {
     fn deterministic_under_seed() {
         let mut cx = ctx(7);
         let g = generators::random_regular(40, 3, true, &mut cx.rng).unwrap();
-        let a = Bips::b2(&g, 0).run_to_completion(&mut ctx(8), 1_000_000);
-        let b = Bips::b2(&g, 0).run_to_completion(&mut ctx(8), 1_000_000);
+        let a = Bips::b2(&g, 0).run_until(StopWhen::Complete, &mut ctx(8), 1_000_000);
+        let b = Bips::b2(&g, 0).run_until(StopWhen::Complete, &mut ctx(8), 1_000_000);
         assert_eq!(a, b);
         assert!(a.is_some());
     }
@@ -486,11 +572,95 @@ mod tests {
         for mode in [BipsMode::ExactSampling, BipsMode::Bernoulli] {
             let mut reused = Bips::new(&g, 0, Branching::B2, Laziness::Half, mode);
             let mut cx = ctx(55);
-            let a = reused.run_to_completion(&mut cx, 100_000);
+            let a = reused.run_until(StopWhen::Complete, &mut cx, 100_000);
             reused.reset(&g, &[0]);
             cx.reseed(55);
-            let b = reused.run_to_completion(&mut cx, 100_000);
+            let b = reused.run_until(StopWhen::Complete, &mut cx, 100_000);
             assert_eq!(a, b, "{mode:?}");
+        }
+    }
+
+    /// One Bernoulli round written the obvious way: `d_A` and the
+    /// first-arrival order from the neighbours of the sorted infected
+    /// set, `random_bool(p)` per candidate, then the lazy self-pick
+    /// candidates over the sorted set. Returns the sorted `A_{t+1}`.
+    fn naive_round(
+        g: &Graph,
+        source: VertexId,
+        (branching, laziness): (Branching, Laziness),
+        infected: &[VertexId],
+        rng: &mut SmallRng,
+    ) -> Vec<VertexId> {
+        use rand::RngExt;
+        let mut d_a = vec![0u32; g.n()];
+        let mut order = Vec::new();
+        for &w in infected {
+            for &u in g.neighbors(w) {
+                if d_a[u as usize] == 0 {
+                    order.push(u);
+                }
+                d_a[u as usize] += 1;
+            }
+        }
+        let mut p = |u: VertexId, k: u32, self_infected: bool| {
+            let frac = k as f64 / g.degree(u) as f64;
+            let q = laziness.pick_infected_probability(frac, self_infected);
+            rng.random_bool(branching.infection_probability(q))
+        };
+        let mut next = vec![source];
+        for &u in &order {
+            let self_infected = infected.binary_search(&u).is_ok();
+            if u != source && p(u, d_a[u as usize], self_infected) {
+                next.push(u);
+            }
+        }
+        if laziness == Laziness::Half {
+            for &u in infected {
+                if u != source && d_a[u as usize] == 0 && p(u, 0, true) {
+                    next.push(u);
+                }
+            }
+        }
+        next.sort_unstable();
+        next
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// The Bernoulli round against [`naive_round`], round by round:
+        /// equal infected sets and equal RNG state after every round, on
+        /// irregular graphs (per-vertex rows) and a regular one (a
+        /// shared row), across resets onto a new graph of the same `n`.
+        #[test]
+        fn bernoulli_round_matches_the_naive_round(
+            seed in 0u64..1_000_000,
+            n in 12usize..48,
+            law in 0usize..6,
+        ) {
+            let mut gen = ctx(seed).rng;
+            let graphs = [
+                generators::barabasi_albert(n, 2, &mut gen),
+                generators::barabasi_albert(n, 3, &mut gen),
+                generators::cycle(n),
+                generators::lollipop(n / 2, n - n / 2),
+            ];
+            let branching = [Branching::B2, Branching::Fixed(3), Branching::Expected(0.4)][law % 3];
+            let laziness = [Laziness::None, Laziness::Half][law / 3];
+            let mut bips = Bips::new(&graphs[0], 0, branching, laziness, BipsMode::Bernoulli);
+            let mut cx = ctx(seed ^ 0xB1B5);
+            let mut rng = cx.rng.clone();
+            for (i, g) in graphs.iter().enumerate() {
+                prop_assert_eq!(g.n(), n);
+                let source = (seed as usize + i) % n;
+                bips.reset(g, &[source as VertexId]);
+                let mut infected = vec![source as VertexId];
+                for round in 0..30 {
+                    bips.step(&mut cx);
+                    infected = naive_round(g, source as VertexId, (branching, laziness), &infected, &mut rng);
+                    prop_assert_eq!(bips.infected().to_vec(), infected.clone(), "graph {} round {}", i, round);
+                    prop_assert!(cx.rng == rng, "graph {} round {}: RNG streams drifted", i, round);
+                }
+            }
         }
     }
 
@@ -508,7 +678,7 @@ mod tests {
             let n = g.n();
             let dmax = g.max_degree();
             let cap = 200 * (g.m() + dmax * dmax * (cobra_util::math::log2_ceil(n) as usize + 1)) + 10_000;
-            prop_assert!(b.run_to_completion(&mut cx, cap).is_some());
+            prop_assert!(b.run_until(StopWhen::Complete, &mut cx, cap).is_some());
         }
     }
 }

@@ -170,19 +170,37 @@ impl InfectionThresholds {
     /// neighbours, `self_infected` saying whether it is in `A_t` itself.
     #[inline]
     fn threshold(&mut self, degree: usize, k: u32, self_infected: bool) -> u64 {
-        let row = match self.rows.get(degree) {
-            Some(&row) if row != Self::UNFILLED => row,
-            _ => self.fill(degree),
-        };
+        let row = self.row(degree);
         let stride = self.stride();
         self.thresholds[row + k as usize * stride + (self_infected as usize & (stride - 1))]
+    }
+
+    /// Start of degree `degree`'s row in [`table`](Self::table), filled
+    /// on first use. Entry `k` of a plain row is at `row + k`; a lazy
+    /// row holds `u ∉ A` at `row + 2k` and `u ∈ A` at `row + 2k + 1`.
+    #[inline]
+    pub fn row(&mut self, degree: usize) -> usize {
+        match self.rows.get(degree) {
+            Some(&row) if row != Self::UNFILLED => row,
+            _ => self.fill(degree),
+        }
+    }
+
+    /// Every filled row, addressed through [`row`](Self::row).
+    pub fn table(&self) -> &[u64] {
+        &self.thresholds
     }
 
     /// One candidate's Bernoulli draw: `random_bool(p)` without the
     /// floating point, and without a word when `p = 0`.
     #[inline]
     pub fn draw(&mut self, rng: &mut SmallRng, degree: usize, k: u32, self_infected: bool) -> bool {
-        let t = self.threshold(degree, k, self_infected);
+        Self::decide(rng, self.threshold(degree, k, self_infected))
+    }
+
+    /// The draw against a threshold `t` already read from the table.
+    #[inline]
+    pub fn decide(rng: &mut SmallRng, t: u64) -> bool {
         t > 0 && (rng.next_u64() >> 11) < t
     }
 
@@ -199,13 +217,17 @@ impl InfectionThresholds {
         for k in 0..=degree {
             let frac = k as f64 / degree as f64;
             for &self_infected in flags {
-                let q = self.laziness.pick_infected_probability(frac, self_infected);
-                let p = self.branching.infection_probability(q);
-                // Exact: scaling by 2⁵³ only moves the exponent. A NaN
-                // `p` (degree 0, `k / d = 0/0`) casts to 0 and is never
-                // drawn, like any `p` that is not `> 0`.
-                self.thresholds
-                    .push((p * (1u64 << 53) as f64).ceil() as u64);
+                // An isolated vertex (`k / d = 0/0`) has no neighbour to
+                // pick: its row is all 0 and never drawn.
+                let t = if degree == 0 {
+                    0
+                } else {
+                    let q = self.laziness.pick_infected_probability(frac, self_infected);
+                    let p = self.branching.infection_probability(q);
+                    // Exact: scaling by 2⁵³ only moves the exponent.
+                    (p * (1u64 << 53) as f64).ceil() as u64
+                };
+                self.thresholds.push(t);
             }
         }
         self.rows[degree] = row;

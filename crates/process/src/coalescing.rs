@@ -174,6 +174,7 @@ impl<'g, T: Topology> ProcessState<'g, T> for CoalescingWalks<'g, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StopWhen;
     use cobra_graph::generators;
 
     fn ctx(seed: u64) -> StepCtx {
@@ -243,7 +244,9 @@ mod tests {
     fn covers_like_multiwalk_until_merges_bite() {
         let g = generators::torus(&[5, 5]);
         let mut c = CoalescingWalks::new(&g, &[0, 6, 12, 18], Laziness::None);
-        assert!(c.run_to_completion(&mut ctx(5), 10_000_000).is_some());
+        assert!(c
+            .run_until(StopWhen::Complete, &mut ctx(5), 10_000_000)
+            .is_some());
         assert!(c.is_complete());
     }
 

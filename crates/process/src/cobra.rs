@@ -278,6 +278,7 @@ fn prefetch_ahead<T: Topology>(g: &T, active: &[VertexId], i: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StopWhen;
     use cobra_graph::generators;
     use proptest::prelude::*;
 
@@ -307,7 +308,9 @@ mod tests {
     fn covers_complete_graph_quickly() {
         let g = generators::complete(64);
         let mut c = Cobra::b2(&g, 0);
-        let rounds = c.run_to_completion(&mut ctx(1), 10_000).expect("covers");
+        let rounds = c
+            .run_until(StopWhen::Complete, &mut ctx(1), 10_000)
+            .expect("covers");
         // O(log n) on K_n: 6 doublings minimum, generous upper slack.
         assert!(rounds >= 6, "cannot beat doubling: {rounds}");
         assert!(rounds < 60, "K_64 should cover in tens of rounds: {rounds}");
@@ -319,7 +322,9 @@ mod tests {
     fn covers_path_graph() {
         let g = generators::path(24);
         let mut c = Cobra::b2(&g, 0);
-        let rounds = c.run_to_completion(&mut ctx(2), 1_000_000).expect("covers");
+        let rounds = c
+            .run_until(StopWhen::Complete, &mut ctx(2), 1_000_000)
+            .expect("covers");
         assert!(rounds >= 23, "must at least reach the far end");
     }
 
@@ -370,14 +375,14 @@ mod tests {
     fn hit_time_of_start_vertex_is_zero() {
         let g = generators::cycle(9);
         let mut c = Cobra::b2(&g, 3);
-        assert_eq!(c.run_until_hit(3, &mut ctx(6), 10), Some(0));
+        assert_eq!(c.run_until(StopWhen::Reached(3), &mut ctx(6), 10), Some(0));
     }
 
     #[test]
     fn censoring_returns_none_and_preserves_state() {
         let g = generators::path(64);
         let mut c = Cobra::b2(&g, 0);
-        let out = c.run_to_completion(&mut ctx(7), 3);
+        let out = c.run_until(StopWhen::Complete, &mut ctx(7), 3);
         assert_eq!(out, None);
         assert_eq!(c.rounds(), 3);
         assert!(!c.is_complete());
@@ -387,7 +392,9 @@ mod tests {
     fn lazy_cobra_covers_bipartite_graphs() {
         let g = generators::hypercube(5);
         let mut c = Cobra::new(&g, &[0], Branching::B2, Laziness::Half);
-        let rounds = c.run_to_completion(&mut ctx(8), 100_000).expect("covers");
+        let rounds = c
+            .run_until(StopWhen::Complete, &mut ctx(8), 100_000)
+            .expect("covers");
         assert!(rounds >= 5, "diameter lower bound");
     }
 
@@ -421,8 +428,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let g = generators::torus(&[6, 6]);
-        let a = Cobra::b2(&g, 0).run_to_completion(&mut ctx(10), 100_000);
-        let b = Cobra::b2(&g, 0).run_to_completion(&mut ctx(10), 100_000);
+        let a = Cobra::b2(&g, 0).run_until(StopWhen::Complete, &mut ctx(10), 100_000);
+        let b = Cobra::b2(&g, 0).run_until(StopWhen::Complete, &mut ctx(10), 100_000);
         assert_eq!(a, b);
     }
 
@@ -432,17 +439,17 @@ mod tests {
         let g = generators::torus(&[6, 6]);
         let mut reused = Cobra::b2(&g, 0);
         let mut cx = ctx(77);
-        let first = reused.run_to_completion(&mut cx, 100_000);
+        let first = reused.run_until(StopWhen::Complete, &mut cx, 100_000);
         let tx_first = reused.transmissions();
         reused.reset(&g, &[0]);
         assert_eq!(reused.rounds(), 0);
         assert_eq!(reused.transmissions(), 0);
         cx.reseed(77);
-        let second = reused.run_to_completion(&mut cx, 100_000);
+        let second = reused.run_until(StopWhen::Complete, &mut cx, 100_000);
         assert_eq!(first, second);
         assert_eq!(tx_first, reused.transmissions());
         // And against an entirely fresh state + context.
-        let fresh = Cobra::b2(&g, 0).run_to_completion(&mut ctx(77), 100_000);
+        let fresh = Cobra::b2(&g, 0).run_until(StopWhen::Complete, &mut ctx(77), 100_000);
         assert_eq!(first, fresh);
     }
 
@@ -456,7 +463,9 @@ mod tests {
         assert_eq!(c.reached().len(), 32);
         assert!(c.has_visited(3));
         assert_eq!(c.visited_count(), 1);
-        assert!(c.run_to_completion(&mut ctx(2), 10_000).is_some());
+        assert!(c
+            .run_until(StopWhen::Complete, &mut ctx(2), 10_000)
+            .is_some());
     }
 
     /// The naive pick-mark-push loop the one-pass kernel reproduces: one
@@ -567,7 +576,7 @@ mod tests {
             prop_assume!(g.n() >= 3);
             let mut c = Cobra::b2(&g, 0);
             let cap = 200 * g.n() + 10_000;
-            let rounds = c.run_to_completion(&mut cx, cap);
+            let rounds = c.run_until(StopWhen::Complete, &mut cx, cap);
             prop_assert!(rounds.is_some(), "censored on n={}", g.n());
             let rounds = rounds.unwrap();
             // Visited count after t rounds is ≤ 2^{t+1} − 1, so covering

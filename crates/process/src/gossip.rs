@@ -131,6 +131,7 @@ impl<'g, T: Topology> ProcessState<'g, T> for Gossip<'g, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StopWhen;
     use cobra_graph::generators;
 
     fn ctx(seed: u64) -> StepCtx {
@@ -154,7 +155,9 @@ mod tests {
     fn broadcasts_complete_graph_in_logarithmic_rounds() {
         let g = generators::complete(256);
         let mut p = Gossip::new(&g, 0, GossipMode::Push);
-        let t = p.run_to_completion(&mut ctx(2), 10_000).unwrap();
+        let t = p
+            .run_until(StopWhen::Complete, &mut ctx(2), 10_000)
+            .unwrap();
         // Push on K_n: ~log2 n + ln n ≈ 13.5 expected; allow wide slack.
         assert!((8..60).contains(&t), "broadcast took {t}");
     }
@@ -175,7 +178,9 @@ mod tests {
     fn gossip_eventually_informs_path() {
         let g = generators::path(40);
         let mut p = Gossip::new(&g, 0, GossipMode::Push);
-        assert!(p.run_to_completion(&mut ctx(4), 100_000).is_some());
+        assert!(p
+            .run_until(StopWhen::Complete, &mut ctx(4), 100_000)
+            .is_some());
     }
 
     #[test]
@@ -218,7 +223,9 @@ mod tests {
             let mut total = 0.0;
             for i in 0..20u64 {
                 let mut p = Gossip::new(&g, 0, mode);
-                total += p.run_to_completion(&mut ctx(salt + i), 100_000).unwrap() as f64;
+                total += p
+                    .run_until(StopWhen::Complete, &mut ctx(salt + i), 100_000)
+                    .unwrap() as f64;
             }
             total / 20.0
         };
@@ -236,7 +243,9 @@ mod tests {
         let g = generators::complete(64);
         for mode in [GossipMode::Push, GossipMode::Pull, GossipMode::PushPull] {
             let mut p = Gossip::new(&g, 0, mode);
-            let t = p.run_to_completion(&mut ctx(12), 10_000).unwrap();
+            let t = p
+                .run_until(StopWhen::Complete, &mut ctx(12), 10_000)
+                .unwrap();
             assert!(t < 100, "{mode:?} took {t}");
         }
     }
@@ -270,10 +279,10 @@ mod tests {
         let g = generators::complete(32);
         let mut p = Gossip::new(&g, 0, GossipMode::PushPull);
         let mut cx = ctx(21);
-        let a = p.run_to_completion(&mut cx, 10_000);
+        let a = p.run_until(StopWhen::Complete, &mut cx, 10_000);
         p.reset(&g, &[0]);
         cx.reseed(21);
-        let b = p.run_to_completion(&mut cx, 10_000);
+        let b = p.run_until(StopWhen::Complete, &mut cx, 10_000);
         assert_eq!(a, b);
     }
 }

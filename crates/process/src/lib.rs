@@ -61,5 +61,7 @@ pub use gossip::{Gossip, GossipMode};
 pub use serial::{SerialBips, StepRecord};
 pub use shard::{per_shard_state_bytes, ShardKernel, ShardedState};
 pub use spec::{ProcessSpec, ProcessSpecError};
-pub use state::{BoxedProcess, ProcessState, ProcessView, Scratch, ScratchParts, StepCtx};
+pub use state::{
+    BoxedProcess, ProcessState, ProcessView, Scratch, ScratchParts, StepCtx, StopWhen,
+};
 pub use walk::{MultiWalk, RandomWalk};

@@ -445,7 +445,7 @@ impl ProcessSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{ProcessState, ProcessView, StepCtx};
+    use crate::state::{ProcessState, ProcessView, StepCtx, StopWhen};
     use cobra_graph::generators;
 
     fn roundtrip(s: &str) -> ProcessSpec {
@@ -563,7 +563,7 @@ mod tests {
             let spec: ProcessSpec = s.parse().unwrap();
             let mut p = spec.build(&g, &[0]);
             let mut ctx = StepCtx::seeded(1);
-            let rounds = p.run_to_completion(&mut ctx, 100_000);
+            let rounds = p.run_until(StopWhen::Complete, &mut ctx, 100_000);
             assert!(rounds.is_some(), "{s} censored on K_16");
             assert!(p.is_complete());
             assert_eq!(p.reached_count(), 16);
@@ -579,7 +579,10 @@ mod tests {
             let spec: ProcessSpec = s.parse().unwrap();
             let mut p = spec.build(&g, &[0]);
             let mut ctx = StepCtx::seeded(2);
-            assert!(p.run_to_completion(&mut ctx, 100_000).is_some(), "{s}");
+            assert!(
+                p.run_until(StopWhen::Complete, &mut ctx, 100_000).is_some(),
+                "{s}"
+            );
         }
     }
 
@@ -630,13 +633,15 @@ mod tests {
             let spec: ProcessSpec = s.parse().unwrap();
             let mut reused = spec.build(&g, &[0]);
             let mut ctx = StepCtx::seeded(31);
-            let a = reused.run_to_completion(&mut ctx, 100_000);
+            let a = reused.run_until(StopWhen::Complete, &mut ctx, 100_000);
             reused.reset(&g, &[0]);
             ctx.reseed(31);
-            let b = reused.run_to_completion(&mut ctx, 100_000);
-            let fresh = spec
-                .build(&g, &[0])
-                .run_to_completion(&mut StepCtx::seeded(31), 100_000);
+            let b = reused.run_until(StopWhen::Complete, &mut ctx, 100_000);
+            let fresh = spec.build(&g, &[0]).run_until(
+                StopWhen::Complete,
+                &mut StepCtx::seeded(31),
+                100_000,
+            );
             assert_eq!(a, b, "{s}: reset diverged from first run");
             assert_eq!(a, fresh, "{s}: reset diverged from fresh build");
         }

@@ -113,30 +113,52 @@ pub trait ProcessState<'g, T: Topology = Graph>: ProcessView {
     /// Advances one synchronous round.
     fn step(&mut self, ctx: &mut StepCtx);
 
-    /// Runs until complete or until `cap` rounds have been executed.
-    /// Returns `Some(rounds)` on completion, `None` if censored at the
-    /// cap. A cap of 0 only succeeds if already complete.
-    fn run_to_completion(&mut self, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
-        while !self.is_complete() {
+    /// Steps until `stop` holds or `cap` rounds have run: the whole
+    /// trial loop of an observer that reads no round. `Some(rounds)` is
+    /// the stopping time (0 if `stop` holds at round 0), `None` a trial
+    /// censored at the cap (always for [`StopWhen::AtCap`]).
+    ///
+    /// Provided, so it monomorphizes per kernel, and
+    /// [`BoxedProcess`] forwards it: a boxed trial makes one dynamic
+    /// call here, not three per round.
+    fn run_until(&mut self, stop: StopWhen, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
+        loop {
+            if stop.holds(self) {
+                return Some(self.rounds());
+            }
             if self.rounds() >= cap {
                 return None;
             }
             self.step(ctx);
         }
-        Some(self.rounds())
     }
+}
 
-    /// Runs until `target` is reached; `Some(rounds)` is the hitting
-    /// time (0 if `target` is in the start set), `None` if censored at
-    /// `cap`.
-    fn run_until_hit(&mut self, target: VertexId, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
-        while !self.has_reached(target) {
-            if self.rounds() >= cap {
-                return None;
-            }
-            self.step(ctx);
+/// When a trial stops stepping (the round cap always applies on top).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopWhen {
+    /// Every vertex reached — cover time, full-infection time,
+    /// broadcast time.
+    Complete,
+    /// A specific vertex reached — hitting time.
+    Reached(VertexId),
+    /// At least this many vertices reached — partial-infection
+    /// (threshold) first-passage times.
+    ReachedCount(usize),
+    /// Only the cap stops the trial — fixed-horizon scans.
+    AtCap,
+}
+
+impl StopWhen {
+    /// Whether a process in `view`'s state has met this condition.
+    #[inline]
+    pub fn holds<V: ProcessView + ?Sized>(self, view: &V) -> bool {
+        match self {
+            StopWhen::Complete => view.is_complete(),
+            StopWhen::Reached(v) => view.has_reached(v),
+            StopWhen::ReachedCount(k) => view.reached_count() >= k,
+            StopWhen::AtCap => false,
         }
-        Some(self.rounds())
     }
 }
 
@@ -178,6 +200,9 @@ impl<'g, T: Topology> ProcessState<'g, T> for BoxedProcess<'g, T> {
     }
     fn step(&mut self, ctx: &mut StepCtx) {
         (**self).step(ctx)
+    }
+    fn run_until(&mut self, stop: StopWhen, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
+        (**self).run_until(stop, ctx, cap)
     }
 }
 

@@ -213,6 +213,7 @@ impl<'g, T: Topology> ProcessState<'g, T> for MultiWalk<'g, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StopWhen;
     use crate::{Branching, Cobra};
     use cobra_graph::{generators, CompleteTopo, HypercubeTopo};
     use cobra_obs::PhaseTimers;
@@ -306,7 +307,8 @@ mod tests {
         let samples: Vec<f64> = (0..300)
             .map(|i| {
                 let mut w = RandomWalk::new(&g, 0, Laziness::None);
-                w.run_to_completion(&mut ctx(100 + i), 1_000_000).unwrap() as f64
+                w.run_until(StopWhen::Complete, &mut ctx(100 + i), 1_000_000)
+                    .unwrap() as f64
             })
             .collect();
         let s = Summary::from_samples(&samples);
@@ -322,14 +324,14 @@ mod tests {
     fn hitting_start_is_zero_rounds() {
         let g = generators::cycle(7);
         let mut w = RandomWalk::new(&g, 3, Laziness::None);
-        assert_eq!(w.run_until_hit(3, &mut ctx(3), 10), Some(0));
+        assert_eq!(w.run_until(StopWhen::Reached(3), &mut ctx(3), 10), Some(0));
     }
 
     #[test]
     fn censoring_on_path() {
         let g = generators::path(1000);
         let mut w = RandomWalk::new(&g, 0, Laziness::None);
-        assert_eq!(w.run_to_completion(&mut ctx(4), 100), None);
+        assert_eq!(w.run_until(StopWhen::Complete, &mut ctx(4), 100), None);
     }
 
     #[test]
@@ -339,7 +341,8 @@ mod tests {
             let samples: Vec<f64> = (0..40)
                 .map(|i| {
                     let mut w = RandomWalk::new(&g, 0, Laziness::None);
-                    w.run_to_completion(&mut ctx(500 + i), 10_000_000).unwrap() as f64
+                    w.run_until(StopWhen::Complete, &mut ctx(500 + i), 10_000_000)
+                        .unwrap() as f64
                 })
                 .collect();
             Summary::from_samples(&samples).mean
@@ -348,7 +351,8 @@ mod tests {
             let samples: Vec<f64> = (0..40)
                 .map(|i| {
                     let mut w = MultiWalk::new_at(&g, 0, 8, Laziness::None);
-                    w.run_to_completion(&mut ctx(900 + i), 10_000_000).unwrap() as f64
+                    w.run_until(StopWhen::Complete, &mut ctx(900 + i), 10_000_000)
+                        .unwrap() as f64
                 })
                 .collect();
             Summary::from_samples(&samples).mean

@@ -17,6 +17,7 @@
 use cobra_graph::{generators, HypercubeTopo};
 use cobra_process::{
     Bips, BipsMode, Branching, Cobra, Laziness, ProcessState, ShardKernel, ShardedState, StepCtx,
+    StopWhen,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -76,7 +77,7 @@ fn warmed_state_and_ctx_step_without_allocating() {
     let mut cobra = Cobra::new(&g, &[0], Branching::B2, Laziness::None);
     ctx.reseed(7);
     let warm = cobra
-        .run_to_completion(&mut ctx, 1_000_000)
+        .run_until(StopWhen::Complete, &mut ctx, 1_000_000)
         .expect("warm-up trial covers");
 
     // Replay the identical trial: same seed → same frontier sizes, and
@@ -85,7 +86,7 @@ fn warmed_state_and_ctx_step_without_allocating() {
     ctx.reseed(7);
     let before = allocs();
     let replay = cobra
-        .run_to_completion(&mut ctx, 1_000_000)
+        .run_until(StopWhen::Complete, &mut ctx, 1_000_000)
         .expect("replay covers");
     let delta = allocs() - before;
     assert_eq!(replay, warm, "replay diverged from warm-up");
@@ -100,7 +101,7 @@ fn warmed_state_and_ctx_step_without_allocating() {
     ctx.reseed(8);
     let before = allocs();
     cobra
-        .run_to_completion(&mut ctx, 1_000_000)
+        .run_until(StopWhen::Complete, &mut ctx, 1_000_000)
         .expect("fresh-seed trial covers");
     assert_eq!(allocs() - before, 0, "fresh-seed COBRA trial allocated");
 
@@ -112,7 +113,7 @@ fn warmed_state_and_ctx_step_without_allocating() {
     let mut cobra_q = Cobra::new(&q, &[0], Branching::B2, Laziness::None);
     ctx.reseed(7);
     let warm_q = cobra_q
-        .run_to_completion(&mut ctx, 1_000_000)
+        .run_until(StopWhen::Complete, &mut ctx, 1_000_000)
         .expect("implicit warm-up trial covers");
     assert_eq!(
         warm_q, warm,
@@ -122,7 +123,7 @@ fn warmed_state_and_ctx_step_without_allocating() {
     ctx.reseed(7);
     let before = allocs();
     let replay_q = cobra_q
-        .run_to_completion(&mut ctx, 1_000_000)
+        .run_until(StopWhen::Complete, &mut ctx, 1_000_000)
         .expect("implicit replay covers");
     let delta = allocs() - before;
     assert_eq!(replay_q, warm_q, "implicit replay diverged from warm-up");
@@ -141,13 +142,13 @@ fn warmed_state_and_ctx_step_without_allocating() {
         let mut general = Cobra::new(&g, &[0], branching, laziness);
         ctx.reseed(11);
         let warm = general
-            .run_to_completion(&mut ctx, 1_000_000)
+            .run_until(StopWhen::Complete, &mut ctx, 1_000_000)
             .expect("general-arm warm-up covers");
         general.reset(&g, &[0]);
         ctx.reseed(11);
         let before = allocs();
         let replay = general
-            .run_to_completion(&mut ctx, 1_000_000)
+            .run_until(StopWhen::Complete, &mut ctx, 1_000_000)
             .expect("general-arm replay covers");
         let delta = allocs() - before;
         assert_eq!(replay, warm, "{branching:?} {laziness:?}: replay diverged");
@@ -158,18 +159,18 @@ fn warmed_state_and_ctx_step_without_allocating() {
     }
 
     // --- BIPS (double-buffered infected sets) ---
-    // The sorted infected_list shrinks and regrows within its capacity;
-    // the bit sets swap back and forth. Warm one trial, replay it.
+    // The bit sets swap back and forth and the threshold rows are
+    // resolved at construction. Warm one trial, replay it.
     let mut bips = Bips::new(&g, 0, Branching::B2, Laziness::None, BipsMode::Bernoulli);
     ctx.reseed(9);
     let warm = bips
-        .run_to_completion(&mut ctx, 1_000_000)
+        .run_until(StopWhen::Complete, &mut ctx, 1_000_000)
         .expect("warm-up infection completes");
     bips.reset(&g, &[0]);
     ctx.reseed(9);
     let before = allocs();
     let replay = bips
-        .run_to_completion(&mut ctx, 1_000_000)
+        .run_until(StopWhen::Complete, &mut ctx, 1_000_000)
         .expect("replay completes");
     let delta = allocs() - before;
     assert_eq!(replay, warm);

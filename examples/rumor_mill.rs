@@ -14,7 +14,7 @@
 use cobra_graph::{generators, props};
 use cobra_process::{
     Branching, Cobra, Gossip, GossipMode, Laziness, MultiWalk, ProcessState, ProcessView,
-    RandomWalk, StepCtx,
+    RandomWalk, StepCtx, StopWhen,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -58,27 +58,29 @@ fn main() {
 
     race("single random walk", &|ctx| {
         let mut p = RandomWalk::new(&g, 0, Laziness::None);
-        let r = p.run_to_completion(ctx, cap).expect("cover");
+        let r = p.run_until(StopWhen::Complete, ctx, cap).expect("cover");
         (r, p.transmissions())
     });
     race("8 independent walks", &|ctx| {
         let mut p = MultiWalk::new_at(&g, 0, 8, Laziness::None);
-        let r = p.run_to_completion(ctx, cap).expect("cover");
+        let r = p.run_until(StopWhen::Complete, ctx, cap).expect("cover");
         (r, p.transmissions())
     });
     race("PUSH gossip", &|ctx| {
         let mut p = Gossip::new(&g, 0, GossipMode::Push);
-        let r = p.run_to_completion(ctx, cap).expect("broadcast");
+        let r = p
+            .run_until(StopWhen::Complete, ctx, cap)
+            .expect("broadcast");
         (r, p.transmissions())
     });
     race("COBRA b=2", &|ctx| {
         let mut p = Cobra::new(&g, &[0], Branching::Fixed(2), Laziness::None);
-        let r = p.run_to_completion(ctx, cap).expect("cover");
+        let r = p.run_until(StopWhen::Complete, ctx, cap).expect("cover");
         (r, p.transmissions())
     });
     race("COBRA b=1+0.5", &|ctx| {
         let mut p = Cobra::new(&g, &[0], Branching::Expected(0.5), Laziness::None);
-        let r = p.run_to_completion(ctx, cap).expect("cover");
+        let r = p.run_until(StopWhen::Complete, ctx, cap).expect("cover");
         (r, p.transmissions())
     });
 

@@ -76,14 +76,16 @@ fn cover_and_infection_agree_on_order_of_magnitude() {
 fn bounds_rank_processes_correctly_on_k_n() {
     // The b=1 baseline (SRW) is Θ(n log n) on K_n while COBRA b=2 is
     // Θ(log n): measured separation must be at least ~n/ something.
-    use cobra_process::{Laziness, ProcessState, RandomWalk, StepCtx};
+    use cobra_process::{Laziness, ProcessState, RandomWalk, StepCtx, StopWhen};
     let g = generators::complete(64);
     let cobra_mean = mean_time(&g, "cobra:b2", 15, 0xC0B7A);
     let mut srw_total = 0.0;
     for i in 0..15u64 {
         let mut ctx = StepCtx::seeded(100 + i);
         let mut w = RandomWalk::new(&g, 0, Laziness::None);
-        srw_total += w.run_to_completion(&mut ctx, 10_000_000).unwrap() as f64;
+        srw_total += w
+            .run_until(StopWhen::Complete, &mut ctx, 10_000_000)
+            .unwrap() as f64;
     }
     let srw_mean = srw_total / 15.0;
     assert!(

@@ -6,6 +6,7 @@
 use cobra_graph::generators;
 use cobra_process::{
     Bips, BipsMode, Branching, Cobra, Laziness, ProcessState, RandomWalk, SerialBips, StepCtx,
+    StopWhen,
 };
 use cobra_stats::ks_two_sample;
 
@@ -20,14 +21,16 @@ fn cobra_b1_hits_like_a_random_walk() {
         .map(|i| {
             let mut rng = StepCtx::seeded(1000 + i);
             let mut p = Cobra::new(&g, &[0], Branching::Fixed(1), Laziness::None);
-            p.run_until_hit(target, &mut rng, cap).unwrap() as f64
+            p.run_until(StopWhen::Reached(target), &mut rng, cap)
+                .unwrap() as f64
         })
         .collect();
     let walk: Vec<f64> = (0..trials)
         .map(|i| {
             let mut rng = StepCtx::seeded(500_000 + i);
             let mut p = RandomWalk::new(&g, 0, Laziness::None);
-            p.run_until_hit(target, &mut rng, cap).unwrap() as f64
+            p.run_until(StopWhen::Reached(target), &mut rng, cap)
+                .unwrap() as f64
         })
         .collect();
     let ks = ks_two_sample(&cobra, &walk);
@@ -127,7 +130,8 @@ fn fixed2_equals_expected_rho_one() {
             .map(|i| {
                 let mut rng = StepCtx::seeded(salt + i);
                 let mut p = Cobra::new(&g, &[0], b, Laziness::None);
-                p.run_to_completion(&mut rng, 1_000_000).unwrap() as f64
+                p.run_until(StopWhen::Complete, &mut rng, 1_000_000)
+                    .unwrap() as f64
             })
             .collect()
     };
