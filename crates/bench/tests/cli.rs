@@ -158,6 +158,43 @@ fn a_bad_backend_is_a_usage_error() {
     }
 }
 
+/// A CSR the allocator refuses is the spec's one-line error, not an
+/// abort: run under a 2 GiB address-space limit (set by `sh`, which
+/// execs the binary only once the limit holds), `GraphSpec::build`
+/// reserves the build's bytes before a generator allocates.
+#[cfg(unix)]
+#[test]
+fn a_csr_the_allocator_refuses_exits_one_with_one_line() {
+    for (graph, bytes) in [
+        ("star:2000000000", 47999999992u64),
+        ("hypercube:27", 15569256456),
+    ] {
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 2097152 && exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_cobra-exps"))
+            .args([
+                "run",
+                "--graph",
+                graph,
+                "--backend",
+                "csr",
+                "--process",
+                "cobra:b2",
+                "--dry-run",
+            ])
+            .output()
+            .expect("sh runs");
+        assert_eq!(out.status.code(), Some(1), "{graph}: {}", text(&out.stderr));
+        assert_eq!(
+            text(&out.stderr),
+            format!(
+                "graph spec error: \"{graph}\" needs {bytes} bytes to build as CSR, \
+                 more than the allocator grants\n"
+            )
+        );
+    }
+}
+
 #[test]
 fn help_texts_are_pinned() {
     for (args, want) in [

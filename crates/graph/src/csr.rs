@@ -3,7 +3,25 @@
 //! Vertices are dense `u32` ids `0..n`. Each undirected edge `{u, v}` is
 //! stored twice (once per endpoint); adjacency lists are sorted, which
 //! gives `O(log d)` membership tests and deterministic iteration order.
+//!
+//! A graph is built on one of two paths, which produce the same arrays
+//! for the same graph:
+//!
+//! * **From an edge list** ([`Graph::from_edges`], and inside the crate
+//!   `Graph::from_edge_vec`, which takes the vector over): the pairs are
+//!   canonicalised, sorted and de-duplicated in place, then scattered
+//!   into the rows. The peak is the edge list (8 bytes per edge) plus
+//!   the finished CSR; the public slice entry points add one copy of
+//!   the list. Every generated family but two, `file:` ingestion and
+//!   [`crate::props::largest_component`] build this way.
+//! * **From an implicit topology** (`Graph::from_topology`): each
+//!   vertex's sorted row is copied from
+//!   [`Topology::for_each_neighbor`] into an exactly sized array, with no
+//!   edge list and no sort. The peak is the finished CSR. The `complete`
+//!   and `hypercube` generators, and so `--backend csr` on those two
+//!   families, build this way.
 
+use crate::topology::Topology;
 use rand::{Rng, RngExt};
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -48,6 +66,15 @@ impl fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
+
+/// What [`Graph::from_edge_vec`] does with an edge listed twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Duplicates {
+    /// Fail with [`GraphError::DuplicateEdge`].
+    Reject,
+    /// Keep one copy.
+    Merge,
+}
 
 /// An immutable undirected simple graph in CSR form.
 ///
@@ -94,8 +121,10 @@ fn common_degree(offsets: &[usize]) -> Option<NonZeroUsize> {
 impl Graph {
     /// Builds a graph from an undirected edge list, rejecting self-loops
     /// and duplicate edges. Edges may be given in either orientation.
+    /// Works on a copy of `edges`; the crate's own callers hand their
+    /// vectors over through `Graph::from_edge_vec` instead.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Graph, GraphError> {
-        Self::build(n, edges, true)
+        Self::from_edge_vec(n, edges.to_vec(), Duplicates::Reject)
     }
 
     /// Builds a graph from an undirected edge list, silently de-duplicating
@@ -103,65 +132,88 @@ impl Graph {
     /// natural construction can emit an edge twice (e.g. a torus with side
     /// length 2) use this entry point.
     pub fn from_edges_dedup(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Graph, GraphError> {
-        Self::build(n, edges, false)
+        Self::from_edge_vec(n, edges.to_vec(), Duplicates::Merge)
     }
 
-    fn build(n: usize, edges: &[(VertexId, VertexId)], strict: bool) -> Result<Graph, GraphError> {
+    /// The edge-list build, in place in `edges`: canonicalise each pair
+    /// to `(min, max)`, sort, then reject or merge repeats (a rejected
+    /// list names its smallest repeated edge). Degrees are counted into
+    /// `offsets`, which doubles as the scatter cursor, so the peak is
+    /// `edges` plus the finished CSR and nothing else.
+    pub(crate) fn from_edge_vec(
+        n: usize,
+        mut edges: Vec<(VertexId, VertexId)>,
+        duplicates: Duplicates,
+    ) -> Result<Graph, GraphError> {
         if n > u32::MAX as usize {
             return Err(GraphError::TooManyVertices { n });
         }
-        // Validate and canonicalise to (min, max).
-        let mut canon: Vec<(VertexId, VertexId)> = Vec::with_capacity(edges.len());
-        for &(u, v) in edges {
+        for edge in &mut edges {
+            let (u, v) = *edge;
             if (u as usize) >= n || (v as usize) >= n {
                 return Err(GraphError::VertexOutOfRange { edge: (u, v), n });
             }
             if u == v {
                 return Err(GraphError::SelfLoop { vertex: u });
             }
-            canon.push((u.min(v), u.max(v)));
+            *edge = (u.min(v), u.max(v));
         }
-        canon.sort_unstable();
-        let before = canon.len();
-        canon.dedup();
-        if strict && canon.len() != before {
-            // Find one duplicate for the error message.
-            let mut seen = std::collections::HashSet::with_capacity(edges.len());
-            for &(u, v) in edges {
-                let e = (u.min(v), u.max(v));
-                if !seen.insert(e) {
-                    return Err(GraphError::DuplicateEdge { edge: e });
+        edges.sort_unstable();
+        match duplicates {
+            Duplicates::Reject => {
+                if let Some(pair) = edges.windows(2).find(|pair| pair[0] == pair[1]) {
+                    return Err(GraphError::DuplicateEdge { edge: pair[0] });
                 }
             }
-            unreachable!("dedup shrank the edge list but no duplicate found");
+            Duplicates::Merge => edges.dedup(),
         }
 
-        let mut degree = vec![0usize; n];
-        for &(u, v) in &canon {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
+        // `offsets[v + 1]` counts `v`'s degree, then the prefix sum makes
+        // `offsets[v]` the start of `v`'s row.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
+        for v in 1..=n {
+            offsets[v] += offsets[v - 1];
         }
-        let mut cursor = offsets[..n].to_vec();
-        let mut neighbors = vec![0 as VertexId; acc];
-        for &(u, v) in &canon {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
+        // Scatter with `offsets[v]` as `v`'s cursor. Each row comes out
+        // sorted: the pairs `(u, v)` with `u < v` arrive in sorted order,
+        // so `x` receives its lower neighbours (from `(u, x)`) in
+        // ascending order before its higher ones (from `(x, v)`).
+        let mut neighbors = vec![0 as VertexId; offsets[n]];
+        for &(u, v) in &edges {
+            neighbors[offsets[u as usize]] = v;
+            offsets[u as usize] += 1;
+            neighbors[offsets[v as usize]] = u;
+            offsets[v as usize] += 1;
         }
-        // Per-vertex lists are already sorted by construction only for the
-        // lower endpoint; sort each list to guarantee the invariant.
-        for v in 0..n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
+        drop(edges);
+        // Every cursor now sits at the end of its row, the next row's
+        // start: shift them up one slot to get the offsets back.
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
         Ok(Graph::from_csr_parts(offsets, neighbors))
+    }
+
+    /// Copies an implicit topology's rows into CSR: the degrees summed
+    /// into `offsets`, then each vertex's sorted row from
+    /// [`Topology::for_each_neighbor`] appended to an exactly sized
+    /// adjacency array. No edge list and no sort; the peak is the
+    /// finished graph.
+    pub(crate) fn from_topology(topo: &impl Topology) -> Graph {
+        let n = topo.n();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for v in 0..n as VertexId {
+            offsets.push(offsets[v as usize] + topo.degree(v));
+        }
+        let mut neighbors = Vec::with_capacity(offsets[n]);
+        for v in 0..n as VertexId {
+            topo.for_each_neighbor(v, |w| neighbors.push(w));
+        }
+        Graph::from_csr_parts(offsets, neighbors)
     }
 
     /// Reassembles a graph from raw CSR parts (the build and the
@@ -175,6 +227,9 @@ impl Graph {
         debug_assert_eq!(*offsets.last().unwrap(), neighbors.len());
         debug_assert_eq!(neighbors.len() % 2, 0);
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert!(offsets
+            .windows(2)
+            .all(|w| neighbors[w[0]..w[1]].is_sorted()));
         Graph {
             regular: common_degree(&offsets),
             offsets,
@@ -489,6 +544,34 @@ mod tests {
                 std::panic::catch_unwind(|| g.neighbor_range(n)).is_err(),
                 "{text}"
             );
+        }
+    }
+
+    /// `hypercube` and `complete` copy their implicit rows; the edge-list
+    /// build they replaced, kept here as the reference, gives the same
+    /// offsets, adjacency, recorded degree and `memory_bytes`.
+    #[test]
+    fn implicit_row_builds_match_the_edge_list_build() {
+        let check = |built: Graph, edges: Vec<(VertexId, VertexId)>| {
+            let want = Graph::from_edges(built.n(), &edges).unwrap();
+            let label = format!("n={} m={}", want.n(), want.m());
+            assert_eq!(built.offsets, want.offsets, "{label}");
+            assert_eq!(built.neighbors, want.neighbors, "{label}");
+            assert_eq!(built.regular, want.regular, "{label}");
+            assert_eq!(built.memory_bytes(), want.memory_bytes(), "{label}");
+        };
+        for d in 1..=14u32 {
+            let edges = (0..1 << d)
+                .flat_map(|v| (0..d).map(move |b| (v, v ^ (1 << b))))
+                .filter(|&(v, w)| v < w)
+                .collect();
+            check(crate::generators::hypercube(d), edges);
+        }
+        for n in 0..=200 {
+            let edges = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .collect();
+            check(crate::generators::complete(n as usize), edges);
         }
     }
 

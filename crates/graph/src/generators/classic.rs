@@ -1,17 +1,19 @@
 //! Textbook graph families.
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{Duplicates, Graph, VertexId};
+use crate::topology::CompleteTopo;
 
 /// Complete graph `K_n`. The paper's claim (i): COBRA covers `K_n` in
 /// `O(log n)` rounds.
+///
+/// Copies the rows of [`CompleteTopo`] into CSR, with no edge list and
+/// no sort, so the build holds only the finished `4·n(n−1) + 8·(n + 1)`
+/// bytes of arrays. `complete(0)` is the empty graph.
 pub fn complete(n: usize) -> Graph {
-    let mut edges = Vec::with_capacity(n * (n.saturating_sub(1)) / 2);
-    for u in 0..n as VertexId {
-        for v in (u + 1)..n as VertexId {
-            edges.push((u, v));
-        }
+    if n == 0 {
+        return Graph::from_edges(0, &[]).expect("the empty graph is valid");
     }
-    Graph::from_edges(n, &edges).expect("complete graph edges are valid")
+    Graph::from_topology(&CompleteTopo::new(n))
 }
 
 /// Cycle `C_n` (`n ≥ 3`). 2-regular, diameter `⌊n/2⌋`, bipartite iff `n`
@@ -21,7 +23,7 @@ pub fn cycle(n: usize) -> Graph {
     let edges: Vec<_> = (0..n as VertexId)
         .map(|u| (u, ((u as usize + 1) % n) as VertexId))
         .collect();
-    Graph::from_edges(n, &edges).expect("cycle edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("cycle edges are valid")
 }
 
 /// Path `P_n` (`n ≥ 1`): vertices `0..n` in a line. The `m = n−1`,
@@ -29,7 +31,7 @@ pub fn cycle(n: usize) -> Graph {
 pub fn path(n: usize) -> Graph {
     assert!(n >= 1, "path needs n >= 1");
     let edges: Vec<_> = (1..n as VertexId).map(|u| (u - 1, u)).collect();
-    Graph::from_edges(n, &edges).expect("path edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("path edges are valid")
 }
 
 /// Star `S_n`: centre 0 joined to `n−1` leaves (`n ≥ 2`). Extreme
@@ -37,7 +39,7 @@ pub fn path(n: usize) -> Graph {
 pub fn star(n: usize) -> Graph {
     assert!(n >= 2, "star needs n >= 2");
     let edges: Vec<_> = (1..n as VertexId).map(|v| (0, v)).collect();
-    Graph::from_edges(n, &edges).expect("star edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("star edges are valid")
 }
 
 /// Wheel `W_n`: a cycle on `n−1 ≥ 3` rim vertices plus a hub adjacent to
@@ -52,7 +54,7 @@ pub fn wheel(n: usize) -> Graph {
         edges.push((u, v));
         edges.push((0, u));
     }
-    Graph::from_edges(n, &edges).expect("wheel edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("wheel edges are valid")
 }
 
 /// Complete bipartite graph `K_{a,b}`: sides `0..a` and `a..a+b`.
@@ -67,7 +69,7 @@ pub fn complete_bipartite(a: usize, b: usize) -> Graph {
             edges.push((u, v));
         }
     }
-    Graph::from_edges(n, &edges).expect("complete bipartite edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("complete bipartite edges are valid")
 }
 
 /// The Petersen graph: 10 vertices, 15 edges, 3-regular, vertex-transitive,
@@ -81,7 +83,7 @@ pub fn petersen() -> Graph {
         edges.push((5 + i, 5 + (i + 2) % 5));
         edges.push((i, i + 5));
     }
-    Graph::from_edges(10, &edges).expect("petersen edges are valid")
+    Graph::from_edge_vec(10, edges, Duplicates::Reject).expect("petersen edges are valid")
 }
 
 /// Double star: two centres joined by an edge, with `a` and `b` leaves
@@ -98,7 +100,7 @@ pub fn double_star(a: usize, b: usize) -> Graph {
     for i in 0..b {
         edges.push((c1, (2 + a + i) as VertexId));
     }
-    Graph::from_edges(n, &edges).expect("double star edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("double star edges are valid")
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! et al.); the hypercube is the paper's running example for the bound
 //! ladder `O(log⁸ n) → O(log⁴ n) → O(log³ n)`.
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{Duplicates, Graph, VertexId};
+use crate::topology::HypercubeTopo;
 
 /// D-dimensional grid with the given side lengths, open boundaries.
 ///
@@ -48,28 +49,18 @@ fn lattice(dims: &[usize], periodic: bool) -> Graph {
             }
         }
     }
-    Graph::from_edges_dedup(n, &edges).expect("lattice edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Merge).expect("lattice edges are valid")
 }
 
-/// Hypercube `Q_d`: `n = 2^d` vertices, ids adjacent iff they differ in
-/// exactly one bit. `d`-regular and bipartite (so the paper's results
-/// apply through the lazy variant).
+/// Hypercube `Q_d` (`1 ≤ d ≤ 30`): `n = 2^d` vertices, ids adjacent iff
+/// they differ in exactly one bit. `d`-regular and bipartite (so the
+/// paper's results apply through the lazy variant).
+///
+/// Copies the rows of [`HypercubeTopo`] into CSR, with no edge list and
+/// no sort, so the build holds only the finished `4·d·2^d + 8·(2^d + 1)`
+/// bytes of arrays.
 pub fn hypercube(d: u32) -> Graph {
-    assert!(
-        (1..31).contains(&d),
-        "hypercube dimension out of supported range"
-    );
-    let n = 1usize << d;
-    let mut edges = Vec::with_capacity(n * d as usize / 2);
-    for v in 0..n {
-        for b in 0..d {
-            let w = v ^ (1 << b);
-            if w > v {
-                edges.push((v as VertexId, w as VertexId));
-            }
-        }
-    }
-    Graph::from_edges(n, &edges).expect("hypercube edges are valid")
+    Graph::from_topology(&HypercubeTopo::new(d))
 }
 
 #[cfg(test)]

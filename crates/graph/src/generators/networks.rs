@@ -6,7 +6,7 @@
 //! diameter, big λ) and expanders — useful for the gap-dependence
 //! story on *near*-regular graphs.
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{Duplicates, Graph, VertexId};
 use rand::{Rng, RngExt};
 
 /// Barabási–Albert preferential attachment: starts from a clique on
@@ -54,7 +54,9 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m_edges: usize, rng: &mut R) -
             endpoints.push(t);
         }
     }
-    Graph::from_edges(n, &edges).expect("BA edges are simple by construction")
+    // Freed first, so the build holds the edge list and the CSR only.
+    drop(endpoints);
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("BA edges are simple by construction")
 }
 
 /// Watts–Strogatz small world: a cycle power `C_n^k` whose "far" end of
@@ -93,7 +95,7 @@ pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut 
         }
     }
     let edges: Vec<(VertexId, VertexId)> = present.into_iter().collect();
-    Graph::from_edges(n, &edges).expect("WS edges are simple by construction")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("WS edges are simple by construction")
 }
 
 #[cfg(test)]

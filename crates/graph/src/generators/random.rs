@@ -1,6 +1,6 @@
 //! Random graph models.
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{Duplicates, Graph, VertexId};
 use crate::props;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt};
@@ -16,15 +16,10 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
     if n == 0 || p == 0.0 {
         return Graph::from_edges(n, &[]).expect("edgeless graph");
     }
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     if p >= 1.0 {
-        for u in 0..n as VertexId {
-            for v in (u + 1)..n as VertexId {
-                edges.push((u, v));
-            }
-        }
-        return Graph::from_edges(n, &edges).expect("complete graph");
+        return super::complete(n);
     }
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     // Walk the strictly-upper-triangular adjacency positions 0..n(n-1)/2,
     // jumping Geometric(p) positions between successive edges.
     let total = n * (n - 1) / 2;
@@ -51,7 +46,7 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
             break;
         }
     }
-    Graph::from_edges(n, &edges).expect("gnp edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("gnp edges are valid")
 }
 
 /// Maps a linear index over the strict upper triangle to the edge `(u,v)`,
@@ -143,7 +138,7 @@ pub fn random_regular<R: Rng + ?Sized>(
             pair_repair(&stubs, n, rng)
         };
         let Some(edges) = candidate else { continue };
-        let g = Graph::from_edges(n, &edges).expect("simple by construction");
+        let g = Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("simple by construction");
         if require_connected && !props::is_connected(&g) {
             continue;
         }

@@ -4,7 +4,7 @@
 //! whose eigenvalue gap can be dialled; Theorem 1.1's general bound wants
 //! graphs engineered to be hard (hubs, bottlenecks, long appendages).
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{Duplicates, Graph, VertexId};
 
 /// Circulant graph `C_n(S)`: vertex `i` adjacent to `i ± s (mod n)` for
 /// each offset `s ∈ S`. Regular with degree `2|S|` (or `2|S|−1` when
@@ -23,7 +23,7 @@ pub fn circulant(n: usize, offsets: &[usize]) -> Graph {
             edges.push((i as VertexId, j as VertexId));
         }
     }
-    Graph::from_edges_dedup(n, &edges).expect("circulant edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Merge).expect("circulant edges are valid")
 }
 
 /// Cycle power `C_n^k`: vertex `i` adjacent to the `k` nearest vertices
@@ -64,7 +64,7 @@ pub fn ring_of_cliques(k: usize, c: usize) -> Graph {
         let next_base = (((i + 1) % k) * c) as VertexId;
         edges.push((base + 1, next_base));
     }
-    Graph::from_edges(n, &edges).expect("ring of cliques edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("ring of cliques edges are valid")
 }
 
 /// Barbell graph: two cliques `K_c` joined by a path of `p ≥ 0` interior
@@ -90,7 +90,7 @@ pub fn barbell(c: usize, p: usize) -> Graph {
         prev = w;
     }
     edges.push((prev, (c + p) as VertexId));
-    Graph::from_edges(n, &edges).expect("barbell edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("barbell edges are valid")
 }
 
 /// Lollipop graph: a clique `K_c` with a path of `p` vertices attached.
@@ -111,7 +111,7 @@ pub fn lollipop(c: usize, p: usize) -> Graph {
         edges.push((prev, w));
         prev = w;
     }
-    Graph::from_edges(n, &edges).expect("lollipop edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("lollipop edges are valid")
 }
 
 #[cfg(test)]

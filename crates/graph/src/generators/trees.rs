@@ -1,6 +1,6 @@
 //! Tree generators.
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{Duplicates, Graph, VertexId};
 
 /// Complete `k`-ary tree with `n` vertices in heap layout: vertex `v` has
 /// children `k·v + 1, …, k·v + k` (when `< n`) and parent `(v−1)/k`.
@@ -16,7 +16,7 @@ pub fn k_ary_tree(n: usize, k: usize) -> Graph {
         let parent = (v - 1) / k;
         edges.push((parent as VertexId, v as VertexId));
     }
-    Graph::from_edges(n, &edges).expect("tree edges are valid")
+    Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("tree edges are valid")
 }
 
 #[cfg(test)]

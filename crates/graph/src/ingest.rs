@@ -23,7 +23,7 @@
 //!   and no id compaction, that checks every byte and rejects a corrupt
 //!   cache so the caller re-parses the text.
 
-use crate::csr::{Graph, GraphError, VertexId};
+use crate::csr::{Duplicates, Graph, GraphError, VertexId};
 use crate::props;
 use cobra_util::hash::Fnv1a;
 use std::fmt;
@@ -113,7 +113,7 @@ type ParsedEdges = (usize, Vec<(VertexId, VertexId)>, IngestStats);
 /// or timestamps are ignored), `#`/`%` comment lines and blank lines
 /// skipped. Returns `(n, edges, stats)` with ids compacted to `0..n` in
 /// sorted-by-original-id order and self-loops dropped. Duplicates stay
-/// in `edges` for [`Graph::from_edges_dedup`] to collapse, so
+/// in `edges` for the CSR build to merge, so
 /// `stats.duplicates` is left 0 here; [`load_edge_list`] fills it in.
 fn parse_edge_list(mut reader: impl BufRead, path: &Path) -> Result<ParsedEdges, IngestError> {
     let mut stats = IngestStats::default();
@@ -208,11 +208,13 @@ pub fn load_edge_list(path: &Path) -> Result<(Graph, IngestStats), IngestError> 
         err,
     })?;
     let (n, edges, mut stats) = parse_edge_list(BufReader::new(file), path)?;
-    let g = Graph::from_edges_dedup(n, &edges).map_err(|err| IngestError::Graph {
-        path: path.to_path_buf(),
-        err,
-    })?;
-    stats.duplicates = edges.len() - g.m();
+    let listed = edges.len();
+    let g =
+        Graph::from_edge_vec(n, edges, Duplicates::Merge).map_err(|err| IngestError::Graph {
+            path: path.to_path_buf(),
+            err,
+        })?;
+    stats.duplicates = listed - g.m();
     Ok((g, stats))
 }
 

@@ -5,7 +5,7 @@
 //! connectivity and bipartiteness checks (bipartite ⇒ `λ = 1` ⇒ use the
 //! lazy variant).
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{Duplicates, Graph, VertexId};
 use crate::topology::Topology;
 use cobra_util::BitSet;
 use std::collections::VecDeque;
@@ -182,7 +182,8 @@ pub fn largest_component(g: &Graph) -> (Graph, Vec<VertexId>) {
         .filter(|&(u, _)| labels[u as usize] == best)
         .map(|(u, v)| (new_of_old[u as usize], new_of_old[v as usize]))
         .collect();
-    let sub = Graph::from_edges(old_of_new.len(), &edges).expect("component edges are valid");
+    let sub = Graph::from_edge_vec(old_of_new.len(), edges, Duplicates::Reject)
+        .expect("component edges are valid");
     (sub, old_of_new)
 }
 

@@ -838,6 +838,34 @@ impl GraphSpec {
         }
     }
 
+    /// The bytes [`GraphSpec::build`] reserves before it builds: the CSR
+    /// arrays (4 per adjacency entry, 8 per offset), plus the edge list
+    /// (8 per edge) for every family but `complete` and `hypercube`,
+    /// whose rows are copied from their implicit topologies. Counted on
+    /// [`GraphSpec::checked_entries`], so `None` for `file:`.
+    fn build_bytes(&self) -> Option<u128> {
+        let entries = self.checked_entries()?;
+        let offsets = 8 * (self.vertex_count()? as u128 + 1);
+        let edge_list = if self.has_implicit() { 0 } else { 4 * entries };
+        Some(4 * entries + offsets + edge_list)
+    }
+
+    /// Asks the allocator once for `bytes` and gives them straight back:
+    /// a build it would refuse fails here with one line instead of
+    /// aborting the process partway through.
+    fn reserve_build(&self, bytes: u128) -> Result<(), GraphSpecError> {
+        let granted = usize::try_from(bytes)
+            .is_ok_and(|bytes| Vec::<u8>::new().try_reserve_exact(bytes).is_ok());
+        if granted {
+            Ok(())
+        } else {
+            Err(GraphSpecError::new(format!(
+                "{:?} needs {bytes} bytes to build as CSR, more than the allocator grants",
+                self.to_string()
+            )))
+        }
+    }
+
     /// True for families whose [`GraphSpec::build`] consumes the seed.
     pub fn is_random(&self) -> bool {
         matches!(
@@ -878,6 +906,9 @@ impl GraphSpec {
                  build as CSR)",
                 self.to_string()
             )));
+        }
+        if let Some(bytes) = self.build_bytes() {
+            self.reserve_build(bytes)?;
         }
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = match self {
@@ -1400,6 +1431,40 @@ mod tests {
             assert!(spec.build_topology(0, Backend::Auto).is_ok(), "{text}");
             assert!(spec.build_topology(0, Backend::Csr).is_err(), "{text}");
         }
+    }
+
+    #[test]
+    fn build_reserves_the_csr_and_edge_list_bytes_first() {
+        // Exact for these: the CSR arrays, plus the edge list on every
+        // family but the two built from their implicit rows.
+        for text in [
+            "hypercube:6",
+            "complete:9",
+            "torus:4x5",
+            "star:7",
+            "pa:30:2",
+        ] {
+            let spec: GraphSpec = text.parse().unwrap();
+            let g = spec.build(0).unwrap();
+            let csr = crate::Topology::memory_bytes(&g) - std::mem::size_of::<Graph>();
+            let edge_list = if spec.has_implicit() { 0 } else { 8 * g.m() };
+            assert_eq!(
+                spec.build_bytes(),
+                Some((csr + edge_list) as u128),
+                "{text}"
+            );
+        }
+        let star: GraphSpec = "star:2000000000".parse().unwrap();
+        assert_eq!(star.build_bytes(), Some(47_999_999_992));
+        // A refused reservation is the spec's one-line error. A size past
+        // `isize::MAX` is refused without calling the allocator.
+        let err = star.reserve_build(u64::MAX.into()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "graph spec error: \"star:2000000000\" needs 18446744073709551615 bytes to build \
+             as CSR, more than the allocator grants"
+        );
+        assert!(star.reserve_build(1 << 20).is_ok());
     }
 
     #[test]
