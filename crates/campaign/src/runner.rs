@@ -299,8 +299,9 @@ pub fn run_point_cancellable(
         let mut state = TrialState::new(graph, &point.process, &start, point.shards, 1, ctx);
         let mut acc = StoppingAccumulator::new();
         let started = Instant::now();
-        let mut trial_time = StreamingSummary::new();
-        let mut lap = started;
+        // Trial rounds, scaled to seconds once the point's wall time is known.
+        let mut trial_rounds = StreamingSummary::new();
+        let mut rounds = 0u64;
         let finished = Engine::new(point.trials, point.seed, point.cap).run_sequential(
             &mut state,
             stop,
@@ -309,21 +310,28 @@ pub fn run_point_cancellable(
             |_| Completion,
             |outcome| {
                 acc.push(&outcome);
-                let now = Instant::now();
-                trial_time.push(now.duration_since(lap).as_secs_f64());
-                lap = now;
+                trial_rounds.push(outcome.executed as f64);
+                rounds += outcome.executed as u64;
             },
         );
         if !finished {
             return None;
         }
-        // P² quartiles of the trial seconds; 0 for a point with no trials.
-        let q = |v: f64| if trial_time.count() == 0 { 0.0 } else { v };
+        let wall_seconds = started.elapsed().as_secs_f64();
+        // P² quartiles of the trial rounds times the point's seconds per
+        // round (P² commutes with scaling); 0 for a point that ran no round.
+        let q = |v: f64| {
+            if rounds == 0 {
+                0.0
+            } else {
+                v * wall_seconds / rounds as f64
+            }
+        };
         let timing = PointTiming {
-            wall_seconds: started.elapsed().as_secs_f64(),
-            trial_q25: q(trial_time.q25()),
-            trial_median: q(trial_time.median()),
-            trial_q75: q(trial_time.q75()),
+            wall_seconds,
+            trial_q25: q(trial_rounds.q25()),
+            trial_median: q(trial_rounds.median()),
+            trial_q75: q(trial_rounds.q75()),
         };
         Some(PointRecord::from_fold(
             point,
@@ -718,6 +726,10 @@ mod tests {
         for r in &out.records {
             assert!(r.wall_seconds > 0.0, "computed points carry wall time");
             assert!(r.trial_q25 <= r.trial_median && r.trial_median <= r.trial_q75);
+            assert!(
+                r.trial_q75 <= r.wall_seconds,
+                "a trial's share of the point's time"
+            );
         }
         // A fully-cached re-run never invokes the callback — the CLI's
         // final 100% line is printed unconditionally for that reason.

@@ -90,20 +90,26 @@ pub struct PointRecord {
     /// Wall-clock seconds spent computing this point (0 for records
     /// written before timing existed; excluded from equality).
     pub wall_seconds: f64,
-    /// First-quartile per-trial seconds (0 when untimed; excluded from
-    /// equality).
+    /// First-quartile per-trial seconds: a trial's executed rounds times
+    /// the point's wall seconds per executed round. Trials of a lockstep
+    /// walk point share the core two at a time, so this is a trial's
+    /// share of the wall time, not the span from its start to its end.
+    /// 0 when untimed or when no trial ran a round; excluded from
+    /// equality.
     pub trial_q25: f64,
-    /// Median per-trial seconds (0 when untimed; excluded from
-    /// equality).
+    /// Median per-trial seconds, as `trial_q25` (0 when untimed;
+    /// excluded from equality).
     pub trial_median: f64,
-    /// Third-quartile per-trial seconds (0 when untimed; excluded from
-    /// equality).
+    /// Third-quartile per-trial seconds, as `trial_q25` (0 when untimed;
+    /// excluded from equality).
     pub trial_q75: f64,
 }
 
 /// Wall-clock timing attached to a freshly computed [`PointRecord`].
 /// The trial quartiles are streaming P² estimates (exact below five
-/// trials). Additive within `cobra-campaign/2`: old store lines simply decode
+/// trials) of the trials' executed rounds, scaled by the point's wall
+/// seconds per executed round (see [`PointRecord::trial_q25`]).
+/// Additive within `cobra-campaign/2`: old store lines simply decode
 /// with zeroed timing, staying warm.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PointTiming {

@@ -130,12 +130,14 @@ pub fn random_regular<R: Rng + ?Sized>(
             stubs.push(v);
         }
     }
+    let mut partners = (r <= MAX_REJECTION_DEGREE).then(|| Partners::new(n));
     for attempt in 1..=TOTAL_ATTEMPTS {
         stubs.shuffle(rng);
-        let candidate = if attempt <= REJECTION_ATTEMPTS && r <= 4 {
-            pair_reject(&stubs)
-        } else {
-            pair_repair(&stubs, n, rng)
+        let candidate = match partners.as_mut() {
+            Some(partners) if attempt <= REJECTION_ATTEMPTS => partners
+                .accepts(&stubs)
+                .then(|| stubs.chunks_exact(2).map(|p| (p[0], p[1])).collect()),
+            _ => pair_repair(&stubs, n, rng),
         };
         let Some(edges) = candidate else { continue };
         let g = Graph::from_edge_vec(n, edges, Duplicates::Reject).expect("simple by construction");
@@ -149,19 +151,61 @@ pub fn random_regular<R: Rng + ?Sized>(
     })
 }
 
-/// Pairs stubs sequentially; `None` on any self-loop or duplicate
-/// (wholesale rejection — exactly uniform conditioned on success).
-fn pair_reject(stubs: &[VertexId]) -> Option<Vec<(VertexId, VertexId)>> {
-    let mut edges = Vec::with_capacity(stubs.len() / 2);
-    let mut seen = std::collections::HashSet::with_capacity(stubs.len() / 2);
-    for pair in stubs.chunks_exact(2) {
-        let (u, v) = (pair[0], pair[1]);
-        if u == v || !seen.insert((u.min(v), u.max(v))) {
-            return None;
+/// The largest degree [`random_regular`] tries wholesale rejection at
+/// (its acceptance rate falls like `e^{-(r²-1)/4}`).
+const MAX_REJECTION_DEGREE: usize = 4;
+
+/// Marks an empty partner slot; no vertex has this id (`n ≤ u32::MAX`).
+const NO_PARTNER: VertexId = VertexId::MAX;
+
+/// The wholesale-rejection check of the configuration model: the
+/// partners each vertex has been paired with so far in one attempt, at
+/// most [`MAX_REJECTION_DEGREE`] each, kept across attempts and reset
+/// after each. It allocates once per [`random_regular`] call, not once
+/// per attempt, and a duplicate check is one compare of a fixed-width
+/// row, with no loop over a variable-length one.
+struct Partners {
+    /// Vertex `v`'s partners so far, then [`NO_PARTNER`]s.
+    rows: Vec<[VertexId; MAX_REJECTION_DEGREE]>,
+    /// How many of `rows[v]` are partners.
+    len: Vec<u8>,
+}
+
+impl Partners {
+    fn new(n: usize) -> Partners {
+        Partners {
+            rows: vec![[NO_PARTNER; MAX_REJECTION_DEGREE]; n],
+            len: vec![0; n],
         }
-        edges.push((u, v));
     }
-    Some(edges)
+
+    /// Whether pairing `stubs` sequentially (`stubs[2i]` with
+    /// `stubs[2i + 1]`) makes no self-loop and no repeated edge — the
+    /// attempt wholesale rejection accepts, exactly uniform over simple
+    /// graphs conditioned on success. Stops at the first bad pair, then
+    /// resets the vertices it touched. Every vertex may appear in
+    /// `stubs` at most [`MAX_REJECTION_DEGREE`] times.
+    fn accepts(&mut self, stubs: &[VertexId]) -> bool {
+        let mut paired = 0;
+        let ok = stubs.chunks_exact(2).all(|pair| {
+            let (u, v) = (pair[0], pair[1]);
+            let (ui, vi) = (u as usize, v as usize);
+            if u == v || self.rows[ui].contains(&v) {
+                return false;
+            }
+            self.rows[ui][self.len[ui] as usize] = v;
+            self.rows[vi][self.len[vi] as usize] = u;
+            self.len[ui] += 1;
+            self.len[vi] += 1;
+            paired += 1;
+            true
+        });
+        for &w in &stubs[..2 * paired] {
+            self.rows[w as usize] = [NO_PARTNER; MAX_REJECTION_DEGREE];
+            self.len[w as usize] = 0;
+        }
+        ok
+    }
 }
 
 /// Pairs stubs sequentially, then removes self-loops and parallel edges
@@ -319,6 +363,34 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(6);
         let g = random_regular(6, 5, true, &mut rng).unwrap();
         assert_eq!(g.m(), 15);
+    }
+
+    /// The wholesale-rejection predicate the partner table replaced.
+    fn hash_set_accepts(stubs: &[VertexId]) -> bool {
+        let mut seen = std::collections::HashSet::new();
+        stubs
+            .chunks_exact(2)
+            .all(|p| p[0] != p[1] && seen.insert((p[0].min(p[1]), p[0].max(p[1]))))
+    }
+
+    proptest::proptest! {
+        /// The partner table rejects exactly the attempts the `HashSet`
+        /// reference rejects, attempt after attempt on one table.
+        #[test]
+        fn partner_table_rejects_where_the_hash_set_does(
+            n in 2usize..40,
+            r in 1usize..5,
+            seeds in proptest::collection::vec(0u64..u64::MAX, 1..20),
+        ) {
+            let n = if (n * r) % 2 == 1 { n + 1 } else { n };
+            let mut stubs: Vec<VertexId> =
+                (0..n as VertexId).flat_map(|v| std::iter::repeat_n(v, r)).collect();
+            let mut partners = Partners::new(n);
+            for seed in seeds {
+                stubs.shuffle(&mut SmallRng::seed_from_u64(seed));
+                proptest::prop_assert_eq!(partners.accepts(&stubs), hash_set_accepts(&stubs));
+            }
+        }
     }
 
     #[test]

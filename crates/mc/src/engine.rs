@@ -41,11 +41,23 @@
 //! An observer that reads every round (trajectories, telemetry) pays
 //! the stop check, `rounds`, `step` and its reads per round instead.
 //!
+//! # Batches
+//!
+//! Without a sink, an outcome-only observer's trials on one thread go
+//! to [`ProcessState::run_batch`] as one batch: [`Engine::run_sequential`]
+//! (campaign points, sweeps, serve workers) and the one-thread case of
+//! [`Engine::run_spec`] (`--threads 1` runs). The walk kernel steps two
+//! trials of a batch in lockstep; every other kernel runs the per-trial
+//! loop. Round-reading observers and traced runs step trial by trial.
+//! The multi-thread runner keeps per-trial claims: a worker's lane that
+//! could not claim a trial would have to wait for the fold, and the
+//! fold may be waiting for the trial in that worker's other lane.
+//!
 //! Determinism: trial `i` sees only `trial_seed(master_seed, i)` and the
 //! fold sees trials in index order (the crate-private parallel runner
 //! reorders them), so results are identical across thread counts.
 
-use crate::runner::run_trials_with;
+use crate::runner::{run_trials_with, worker_threads};
 use crate::seed::{shard_seed, trial_seed};
 use cobra_graph::{Topology, VertexId};
 use cobra_obs::{Phase, PhaseTimers, RoundRecord, RoundSink, PHASES};
@@ -112,9 +124,14 @@ pub trait RoundView {
 pub trait Observer {
     type Output: Send;
 
-    /// False for an observer whose `on_start` and `on_round` do nothing:
-    /// [`run_trial`] then hands the whole stop/cap/step loop to
-    /// [`ProcessState::run_until`] and calls only `finish`.
+    /// False for an observer that reads nothing but the trial's
+    /// [`TrialOutcome`]: its `on_start` and `on_round` do nothing and its
+    /// `finish` reads only the outcome (the view it gets answers
+    /// `rounds`, `reached_count` and `transmissions` from the outcome and
+    /// panics on the rest). [`run_trial`] then hands the whole
+    /// stop/cap/step loop to [`ProcessState::run_until`], and a
+    /// one-thread batch of such trials goes to
+    /// [`ProcessState::run_batch`], which may run them in lockstep.
     const READS_ROUNDS: bool = true;
 
     /// Called once, before the first round (the trial is in its round-0
@@ -246,10 +263,43 @@ where
 {
     if !Ob::READS_ROUNDS {
         let rounds = process.run_until(stop, ctx, cap);
-        let state = (process, ctx);
-        return observer.finish(outcome(&state, rounds), &state);
+        return finish_outcome(observer, outcome(&(process, ctx), rounds));
     }
     run_rounds::<T, _, _>(&mut (process, ctx), stop, cap, observer)
+}
+
+/// The output of an observer that reads only the outcome
+/// (`READS_ROUNDS = false`), on every path that runs one.
+fn finish_outcome<Ob: Observer>(observer: Ob, outcome: TrialOutcome) -> Ob::Output {
+    observer.finish(outcome, &Finished(outcome))
+}
+
+/// What an outcome-only observer's `finish` sees: the totals of a trial
+/// whose state may already run the next one (a lockstep batch).
+struct Finished(TrialOutcome);
+
+impl RoundView for Finished {
+    fn rounds(&self) -> usize {
+        self.0.executed
+    }
+    fn is_complete(&self) -> bool {
+        panic!("an outcome-only observer reads no reached set")
+    }
+    fn reached_count(&self) -> usize {
+        self.0.reached
+    }
+    fn has_reached(&self, _v: VertexId) -> bool {
+        panic!("an outcome-only observer reads no reached set")
+    }
+    fn transmissions(&self) -> u64 {
+        self.0.transmissions
+    }
+    fn frontier_len(&self) -> usize {
+        panic!("an outcome-only observer reads no frontier")
+    }
+    fn shard_traffic(&self) -> &[u64] {
+        &[]
+    }
 }
 
 /// The trial's totals once it has stopped after `rounds`.
@@ -381,6 +431,13 @@ impl Engine {
         G: Fn(usize) -> Ob + Sync,
     {
         let cap = self.cap;
+        if !Ob::READS_ROUNDS && worker_threads(self) == 1 {
+            let (mut process, mut ctx) = (spec.build(g, start), StepCtx::new());
+            let mut seeds = (0..self.trials).map(|i| trial_seed(self.master_seed, i as u64));
+            let mut fold = outcome_fold(make_observer, fold);
+            process.run_batch(g, start, &mut seeds, stop, cap, &mut ctx, &mut fold);
+            return;
+        }
         run_trials_with(
             self,
             || (spec.build(g, start), StepCtx::new()),
@@ -399,10 +456,13 @@ impl Engine {
     /// i)`, as in [`Engine::run_spec`], so unsharded outputs match the
     /// parallel path; sharded states run the same observers.
     ///
-    /// `cancel` is polled before every trial; a cancelled batch returns
-    /// `false`. A `sink` receives every round and trial total through the
+    /// `cancel` is polled before every trial starts; a cancelled batch
+    /// returns `false` (trials already running still finish and fold).
+    /// A `sink` receives every round and trial total through the
     /// telemetry observer wrapped around `make_observer(i)`, then the
-    /// trial's phase-time split when the state carries timers.
+    /// trial's phase-time split when the state carries timers. Without a
+    /// sink, an outcome-only observer's trials run as one
+    /// [`ProcessState::run_batch`] call (trial by trial when sharded).
     pub fn run_sequential<T: Topology + Sync, Ob: Observer>(
         &self,
         state: &mut TrialState<'_, '_, T>,
@@ -412,6 +472,20 @@ impl Engine {
         make_observer: impl Fn(usize) -> Ob,
         mut fold: impl FnMut(Ob::Output),
     ) -> bool {
+        if sink.is_none() && !Ob::READS_ROUNDS {
+            let mut started = 0;
+            let mut seeds = (0..self.trials)
+                .take_while(|_| !cancel.is_some_and(CancelToken::is_cancelled))
+                .inspect(|_| started += 1)
+                .map(|i| trial_seed(self.master_seed, i as u64));
+            state.run_batch(
+                &mut seeds,
+                stop,
+                self.cap,
+                &mut outcome_fold(make_observer, fold),
+            );
+            return started == self.trials;
+        }
         for i in 0..self.trials {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return false;
@@ -438,6 +512,19 @@ impl Engine {
             fold(output);
         }
         true
+    }
+}
+
+/// The fold of a batch of outcome-only trials: trial `i`'s totals, in
+/// trial order, through `make_observer(i)` into `fold`.
+fn outcome_fold<Ob: Observer>(
+    make_observer: impl Fn(usize) -> Ob,
+    mut fold: impl FnMut(Ob::Output),
+) -> impl FnMut(TrialOutcome) {
+    let mut trial = 0;
+    move |outcome| {
+        fold(finish_outcome(make_observer(trial), outcome));
+        trial += 1;
     }
 }
 
@@ -539,6 +626,32 @@ impl<'c, 'g, T: Topology + Sync> TrialState<'c, 'g, T> {
             } => {
                 state.reset(*start, |i| shard_seed(seed, i));
                 run_rounds(&mut (&mut *state, *threads), stop, cap, observer)
+            }
+        }
+    }
+
+    /// One trial per seed, each run to `stop` or `cap`, with every
+    /// trial's totals folded in seed order: the process's
+    /// [`ProcessState::run_batch`] (one dynamic call through the box), or
+    /// trial by trial on a sharded state.
+    pub(crate) fn run_batch(
+        &mut self,
+        seeds: &mut dyn Iterator<Item = u64>,
+        stop: StopWhen,
+        cap: usize,
+        fold: &mut dyn FnMut(TrialOutcome),
+    ) {
+        match self {
+            TrialState::Process {
+                process,
+                ctx,
+                graph,
+                start,
+            } => process.run_batch(graph, start, seeds, stop, cap, ctx, fold),
+            TrialState::Sharded { .. } => {
+                for seed in seeds {
+                    fold(self.run_trial(seed, stop, cap, Completion));
+                }
             }
         }
     }
@@ -695,6 +808,76 @@ mod tests {
         let g = generators::petersen();
         let outcomes = outputs(engine, &g, "bips:b2", StopWhen::Complete, |_| Completion);
         assert!(outcomes.iter().all(|o| o.rounds.is_some()));
+    }
+
+    #[test]
+    fn run_sequential_gives_the_same_output_with_a_sink() {
+        let g = generators::lollipop(10, 10);
+        for process in ["cobra:b1", "cobra:b1:lazy", "cobra:b2", "bips:b2"] {
+            let spec: ProcessSpec = process.parse().unwrap();
+            for (trials, cap) in [(0, 100_000), (1, 100_000), (13, 100_000), (13, 30)] {
+                let engine = Engine::new(trials, 21, cap);
+                let run = |sink: Option<&mut dyn RoundSink>| {
+                    let mut ctx = StepCtx::new();
+                    let mut state = TrialState::new(&g, &spec, &[0], 1, 1, &mut ctx);
+                    let mut out = Vec::new();
+                    let done = engine.run_sequential(
+                        &mut state,
+                        StopWhen::Complete,
+                        None,
+                        sink,
+                        |_| Completion,
+                        |o| out.push(o),
+                    );
+                    assert!(done);
+                    out
+                };
+                let plain = run(None);
+                let traced = run(Some(&mut cobra_obs::NullSink));
+                assert_eq!(plain, traced, "{process} trials {trials} cap {cap}");
+                assert_eq!(
+                    plain,
+                    outputs(
+                        engine.with_threads(2),
+                        &g,
+                        process,
+                        StopWhen::Complete,
+                        |_| Completion
+                    )
+                );
+            }
+        }
+    }
+
+    /// A token cancelled inside the fold stops the walk's lockstep batch
+    /// from starting trials: those already started still finish and
+    /// fold, no more start. Cancelling at the last trial's fold still
+    /// reports a finished batch.
+    #[test]
+    fn run_sequential_batch_cancels_at_trial_boundaries() {
+        let g = generators::lollipop(10, 10);
+        let spec: ProcessSpec = "cobra:b1".parse().unwrap();
+        for (trials, cancel_at, finished) in [(20, 3, false), (20, 20, true)] {
+            let (mut ctx, token) = (StepCtx::new(), CancelToken::new());
+            let mut state = TrialState::new(&g, &spec, &[0], 1, 1, &mut ctx);
+            let mut folded = 0;
+            let done = Engine::new(trials, 5, 100_000).run_sequential(
+                &mut state,
+                StopWhen::Complete,
+                Some(&token),
+                None,
+                |_| Completion,
+                |_| {
+                    folded += 1;
+                    if folded == cancel_at {
+                        token.cancel();
+                    }
+                },
+            );
+            assert_eq!(done, finished);
+            assert!((cancel_at..=trials).contains(&folded), "{folded}");
+            assert_eq!(folded == trials, finished, "{folded}");
+        }
     }
 
     #[test]

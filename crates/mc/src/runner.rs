@@ -20,6 +20,12 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// The workers a batch of `engine` runs on: its thread knob resolved,
+/// and never more than its trials (one for an empty batch).
+pub(crate) fn worker_threads(engine: &Engine) -> usize {
+    resolve_threads(engine.threads).min(engine.trials.max(1))
+}
+
 /// Runs `engine.trials` independent trials of `f(state, seed, index)`
 /// on up to `engine.threads` workers and hands each output to `fold` on
 /// the calling thread, in trial-index order, so the fold (float sums
@@ -41,7 +47,7 @@ where
 {
     let trials = engine.trials;
     let trial = |state: &mut S, i: usize| f(state, trial_seed(engine.master_seed, i as u64), i);
-    let threads = resolve_threads(engine.threads).min(trials.max(1));
+    let threads = worker_threads(engine);
     if threads <= 1 {
         let mut state = init();
         for i in 0..trials {

@@ -126,7 +126,41 @@ fn noprobe_engine_trials_are_allocation_free() {
                 boxed_replay_is_allocation_free(graph, spec, stop);
             }
         }
+        walk_batch_is_allocation_free(graph);
     }
+}
+
+/// Runs two lockstep batches of the walk kernel through the box, as a
+/// one-thread engine run or a campaign point does: the first sizes the
+/// second lane, the second allocates nothing.
+fn walk_batch_is_allocation_free(g: &Graph) {
+    let spec: ProcessSpec = "cobra:b1".parse().unwrap();
+    let mut process = spec.build(g, &[0]);
+    let mut ctx = StepCtx::new();
+    let mut batch = |seed0: u64| {
+        let mut seeds = (seed0..seed0 + 13).map(|i| i ^ 0xBA7C);
+        let mut sum = 0usize;
+        process.run_batch(
+            g,
+            &[0],
+            &mut seeds,
+            StopWhen::Complete,
+            1_000_000,
+            &mut ctx,
+            &mut |o| sum += o.executed,
+        );
+        sum
+    };
+    assert!(batch(1) > 0);
+    let before = allocs();
+    assert!(batch(100) > 0);
+    let delta = allocs() - before;
+    assert_eq!(
+        delta,
+        0,
+        "second walk batch on n = {} performed {delta} heap allocations",
+        g.n()
+    );
 }
 
 /// Warms a `ProcessSpec::build` box with one trial, then replays it and

@@ -20,10 +20,11 @@
 //!    backends), or `v` itself for a lazy self-pick;
 //! 3. **lands** it without a data-dependent branch: the pick is stored
 //!    at slot `len` of the scratch's `n + 1` slots and `len` advances by
-//!    the 0/1 result of [`BitSet::test_and_set`] on the round's mark
-//!    set, so the next frontier `slots[..len]` comes out in
+//!    the 0/1 result of [`BitSet::test_and_set_uncounted`] on the
+//!    round's mark set, so the next frontier `slots[..len]` comes out in
 //!    first-arrival order, as the naive loop builds it (`len ≤ n` when
-//!    a slot is written, so `n + 1` slots always do).
+//!    a slot is written, so `n + 1` slots always do). Nothing reads the
+//!    mark's count, so neither this nor the sparse reset keeps one.
 //!
 //! Resolving consumes no randomness, so draw order, frontier order,
 //! `visited` and every trajectory are bit-identical to the naive loop.
@@ -37,7 +38,7 @@
 //!   word-wise [`BitSet::union_with`], and resets it with
 //!   [`BitSet::clear`];
 //! - a **sparse** round sets `visited` per pick and resets only the
-//!   marked bits ([`BitSet::clear_indices`] over the new frontier), so
+//!   marked bits ([`BitSet::clear_indices_uncounted`] over the new frontier), so
 //!   its cost stays proportional to the picks, not to `n`.
 //!
 //! Software prefetch runs at two depths through the [`Topology`] hooks:
@@ -201,7 +202,7 @@ impl<'g, T: Topology> ProcessState<'g, T> for Cobra<'g, T> {
             if !dense {
                 visited.test_and_set(w as usize);
             }
-            len += mark.test_and_set(w as usize) as usize;
+            len += mark.test_and_set_uncounted(w as usize) as usize;
         };
         // One pass in active order, `b` picks per vertex: the draw order
         // of the naive loop, with each pick resolved and landed at once.
@@ -248,7 +249,7 @@ impl<'g, T: Topology> ProcessState<'g, T> for Cobra<'g, T> {
             mark.clear();
         } else {
             // Cheaper than a full clear when |C_t| ≪ n.
-            mark.clear_indices(next);
+            mark.clear_indices_uncounted(next);
         }
         std::mem::swap(&mut self.active, next);
         self.rounds += 1;

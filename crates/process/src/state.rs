@@ -28,13 +28,20 @@
 //!   or sent between trials running concurrently.
 //! * [`Scratch`] buffers are valid only within a single `step` call.
 //!   Processes must leave the mark bit set empty when they return
-//!   (cheapest via [`BitSet::clear_indices`] over the bits they set);
-//!   [`Scratch::parts`] debug-asserts that invariant on entry.
+//!   (cheapest via [`BitSet::clear_indices`] over the bits they set, or
+//!   its uncounted twin when they set them uncounted, as COBRA does);
+//!   [`Scratch::parts`] debug-asserts on entry that every mark word is
+//!   zero, so the check holds whether or not the mark kept a count.
 //! * Persistent process state (visited/infected sets, walker positions)
 //!   lives in the `ProcessState` implementor itself and is recycled by
 //!   `reset` without reallocating.
+//! * A batch ([`ProcessState::run_batch`]) may keep several trials in
+//!   flight, each with its own RNG seeded as [`StepCtx::reseed`] seeds
+//!   the context (the walk's two lockstep lanes); their state also lives
+//!   in the implementor, sized once, so a second batch allocates nothing.
 
 use cobra_graph::{Graph, Topology, VertexId};
+use cobra_obs::TrialTotals;
 use cobra_util::BitSet;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -100,6 +107,12 @@ pub trait ProcessView {
 /// `reset` must not draw from the context RNG: the trial seed's stream
 /// belongs entirely to the rounds, which is what keeps outcomes
 /// bit-identical to the historical build-per-trial API.
+///
+/// Three loops run a trial, from the finest to the coarsest: `step`
+/// (one round), [`ProcessState::run_until`] (one trial) and
+/// [`ProcessState::run_batch`] (a batch of trials, folded in trial
+/// order). The coarser two are provided; an override must return
+/// exactly what the provided loop would, trial for trial.
 pub trait ProcessState<'g, T: Topology = Graph>: ProcessView {
     /// Restores the state to round 0 on `g` with the given start set,
     /// reusing existing allocations wherever the graph size allows.
@@ -131,6 +144,66 @@ pub trait ProcessState<'g, T: Topology = Graph>: ProcessView {
             }
             self.step(ctx);
         }
+    }
+
+    /// Runs one trial per seed of `seeds` on `g` from `start`, each to
+    /// `stop` or `cap`, and hands `fold` every trial's totals in trial
+    /// (seed) order: the whole batch loop of an observer that reads no
+    /// round. Trial `i` must come out exactly as reseed → `reset` →
+    /// [`ProcessState::run_until`] from the `i`-th seed would leave it,
+    /// whatever the kernel does inside; the default is that loop.
+    /// `seeds` is pulled once per trial, just before the
+    /// trial starts, so a caller can end the batch early by ending the
+    /// iterator (the campaign runner's cancellation).
+    ///
+    /// An override may hold several trials in flight (the walk's
+    /// lockstep lanes), but its memory must not grow with the batch: a
+    /// bounded number of trials in flight and of finished trials
+    /// waiting for the fold. The state afterwards is unspecified:
+    /// `reset` it before stepping again.
+    ///
+    /// Provided and object-safe, and [`BoxedProcess`] forwards it, so a
+    /// boxed batch makes one dynamic call here, not one per trial.
+    #[allow(clippy::too_many_arguments)]
+    fn run_batch(
+        &mut self,
+        g: &'g T,
+        start: &[VertexId],
+        seeds: &mut dyn Iterator<Item = u64>,
+        stop: StopWhen,
+        cap: usize,
+        ctx: &mut StepCtx,
+        fold: &mut dyn FnMut(TrialTotals),
+    ) {
+        run_each(self, g, start, seeds, stop, cap, ctx, fold)
+    }
+}
+
+/// The per-trial batch loop behind [`ProcessState::run_batch`]: for each
+/// seed, reseed `ctx`, `reset` the state, [`ProcessState::run_until`],
+/// and fold the totals. Overrides fall back to it where they cannot
+/// batch (a walk whose context carries phase timers).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_each<'g, T: Topology, P: ProcessState<'g, T> + ?Sized>(
+    process: &mut P,
+    g: &'g T,
+    start: &[VertexId],
+    seeds: &mut dyn Iterator<Item = u64>,
+    stop: StopWhen,
+    cap: usize,
+    ctx: &mut StepCtx,
+    fold: &mut dyn FnMut(TrialTotals),
+) {
+    for seed in seeds {
+        ctx.reseed(seed);
+        process.reset(g, start);
+        let rounds = process.run_until(stop, ctx, cap);
+        fold(TrialTotals {
+            rounds,
+            executed: process.rounds(),
+            reached: process.reached_count(),
+            transmissions: process.transmissions(),
+        });
     }
 }
 
@@ -203,6 +276,18 @@ impl<'g, T: Topology> ProcessState<'g, T> for BoxedProcess<'g, T> {
     }
     fn run_until(&mut self, stop: StopWhen, ctx: &mut StepCtx, cap: usize) -> Option<usize> {
         (**self).run_until(stop, ctx, cap)
+    }
+    fn run_batch(
+        &mut self,
+        g: &'g T,
+        start: &[VertexId],
+        seeds: &mut dyn Iterator<Item = u64>,
+        stop: StopWhen,
+        cap: usize,
+        ctx: &mut StepCtx,
+        fold: &mut dyn FnMut(TrialTotals),
+    ) {
+        (**self).run_batch(g, start, seeds, stop, cap, ctx, fold)
     }
 }
 
@@ -303,7 +388,10 @@ impl Scratch {
             self.mark = BitSet::new(n);
             self.slots = vec![0; n + 1];
         }
-        debug_assert_eq!(self.mark.count(), 0, "mark left dirty by a prior step");
+        debug_assert!(
+            self.mark.words().iter().all(|&w| w == 0),
+            "mark left dirty by a prior step"
+        );
         self.frontier.clear();
         // The frontier is empty here, so this guarantees capacity ≥ n —
         // a frontier is duplicate-free and can never outgrow it.

@@ -11,12 +11,35 @@
 //! lazy coin, then one `random_range(0..deg)`), so every trajectory is
 //! the same, and with timers on a walk round laps the same
 //! draw/gather/coalesce phases a COBRA round does.
+//!
+//! A walk step is a chain of dependent loads (position → CSR row → next
+//! position), so one trial leaves the core mostly idle.
+//! [`RandomWalk`]'s `run_batch` therefore steps two trials of a batch in
+//! lockstep: two lanes, each with its own position, visited set, round
+//! count and trial RNG (seeded as `StepCtx::reseed` seeds it). A lane
+//! whose trial stops takes the next seed; finished trials wait in a
+//! window of `FOLD_WINDOW` slots until every earlier trial has folded,
+//! and a lane idles rather than outrun the window, so a batch holds
+//! O(lanes + window) state whatever its size. Every trial's totals equal
+//! those of reseed → reset → `run_until`; a batch whose context carries
+//! phase timers runs that loop instead. Cover in 50 batches of 12
+//! trials (a `sweep-cold` point's size; 2-vCPU Xeon VM, min of 7 runs)
+//! went from 7.7 to 4.7 ns per step on `rreg:1024:4`, 6.8 to 4.8 on
+//! `grid:32x32`, 6.9 to 4.4 on `pa:1024:3` and 5.6 to 4.4 on
+//! `lollipop:56` (1.3–1.6×).
 
 use crate::branching::Laziness;
-use crate::state::{ProcessState, ProcessView, StepCtx};
+use crate::state::{run_each, ProcessState, ProcessView, StepCtx, StopWhen};
 use cobra_graph::{Graph, Topology, VertexId};
-use cobra_obs::{Phase, PhaseClock};
+use cobra_obs::{Phase, PhaseClock, TrialTotals};
 use cobra_util::BitSet;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+/// Finished trials a lockstep batch may hold for the fold: a lane that
+/// would take trial `folded + FOLD_WINDOW` idles until the front trial
+/// folds, so a batch holds at most this many totals, whatever its size.
+const FOLD_WINDOW: usize = 16;
 
 /// A single random walk tracking its visited set, generic over the
 /// graph backend.
@@ -27,6 +50,9 @@ pub struct RandomWalk<'g, T: Topology = Graph> {
     position: VertexId,
     visited: BitSet,
     rounds: usize,
+    /// The second lockstep lane's visited set (the first lane uses
+    /// `visited`); empty until the first batch sizes it.
+    lane_visited: BitSet,
 }
 
 impl<'g, T: Topology> RandomWalk<'g, T> {
@@ -38,6 +64,7 @@ impl<'g, T: Topology> RandomWalk<'g, T> {
             position: start,
             visited: BitSet::new(g.n()),
             rounds: 0,
+            lane_visited: BitSet::new(0),
         };
         walk.reset(g, &[start]);
         walk
@@ -103,6 +130,238 @@ impl<'g, T: Topology> ProcessState<'g, T> for RandomWalk<'g, T> {
         self.rounds += 1;
         if let Some(c) = clock.as_mut() {
             c.lap(Phase::Coalesce);
+        }
+    }
+
+    /// Two trials in lockstep (see the module docs): each lane has its
+    /// own position, visited set, round count and a `SmallRng` seeded as
+    /// [`StepCtx::reseed`] seeds the context, and steps exactly as
+    /// [`RandomWalk::step`] would, so every trial's totals equal those
+    /// of the per-trial loop. With phase timers on, the batch runs that
+    /// per-trial loop instead: laps belong to one trial's steps.
+    fn run_batch(
+        &mut self,
+        g: &'g T,
+        start: &[VertexId],
+        seeds: &mut dyn Iterator<Item = u64>,
+        stop: StopWhen,
+        cap: usize,
+        ctx: &mut StepCtx,
+        fold: &mut dyn FnMut(TrialTotals),
+    ) {
+        if ctx.timers.is_some() {
+            return run_each(self, g, start, seeds, stop, cap, ctx, fold);
+        }
+        assert!(!start.is_empty(), "walk needs a start vertex");
+        let start = start[0];
+        assert!((start as usize) < g.n(), "start vertex out of range");
+        self.g = g;
+        for set in [&mut self.visited, &mut self.lane_visited] {
+            if set.len() != g.n() {
+                *set = BitSet::new(g.n());
+            }
+        }
+        let laziness = self.laziness;
+        let mut window = Window::new();
+        let mut seeds = Claims {
+            seeds,
+            left: true,
+            start,
+            stop,
+            cap,
+        };
+        let mut a = Lane::idle(&mut self.visited);
+        let mut b = Lane::idle(&mut self.lane_visited);
+        loop {
+            seeds.refill(&mut a, &mut window, fold);
+            seeds.refill(&mut b, &mut window, fold);
+            match (a.trial.is_some(), b.trial.is_some()) {
+                (true, true) => loop {
+                    a.step(g, laziness);
+                    b.step(g, laziness);
+                    if a.finished(stop, cap).is_some() || b.finished(stop, cap).is_some() {
+                        break;
+                    }
+                },
+                (true, false) => a.run(g, laziness, stop, cap),
+                (false, true) => b.run(g, laziness, stop, cap),
+                (false, false) => break,
+            }
+            for lane in [&mut a, &mut b] {
+                if let Some(rounds) = lane.finished(stop, cap) {
+                    if let Some(trial) = lane.trial.take() {
+                        window.finish(trial, lane.totals(rounds), fold);
+                    }
+                }
+            }
+        }
+        // Leave the state at the first lane's last trial.
+        (self.position, self.rounds) = (a.position, a.rounds);
+    }
+}
+
+/// One lockstep lane of [`RandomWalk::run_batch`]: a walk's trial state
+/// with its own trial RNG.
+struct Lane<'v> {
+    visited: &'v mut BitSet,
+    rng: SmallRng,
+    position: VertexId,
+    rounds: usize,
+    /// The batch index of the trial in flight; `None` while idle.
+    trial: Option<usize>,
+}
+
+impl<'v> Lane<'v> {
+    fn idle(visited: &'v mut BitSet) -> Lane<'v> {
+        Lane {
+            visited,
+            rng: SmallRng::seed_from_u64(0),
+            position: 0,
+            rounds: 0,
+            trial: None,
+        }
+    }
+
+    /// Starts batch trial `trial` from `seed`: the lane's part of
+    /// reseed → `reset`.
+    fn start(&mut self, trial: usize, seed: u64, start: VertexId) {
+        self.rng = SmallRng::seed_from_u64(seed);
+        self.visited.clear();
+        self.visited.insert(start as usize);
+        self.position = start;
+        self.rounds = 0;
+        self.trial = Some(trial);
+    }
+
+    /// [`RandomWalk::step`] without the phase clock.
+    #[inline(always)]
+    fn step<T: Topology>(&mut self, g: &T, laziness: Laziness) {
+        self.position = laziness.pick(g, self.position, &mut self.rng);
+        self.visited.test_and_set(self.position as usize);
+        self.rounds += 1;
+    }
+
+    /// `Some(rounds)` once [`ProcessState::run_until`] would return
+    /// `rounds` from this state, `None` while it would step on.
+    #[inline(always)]
+    fn finished(&self, stop: StopWhen, cap: usize) -> Option<Option<usize>> {
+        if stop.holds(self) {
+            Some(Some(self.rounds))
+        } else if self.rounds >= cap {
+            Some(None)
+        } else {
+            None
+        }
+    }
+
+    /// Steps the lane alone until its trial finishes.
+    fn run<T: Topology>(&mut self, g: &T, laziness: Laziness, stop: StopWhen, cap: usize) {
+        while self.finished(stop, cap).is_none() {
+            self.step(g, laziness);
+        }
+    }
+
+    fn totals(&self, rounds: Option<usize>) -> TrialTotals {
+        TrialTotals {
+            rounds,
+            executed: self.rounds,
+            reached: self.visited.count(),
+            transmissions: self.rounds as u64,
+        }
+    }
+}
+
+impl ProcessView for Lane<'_> {
+    fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    fn reached(&self) -> &BitSet {
+        self.visited
+    }
+
+    fn transmissions(&self) -> u64 {
+        self.rounds as u64
+    }
+}
+
+/// The seeds of a lockstep batch, handed to lanes in trial order.
+struct Claims<'s> {
+    seeds: &'s mut dyn Iterator<Item = u64>,
+    /// False once `seeds` has ended.
+    left: bool,
+    start: VertexId,
+    stop: StopWhen,
+    cap: usize,
+}
+
+impl Claims<'_> {
+    /// Gives an idle `lane` the next trial while the window has room. A
+    /// trial that stops at round 0 folds at once, and the lane takes the
+    /// next.
+    fn refill(
+        &mut self,
+        lane: &mut Lane<'_>,
+        window: &mut Window,
+        fold: &mut dyn FnMut(TrialTotals),
+    ) {
+        while lane.trial.is_none() && self.left && window.has_room() {
+            let Some(seed) = self.seeds.next() else {
+                self.left = false;
+                return;
+            };
+            lane.start(window.claim(), seed, self.start);
+            if let Some(rounds) = lane.finished(self.stop, self.cap) {
+                let trial = lane.trial.take().expect("just started");
+                window.finish(trial, lane.totals(rounds), fold);
+            }
+        }
+    }
+}
+
+/// Finished trials of a lockstep batch waiting for the fold, which
+/// takes them in trial order: trial `t` waits in slot `t % FOLD_WINDOW`
+/// until every earlier trial has folded.
+struct Window {
+    slots: [Option<TrialTotals>; FOLD_WINDOW],
+    /// Trials handed to lanes so far.
+    claimed: usize,
+    /// Trials folded so far: the next to fold is trial `folded`.
+    folded: usize,
+}
+
+impl Window {
+    fn new() -> Window {
+        Window {
+            slots: [None; FOLD_WINDOW],
+            claimed: 0,
+            folded: 0,
+        }
+    }
+
+    /// Whether one more trial can be claimed: its slot must be free
+    /// when it finishes, whichever trials before it are still running.
+    fn has_room(&self) -> bool {
+        self.claimed - self.folded < FOLD_WINDOW
+    }
+
+    fn claim(&mut self) -> usize {
+        self.claimed += 1;
+        self.claimed - 1
+    }
+
+    /// Folds `trial` if it is next, then every waiting trial behind it;
+    /// otherwise parks it in its slot.
+    fn finish(&mut self, trial: usize, totals: TrialTotals, fold: &mut dyn FnMut(TrialTotals)) {
+        if trial != self.folded {
+            self.slots[trial % FOLD_WINDOW] = Some(totals);
+            return;
+        }
+        fold(totals);
+        self.folded += 1;
+        while let Some(totals) = self.slots[self.folded % FOLD_WINDOW].take() {
+            fold(totals);
+            self.folded += 1;
         }
     }
 }
@@ -266,6 +525,69 @@ mod tests {
         // Phase timing draws nothing extra.
         assert_lockstep(&generators::torus(&[5, 7]), 4, true);
         assert_lockstep(&HypercubeTopo::new(6), 9, true);
+    }
+
+    /// Every trial of `run_batch` against reseed → reset → `run_until`.
+    fn assert_batch_matches_per_trial<T: Topology>(g: &T, start: VertexId) {
+        let stops = [
+            StopWhen::Complete,
+            StopWhen::Reached(g.n() as VertexId - 1),
+            StopWhen::Reached(start),
+            StopWhen::ReachedCount(g.n() / 2),
+            StopWhen::AtCap,
+        ];
+        for laziness in [Laziness::None, Laziness::Half] {
+            for stop in stops {
+                for (trials, cap) in [
+                    (0, 5000),
+                    (1, 5000),
+                    (2, 5000),
+                    (3, 0),
+                    (13, 5000),
+                    (13, 40),
+                    // Past the fold window: a long trial in one lane
+                    // holds the other back once the window fills.
+                    (4 * FOLD_WINDOW as u64, 5000),
+                ] {
+                    let seeds = |t: u64| t.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 77;
+                    let mut walk = RandomWalk::new(g, start, laziness);
+                    let mut cx = ctx(0);
+                    let want: Vec<TrialTotals> = (0..trials)
+                        .map(|t| {
+                            cx.reseed(seeds(t));
+                            walk.reset(g, &[start]);
+                            let rounds = walk.run_until(stop, &mut cx, cap);
+                            TrialTotals {
+                                rounds,
+                                executed: walk.rounds(),
+                                reached: walk.reached_count(),
+                                transmissions: walk.transmissions(),
+                            }
+                        })
+                        .collect();
+                    let mut got = Vec::new();
+                    walk.run_batch(
+                        g,
+                        &[start],
+                        &mut (0..trials).map(seeds),
+                        stop,
+                        cap,
+                        &mut cx,
+                        &mut |o| got.push(o),
+                    );
+                    assert_eq!(got, want, "{laziness:?} {stop:?} trials {trials} cap {cap}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_matches_the_per_trial_loop() {
+        assert_batch_matches_per_trial(&generators::lollipop(12, 12), 3);
+        assert_batch_matches_per_trial(&generators::torus(&[5, 7]), 4);
+        assert_batch_matches_per_trial(&generators::hypercube(6), 9);
+        assert_batch_matches_per_trial(&HypercubeTopo::new(6), 9);
+        assert_batch_matches_per_trial(&CompleteTopo::new(12), 4);
     }
 
     #[test]

@@ -211,4 +211,24 @@ fn warmed_state_and_ctx_step_without_allocating() {
             "steady-state sharded {kernel:?} trial performed {delta} heap allocations"
         );
     }
+    // --- The walk's lockstep batch: a second batch allocates nothing ---
+    let mut walk = cobra_process::RandomWalk::new(&g, 0, Laziness::None);
+    let mut batch = |seed0: u64| {
+        let mut seeds = seed0..seed0 + 13;
+        let mut sum = 0usize;
+        walk.run_batch(
+            &g,
+            &[0],
+            &mut seeds,
+            StopWhen::Complete,
+            1_000_000,
+            &mut ctx,
+            &mut |o| sum += o.executed,
+        );
+        sum
+    };
+    assert!(batch(1) > 0);
+    let before = allocs();
+    assert!(batch(50) > 0);
+    assert_eq!(allocs() - before, 0, "second walk batch allocated");
 }

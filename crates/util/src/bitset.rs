@@ -120,6 +120,26 @@ impl BitSet {
         self.words[idx / WORD_BITS] |= 1u64 << (idx % WORD_BITS);
     }
 
+    /// Sets `idx`; returns true if it was newly set. The
+    /// [`test_and_set`](Self::test_and_set) of a set whose owner never
+    /// reads `count()`: the same load-OR-store, without the count
+    /// update. Paired with [`clear_indices_uncounted`](Self::clear_indices_uncounted)
+    /// (or [`clear`](Self::clear)), a set that starts empty comes back
+    /// empty with `count()` still 0 (COBRA's per-round mark).
+    #[inline]
+    pub fn test_and_set_uncounted(&mut self, idx: usize) -> bool {
+        assert!(
+            idx < self.len,
+            "BitSet index {idx} out of range {}",
+            self.len
+        );
+        let w = &mut self.words[idx / WORD_BITS];
+        let shift = idx % WORD_BITS;
+        let fresh = (!*w >> shift) & 1;
+        *w |= 1u64 << shift;
+        fresh == 1
+    }
+
     /// Removes `idx`; returns true if it was present.
     #[inline]
     pub fn remove(&mut self, idx: usize) -> bool {
@@ -152,6 +172,21 @@ impl BitSet {
     pub fn clear_indices(&mut self, indices: &[u32]) {
         for &idx in indices {
             self.remove(idx as usize);
+        }
+    }
+
+    /// Clears exactly the listed indices without the `count()` update:
+    /// one branch-free AND per index, for bits set by
+    /// [`test_and_set_uncounted`](Self::test_and_set_uncounted).
+    pub fn clear_indices_uncounted(&mut self, indices: &[u32]) {
+        for &idx in indices {
+            let idx = idx as usize;
+            assert!(
+                idx < self.len,
+                "BitSet index {idx} out of range {}",
+                self.len
+            );
+            self.words[idx / WORD_BITS] &= !(1u64 << (idx % WORD_BITS));
         }
     }
 
@@ -420,6 +455,31 @@ mod tests {
                 prop_assert_eq!(a.count(), b.count());
             }
             prop_assert_eq!(a.words(), b.words());
+        }
+
+        /// The uncounted mark ops answer and store as the counted ones,
+        /// never touch `count()`; clearing some fresh bits clears those
+        /// alone, and clearing them all leaves the set empty again.
+        #[test]
+        fn uncounted_mark_ops_match_the_counted_ones(idxs in proptest::collection::vec(0usize..300, 0..400)) {
+            let mut counted = BitSet::new(300);
+            let mut uncounted = BitSet::new(300);
+            let mut fresh = Vec::new();
+            for idx in idxs {
+                let new = uncounted.test_and_set_uncounted(idx);
+                prop_assert_eq!(new, counted.test_and_set(idx));
+                if new {
+                    fresh.push(idx as u32);
+                }
+                prop_assert_eq!(uncounted.count(), 0);
+            }
+            prop_assert_eq!(uncounted.words(), counted.words());
+            let (some, rest) = fresh.split_at(fresh.len() / 2);
+            uncounted.clear_indices_uncounted(some);
+            counted.clear_indices(some);
+            prop_assert_eq!(uncounted.words(), counted.words());
+            uncounted.clear_indices_uncounted(rest);
+            prop_assert_eq!(uncounted, BitSet::new(300));
         }
 
         /// The COBRA kernel's two ways to end a round agree: folding the
